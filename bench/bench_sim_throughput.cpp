@@ -48,8 +48,8 @@
 #include "serve/sweep.hpp"
 #include "sim/perfsim.hpp"
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 #include "util/structural_cache.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 using namespace autopower;
@@ -221,31 +221,26 @@ int main(int argc, char** argv) {
     util::StructuralSimCache::Stats private_total{};
     std::mutex stats_mu;
     std::atomic<std::size_t> next{0};
-    util::ThreadPool pool(4);
-    for (std::size_t w = 0; w < 4; ++w) {
-      pool.submit([&] {
-        auto mine = share ? cache
-                          : std::make_shared<util::StructuralSimCache>();
-        {
-          // Scoped so the simulator's private L1 flushes its counters
-          // back into `mine` before the stats are read.
-          sim::PerfSimulator sim(sim::SimOptions{}, mine);
-          for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= evals) break;
-            (void)sim.simulate(configs[i / profiles.size()],
-                               *profiles[i % profiles.size()]);
-          }
+    util::parallel_for(4, 4, [&](std::size_t) {
+      auto mine = share ? cache : std::make_shared<util::StructuralSimCache>();
+      {
+        // Scoped so the simulator's private L1 flushes its counters back
+        // into `mine` before the stats are read.
+        sim::PerfSimulator sim(sim::SimOptions{}, mine);
+        for (;;) {
+          const std::size_t i = next.fetch_add(1);
+          if (i >= evals) break;
+          (void)sim.simulate(configs[i / profiles.size()],
+                             *profiles[i % profiles.size()]);
         }
-        if (!share) {
-          const auto s = mine->stats();
-          std::lock_guard lock(stats_mu);
-          private_total.hits += s.hits;
-          private_total.misses += s.misses;
-        }
-      });
-    }
-    pool.wait_idle();
+      }
+      if (!share) {
+        const auto s = mine->stats();
+        std::lock_guard lock(stats_mu);
+        private_total.hits += s.hits;
+        private_total.misses += s.misses;
+      }
+    });
     return share ? cache->stats() : private_total;
   };
   const auto shared_4t = worker_sweep(true);
@@ -270,29 +265,18 @@ int main(int argc, char** argv) {
   // Old per-query cost: a fresh, un-memoized simulator per evaluation
   // (the whole-config memo never hit across a sweep's distinct configs).
   std::vector<double> old_mw(evals);
-  std::atomic<std::size_t> next{0};
   start = std::chrono::steady_clock::now();
-  {
-    util::ThreadPool pool(4);
-    for (std::size_t w = 0; w < 4; ++w) {
-      pool.submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= evals) break;
-          const auto& cfg = configs[i / profiles.size()];
-          const auto& profile = *profiles[i % profiles.size()];
-          sim::PerfSimulator sim;
-          core::EvalContext ctx;
-          ctx.cfg = &cfg;
-          ctx.workload = profile.name;
-          ctx.program = workload::program_features(profile);
-          ctx.events = sim.simulate(cfg, profile);
-          old_mw[i] = model.predict_total(ctx);
-        }
-      });
-    }
-    pool.wait_idle();
-  }
+  util::parallel_for(evals, 4, [&](std::size_t i) {
+    const auto& cfg = configs[i / profiles.size()];
+    const auto& profile = *profiles[i % profiles.size()];
+    sim::PerfSimulator sim;
+    core::EvalContext ctx;
+    ctx.cfg = &cfg;
+    ctx.workload = profile.name;
+    ctx.program = workload::program_features(profile);
+    ctx.events = sim.simulate(cfg, profile);
+    old_mw[i] = model.predict_total(ctx);
+  });
   const double sweep_old_s = seconds_since(start);
 
   serve::SweepSpec spec;

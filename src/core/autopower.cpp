@@ -1,16 +1,12 @@
 #include "core/autopower.hpp"
 
-#include <algorithm>
-#include <exception>
 #include <fstream>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "util/archive.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace autopower::core {
 
@@ -43,12 +39,6 @@ void AutoPowerModel::train(std::span<const EvalContext> samples,
                            std::size_t threads) {
   AP_REQUIRE(!samples.empty(), "AutoPower needs training samples");
   util::ScopedTimer train_timer(train_metrics().train_ns);
-  // Never fan out past the physical core count: on a 1-core box the
-  // pool's context switching costs more than the parallelism buys
-  // (train_speedup 0.951 at --threads 4 before this clamp).  Results
-  // are thread-count-invariant, so the clamp cannot change the model.
-  threads = std::min<std::size_t>(
-      threads, std::max(1u, std::thread::hardware_concurrency()));
   // Reset every slot up front (serially — cheap) so the fit tasks below
   // only ever touch their own component's models.
   for (arch::ComponentKind c : arch::all_components()) {
@@ -58,71 +48,32 @@ void AutoPowerModel::train(std::span<const EvalContext> samples,
     logic_[i] = LogicPowerModel(options_.logic);
   }
 
-  if (threads <= 1) {
-    for (arch::ComponentKind c : arch::all_components()) {
-      const auto i = static_cast<std::size_t>(c);
-      {
-        util::ScopedTimer t(train_metrics().clock_fit_ns);
-        clock_[i].train(c, samples, golden);
-      }
-      {
-        util::ScopedTimer t(train_metrics().sram_fit_ns);
-        sram_[i].train(c, samples, golden);
-      }
-      {
-        util::ScopedTimer t(train_metrics().logic_fit_ns);
-        logic_[i].train(c, samples, golden);
-      }
-      train_metrics().submodel_fits.add(3);
-    }
-    trained_ = true;
-    refresh_fingerprint();
-    return;
-  }
-
-  // 22 components x 3 groups = 66 independent fits.  Each task writes one
-  // pre-reset slot and nothing else, so the trained model does not depend
-  // on scheduling: archives are byte-identical at any thread count.  The
-  // pool's workers swallow exceptions (a serving-layer contract), so each
-  // task captures its own failure; the first one is rethrown here.
-  util::ThreadPool pool(threads);
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  const auto guarded = [&err_mu, &first_error](auto&& fit) {
-    try {
-      fit();
-    } catch (...) {
-      std::lock_guard lock(err_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  for (arch::ComponentKind c : arch::all_components()) {
+  // 22 components x 3 groups = 66 independent fits, task t fitting group
+  // t % 3 of component t / 3.  Each task writes one pre-reset slot and
+  // nothing else, so the trained model does not depend on scheduling:
+  // archives are byte-identical at any thread count.
+  util::parallel_for(3 * arch::kNumComponents, threads, [&](std::size_t t) {
+    const arch::ComponentKind c = arch::all_components()[t / 3];
     const auto i = static_cast<std::size_t>(c);
-    pool.submit([&, c, i] {
-      guarded([&] {
-        util::ScopedTimer t(train_metrics().clock_fit_ns);
+    switch (t % 3) {
+      case 0: {
+        util::ScopedTimer timer(train_metrics().clock_fit_ns);
         clock_[i].train(c, samples, golden);
-      });
-      train_metrics().submodel_fits.inc();
-    });
-    pool.submit([&, c, i] {
-      guarded([&] {
-        util::ScopedTimer t(train_metrics().sram_fit_ns);
+        break;
+      }
+      case 1: {
+        util::ScopedTimer timer(train_metrics().sram_fit_ns);
         sram_[i].train(c, samples, golden);
-      });
-      train_metrics().submodel_fits.inc();
-    });
-    pool.submit([&, c, i] {
-      guarded([&] {
-        util::ScopedTimer t(train_metrics().logic_fit_ns);
+        break;
+      }
+      default: {
+        util::ScopedTimer timer(train_metrics().logic_fit_ns);
         logic_[i].train(c, samples, golden);
-      });
-      train_metrics().submodel_fits.inc();
-    });
-  }
-  pool.wait_idle();
-  pool.shutdown();
-  if (first_error) std::rethrow_exception(first_error);
+        break;
+      }
+    }
+    train_metrics().submodel_fits.inc();
+  });
   trained_ = true;
   refresh_fingerprint();
 }

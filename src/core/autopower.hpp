@@ -42,7 +42,7 @@ struct AutoPowerOptions {
 ///
 /// Thread safety: train(), load() and the file wrappers mutate the model
 /// and must not run concurrently with anything else.  train() may itself
-/// fan the independent sub-model fits across an internal worker pool
+/// fan the independent sub-model fits out through util::parallel_for
 /// (`threads` parameter); each task writes a disjoint per-component slot,
 /// so the trained model — and hence its saved archive — is byte-identical
 /// at any thread count.  Once training or loading has completed, every
@@ -60,9 +60,9 @@ class AutoPowerModel {
   /// Trains every per-component group model.  `samples` should cover the
   /// known configurations x training workloads; golden labels are read
   /// from the golden flow (synthesis reports, RTL activity, power sim).
-  /// With `threads > 1` the 22 x 3 independent sub-model fits run on a
-  /// worker pool; results land in fixed per-component slots, so the model
-  /// is identical (archives byte-equal) at any thread count.
+  /// With `threads > 1` the 22 x 3 independent sub-model fits run through
+  /// util::parallel_for; results land in fixed per-component slots, so the
+  /// model is identical (archives byte-equal) at any thread count.
   void train(std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden, std::size_t threads = 1);
 

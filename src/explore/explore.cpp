@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <ostream>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -16,7 +15,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace autopower::explore {
 
@@ -644,7 +643,7 @@ ExploreReport run_explore(
     for (std::size_t idx : cand_index) visited.insert(idx);
 
     // ---- 2. Model scoring (no simulator): proxy events →
-    // predict_total_batch, in fixed-size chunks over the thread pool.
+    // predict_total_batch, in fixed-size chunks through parallel_for.
     // Results land by slot, and each element is bit-identical however
     // the batch is chunked, so any thread count scores identically.
     std::vector<arch::HardwareConfig> cand_cfgs(n_cand);
@@ -674,27 +673,11 @@ ExploreReport run_explore(
       }
     };
     constexpr std::size_t kScoreChunk = 16;  // fixed: thread-invariant
-    std::size_t score_threads = spec.threads == 0 ? 1 : spec.threads;
-    if (score_threads > 1) {
-      score_threads = std::min<std::size_t>(
-          score_threads,
-          std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-    }
-    if (score_threads <= 1 || n_cand <= kScoreChunk) {
-      score_chunk(0, n_cand);
-    } else {
-      util::ThreadPool pool(score_threads);
-      for (std::size_t lo = 0; lo < n_cand; lo += kScoreChunk) {
-        const std::size_t hi = std::min(n_cand, lo + kScoreChunk);
-        pool.submit([&score_chunk, lo, hi] { score_chunk(lo, hi); });
-      }
-      pool.wait_idle();
-      const util::ThreadPool::TaskFailures failures = pool.task_failures();
-      if (failures.count > 0) {
-        throw util::Error("explore scoring worker failed: " +
-                          failures.first_error);
-      }
-    }
+    util::parallel_for((n_cand + kScoreChunk - 1) / kScoreChunk, spec.threads,
+                       [&](std::size_t c) {
+                         const std::size_t lo = c * kScoreChunk;
+                         score_chunk(lo, std::min(n_cand, lo + kScoreChunk));
+                       });
     m_cands.add(n_cand);
     report.candidates_scored += n_cand;
 

@@ -79,9 +79,9 @@
 //
 // Thread model: one acceptor (the caller of serve()), one dispatcher,
 // one reader thread per live connection (bounded by max_connections).
-// Readers are the "multiple submitting threads" the BatchEngine/
-// ThreadPool multi-submitter contract exists for — they only touch the
-// bounded queue; exactly one dispatcher calls engine.run() at a time.
+// Readers only touch the bounded queue; exactly one dispatcher calls
+// engine.run() at a time, whose helpers come from util::parallel_for's
+// process-lifetime pool (no threads spawned per batch).
 #pragma once
 
 #include <atomic>

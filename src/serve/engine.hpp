@@ -1,4 +1,4 @@
-// Batch inference engine — fans a request list out across a thread pool.
+// Batch inference engine — fans a request list out via util::parallel_for.
 //
 // One engine wraps a PUBLISHED immutable model snapshot (from
 // serve::ModelRegistry or any shared_ptr<const AutoPowerModel>) plus three
@@ -25,13 +25,16 @@
 // Determinism contract: the simulator, feature extraction, and the model
 // are all deterministic, so `run(reqs)` is bit-identical for any thread
 // count — including the serial `predict` loop it replaces.  A request
-// that fails (unknown config/workload, untrained model) yields ok=false
-// with the error message; it never aborts the rest of the batch.
+// that fails (unknown config/workload, untrained model, or any exception
+// escaping the per-request path) yields ok=false with the error message;
+// it never aborts the rest of the batch, at any thread count.
 //
 // Multi-caller contract (audited for the serving daemon, where several
 // connection handlers share one engine): run() is safe to call from
-// multiple threads concurrently.  Each call owns its ThreadPool, its
-// worker simulators, and its response vector; the state shared across
+// multiple threads concurrently.  Each call owns its worker simulators
+// and its response vector (helper threads come from parallel_for's shared
+// pool, where the calling thread always takes part, so concurrent calls
+// never wait on each other's helpers); the state shared across
 // calls — the EvalCache (sharded, internally locked), the response memo
 // (mutex per shard), the StructuralSimCache, and the hit/miss atomics —
 // is individually thread-safe, and each model snapshot is immutable
@@ -148,9 +151,6 @@ class BatchEngine {
   /// `misses == memoised responses + failed computes` and
   /// `hits + misses == memoised-path lookups` stays exact.
   [[nodiscard]] EvalCache::Stats response_stats() const noexcept;
-  [[nodiscard]] std::size_t threads() const noexcept {
-    return options_.threads;
-  }
 
  private:
   struct ResponseShard {

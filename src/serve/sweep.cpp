@@ -7,7 +7,6 @@
 #include <exception>
 #include <limits>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #include "arch/events.hpp"
@@ -17,8 +16,8 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace autopower::serve {
@@ -387,17 +386,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   auto& m_stolen = registry.counter("serve.sweep.chunks_stolen");
   const auto sweep_start = std::chrono::steady_clock::now();
 
-  // Worker count: requested threads, clamped to the host (floor of two
-  // when threading was asked for, so threaded semantics survive 1-core
-  // hosts — the serve/train convention) and to the config count.
-  std::size_t requested = spec.threads == 0 ? 1 : spec.threads;
-  if (requested > 1) {
-    requested = std::min<std::size_t>(
-        requested,
-        std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  }
-  const std::size_t workers =
-      std::min(requested, std::max<std::size_t>(n_configs, 1));
+  const std::size_t workers = util::parallel_width(n_configs, spec.threads);
 
   // Contiguous per-worker shards + per-chunk work stealing: a worker
   // drains its own shard in chunks, then scans the others and steals
@@ -452,26 +441,10 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
     }
   };
 
-  if (workers <= 1) {
-    worker_loop(0);
-  } else {
-    // wait_idle(), not an in-task latch: a worker task lost to an
-    // exception (or never launched) must not strand the sweep forever —
-    // the pool's own idle barrier survives task failures, and siblings
-    // steal the remaining chunks off the shared shards.
-    util::ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit([&worker_loop, w] { worker_loop(w); });
-    }
-    pool.wait_idle();
-    const util::ThreadPool::TaskFailures failures = pool.task_failures();
-    if (failures.count > 0) {
-      // A lost worker means unevaluated configs and possibly unwritten
-      // checkpoint rows; the sweep is incomplete, so fail loudly rather
-      // than rank a partial grid.
-      throw util::Error("sweep worker failed: " + failures.first_error);
-    }
-  }
+  // A worker that throws leaves unevaluated configs and possibly unwritten
+  // checkpoint rows; parallel_for rethrows, so the sweep fails loudly
+  // rather than rank a partial grid.
+  util::parallel_for(workers, workers, worker_loop);
   if (checkpoint != nullptr) checkpoint->close();
 
   SweepReport report;
@@ -544,20 +517,11 @@ std::vector<SweepRow> evaluate_configs(
   std::vector<SweepRow> rows(configs.size());
   if (configs.empty()) return rows;
 
-  // Same worker-count clamp as run_sweep (floor of two when threading
-  // was requested, so threaded semantics survive 1-core hosts).
-  std::size_t requested = threads == 0 ? 1 : threads;
-  if (requested > 1) {
-    requested = std::min<std::size_t>(
-        requested,
-        std::max<std::size_t>(2, std::thread::hardware_concurrency()));
-  }
-  const std::size_t workers = std::min(requested, configs.size());
-
   // Results land at their input index, so the output order (and every
   // byte of it) is independent of the claim schedule.
+  const std::size_t workers = util::parallel_width(configs.size(), threads);
   std::atomic<std::size_t> next{0};
-  const auto worker_loop = [&] {
+  util::parallel_for(workers, workers, [&](std::size_t) {
     sim::PerfSimulator sim(sim::SimOptions{}, structural);
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < configs.size();
@@ -568,19 +532,7 @@ std::vector<SweepRow> evaluate_configs(
       fill_row(model, sim, row, profiles, programs, m_cells, m_failed,
                m_cell_latency);
     }
-  };
-  if (workers <= 1) {
-    worker_loop();
-  } else {
-    util::ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.submit(worker_loop);
-    pool.wait_idle();
-    const util::ThreadPool::TaskFailures failures = pool.task_failures();
-    if (failures.count > 0) {
-      throw util::Error("evaluate_configs worker failed: " +
-                        failures.first_error);
-    }
-  }
+  });
   return rows;
 }
 

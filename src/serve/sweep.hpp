@@ -3,7 +3,7 @@
 // The workload architecture-level power models exist for: enumerate a
 // config-grid spec (axis lists over Table II hardware parameters applied
 // to a base configuration), evaluate every (configuration, workload) cell
-// — performance simulation + power prediction — across a thread pool, and
+// — performance simulation + power prediction — via util::parallel_for, and
 // rank the configurations into a JSONL report.
 //
 // The grid is never materialised: a GridCursor yields configuration

@@ -1,6 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <exception>
 #include <utility>
 
 #include "util/error.hpp"
@@ -32,16 +31,6 @@ void ThreadPool::submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-ThreadPool::TaskFailures ThreadPool::task_failures() const {
-  std::lock_guard lock(mu_);
-  return failures_;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::shutdown() {
   {
     std::lock_guard lock(mu_);
@@ -63,35 +52,18 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     // A throwing task must not take the worker (and the process) down —
     // sibling tasks, including those queued behind it during a graceful
-    // shutdown drain, must still run.  The failure is recorded so callers
-    // for whom a lost task is fatal can detect it via task_failures().
-    std::string error;
-    bool failed = false;
+    // shutdown drain, must still run.  Nothing needs recording:
+    // parallel_for's helper tasks forward fn's failures to their caller
+    // themselves, and it counts finished indices, so a task lost here
+    // loses no work.
     try {
       AUTOPOWER_FAULT_POINT("util.thread_pool.run_task");
       task();
-    } catch (const std::exception& e) {
-      failed = true;
-      error = e.what();
     } catch (...) {
-      failed = true;
-      error = "unknown exception";
     }
-    {
-      std::lock_guard lock(mu_);
-      --active_;
-      if (failed) {
-        ++failures_.count;
-        if (failures_.first_error.empty()) {
-          failures_.first_error = std::move(error);
-        }
-      }
-    }
-    idle_cv_.notify_all();
   }
 }
 

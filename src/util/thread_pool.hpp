@@ -1,43 +1,29 @@
 // Fixed-size worker pool with a FIFO work queue and graceful shutdown.
 //
-// The library's only thread-spawning primitive: serve::BatchEngine fans
-// batch requests out over one of these, `AutoPowerModel::train` fans its
-// independent sub-model fits across one, and `autopower evaluate
-// --threads` parallelises its held-out predict loop with one.  Semantics:
+// The helper-thread source behind util::parallel_for (util/parallel.hpp),
+// which owns the one process-lifetime instance; library code fans out
+// through parallel_for, never through a pool of its own.  Semantics:
 //
 //   * submit() enqueues a task; it throws once shutdown has begun.
 //   * shutdown() stops accepting new work, lets the workers DRAIN every
 //     task already queued, then joins them (graceful, not abortive).
-//   * wait_idle() blocks until the queue is empty and no task is running —
-//     a completion barrier for callers that keep the pool alive.
-//   * A throwing task never takes a worker down: the worker records the
-//     failure (task_failures()) and keeps draining, so sibling tasks —
-//     including those still queued during a graceful shutdown drain —
-//     always run.  Callers that must not lose work check task_failures()
-//     after wait_idle()/shutdown() and surface the first error.
+//   * A throwing task never takes a worker down: the worker swallows the
+//     failure and keeps draining, so sibling tasks — including those still
+//     queued during a graceful shutdown drain — always run.  Callers that
+//     must not lose work track completion themselves (parallel_for counts
+//     finished indices, not finished tasks).
 //
 // The destructor calls shutdown(), so pending work always completes.
-//
-// Multi-submitter contract (audited for the serving daemon, whose
-// connection handlers all feed one engine): every public member is safe
-// to call from multiple threads concurrently — submit/wait_idle/
-// shutdown/task_failures all take the one internal mutex, so concurrent
-// submits interleave without losing or duplicating tasks.  The one
-// subtlety is wait_idle(): it is a *global* barrier, not a per-submitter
-// one.  It returns when the whole queue is empty and no task is running;
-// if another thread is still submitting, "idle" is a momentary state and
-// the caller has no claim about that thread's tasks.  Callers that need
-// per-batch completion join their submitters first (or track their own
-// completion count) before waiting — exactly what BatchEngine::run does.
+// Every public member is safe to call from multiple threads concurrently:
+// submit/shutdown take the one internal mutex, so concurrent submits
+// interleave without losing or duplicating tasks.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,38 +41,18 @@ class ThreadPool {
   /// Enqueues a task.  Throws util::Error if shutdown() has been called.
   void submit(std::function<void()> task);
 
-  /// Blocks until every queued task has finished executing.
-  void wait_idle();
-
   /// Stops accepting work, drains the queue, joins the workers.  Safe to
   /// call more than once.
   void shutdown();
 
-  /// Exceptions escaped by tasks so far.  `first_error` is the what() of
-  /// the earliest one (empty while count == 0).  Stable after
-  /// wait_idle()/shutdown(); callers that treat a lost task as fatal
-  /// check this and rethrow.
-  struct TaskFailures {
-    std::uint64_t count = 0;
-    std::string first_error;
-  };
-  [[nodiscard]] TaskFailures task_failures() const;
-
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
-  }
-
  private:
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;  ///< signalled when work arrives / stops
-  std::condition_variable idle_cv_;  ///< signalled when the pool may be idle
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  TaskFailures failures_;
-  std::size_t active_ = 0;    ///< tasks currently executing
-  bool accepting_ = true;     ///< false once shutdown() begins
+  bool accepting_ = true;  ///< false once shutdown() begins
 };
 
 }  // namespace autopower::util

@@ -340,6 +340,9 @@ TEST_F(DaemonTest, TinyQueueShedsWithStructuredError) {
 }
 
 TEST_F(DaemonTest, AdmitFaultSheds) {
+#if !defined(AUTOPOWER_FAULT_INJECTION)
+  GTEST_SKIP() << "fault points are compiled out";
+#endif
   DaemonRunner runner;
   const auto requests = sample_requests(4);
   std::vector<std::string> lines;
@@ -488,6 +491,9 @@ TEST_F(DaemonTest, ParserRejectsBadDeadlinesAndCommands) {
 // --- Fault injection on the wire ---------------------------------------------
 
 TEST_F(DaemonTest, WriteFaultTearsDownOnlyThatConnection) {
+#if !defined(AUTOPOWER_FAULT_INJECTION)
+  GTEST_SKIP() << "fault points are compiled out";
+#endif
   DaemonRunner runner;
   const auto req = sample_requests(1)[0];
 
@@ -509,6 +515,9 @@ TEST_F(DaemonTest, WriteFaultTearsDownOnlyThatConnection) {
 }
 
 TEST_F(DaemonTest, ReadFaultClosesConnectionDaemonSurvives) {
+#if !defined(AUTOPOWER_FAULT_INJECTION)
+  GTEST_SKIP() << "fault points are compiled out";
+#endif
   DaemonRunner runner;
   const auto req = sample_requests(1)[0];
 
@@ -624,6 +633,17 @@ TEST_F(DaemonTest, HealthDuringDrainReportsDraining) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   runner.daemon.notify_stop();
+  // notify_stop() only wakes the acceptor, which marks the daemon draining
+  // before it closes the listener: a refused connect proves the drain has
+  // begun, so the probe below cannot race it.
+  for (;;) {
+    try {
+      (void)net::connect_loopback(runner.daemon.port());
+    } catch (const std::exception&) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   raw_send(sock.fd(), "{\"cmd\": \"health\"}\n");
   raw_send(sock.fd(), request_line(sample_requests(1)[0]) + "\n");
   ::shutdown(sock.fd(), SHUT_WR);

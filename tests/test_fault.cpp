@@ -51,6 +51,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/io.hpp"
+#include "util/parallel.hpp"
 #include "util/structural_cache.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
@@ -194,14 +195,15 @@ TEST(FaultThreadPool, SubmitFaultThrowsAndPoolSurvives) {
     EXPECT_THROW(pool.submit(task), fault::FaultInjected);
     pool.submit(task);  // pool still accepts work after the failure
   }
-  pool.wait_idle();
+  pool.shutdown();
   EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(pool.task_failures().count, 0u);
   EXPECT_GT(fault::hit_count("util.thread_pool.submit"), 0u);
 }
 
 TEST(FaultThreadPool, LostTaskNeverHangsDrainAndSiblingsComplete) {
-  util::ThreadPool pool(2);
+  // One worker, so the tasks behind the faulted one prove the worker
+  // survived it.
+  util::ThreadPool pool(1);
   std::atomic<int> ran{0};
   {
     fault::ScopedFault armed("util.thread_pool.run_task",
@@ -209,60 +211,76 @@ TEST(FaultThreadPool, LostTaskNeverHangsDrainAndSiblingsComplete) {
     for (int i = 0; i < 6; ++i) {
       pool.submit([&ran] { ran.fetch_add(1); });
     }
-    pool.wait_idle();  // the regression: this must return, not hang
+    pool.shutdown();  // the regression: this drain must return, not hang
   }
   EXPECT_EQ(ran.load(), 5);  // exactly the faulted task is lost
-  const auto failures = pool.task_failures();
-  EXPECT_EQ(failures.count, 1u);
-  EXPECT_NE(failures.first_error.find("injected fault"), std::string::npos)
-      << failures.first_error;
-  // The pool keeps draining and accepting after the failure.
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.shutdown();
-  EXPECT_EQ(ran.load(), 6);
+}
+
+// A lost helper costs parallelism, never an index: parallel_for's caller
+// claims whatever no helper reached.
+TEST(ParallelFor, SubmitFaultLosesHelpersNotIndices) {
+  std::vector<std::atomic<int>> hits(200);
+  {
+    fault::ScopedFault armed("util.thread_pool.submit",
+                             fault::Trigger::every_nth(1));
+    util::parallel_for(hits.size(), 4, [&hits](std::size_t i) {
+      hits[i].fetch_add(1);
+    });
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelFor, LostHelperTaskNeverHangsOrLosesIndices) {
+  std::vector<std::atomic<int>> hits(200);
+  {
+    fault::ScopedFault armed("util.thread_pool.run_task",
+                             fault::Trigger::every_nth(1));
+    util::parallel_for(hits.size(), 4, [&hits](std::size_t i) {
+      hits[i].fetch_add(1);
+    });
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 // ---------------------------------------------------------------------
 // serve.engine.handle
 
+// A failure escaping handle() fails only its own request, at every
+// thread count: the serial path isolates it exactly like the threaded one.
 TEST(FaultEngine, ThreadedBatchFailsOneRequestCleanly) {
-  serve::BatchEngine engine(tiny_model(),
-                            {.threads = 3, .memoize_responses = false});
-  const auto requests = valid_requests(6);
-  std::vector<serve::BatchResponse> responses;
-  {
-    fault::ScopedFault armed("serve.engine.handle",
-                             fault::Trigger::countdown(1));
-    responses = engine.run(requests);  // must return, not hang or throw
-  }
-  ASSERT_EQ(responses.size(), requests.size());
-  std::size_t failed = 0;
-  for (const auto& r : responses) {
-    if (!r.ok) {
-      ++failed;
-      EXPECT_NE(r.error.find("injected fault"), std::string::npos)
-          << r.error;
-    } else {
-      EXPECT_GT(r.total_mw, 0.0);
+  for (const std::size_t threads : {1u, 3u}) {
+    serve::BatchEngine engine(
+        tiny_model(), {.threads = threads, .memoize_responses = false});
+    const auto requests = valid_requests(6);
+    std::vector<serve::BatchResponse> responses;
+    {
+      fault::ScopedFault armed("serve.engine.handle",
+                               fault::Trigger::countdown(1));
+      responses = engine.run(requests);  // must return, not hang or throw
     }
-  }
-  EXPECT_EQ(failed, 1u);
-  // Recovery: the same batch succeeds completely once disarmed.
-  for (const auto& r : engine.run(requests)) {
-    EXPECT_TRUE(r.ok) << r.error;
-  }
-}
-
-TEST(FaultEngine, SerialBatchPropagatesThrowCleanly) {
-  serve::BatchEngine engine(tiny_model(), {.threads = 1});
-  const auto requests = valid_requests(2);
-  {
-    fault::ScopedFault armed("serve.engine.handle",
-                             fault::Trigger::countdown(1));
-    EXPECT_THROW((void)engine.run(requests), fault::FaultInjected);
-  }
-  for (const auto& r : engine.run(requests)) {
-    EXPECT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(responses.size(), requests.size());
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const auto& r = responses[i];
+      EXPECT_EQ(r.index, i);
+      if (!r.ok) {
+        ++failed;
+        EXPECT_EQ(r.config, requests[i].config);
+        EXPECT_NE(r.error.find("injected fault"), std::string::npos)
+            << r.error;
+      } else {
+        EXPECT_GT(r.total_mw, 0.0);
+      }
+    }
+    EXPECT_EQ(failed, 1u) << "threads=" << threads;
+    // Recovery: the same batch succeeds completely once disarmed.
+    for (const auto& r : engine.run(requests)) {
+      EXPECT_TRUE(r.ok) << r.error;
+    }
   }
 }
 
@@ -789,11 +807,10 @@ TEST(FaultConcurrent, ThreadPoolSurvivesProbabilisticTaskFaults) {
     for (int i = 0; i < kTasks; ++i) {
       pool.submit([&ran] { ran.fetch_add(1); });
     }
-    pool.wait_idle();  // never hangs, whatever subset of tasks died
+    pool.shutdown();  // never hangs, whatever subset of tasks died
   }
-  const auto failures = pool.task_failures();
-  EXPECT_EQ(ran.load() + static_cast<int>(failures.count), kTasks);
-  EXPECT_GT(failures.count, 0u);  // p=0.25 over 64 tasks fires
+  EXPECT_LT(ran.load(), kTasks);  // p=0.25 over 64 tasks fires
+  EXPECT_GT(ran.load(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -951,5 +968,11 @@ TEST(FaultRegistry, AllDocumentedSitesExercised) {
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   autopower::testcore::apply_cli_flags(&argc, argv);
+#if !defined(AUTOPOWER_FAULT_INJECTION)
+  // Release builds compile every fault point out, so nothing here can
+  // fire; 77 is this binary's ctest SKIP_RETURN_CODE.
+  std::printf("[  SKIPPED ] fault points are compiled out\n");
+  return 77;
+#endif
   return RUN_ALL_TESTS();
 }

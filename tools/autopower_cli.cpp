@@ -63,8 +63,8 @@
 #include "util/io.hpp"
 #include "util/metrics.hpp"
 #include "util/parse.hpp"
+#include "util/parallel.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -275,44 +275,20 @@ int cmd_evaluate(const ArgMap& flags) {
   power::GoldenPowerModel golden;
   const auto data = exp::ExperimentData::build(simulator, golden);
 
-  exp::MethodResult result;
-  if (threads <= 1) {
-    result = exp::evaluate_predictor(
-        data, known, "AutoPower",
-        [&](const core::EvalContext& ctx) { return model.predict_total(ctx); });
-  } else {
-    // Parallel predict over the held-out grid: predict* const methods are
-    // safe for concurrent use, so the workers share the model directly.
-    const auto held_out = data.samples_excluding(known);
-    result.method = "AutoPower";
-    result.actual.resize(held_out.size());
-    result.predicted.resize(held_out.size());
-    std::atomic<std::size_t> next{0};
-    util::ThreadPool pool(static_cast<std::size_t>(threads));
-    for (std::size_t w = 0; w < pool.thread_count(); ++w) {
-      pool.submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= held_out.size()) return;
-          result.actual[i] = held_out[i]->golden.total();
-          result.predicted[i] = model.predict_total(held_out[i]->ctx);
-        }
-      });
-    }
-    pool.wait_idle();
-    // The pool swallows task exceptions so sibling workers keep draining;
-    // a lost worker here means holes in predicted[] — report it instead
-    // of printing a silently-wrong accuracy summary.
-    if (const auto failures = pool.task_failures(); failures.count > 0) {
-      throw util::Error("evaluate worker failed (" +
-                        std::to_string(failures.count) +
-                        " task(s)): " + failures.first_error);
-    }
-    result.accuracy = exp::compute_accuracy(result.actual, result.predicted);
-  }
+  // Predict over the held-out grid: predict* const methods are safe for
+  // concurrent use, so every index shares the model directly.
+  const auto held_out = data.samples_excluding(known);
+  std::vector<double> actual(held_out.size());
+  std::vector<double> predicted(held_out.size());
+  util::parallel_for(held_out.size(), static_cast<std::size_t>(threads),
+                     [&](std::size_t i) {
+                       actual[i] = held_out[i]->golden.total();
+                       predicted[i] = model.predict_total(held_out[i]->ctx);
+                     });
   std::cout << "Held-out accuracy (excluding ";
   for (const auto& k : known) std::cout << k << ' ';
-  std::cout << "): " << result.accuracy.to_string() << "\n";
+  std::cout << "): " << exp::compute_accuracy(actual, predicted).to_string()
+            << "\n";
   simulator.structural_cache()->export_metrics(
       util::MetricsRegistry::global());
   write_stats_snapshot(flags);

@@ -53,6 +53,19 @@ if bad:
 print('arch flags confined to simd_sse2.cpp / simd_avx2.cpp')
 EOF
 
+echo "== one fan-out primitive (util::ThreadPool stays behind util::parallel_for) =="
+# Library, tool and bench code fans out through util::parallel_for; only
+# its own implementation (src/util/) and the pool's unit tests (tests/)
+# may name the pool directly.
+if grep -rn --include='*.cpp' --include='*.hpp' --exclude-dir='build*' \
+    --exclude-dir=.bench_build 'ThreadPool' . \
+    | grep -v -e '^\./src/util/' -e '^\./tests/'; then
+  echo "util::ThreadPool used outside src/util/ and tests/;" \
+    "fan out through util::parallel_for instead"
+  exit 1
+fi
+echo "util::ThreadPool confined to src/util/ and tests/"
+
 echo "== bench_train_throughput (self-check: bit-identity + speedup bars) =="
 ./build/bench/bench_train_throughput --json /tmp/autopower_bench_train.json
 
@@ -329,7 +342,7 @@ cmake --preset tsan
 echo "== build tsan targets =="
 cmake --build --preset tsan \
   --target test_serve autopower_tests test_fault test_daemon test_simd \
-  test_explore -j "$(nproc)"
+  test_explore test_differential -j "$(nproc)"
 
 echo "== run test_serve under ThreadSanitizer =="
 # halt_on_error makes a race fail the run instead of just logging it.
@@ -340,7 +353,21 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" ./build-tsan/tests/test_serve
 echo "== run shared-memo sweep path under ThreadSanitizer (explicit) =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   ./build-tsan/tests/test_serve \
-  --gtest_filter='SweepTest.ConcurrentSweepsShareOneStructuralCache:SweepTest.ThreadCountDoesNotChangeReport:EngineTest.TraceModeSharesStructuralCacheAcrossWorkers:EngineTest.FaultedDrainKeepsSiblingResultsBitIdentical:StreamSweepTest.OversubscribedThreadRequestIsClampedNotHonoured:StreamSweepTest.ResumeAfterTornTailIsByteIdentical:StreamSweepTest.CheckpointedRunMatchesPlainRunAndRoundTrips'
+  --gtest_filter='SweepTest.ConcurrentSweepsShareOneStructuralCache:SweepTest.ThreadCountDoesNotChangeReport:EngineTest.TraceModeSharesStructuralCacheAcrossWorkers:EngineTest.FaultedDrainKeepsSiblingResultsBitIdentical:StreamSweepTest.OversubscribedThreadRequestIsClampedNotHonoured:StreamSweepTest.ResumeAfterTornTailIsByteIdentical:StreamSweepTest.CheckpointedRunMatchesPlainRunAndRoundTrips:ParallelFor.*'
+
+echo "== parallel_for under lost helpers + per-request isolation under ThreadSanitizer (explicit) =="
+# The fault-armed parallel_for cases (every submit / every helper task
+# failing) and the engine's per-request isolation at threads 1 and 3.
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+  timeout 600 ./build-tsan/tests/test_fault \
+  --gtest_filter='ParallelFor.*:FaultEngine.*'
+
+echo "== serial-vs-threaded differential oracles under ThreadSanitizer =="
+# Train, batch and sweep at several thread counts against their serial
+# runs: every fan-out site goes through util::parallel_for here.
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+  timeout 900 ./build-tsan/tests/test_differential --cases 4 \
+  --gtest_filter='DifferentialParallel.*:EngineInvariance.SerialVsThreaded*'
 
 echo "== proptest: fault-injection suite under ThreadSanitizer =="
 # Every registered fault site is forced to fire (test_fault), including
