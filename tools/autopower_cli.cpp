@@ -729,7 +729,10 @@ int main(int argc, char** argv) {
   try {
     const ArgMap flags = parse_flags(argc, argv, 2, it->second.spec);
     return it->second.run(flags);
-  } catch (const util::Error& e) {
+  } catch (const std::exception& e) {
+    // Not only util::Error: parallel_for rethrows a worker's exception
+    // with its original type (bad_alloc, system_error, ...), and that
+    // must still exit 1 with a message at every --threads.
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
