@@ -135,8 +135,7 @@ void LogicPowerModel::predict_batch(std::span<const EvalContext> ctxs,
   if (ctxs.empty()) return;
 
   const auto rows = feature_rows(component_, FeatureSpec::he(), ctxs);
-  const std::size_t arity =
-      feature_names(component_, FeatureSpec::he()).size();
+  const std::size_t arity = rows.size() / ctxs.size();
   const auto act = reg_act_model_.predict_rows(rows, arity);
   const auto var = comb_var_model_.predict_rows(rows, arity);
 

@@ -168,7 +168,7 @@ std::vector<double> SramPowerModel::predict_batch(
   const FeatureSpec spec = options_.program_features ? FeatureSpec::hep()
                                                      : FeatureSpec::he();
   const auto rows = feature_rows(component_, spec, ctxs);
-  const std::size_t arity = feature_names(component_, spec).size();
+  const std::size_t arity = rows.size() / ctxs.size();
   const auto& macros = techlib::SramMacroLibrary::default_40nm();
   const auto& lib = techlib::TechLibrary::default_40nm();
 

@@ -262,9 +262,20 @@ std::vector<double> GBTRegressor::predict_rows(
   const auto& kt = util::simd::kernels();
   const bool vectorize = kt.tier != util::simd::Tier::kScalar &&
                          !pad_depth_.empty();
-  std::vector<double> cols;
-  if (vectorize) {
-    cols.resize(static_cast<std::size_t>(max_feature_ + 1) * kBlock);
+  // Column scratch, neither allocated nor zero-filled per call: each block
+  // writes rows [0, block) of every column before the kernel reads them,
+  // and the kernel reads no other rows.  Every power-model arity (<= 28)
+  // fits the stack buffer; wider rows fall back to the heap.  (A
+  // persistent thread_local heap buffer would pin the heap between the
+  // large batch allocations of a trace and raise its peak RSS.)
+  constexpr std::size_t kStackColumns = 32;
+  double stack_cols[kStackColumns * kBlock];
+  std::vector<double> heap_cols;
+  double* cols = stack_cols;
+  const auto n_cols = static_cast<std::size_t>(max_feature_ + 1);
+  if (vectorize && n_cols > kStackColumns) {
+    heap_cols.resize(n_cols * kBlock);
+    cols = heap_cols.data();
   }
 
   for (std::size_t begin = 0; begin < count; begin += kBlock) {
@@ -290,7 +301,7 @@ std::vector<double> GBTRegressor::predict_rows(
             pad_weight_.data() + pad_leaf_off_[t],
             pad_depth_[t],
         };
-        kt.forest_leaf_add(view, cols.data(), kBlock, block, lr,
+        kt.forest_leaf_add(view, cols, kBlock, block, lr,
                            out.data() + begin);
         continue;
       }

@@ -160,72 +160,152 @@ std::vector<arch::HardwareConfig> expand_grid(
 
 namespace {
 
-SweepCell evaluate_cell(const core::AutoPowerModel& model,
-                        const sim::PerfSimulator& sim,
-                        const arch::HardwareConfig& cfg,
-                        const workload::WorkloadProfile& profile,
-                        const workload::ProgramFeatures& program) {
-  SweepCell cell;
-  cell.workload = profile.name;
-  try {
-    core::EvalContext ctx;
-    ctx.cfg = &cfg;
-    ctx.workload = profile.name;
-    ctx.program = program;
-    ctx.events = sim.simulate(cfg, profile);
-    cell.total_mw = model.predict_total(ctx);
-    cell.ipc = ctx.events.rate(arch::EventKind::kInstructions);
-    cell.ok = true;
-  } catch (const std::exception& e) {
-    cell.ok = false;
-    cell.error = e.what();
+/// A sweep's workloads, resolved up front: an unknown name is a spec
+/// error (it would fail every cell), unlike a bad grid point which fails
+/// alone.
+struct SweepWorkloads {
+  std::vector<const workload::WorkloadProfile*> profiles;
+  std::vector<workload::ProgramFeatures> programs;
+
+  explicit SweepWorkloads(std::span<const std::string> names) {
+    profiles.reserve(names.size());
+    programs.reserve(names.size());
+    for (const std::string& name : names) {
+      profiles.push_back(&workload::workload_by_name(name));
+      programs.push_back(workload::program_features(*profiles.back()));
+    }
   }
-  return cell;
+};
+
+/// Most contexts one predict_total_batch call sees.  GBT inference walks
+/// its forests in 64-row blocks, so larger batches gain nothing; the cap
+/// bounds the context buffer of a 1024-config chunk.
+constexpr std::size_t kPredictBatch = 256;
+
+/// Configs per claimed chunk: ~8 chunks per worker so stealing can
+/// rebalance a skewed grid, capped so a chunk's rows stay small.
+std::size_t chunk_size(std::size_t n_configs, std::size_t workers) {
+  return std::clamp<std::size_t>(n_configs / (workers * 8), 1, 1024);
 }
 
-/// Fills one named config's cells and summary means.  Shared by the
-/// streaming sweep workers and evaluate_configs so both paths produce
-/// bit-identical rows for the same configuration.
-void fill_row(const core::AutoPowerModel& model,
-              const sim::PerfSimulator& sim, SweepRow& row,
-              const std::vector<const workload::WorkloadProfile*>& profiles,
-              const std::vector<workload::ProgramFeatures>& programs,
-              util::Counter& m_cells, util::Counter& m_failed,
-              util::Histogram& m_cell_latency) {
-  const std::size_t n_workloads = profiles.size();
-  row.cells.clear();
-  row.cells.reserve(n_workloads);
-  double mw = 0.0, ipc = 0.0;
-  std::size_t ok = 0;
-  for (std::size_t j = 0; j < n_workloads; ++j) {
-    SweepCell cell;
-    {
-      util::ScopedTimer timer(m_cell_latency);
-      cell = evaluate_cell(model, sim, row.config, *profiles[j],
-                           programs[j]);
+/// One worker's evaluator for chunks of rows, shared by the streaming
+/// sweep and evaluate_configs so both produce bit-identical rows for the
+/// same configuration.  evaluate() simulates every (config, workload)
+/// cell of the chunk — a simulate failure fails only its own cell — then
+/// predicts the cells that simulated in predict_total_batch calls of at
+/// most kPredictBatch contexts.  Batched totals are element-wise
+/// bit-identical to predict_total, so batching changes only the cost.
+class ChunkEvaluator {
+ public:
+  ChunkEvaluator(const core::AutoPowerModel& model,
+                 std::shared_ptr<util::StructuralSimCache> structural,
+                 const SweepWorkloads& workloads)
+      : model_(model),
+        sim_(sim::SimOptions{}, std::move(structural)),
+        workloads_(workloads) {}
+
+  /// Fills the cells and summary means of `rows`, whose configs are set.
+  void evaluate(std::span<SweepRow> rows) {
+    if (rows.empty()) return;
+    const bool timed = util::MetricsRegistry::enabled();
+    const auto start = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
+    const std::size_t n_workloads = workloads_.profiles.size();
+    for (SweepRow& row : rows) {
+      row.cells.assign(n_workloads, SweepCell{});
+      for (std::size_t j = 0; j < n_workloads; ++j) {
+        const workload::WorkloadProfile& profile = *workloads_.profiles[j];
+        SweepCell& cell = row.cells[j];
+        cell.workload = profile.name;
+        core::EvalContext ctx;
+        ctx.cfg = &row.config;
+        ctx.workload = profile.name;
+        ctx.program = workloads_.programs[j];
+        try {
+          ctx.events = sim_.simulate(row.config, profile);
+        } catch (const std::exception& e) {
+          cell.error = e.what();
+          continue;
+        }
+        ctxs_.push_back(std::move(ctx));
+        pending_.push_back(&cell);
+        if (ctxs_.size() == kPredictBatch) predict_pending();
+      }
     }
-    m_cells.inc();
-    if (cell.ok) {
+    predict_pending();
+    for (SweepRow& row : rows) finalize(row);
+
+    // One observation per cell: its share of the chunk's wall time.
+    const std::size_t n_cells = rows.size() * n_workloads;
+    m_cells_.add(n_cells);
+    if (timed) {
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+      const std::uint64_t share =
+          ns > 0 ? static_cast<std::uint64_t>(ns) / n_cells : 0u;
+      for (std::size_t i = 0; i < n_cells; ++i) {
+        m_cell_latency_.observe(share);
+      }
+    }
+  }
+
+ private:
+  /// One batched predict over the pending contexts, scattered back into
+  /// their cells.  No per-row predict failure exists, so a throw fails
+  /// every cell of the batch with its message.
+  void predict_pending() {
+    if (ctxs_.empty()) return;
+    try {
+      const std::vector<double> totals = model_.predict_total_batch(ctxs_);
+      for (std::size_t k = 0; k < ctxs_.size(); ++k) {
+        SweepCell& cell = *pending_[k];
+        cell.total_mw = totals[k];
+        cell.ipc = ctxs_[k].events.rate(arch::EventKind::kInstructions);
+        cell.ok = true;
+      }
+    } catch (const std::exception& e) {
+      for (SweepCell* cell : pending_) cell->error = e.what();
+    }
+    ctxs_.clear();
+    pending_.clear();
+  }
+
+  void finalize(SweepRow& row) const {
+    double mw = 0.0, ipc = 0.0;
+    std::size_t ok = 0;
+    for (const SweepCell& cell : row.cells) {
+      if (!cell.ok) continue;
       mw += cell.total_mw;
       ipc += cell.ipc;
       ++ok;
-    } else {
-      m_failed.inc();
     }
-    row.cells.push_back(std::move(cell));
-  }
-  row.failed = n_workloads - ok;
-  row.mean_total_mw = 0.0;
-  row.mean_ipc = 0.0;
-  row.ipc_per_watt = 0.0;
-  if (ok > 0) {
-    row.mean_total_mw = mw / static_cast<double>(ok);
-    row.mean_ipc = ipc / static_cast<double>(ok);
-    if (row.mean_total_mw > 0.0) {
-      row.ipc_per_watt = row.mean_ipc / (row.mean_total_mw / 1000.0);
+    row.failed = row.cells.size() - ok;
+    m_failed_.add(row.failed);
+    row.mean_total_mw = 0.0;
+    row.mean_ipc = 0.0;
+    row.ipc_per_watt = 0.0;
+    if (ok > 0) {
+      row.mean_total_mw = mw / static_cast<double>(ok);
+      row.mean_ipc = ipc / static_cast<double>(ok);
+      if (row.mean_total_mw > 0.0) {
+        row.ipc_per_watt = row.mean_ipc / (row.mean_total_mw / 1000.0);
+      }
     }
   }
-}
+
+  const core::AutoPowerModel& model_;
+  sim::PerfSimulator sim_;
+  const SweepWorkloads& workloads_;
+  util::Counter& m_cells_ =
+      util::MetricsRegistry::global().counter("serve.sweep.cells");
+  util::Counter& m_failed_ =
+      util::MetricsRegistry::global().counter("serve.sweep.cells_failed");
+  util::Histogram& m_cell_latency_ =
+      util::MetricsRegistry::global().histogram("serve.sweep.cell_latency_ns");
+  std::vector<core::EvalContext> ctxs_;  ///< simulated, awaiting predict
+  std::vector<SweepCell*> pending_;      ///< the cell each context fills
+};
 
 /// Metric under which a row sorts; larger is always better (power is
 /// negated).  Rows with no successful cell sort last.
@@ -325,16 +405,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   const GridCursor cursor(base, spec.axes);
   const std::size_t n_configs = cursor.size();
   const std::size_t n_workloads = spec.workloads.size();
-
-  // Resolve workloads up front: an unknown name is a spec error (it would
-  // fail every cell), unlike a bad grid point which fails alone.
-  std::vector<const workload::WorkloadProfile*> profiles;
-  std::vector<workload::ProgramFeatures> programs;
-  profiles.reserve(n_workloads);
-  for (const std::string& name : spec.workloads) {
-    profiles.push_back(&workload::workload_by_name(name));
-    programs.push_back(workload::program_features(*profiles.back()));
-  }
+  const SweepWorkloads workloads(spec.workloads);
 
   if (structural == nullptr) {
     // --memory-budget sizes the shared L2 tier; entries are ~64 B
@@ -379,9 +450,6 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   // Process-wide instruments; the cells counter is what the CLI's
   // --progress monitor polls while the sweep runs.
   auto& registry = util::MetricsRegistry::global();
-  auto& m_cells = registry.counter("serve.sweep.cells");
-  auto& m_failed = registry.counter("serve.sweep.cells_failed");
-  auto& m_cell_latency = registry.histogram("serve.sweep.cell_latency_ns");
   auto& m_chunks = registry.counter("serve.sweep.chunks");
   auto& m_stolen = registry.counter("serve.sweep.chunks_stolen");
   const auto sweep_start = std::chrono::steady_clock::now();
@@ -398,35 +466,18 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
                          std::memory_order_relaxed);
     shards[w].end = n_configs * (w + 1) / workers;
   }
-  const std::size_t chunk =
-      std::clamp<std::size_t>(n_configs / (workers * 8), 1, 1024);
+  const std::size_t chunk = chunk_size(n_configs, workers);
 
   std::vector<TopKRanker> rankers(workers,
                                   TopKRanker(spec.top, spec.metric));
 
   const auto worker_loop = [&](std::size_t w) {
-    sim::PerfSimulator sim(sim::SimOptions{}, structural);
+    ChunkEvaluator evaluator(model, structural, workloads);
     TopKRanker& ranker = rankers[w];
+    std::vector<SweepRow> rows;
     std::string name_scratch;
     std::string json_scratch;
     std::array<int, arch::kNumHwParams> values_scratch{};
-
-    const auto evaluate_config = [&](std::size_t index) {
-      if (!done.empty() && done[index]) return;  // replayed from checkpoint
-      SweepRow row;
-      row.index = index;
-      cursor.values_at(index, values_scratch);
-      cursor.format_name(index, name_scratch);
-      row.config = arch::HardwareConfig(name_scratch, values_scratch);
-      fill_row(model, sim, row, profiles, programs, m_cells, m_failed,
-               m_cell_latency);
-      if (checkpoint != nullptr) {
-        json_scratch.clear();
-        append_row_json(json_scratch, row);
-        checkpoint->append(index, json_scratch);
-      }
-      ranker.offer(std::move(row));
-    };
 
     // Own shard first, then one pass over the victims: a shard's cursor
     // only moves forward, so a shard found drained stays drained.
@@ -436,7 +487,24 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
       while (claim_chunk(shard, chunk, begin, end)) {
         m_chunks.inc();
         if (off != 0) m_stolen.inc();
-        for (std::size_t i = begin; i < end; ++i) evaluate_config(i);
+        rows.clear();
+        for (std::size_t i = begin; i < end; ++i) {
+          if (!done.empty() && done[i]) continue;  // replayed from checkpoint
+          cursor.values_at(i, values_scratch);
+          cursor.format_name(i, name_scratch);
+          SweepRow& row = rows.emplace_back();
+          row.index = i;
+          row.config = arch::HardwareConfig(name_scratch, values_scratch);
+        }
+        evaluator.evaluate(rows);
+        for (SweepRow& row : rows) {
+          if (checkpoint != nullptr) {
+            json_scratch.clear();
+            append_row_json(json_scratch, row);
+            checkpoint->append(row.index, json_scratch);
+          }
+          ranker.offer(std::move(row));
+        }
       }
     }
   };
@@ -497,40 +565,33 @@ std::vector<SweepRow> evaluate_configs(
     std::shared_ptr<util::StructuralSimCache> structural) {
   AP_REQUIRE(!workloads.empty(),
              "evaluate_configs needs at least one workload");
-  std::vector<const workload::WorkloadProfile*> profiles;
-  std::vector<workload::ProgramFeatures> programs;
-  profiles.reserve(workloads.size());
-  for (const std::string& name : workloads) {
-    profiles.push_back(&workload::workload_by_name(name));
-    programs.push_back(workload::program_features(*profiles.back()));
-  }
+  const SweepWorkloads resolved(workloads);
   if (structural == nullptr) {
     structural =
         std::make_shared<util::StructuralSimCache>(/*shards_per_sub=*/8,
                                                    /*max_entries=*/0);
   }
-  auto& registry = util::MetricsRegistry::global();
-  auto& m_cells = registry.counter("serve.sweep.cells");
-  auto& m_failed = registry.counter("serve.sweep.cells_failed");
-  auto& m_cell_latency = registry.histogram("serve.sweep.cell_latency_ns");
 
   std::vector<SweepRow> rows(configs.size());
   if (configs.empty()) return rows;
 
-  // Results land at their input index, so the output order (and every
-  // byte of it) is independent of the claim schedule.
+  // Workers claim config chunks off one counter; results land at their
+  // input index, so the output order (and every byte of it) is
+  // independent of the claim schedule.
   const std::size_t workers = util::parallel_width(configs.size(), threads);
+  const std::size_t chunk = chunk_size(configs.size(), workers);
   std::atomic<std::size_t> next{0};
   util::parallel_for(workers, workers, [&](std::size_t) {
-    sim::PerfSimulator sim(sim::SimOptions{}, structural);
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < configs.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      SweepRow& row = rows[i];
-      row.index = i;
-      row.config = configs[i];
-      fill_row(model, sim, row, profiles, programs, m_cells, m_failed,
-               m_cell_latency);
+    ChunkEvaluator evaluator(model, structural, resolved);
+    for (std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
+         begin < configs.size();
+         begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
+      const std::size_t end = std::min(begin + chunk, configs.size());
+      for (std::size_t i = begin; i < end; ++i) {
+        rows[i].index = i;
+        rows[i].config = configs[i];
+      }
+      evaluator.evaluate(std::span(rows).subspan(begin, end - begin));
     }
   });
   return rows;

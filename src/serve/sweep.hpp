@@ -8,11 +8,15 @@
 //
 // The grid is never materialised: a GridCursor yields configuration
 // *indices* and reconstructs each HardwareConfig on demand (mixed-radix
-// decode), so a 10^7-cell sweep holds O(workers + top-K) rows, not
-// O(grid).  Workers claim chunked index ranges from per-worker shards and
-// steal chunks from each other when their own shard drains, so skewed
-// per-cell costs cannot idle a worker.  With `--top K` each worker feeds
-// a bounded K-heap, merged and ranked at the end.  A `--checkpoint` file
+// decode), so a 10^7-cell sweep holds O(workers x chunk + top-K) rows,
+// not O(grid).  Workers claim chunked index ranges from per-worker shards
+// and steal chunks from each other when their own shard drains, so
+// skewed per-cell costs cannot idle a worker.  A claimed chunk is
+// simulated cell by cell, then predicted in one predict_total_batch call
+// (split at a fixed 256 contexts), which is element-wise bit-identical
+// to per-cell predict_total but amortises its fixed per-call cost.  With
+// `--top K` each worker feeds a bounded K-heap, merged and ranked at the
+// end.  A `--checkpoint` file
 // records every finished configuration as a crc-guarded JSONL line;
 // `--resume` replays it and skips the finished indices, and the final
 // report is byte-identical to an uninterrupted run (serve/checkpoint.hpp
@@ -180,7 +184,8 @@ struct SweepReport {
 
 /// Evaluates an explicit configuration list — every (config, workload)
 /// cell, performance simulation + power prediction — over `threads`
-/// workers (clamped like run_sweep) sharing one structural cache
+/// workers (clamped like run_sweep) that claim config chunks and predict
+/// each chunk in one batch like run_sweep, sharing one structural cache
 /// (`structural` if given, else a fresh unbounded one).  Returns one
 /// finalized row per config, in input order, with row.index = input
 /// position (callers that address a grid rewrite it).  Rows are

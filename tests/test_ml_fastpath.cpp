@@ -12,6 +12,7 @@
 #include <array>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ml/gbt.hpp"
@@ -119,6 +120,35 @@ TEST(FastPath, BatchedPredictAllBitIdenticalToPerSample) {
   const auto batched2 = restored.predict_all(data);
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(batched2[i], batched[i]);
+  }
+}
+
+TEST(FastPath, WideRowsBatchedPredictBitIdenticalToPerSample) {
+  // 40 features with the signal in the last ones: the vector tiers'
+  // column scratch outgrows its stack buffer and takes the heap path.
+  constexpr std::size_t kFeatures = 40;
+  std::vector<std::string> names;
+  for (std::size_t f = 0; f < kFeatures; ++f) {
+    names.push_back("f" + std::to_string(f));
+  }
+  Dataset data(names);
+  util::Rng rng(7);
+  std::vector<double> row(kFeatures);
+  for (std::size_t i = 0; i < 150; ++i) {
+    for (double& x : row) x = rng.next_range(-1.0, 1.0);
+    data.add_sample(row, 3.0 * row[kFeatures - 1] +
+                             (row[kFeatures - 2] > 0.0 ? 1.0 : 0.0));
+  }
+  GbtOptions options;
+  options.num_rounds = 20;
+  options.learning_rate = 0.2;
+  GBTRegressor model(options);
+  model.fit(data);
+
+  const auto batched = model.predict_all(data);
+  ASSERT_EQ(batched.size(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(batched[i], model.predict(data.features(i))) << "sample " << i;
   }
 }
 

@@ -969,6 +969,110 @@ TEST_F(SweepTest, SweepPopulatesGlobalMetrics) {
   EXPECT_GT(registry.gauge("serve.sweep.cells_per_sec").value(), 0.0);
 }
 
+// Checks every cell of `rows` (grid-indexed into `configs`) against a
+// fresh per-cell simulate + predict: ok cells bit-equal in power and
+// IPC, failed cells carrying their simulate throw's text.  Returns the
+// number of failed cells.
+std::size_t expect_cells_match_per_cell_oracle(
+    const core::AutoPowerModel& model,
+    const std::vector<arch::HardwareConfig>& configs,
+    const std::vector<std::string>& workloads,
+    const std::vector<SweepRow>& rows) {
+  const sim::PerfSimulator fresh;
+  std::size_t failed = 0;
+  for (const SweepRow& row : rows) {
+    const arch::HardwareConfig& cfg = configs.at(row.index);
+    EXPECT_EQ(row.config, cfg);
+    EXPECT_EQ(row.cells.size(), workloads.size());
+    for (std::size_t j = 0; j < row.cells.size(); ++j) {
+      const SweepCell& cell = row.cells[j];
+      const auto& profile = workload::workload_by_name(workloads[j]);
+      EXPECT_EQ(cell.workload, profile.name);
+      core::EvalContext ctx;
+      ctx.cfg = &cfg;
+      ctx.workload = profile.name;
+      ctx.program = workload::program_features(profile);
+      try {
+        ctx.events = fresh.simulate(cfg, profile);
+      } catch (const std::exception& e) {
+        ++failed;
+        EXPECT_FALSE(cell.ok) << cfg.name() << " / " << profile.name;
+        EXPECT_EQ(cell.error, e.what());
+        continue;
+      }
+      EXPECT_TRUE(cell.ok) << cfg.name() << " / " << profile.name << ": "
+                           << cell.error;
+      EXPECT_EQ(cell.total_mw, model.predict(ctx).total())
+          << cfg.name() << " / " << profile.name;
+      EXPECT_EQ(cell.ipc, ctx.events.rate(arch::EventKind::kInstructions))
+          << cfg.name() << " / " << profile.name;
+    }
+  }
+  return failed;
+}
+
+TEST_F(SweepTest, ChunkBatchedCellsMatchPerCellEvaluation) {
+  // Sweeps simulate a claimed chunk, then predict all of its cells in one
+  // batch.  Batching must change no cell: with the last axis fastest,
+  // each ICacheFetchBytes=3 config (whose simulate throws) sits between
+  // two good configs of the same chunk, so a failure that leaked into
+  // its batch neighbours would show up here.
+  SweepSpec spec;
+  spec.base = "C8";
+  spec.axes = parse_grid(
+      "RobEntry=64,96,128,160,192,224,256,288;ICacheFetchBytes=2,3,4");
+  spec.workloads = {"dhrystone", "qsort"};
+  const auto configs = expand_grid(arch::boom_config(spec.base), spec.axes);
+
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    spec.threads = threads;
+    const SweepReport report = run_sweep(*model(), spec);
+    ASSERT_EQ(report.rows.size(), configs.size());
+    // Every ICacheFetchBytes=3 config fails on every workload.
+    EXPECT_EQ(expect_cells_match_per_cell_oracle(*model(), configs,
+                                                 spec.workloads, report.rows),
+              8u * spec.workloads.size());
+
+    // evaluate_configs rows serialise byte-equal to the run_sweep rows.
+    const auto rows =
+        evaluate_configs(*model(), configs, spec.workloads, threads);
+    ASSERT_EQ(rows.size(), configs.size());
+    for (const SweepRow& swept : report.rows) {
+      std::string want, got;
+      append_row_json(want, swept);
+      append_row_json(got, rows[swept.index]);
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+TEST_F(SweepTest, ChunksLargerThanOnePredictBatchMatchPerCellEvaluation) {
+  // One worker over 1040 configs claims 130-config chunks: 390 cells, so
+  // each chunk's predict splits into a full 256-context batch and a
+  // partial one.  Cells on both sides of the split match the oracle.
+  std::string grid = "RobEntry=";
+  for (int v = 64; v < 64 + 52; ++v) {
+    grid += (v > 64 ? "," : "") + std::to_string(v);
+  }
+  grid += ";LdqStqEntry=";
+  for (int v = 8; v < 8 + 20; ++v) {
+    grid += (v > 8 ? "," : "") + std::to_string(v);
+  }
+  SweepSpec spec;
+  spec.base = "C8";
+  spec.axes = parse_grid(grid);
+  spec.workloads = {"dhrystone", "qsort", "towers"};
+  spec.threads = 1;
+  const auto configs = expand_grid(arch::boom_config(spec.base), spec.axes);
+  ASSERT_EQ(configs.size(), 1040u);
+  const SweepReport report = run_sweep(*model(), spec);
+  ASSERT_EQ(report.rows.size(), configs.size());
+  EXPECT_EQ(expect_cells_match_per_cell_oracle(*model(), configs,
+                                               spec.workloads, report.rows),
+            0u);
+}
+
 // --- JSONL -------------------------------------------------------------------
 
 TEST(JsonlTest, ParsesRequestsWithAndWithoutMode) {

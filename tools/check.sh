@@ -114,13 +114,16 @@ echo "== SIGKILL-mid-sweep -> resume: final report byte-identical =="
 # A checkpointed sweep is killed hard (SIGKILL, no cleanup) partway
 # through a 10k-config grid, resumed from whatever prefix the kill left
 # (batched fsync means the tail may be torn), and the resumed report
-# must be byte-for-byte the report of an uninterrupted run.
+# must be byte-for-byte the report of an uninterrupted run.  All eight
+# evaluation workloads keep the run at ~2 s on a 4-vCPU host, so the
+# kill at 1 s lands mid-grid.
+kill_workloads="dhrystone,median,multiply,qsort,rsort,towers,spmv,vvadd"
 kill_grid="RobEntry=32,48,64,80,96,112,128,144,160,176"
 kill_grid+=";FetchBufferEntry=8,12,16,20,24,28,32,36,40,44"
 kill_grid+=";LdqStqEntry=8,12,16,20,24,28,32,36,40,44"
 kill_grid+=";IntPhyRegister=48,56,64,72,80,88,96,104,112,120"
 ./build/tools/autopower sweep --model "$smoke_dir/model.ap" \
-  --grid "$kill_grid" --workloads dhrystone --threads 2 --top 16 \
+  --grid "$kill_grid" --workloads "$kill_workloads" --threads 2 --top 16 \
   --checkpoint "$smoke_dir/kill.ckpt" \
   --out "$smoke_dir/killed.jsonl" &
 kill_sweep_pid=$!
@@ -131,11 +134,11 @@ wait "$kill_sweep_pid" && true
 ckpt_rows="$(($(wc -l < "$smoke_dir/kill.ckpt") - 1))"
 echo "checkpoint holds $ckpt_rows of 10000 configs at the kill point"
 ./build/tools/autopower sweep --model "$smoke_dir/model.ap" \
-  --grid "$kill_grid" --workloads dhrystone --threads 2 --top 16 \
+  --grid "$kill_grid" --workloads "$kill_workloads" --threads 2 --top 16 \
   --checkpoint "$smoke_dir/kill.ckpt" --resume \
   --out "$smoke_dir/resumed.jsonl"
 ./build/tools/autopower sweep --model "$smoke_dir/model.ap" \
-  --grid "$kill_grid" --workloads dhrystone --threads 2 --top 16 \
+  --grid "$kill_grid" --workloads "$kill_workloads" --threads 2 --top 16 \
   --out "$smoke_dir/uninterrupted.jsonl"
 diff "$smoke_dir/resumed.jsonl" "$smoke_dir/uninterrupted.jsonl" \
   || { echo "resumed sweep report diverged from the uninterrupted run"; \
@@ -146,9 +149,10 @@ echo "== explore smoke: seed-pinned determinism + SIGKILL -> resume =="
 # Two identical seed-pinned explore runs over the 10k-config kill grid
 # must emit byte-identical frontiers; a third run is SIGKILLed mid-search
 # and resumed from its checkpoint, and the resumed frontier must be
-# byte-identical to the uninterrupted one too.
+# byte-identical to the uninterrupted one too.  Four workloads keep the
+# search at ~2 s on a 4-vCPU host, so the kill at 1 s lands mid-search.
 explore_args=(--model "$smoke_dir/model.ap" --grid "$kill_grid"
-  --workloads dhrystone,qsort --base C8 --seed 42 --population 64
+  --workloads dhrystone,qsort,towers,vvadd --base C8 --seed 42 --population 64
   --generations 40 --verify-top 32 --threads 2)
 ./build/tools/autopower explore "${explore_args[@]}" \
   --out "$smoke_dir/explore_a.jsonl" --stats STATS_explore.json
@@ -353,7 +357,7 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" ./build-tsan/tests/test_serve
 echo "== run shared-memo sweep path under ThreadSanitizer (explicit) =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   ./build-tsan/tests/test_serve \
-  --gtest_filter='SweepTest.ConcurrentSweepsShareOneStructuralCache:SweepTest.ThreadCountDoesNotChangeReport:EngineTest.TraceModeSharesStructuralCacheAcrossWorkers:EngineTest.FaultedDrainKeepsSiblingResultsBitIdentical:StreamSweepTest.OversubscribedThreadRequestIsClampedNotHonoured:StreamSweepTest.ResumeAfterTornTailIsByteIdentical:StreamSweepTest.CheckpointedRunMatchesPlainRunAndRoundTrips:ParallelFor.*'
+  --gtest_filter='SweepTest.ConcurrentSweepsShareOneStructuralCache:SweepTest.ThreadCountDoesNotChangeReport:EngineTest.TraceModeSharesStructuralCacheAcrossWorkers:EngineTest.FaultedDrainKeepsSiblingResultsBitIdentical:StreamSweepTest.OversubscribedThreadRequestIsClampedNotHonoured:StreamSweepTest.ResumeAfterTornTailIsByteIdentical:StreamSweepTest.CheckpointedRunMatchesPlainRunAndRoundTrips:SweepTest.ChunkBatchedCellsMatchPerCellEvaluation:ParallelFor.*'
 
 echo "== parallel_for under lost helpers + per-request isolation under ThreadSanitizer (explicit) =="
 # The fault-armed parallel_for cases (every submit / every helper task
