@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   // predict_all under a forced-scalar kernel table vs the host's best
   // tier.  The outputs must be bit-identical (the vector kernels promise
   // per-row op-order equality); the >= 2x speedup bar is enforced only
-  // when the best tier is AVX2 — on SSE2-or-less hosts the number is
+  // when the best tier is AVX2 — on scalar-only hosts the number is
   // reported, not enforced, mirroring the train_bar_enforced convention.
   const util::simd::Tier best_tier = util::simd::detect_best_tier();
   const util::simd::Tier entry_tier = util::simd::active_tier();

@@ -12,6 +12,7 @@
 #include "core/sample.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/jsonl.hpp"
+#include "sim/perfsim.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
@@ -212,19 +213,16 @@ double smooth_miss(double footprint_kb, double capacity_kb,
   return std::min(1.0, kResident + excess * per_access);
 }
 
-struct ProxyMisses {
-  double icache = 0.0, dcache = 0.0, itlb = 0.0, dtlb = 0.0, bp = 0.0;
-};
-
-ProxyMisses proxy_misses(const arch::HardwareConfig& cfg,
-                         const workload::WorkloadPhase& ph) {
+/// Closed-form stand-ins for the simulator's five sampled miss rates.
+sim::MissRates proxy_misses(const arch::HardwareConfig& cfg,
+                            const workload::WorkloadPhase& ph) {
   using P = arch::HwParam;
   const double way = cfg.value_d(P::kCacheWay);
   const double mfw = cfg.value_d(P::kMemFpIssueWidth);
   const double ifb = cfg.value_d(P::kICacheFetchBytes);
   const double tlb = cfg.value_d(P::kTlbEntry);
   const double bc = cfg.value_d(P::kBranchCount);
-  ProxyMisses m;
+  sim::MissRates m;
   // Capacities mirror the simulator's structures: I$ 16*ifb sets × way
   // × 64 B = ifb*way KiB; D$ 32*mfw sets = 2*mfw*way KiB; TLBs cover
   // tlb × 4 KiB pages.  Fetch strides 8*ifb bytes per 64 B line.
@@ -246,150 +244,6 @@ ProxyMisses proxy_misses(const arch::HardwareConfig& cfg,
   return m;
 }
 
-/// Mirror of the simulator's interval IPC + event-rate model
-/// (sim/perfsim.cpp compute_phase) with proxy_misses in place of the
-/// sampled structural measurements.
-void proxy_phase_rates(const arch::HardwareConfig& cfg,
-                       const workload::WorkloadPhase& ph,
-                       arch::EventVector& r, double& ipc_out) {
-  using arch::EventKind;
-  using P = arch::HwParam;
-  const ProxyMisses mb = proxy_misses(cfg, ph);
-  const double fw = cfg.value_d(P::kFetchWidth);
-  const double dw = cfg.value_d(P::kDecodeWidth);
-  const double rob = cfg.value_d(P::kRobEntry);
-  const double lq = cfg.value_d(P::kLdqStqEntry);
-  const double mfw = cfg.value_d(P::kMemFpIssueWidth);
-  const double iw = cfg.value_d(P::kIntIssueWidth);
-  const double mshr = cfg.value_d(P::kMshrEntry);
-  const double fbe = cfg.value_d(P::kFetchBufferEntry);
-
-  const double ipc0 = std::min(dw, ph.ilp);
-  const double taken_frac = 0.45 * ph.branch_frac + 1e-4;
-  const double instr_per_packet = std::min(fw, 1.0 / taken_frac);
-  const double ic_access_per_instr = 1.0 / instr_per_packet;
-
-  const double flush_penalty = 9.0 + 0.8 * dw;
-  const double stall_branch = ph.branch_frac * mb.bp * flush_penalty;
-  const double stall_icache = ic_access_per_instr * mb.icache * 16.0;
-  const double stall_itlb = ic_access_per_instr * mb.itlb * 20.0;
-  const double overlap =
-      (1.0 - ph.mem_serialisation) * (mshr / (mshr + 3.0));
-  const double miss_latency = 38.0;
-  const double stall_dcache =
-      ph.load_frac * mb.dcache * miss_latency * (1.0 - overlap) +
-      ph.store_frac * mb.dcache * miss_latency * 0.15;
-  const double stall_dtlb =
-      (ph.load_frac + ph.store_frac) * mb.dtlb * 22.0;
-
-  const double cpi = 1.0 / ipc0 + stall_branch + stall_icache +
-                     stall_itlb + stall_dcache + stall_dtlb;
-  double ipc = 1.0 / cpi;
-  const double int_demand =
-      1.0 - ph.load_frac - ph.store_frac - ph.fp_frac;
-  if (int_demand > 1e-9) {
-    ipc = std::min(ipc, iw / std::max(int_demand, 0.05));
-  }
-  const double mem_demand = ph.load_frac + ph.store_frac;
-  if (mem_demand > 1e-9) ipc = std::min(ipc, mfw / mem_demand);
-  if (ph.fp_frac > 1e-9) ipc = std::min(ipc, mfw / ph.fp_frac);
-  const double lifetime =
-      11.0 + ph.load_frac * mb.dcache * miss_latency * 0.8 +
-      ph.branch_frac * mb.bp * flush_penalty * 0.4;
-  ipc = std::min(ipc, 0.95 * rob / lifetime);
-  const double load_residence = 7.0 + mb.dcache * miss_latency * 0.9;
-  if (ph.load_frac > 1e-9) {
-    ipc = std::min(ipc, 0.95 * lq / (ph.load_frac * load_residence));
-  }
-  ipc = std::max(ipc, 0.05);
-  ipc_out = ipc;
-
-  r[EventKind::kCycles] = 1.0;
-  r[EventKind::kInstructions] = ipc;
-  r[EventKind::kBranches] = ipc * ph.branch_frac;
-  r[EventKind::kLoads] = ipc * ph.load_frac;
-  r[EventKind::kStores] = ipc * ph.store_frac;
-  r[EventKind::kFpInstrs] = ipc * ph.fp_frac;
-  r[EventKind::kMulDivInstrs] = ipc * ph.muldiv_frac;
-  r[EventKind::kIntAluInstrs] =
-      ipc * std::max(0.0, 1.0 - ph.branch_frac - ph.load_frac -
-                              ph.store_frac - ph.fp_frac - ph.muldiv_frac);
-
-  const double waste = 1.0 + ph.branch_frac * mb.bp * (3.0 + 0.5 * dw);
-  const double frontend_uops = ipc * waste;
-  r[EventKind::kFetchPackets] = frontend_uops * ic_access_per_instr;
-  r[EventKind::kFetchBubbles] = std::clamp(1.0 - ipc / dw, 0.0, 1.0);
-  r[EventKind::kFetchBufferOcc] =
-      std::min(fbe, 2.0 + 0.35 * fbe * (ipc / dw));
-  r[EventKind::kBpLookups] = r[EventKind::kFetchPackets];
-  r[EventKind::kBpMispredicts] = ipc * ph.branch_frac * mb.bp;
-  r[EventKind::kBtbHits] =
-      r[EventKind::kBpLookups] * (0.55 + 0.4 * (1.0 - ph.branch_entropy));
-  r[EventKind::kICacheAccesses] = r[EventKind::kFetchPackets];
-  r[EventKind::kICacheMisses] = r[EventKind::kICacheAccesses] * mb.icache;
-  r[EventKind::kItlbAccesses] = r[EventKind::kICacheAccesses];
-  r[EventKind::kItlbMisses] = r[EventKind::kItlbAccesses] * mb.itlb;
-
-  r[EventKind::kDecodedUops] = frontend_uops;
-  r[EventKind::kRenameUops] = frontend_uops;
-  r[EventKind::kRenameStalls] =
-      std::clamp(1.0 - ipc / dw, 0.0, 1.0) * 0.6;
-  r[EventKind::kDispatchedUops] = frontend_uops;
-  r[EventKind::kCommittedUops] = ipc;
-  r[EventKind::kRobOccupancy] = std::min(0.97 * rob, ipc * lifetime);
-  r[EventKind::kPipelineFlushes] =
-      r[EventKind::kBpMispredicts] + 1e-5 * ipc;
-
-  const double spec = waste;
-  r[EventKind::kIntIssued] =
-      ipc * spec * (r[EventKind::kIntAluInstrs] / std::max(ipc, 1e-9) +
-                    ph.branch_frac + ph.muldiv_frac);
-  r[EventKind::kMemIssued] = ipc * spec * mem_demand * 1.08;
-  r[EventKind::kFpIssued] = ipc * spec * ph.fp_frac;
-  const double iq_wait = 2.5 + 0.5 * lifetime * ph.mem_serialisation;
-  r[EventKind::kIntIqOcc] =
-      std::min(0.9 * (8.0 + 4.0 * dw), r[EventKind::kIntIssued] * iq_wait);
-  r[EventKind::kMemIqOcc] =
-      std::min(0.9 * (8.0 + 4.0 * dw), r[EventKind::kMemIssued] * iq_wait);
-  r[EventKind::kFpIqOcc] =
-      std::min(0.9 * (8.0 + 4.0 * dw), r[EventKind::kFpIssued] * iq_wait);
-  r[EventKind::kRegfileReads] =
-      1.65 * (r[EventKind::kIntIssued] + r[EventKind::kMemIssued] +
-              r[EventKind::kFpIssued]);
-  r[EventKind::kRegfileWrites] =
-      0.82 * (r[EventKind::kIntIssued] + r[EventKind::kMemIssued] +
-              r[EventKind::kFpIssued]);
-  r[EventKind::kAluOps] =
-      ipc * spec * (r[EventKind::kIntAluInstrs] / std::max(ipc, 1e-9) +
-                    ph.branch_frac);
-  r[EventKind::kMulOps] = ipc * spec * ph.muldiv_frac * 0.8;
-  r[EventKind::kDivOps] = ipc * spec * ph.muldiv_frac * 0.2;
-  r[EventKind::kFpuOps] = r[EventKind::kFpIssued];
-
-  r[EventKind::kLoadsExecuted] = ipc * spec * ph.load_frac * 1.08;
-  r[EventKind::kStoresExecuted] = ipc * ph.store_frac;
-  r[EventKind::kStoreForwards] = r[EventKind::kLoadsExecuted] * 0.06 *
-                                 std::min(1.0, ph.store_frac * 8.0);
-  r[EventKind::kLdqOcc] =
-      std::min(0.97 * lq, r[EventKind::kLoadsExecuted] * load_residence);
-  r[EventKind::kStqOcc] =
-      std::min(0.97 * lq, r[EventKind::kStoresExecuted] *
-                              (6.0 + 0.3 * load_residence));
-  r[EventKind::kDcacheAccesses] =
-      r[EventKind::kLoadsExecuted] + r[EventKind::kStoresExecuted];
-  r[EventKind::kDcacheMisses] =
-      r[EventKind::kDcacheAccesses] * mb.dcache;
-  r[EventKind::kDcacheWritebacks] =
-      r[EventKind::kDcacheMisses] *
-      std::min(0.9, 0.25 + 1.2 * ph.store_frac);
-  r[EventKind::kMshrAllocs] = r[EventKind::kDcacheMisses];
-  r[EventKind::kMshrFullStalls] =
-      std::max(0.0, r[EventKind::kDcacheMisses] * miss_latency - mshr) /
-      miss_latency * 0.5;
-  r[EventKind::kDtlbAccesses] = r[EventKind::kDcacheAccesses];
-  r[EventKind::kDtlbMisses] = r[EventKind::kDtlbAccesses] * mb.dtlb;
-}
-
 void append_int(std::string& out, long long value) {
   char buf[24];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
@@ -406,15 +260,14 @@ arch::EventVector proxy_events(const arch::HardwareConfig& cfg,
   double weight_sum = 0.0;
   for (const auto& ph : profile.phases) weight_sum += ph.weight;
   for (const auto& ph : profile.phases) {
-    arch::EventVector rates;
-    double ipc = 0.0;
-    proxy_phase_rates(cfg, ph, rates, ipc);
+    const sim::PhaseRates pr =
+        sim::rates_from_misses(cfg, ph, proxy_misses(cfg, ph));
     const double instr = static_cast<double>(profile.instructions) *
                          ph.weight / weight_sum;
-    const double cycles = instr / ipc;
+    const double cycles = instr / pr.ipc;
     for (std::size_t i = 0; i < arch::kNumEvents; ++i) {
       const auto kind = static_cast<arch::EventKind>(i);
-      acc[kind] += rates[kind] * cycles;
+      acc[kind] += pr.rates[kind] * cycles;
     }
   }
   return acc;

@@ -105,12 +105,13 @@ struct Objectives {
     std::span<const std::size_t> a, std::span<const std::size_t> b,
     std::span<const serve::SweepAxis> axes, util::Rng& rng);
 
-/// Closed-form proxy event estimation: the simulator's interval IPC
-/// model with smooth analytic stand-ins for the sampled structural miss
-/// rates.  A pure function of (configuration, workload) — no run
-/// history — so a resumed search recomputes identical scores.  The
-/// estimate feeds predict_total_batch for surrogate power; absolute
-/// accuracy is corrected per-workload by the k-NN anchor calibration.
+/// Closed-form proxy event estimation: the simulator's own rate model
+/// (sim::rates_from_misses) fed smooth analytic stand-ins for the
+/// sampled structural miss rates.  A pure function of (configuration,
+/// workload) — no run history — so a resumed search recomputes
+/// identical scores.  The estimate feeds predict_total_batch for
+/// surrogate power; absolute accuracy is corrected per-workload by the
+/// k-NN anchor calibration.
 [[nodiscard]] arch::EventVector proxy_events(
     const arch::HardwareConfig& cfg,
     const workload::WorkloadProfile& profile);

@@ -826,7 +826,7 @@ std::string Daemon::control_response_line(std::uint64_t seq,
            std::to_string(active_.load(std::memory_order_relaxed));
     out += ", \"queue_depth\": " + std::to_string(depth);
     out += ", \"models\": " + std::to_string(slots_.size());
-    // Numeric tier (0 scalar / 1 sse2 / 2 avx2), not the name: golden
+    // Numeric tier (0 scalar / 2 avx2), not the name: golden
     // snapshots normalise numbers, so the schema stays host-independent.
     out += ", \"simd_tier\": " + std::to_string(static_cast<int>(
                                      util::simd::active_tier()));

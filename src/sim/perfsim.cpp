@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "sim/branch.hpp"
@@ -21,11 +22,16 @@ using arch::HwParam;
 using workload::WorkloadPhase;
 using workload::WorkloadProfile;
 
-int next_pow2(int v) {
-  int p = 1;
+std::int64_t next_pow2(std::int64_t v) {
+  std::int64_t p = 1;
   while (p < v) p <<= 1;
   return p;
 }
+
+/// Largest branch-predictor table the simulator builds (entries).  The
+/// table size is an int, so 2^30 is the last power of two that fits; a
+/// BranchCount needing more fails its cell instead of wrapping.
+constexpr std::int64_t kMaxPredictorEntries = std::int64_t{1} << 30;
 
 std::uint64_t hash_double(std::uint64_t h, double v) {
   return util::hash_combine(h, std::bit_cast<std::uint64_t>(v));
@@ -54,15 +60,6 @@ std::uint64_t phase_key(const HardwareConfig& cfg, const WorkloadPhase& ph,
   return h;
 }
 
-/// Measured memory-system behaviour of one phase on one configuration.
-struct MemoryBehaviour {
-  double icache_miss = 0.0;
-  double dcache_miss = 0.0;
-  double itlb_miss = 0.0;
-  double dtlb_miss = 0.0;
-  double bp_miss = 0.0;
-};
-
 using SubSim = util::StructuralSimCache::SubSim;
 
 // Each structural sub-simulation is memoised in its own StructuralSimCache
@@ -78,11 +75,9 @@ using SubSim = util::StructuralSimCache::SubSim;
 // seed is part of every key because it selects the synthetic reference
 // stream; two phases with equal profiles and names would replay the same
 // stream and may legitimately share an entry.
-MemoryBehaviour measure_memory(util::StructuralL1& cache,
-                               const HardwareConfig& cfg,
-                               const WorkloadPhase& ph,
-                               const SimOptions& opt) {
-  MemoryBehaviour mb;
+MissRates measure_memory(util::StructuralL1& cache, const HardwareConfig& cfg,
+                         const WorkloadPhase& ph, const SimOptions& opt) {
+  MissRates mb;
   const int way = cfg.value(HwParam::kCacheWay);
   const int mfw = cfg.value(HwParam::kMemFpIssueWidth);
   const int ifb = cfg.value(HwParam::kICacheFetchBytes);
@@ -96,7 +91,7 @@ MemoryBehaviour measure_memory(util::StructuralL1& cache,
     key = hash_double(key, ph.icache_footprint_kb);
     key = util::hash_combine(key,
                              static_cast<std::uint64_t>(opt.sample_accesses));
-    mb.icache_miss = cache.get_or_compute(SubSim::kICache, key, [&] {
+    mb.icache = cache.get_or_compute(SubSim::kICache, key, [&] {
       SetAssocCache icache(/*sets=*/16 * ifb, /*ways=*/way,
                            /*line_bytes=*/64);
       StreamProfile s;
@@ -114,7 +109,7 @@ MemoryBehaviour measure_memory(util::StructuralL1& cache,
     key = hash_double(key, ph.dcache_stride_frac);
     key = util::hash_combine(key,
                              static_cast<std::uint64_t>(opt.sample_accesses));
-    mb.dcache_miss = cache.get_or_compute(SubSim::kDCache, key, [&] {
+    mb.dcache = cache.get_or_compute(SubSim::kDCache, key, [&] {
       SetAssocCache dcache(/*sets=*/32 * mfw, /*ways=*/way,
                            /*line_bytes=*/64);
       StreamProfile s;
@@ -130,7 +125,7 @@ MemoryBehaviour measure_memory(util::StructuralL1& cache,
     key = hash_double(key, ph.icache_footprint_kb);
     key = util::hash_combine(key,
                              static_cast<std::uint64_t>(opt.sample_accesses));
-    mb.itlb_miss = cache.get_or_compute(SubSim::kItlb, key, [&] {
+    mb.itlb = cache.get_or_compute(SubSim::kItlb, key, [&] {
       SetAssocCache itlb(/*sets=*/1, /*ways=*/tlb, /*line_bytes=*/4096);
       StreamProfile s;
       s.footprint_kb = ph.icache_footprint_kb;
@@ -146,7 +141,7 @@ MemoryBehaviour measure_memory(util::StructuralL1& cache,
     key = hash_double(key, ph.dcache_stride_frac);
     key = util::hash_combine(key,
                              static_cast<std::uint64_t>(opt.sample_accesses));
-    mb.dtlb_miss = cache.get_or_compute(SubSim::kDtlb, key, [&] {
+    mb.dtlb = cache.get_or_compute(SubSim::kDtlb, key, [&] {
       SetAssocCache dtlb(/*sets=*/1, /*ways=*/tlb, /*line_bytes=*/4096);
       StreamProfile s;
       s.footprint_kb = ph.dcache_footprint_kb;
@@ -158,13 +153,17 @@ MemoryBehaviour measure_memory(util::StructuralL1& cache,
   }
   {  // Branch predictor: table scales with BranchCount.
     const int bc = cfg.value(HwParam::kBranchCount);
+    const std::int64_t entries = next_pow2(64 * std::int64_t{bc});
+    AP_REQUIRE(entries <= kMaxPredictorEntries,
+               "BranchCount=" + std::to_string(bc) +
+                   " needs a branch-predictor table above 2^30 entries");
     std::uint64_t key = util::hash_combine(seed, bc);
     key = hash_double(key, ph.branch_entropy);
     key = hash_double(key, ph.icache_footprint_kb);
     key = util::hash_combine(key,
                              static_cast<std::uint64_t>(opt.sample_branches));
-    mb.bp_miss = cache.get_or_compute(SubSim::kBranch, key, [&] {
-      BranchPredictorModel bp(next_pow2(64 * bc));
+    mb.bp = cache.get_or_compute(SubSim::kBranch, key, [&] {
+      BranchPredictorModel bp(static_cast<int>(entries));
       BranchStreamProfile s;
       s.entropy = ph.branch_entropy;
       s.static_branches =
@@ -176,11 +175,21 @@ MemoryBehaviour measure_memory(util::StructuralL1& cache,
   return mb;
 }
 
-PhaseRates compute_phase(util::StructuralL1& cache,
-                         const HardwareConfig& cfg, const WorkloadPhase& ph,
-                         const SimOptions& opt) {
-  const MemoryBehaviour mb = measure_memory(cache, cfg, ph, opt);
+/// Adds `cycles` worth of a phase's rates into an aggregate.  Occupancy
+/// integrals scale exactly like counters (rate * cycles).
+void accumulate(EventVector& acc, const EventVector& rates, double cycles,
+                double activity_scale = 1.0) {
+  for (std::size_t i = 0; i < arch::kNumEvents; ++i) {
+    const auto kind = static_cast<EventKind>(i);
+    const double scale = kind == EventKind::kCycles ? 1.0 : activity_scale;
+    acc[kind] += rates[kind] * cycles * scale;
+  }
+}
 
+}  // namespace
+
+PhaseRates rates_from_misses(const HardwareConfig& cfg,
+                             const WorkloadPhase& ph, const MissRates& mb) {
   const double fw = cfg.value_d(HwParam::kFetchWidth);
   const double dw = cfg.value_d(HwParam::kDecodeWidth);
   const double rob = cfg.value_d(HwParam::kRobEntry);
@@ -202,19 +211,19 @@ PhaseRates compute_phase(util::StructuralL1& cache,
 
   // Per-instruction stall cycles.
   const double flush_penalty = 9.0 + 0.8 * dw;  // refill grows with width
-  const double stall_branch = ph.branch_frac * mb.bp_miss * flush_penalty;
-  const double stall_icache = ic_access_per_instr * mb.icache_miss * 16.0;
-  const double stall_itlb = ic_access_per_instr * mb.itlb_miss * 20.0;
+  const double stall_branch = ph.branch_frac * mb.bp * flush_penalty;
+  const double stall_icache = ic_access_per_instr * mb.icache * 16.0;
+  const double stall_itlb = ic_access_per_instr * mb.itlb * 20.0;
   // MSHRs overlap independent misses; serial (pointer-chasing) code cannot
   // exploit them.
   const double overlap =
       (1.0 - ph.mem_serialisation) * (mshr / (mshr + 3.0));
   const double miss_latency = 38.0;
   const double stall_dcache =
-      ph.load_frac * mb.dcache_miss * miss_latency * (1.0 - overlap) +
-      ph.store_frac * mb.dcache_miss * miss_latency * 0.15;
+      ph.load_frac * mb.dcache * miss_latency * (1.0 - overlap) +
+      ph.store_frac * mb.dcache * miss_latency * 0.15;
   const double stall_dtlb =
-      (ph.load_frac + ph.store_frac) * mb.dtlb_miss * 22.0;
+      (ph.load_frac + ph.store_frac) * mb.dtlb * 22.0;
 
   double cpi = 1.0 / ipc0 + stall_branch + stall_icache + stall_itlb +
                stall_dcache + stall_dtlb;
@@ -230,12 +239,12 @@ PhaseRates compute_phase(util::StructuralL1& cache,
   // ROB-limited: instructions live ~lifetime cycles from dispatch to
   // commit; occupancy cannot exceed the ROB.
   const double lifetime =
-      11.0 + ph.load_frac * mb.dcache_miss * miss_latency * 0.8 +
-      ph.branch_frac * mb.bp_miss * flush_penalty * 0.4;
+      11.0 + ph.load_frac * mb.dcache * miss_latency * 0.8 +
+      ph.branch_frac * mb.bp * flush_penalty * 0.4;
   ipc = std::min(ipc, 0.95 * rob / lifetime);
 
   // LDQ-limited.
-  const double load_residence = 7.0 + mb.dcache_miss * miss_latency * 0.9;
+  const double load_residence = 7.0 + mb.dcache * miss_latency * 0.9;
   if (ph.load_frac > 1e-9) {
     ipc = std::min(ipc, 0.95 * lq / (ph.load_frac * load_residence));
   }
@@ -244,9 +253,7 @@ PhaseRates compute_phase(util::StructuralL1& cache,
   // --- Event rates (per cycle) --------------------------------------------
   PhaseRates out;
   out.ipc = ipc;
-  out.bp_mispredict_rate = mb.bp_miss;
-  out.icache_miss_rate = mb.icache_miss;
-  out.dcache_miss_rate = mb.dcache_miss;
+  out.misses = mb;
   EventVector& r = out.rates;
   r[EventKind::kCycles] = 1.0;
 
@@ -263,7 +270,7 @@ PhaseRates compute_phase(util::StructuralL1& cache,
 
   // Speculative inflation: wrong-path uops fetched/renamed then squashed.
   const double waste =
-      1.0 + ph.branch_frac * mb.bp_miss * (3.0 + 0.5 * dw);
+      1.0 + ph.branch_frac * mb.bp * (3.0 + 0.5 * dw);
   const double frontend_uops = ipc * waste;
 
   // Front end.
@@ -273,14 +280,14 @@ PhaseRates compute_phase(util::StructuralL1& cache,
   r[EventKind::kFetchBufferOcc] =
       std::min(fbe, 2.0 + 0.35 * fbe * (ipc / dw));
   r[EventKind::kBpLookups] = r[EventKind::kFetchPackets];
-  r[EventKind::kBpMispredicts] = ipc * ph.branch_frac * mb.bp_miss;
+  r[EventKind::kBpMispredicts] = ipc * ph.branch_frac * mb.bp;
   r[EventKind::kBtbHits] =
       r[EventKind::kBpLookups] * (0.55 + 0.4 * (1.0 - ph.branch_entropy));
   r[EventKind::kICacheAccesses] = r[EventKind::kFetchPackets];
   r[EventKind::kICacheMisses] =
-      r[EventKind::kICacheAccesses] * mb.icache_miss;
+      r[EventKind::kICacheAccesses] * mb.icache;
   r[EventKind::kItlbAccesses] = r[EventKind::kICacheAccesses];
-  r[EventKind::kItlbMisses] = r[EventKind::kItlbAccesses] * mb.itlb_miss;
+  r[EventKind::kItlbMisses] = r[EventKind::kItlbAccesses] * mb.itlb;
 
   // Decode / rename / ROB.
   r[EventKind::kDecodedUops] = frontend_uops;
@@ -333,7 +340,7 @@ PhaseRates compute_phase(util::StructuralL1& cache,
   r[EventKind::kDcacheAccesses] =
       r[EventKind::kLoadsExecuted] + r[EventKind::kStoresExecuted];
   r[EventKind::kDcacheMisses] =
-      r[EventKind::kDcacheAccesses] * mb.dcache_miss;
+      r[EventKind::kDcacheAccesses] * mb.dcache;
   r[EventKind::kDcacheWritebacks] =
       r[EventKind::kDcacheMisses] *
       std::min(0.9, 0.25 + 1.2 * ph.store_frac);
@@ -342,23 +349,10 @@ PhaseRates compute_phase(util::StructuralL1& cache,
       0.0, r[EventKind::kDcacheMisses] * miss_latency - mshr) /
       miss_latency * 0.5;
   r[EventKind::kDtlbAccesses] = r[EventKind::kDcacheAccesses];
-  r[EventKind::kDtlbMisses] = r[EventKind::kDtlbAccesses] * mb.dtlb_miss;
+  r[EventKind::kDtlbMisses] = r[EventKind::kDtlbAccesses] * mb.dtlb;
 
   return out;
 }
-
-/// Adds `cycles` worth of a phase's rates into an aggregate.  Occupancy
-/// integrals scale exactly like counters (rate * cycles).
-void accumulate(EventVector& acc, const EventVector& rates, double cycles,
-                double activity_scale = 1.0) {
-  for (std::size_t i = 0; i < arch::kNumEvents; ++i) {
-    const auto kind = static_cast<EventKind>(i);
-    const double scale = kind == EventKind::kCycles ? 1.0 : activity_scale;
-    acc[kind] += rates[kind] * cycles * scale;
-  }
-}
-
-}  // namespace
 
 PerfSimulator::PerfSimulator() : PerfSimulator(SimOptions{}) {}
 
@@ -398,7 +392,8 @@ const PhaseRates& PerfSimulator::phase_rates(
         memo_.size() >= static_cast<std::size_t>(options_.phase_memo_max)) {
       memo_.clear();
     }
-    it = memo_.emplace(key, compute_phase(l1_, cfg, ph, options_)).first;
+    const MissRates misses = measure_memory(l1_, cfg, ph, options_);
+    it = memo_.emplace(key, rates_from_misses(cfg, ph, misses)).first;
   }
   return it->second;
 }

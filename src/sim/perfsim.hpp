@@ -4,7 +4,9 @@
 // I/D-cache, TLB and branch-predictor behaviour with genuine structural
 // simulations (sim/cache, sim/branch), then composes an interval IPC model
 // with width, queue and MSHR constraints, and finally emits the full
-// event-parameter vector of arch/events.hpp.
+// event-parameter vector of arch/events.hpp.  The composition step is the
+// public rates_from_misses(), the one rate model the explore surrogate
+// also runs (on closed-form miss estimates).
 //
 // Two entry points:
 //   * simulate()        — whole-workload aggregate events (training and
@@ -69,14 +71,30 @@ struct SimOptions {
   int phase_memo_max = 65536;
 };
 
+/// Miss rates of one phase on one configuration: the five structural
+/// measurements the interval model composes into events.
+struct MissRates {
+  double icache = 0.0;  ///< I-cache misses per access
+  double dcache = 0.0;  ///< D-cache misses per access
+  double itlb = 0.0;    ///< I-TLB misses per access
+  double dtlb = 0.0;    ///< D-TLB misses per access
+  double bp = 0.0;      ///< branch mispredicts per branch
+};
+
 /// Per-cycle event rates of one steady-state phase on one configuration.
 struct PhaseRates {
   double ipc = 0.0;
   arch::EventVector rates;  ///< per-cycle rates; kCycles == 1
-  double bp_mispredict_rate = 0.0;  ///< per branch
-  double icache_miss_rate = 0.0;    ///< per access
-  double dcache_miss_rate = 0.0;    ///< per access
+  MissRates misses;         ///< the miss rates `rates` were composed from
 };
+
+/// The interval IPC + event-rate model: composes one phase's per-cycle
+/// rates from its miss rates.  A pure function — PerfSimulator feeds it
+/// sampled structural measurements, the explore surrogate closed-form
+/// estimates, so both run exactly the same model.
+[[nodiscard]] PhaseRates rates_from_misses(const arch::HardwareConfig& cfg,
+                                           const workload::WorkloadPhase& phase,
+                                           const MissRates& misses);
 
 /// The out-of-order CPU timing model.
 class PerfSimulator {

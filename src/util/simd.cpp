@@ -3,11 +3,11 @@
 // The scalar implementations here are the reference semantics every
 // vector tier must reproduce bit for bit — they are deliberately plain
 // element loops with no manual unrolling, so reading one tells you the
-// exact per-element operation sequence the SSE2/AVX2 twins promise to
+// exact per-element operation sequence the AVX2 twins promise to
 // match.  This TU is compiled with the project-default flags only
-// (no -mavx2/-msse2): it must run on any x86-64, and vector tiers that
-// borrow a scalar kernel for an unaccelerated slot get this baseline
-// codegen, not a re-materialised copy under their own ISA flags.
+// (no -mavx2): it must run on any x86-64, and a vector tier that
+// borrows a scalar kernel for an unaccelerated slot gets this baseline
+// codegen, not a re-materialised copy under its own ISA flags.
 
 #include "util/simd.hpp"
 
@@ -142,9 +142,6 @@ Tier detect_best_tier() noexcept {
   if (__builtin_cpu_supports("avx2") && avx2_kernel_table() != nullptr) {
     return Tier::kAvx2;
   }
-  if (__builtin_cpu_supports("sse2") && sse2_kernel_table() != nullptr) {
-    return Tier::kSse2;
-  }
 #endif
   return Tier::kScalar;
 }
@@ -153,8 +150,6 @@ const KernelTable* kernels_for(Tier tier) noexcept {
   switch (tier) {
     case Tier::kAvx2:
       return detect_best_tier() >= Tier::kAvx2 ? avx2_kernel_table() : nullptr;
-    case Tier::kSse2:
-      return detect_best_tier() >= Tier::kSse2 ? sse2_kernel_table() : nullptr;
     case Tier::kScalar:
       return &kScalarTable;
   }
@@ -173,7 +168,6 @@ Tier set_active_tier(Tier tier) noexcept {
 std::string_view tier_name(Tier tier) noexcept {
   switch (tier) {
     case Tier::kScalar: return "scalar";
-    case Tier::kSse2: return "sse2";
     case Tier::kAvx2: return "avx2";
   }
   return "scalar";
@@ -181,7 +175,6 @@ std::string_view tier_name(Tier tier) noexcept {
 
 std::optional<Tier> parse_tier(std::string_view text) noexcept {
   if (text == "scalar") return Tier::kScalar;
-  if (text == "sse2") return Tier::kSse2;
   if (text == "avx2") return Tier::kAvx2;
   return std::nullopt;
 }

@@ -2,7 +2,7 @@
 //
 // The numeric hot paths (forest inference, presort gathers, ridge
 // predicts, batched PRNG fills) call through a per-process kernel table
-// selected once from cpuid: scalar, SSE2 or AVX2.  Three properties the
+// selected once from cpuid: scalar or AVX2.  Three properties the
 // rest of the repository relies on:
 //
 //   * Bit-identity across tiers.  Every vector kernel performs, per
@@ -15,19 +15,18 @@
 //     differential oracles in tests/test_simd.cpp pin every kernel to
 //     its scalar twin over random sizes, alignments, NaNs and
 //     denormals.
-//   * No ISA leakage.  AVX2/SSE2 code lives only in simd_avx2.cpp /
-//     simd_sse2.cpp, which are the only translation units compiled with
-//     -mavx2 / -msse2 (tools/check.sh fails the build if the flag
-//     appears anywhere else).  This header stays intrinsics-free and
-//     inline-function-free so including it can never materialise
-//     AVX2 code in a caller's TU.
+//   * No ISA leakage.  AVX2 code lives only in simd_avx2.cpp, the only
+//     translation unit compiled with -mavx2 (tools/check.sh fails the
+//     build if the flag appears anywhere else).  This header stays
+//     intrinsics-free and inline-function-free so including it can
+//     never materialise AVX2 code in a caller's TU.
 //   * Observability.  The selected tier is published as the
-//     `util.simd.tier` gauge (0 scalar / 1 sse2 / 2 avx2) so --stats
+//     `util.simd.tier` gauge (0 scalar / 2 avx2) so --stats
 //     snapshots, bench JSON and the daemon health response all say
 //     which code path produced their numbers.
 //
 // Tier selection: highest tier the CPU supports, capped by the
-// AUTOPOWER_SIMD environment variable (scalar | sse2 | avx2).  An
+// AUTOPOWER_SIMD environment variable (scalar | avx2).  An
 // unknown value, or a request for a tier the CPU lacks, falls back to
 // auto-detection.  set_active_tier() re-points the dispatch table at
 // runtime — a bench/test hook for measuring and differencing tiers in
@@ -43,7 +42,9 @@
 namespace autopower::util::simd {
 
 /// Instruction-set tier, ordered: a higher tier implies the lower ones.
-enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// The values are published (util.simd.tier, daemon simd_tier); 1 was
+/// the retired SSE2 tier and stays unused.
+enum class Tier : int { kScalar = 0, kAvx2 = 2 };
 
 /// One padded perfect tree of the forest-inference layout.  A fitted
 /// tree of depth d is mirrored into a complete binary tree in
@@ -132,7 +133,7 @@ struct KernelTable {
 /// inside dispatched kernels.
 Tier set_active_tier(Tier tier) noexcept;
 
-/// "scalar" | "sse2" | "avx2".
+/// "scalar" | "avx2".
 [[nodiscard]] std::string_view tier_name(Tier tier) noexcept;
 
 /// Parses an AUTOPOWER_SIMD value; std::nullopt for anything unknown.

@@ -1,10 +1,10 @@
 // Internal declarations shared between the simd dispatch TU and the
-// flag-isolated kernel TUs (simd_sse2.cpp, simd_avx2.cpp).  Not part of
-// the public API — include util/simd.hpp instead.
+// flag-isolated kernel TU (simd_avx2.cpp).  Not part of the public API —
+// include util/simd.hpp instead.
 //
-// Declarations only, no inline definitions: the kernel TUs are compiled
-// with -msse2/-mavx2, and anything inline in a shared header could be
-// materialised there with those flags and then picked (comdat) for the
+// Declarations only, no inline definitions: the kernel TU is compiled
+// with -mavx2, and anything inline in a shared header could be
+// materialised there with that flag and then picked (comdat) for the
 // whole program.  The scalar kernels declared here are *defined* in
 // simd.cpp, which uses project-default flags, so a vector tier that
 // borrows one for an unaccelerated slot still gets baseline codegen.
@@ -38,9 +38,8 @@ void scalar_rng_fill_unit(std::uint64_t base, double* out, std::size_t n);
 
 }  // namespace detail
 
-/// Tier tables from the flag-isolated TUs; nullptr when the build was
-/// configured without the ISA (each TU guards on __SSE2__/__AVX2__).
-const KernelTable* sse2_kernel_table() noexcept;
+/// The AVX2 tier table from the flag-isolated TU; nullptr when the build
+/// was configured without the ISA (the TU guards on __AVX2__).
 const KernelTable* avx2_kernel_table() noexcept;
 
 }  // namespace autopower::util::simd

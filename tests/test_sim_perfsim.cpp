@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "sim/perfsim.hpp"
 #include "util/error.hpp"
@@ -137,6 +141,56 @@ TEST(PerfSim, PhaseRatesExposedAndMemoised) {
   const auto& again = sim.phase_rates(cfg, w, 0);
   EXPECT_EQ(&pr0, &again);  // memoised: same object
   EXPECT_THROW((void)sim.phase_rates(cfg, w, 99), util::InvalidArgument);
+}
+
+// The explore surrogate runs the simulator's rate model on estimated
+// misses; feeding it the simulator's own measured misses must reproduce
+// the simulator bit for bit, so a simulator-only term cannot slip in.
+TEST(PerfSim, RatesFromMissesReproducesSimulator) {
+  PerfSimulator sim;
+  for (const auto& cfg : arch::boom_design_space()) {
+    for (const auto* suite : {&workload::riscv_tests_workloads(),
+                              &workload::trace_workloads(),
+                              &workload::extension_workloads()}) {
+      for (const auto& w : *suite) {
+        for (std::size_t i = 0; i < w.phases.size(); ++i) {
+          const PhaseRates& pr = sim.phase_rates(cfg, w, i);
+          const PhaseRates again = rates_from_misses(cfg, w.phases[i],
+                                                     pr.misses);
+          const std::string where = cfg.name() + "/" + w.name + "#" +
+                                    std::to_string(i);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(again.ipc),
+                    std::bit_cast<std::uint64_t>(pr.ipc))
+              << where;
+          for (std::size_t e = 0; e < arch::kNumEvents; ++e) {
+            const auto k = static_cast<EventKind>(e);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(again.rates[k]),
+                      std::bit_cast<std::uint64_t>(pr.rates[k]))
+                << where << " " << arch::event_name(k);
+          }
+        }
+      }
+    }
+  }
+}
+
+// 64 * BranchCount predictor entries: beyond 2^30 the table size no
+// longer fits the predictor's int index, so the cell must fail loudly
+// rather than hang (20M) or silently shrink to one entry (40M).
+TEST(PerfSim, OversizedBranchPredictorThrows) {
+  PerfSimulator sim;
+  const auto& c7 = arch::boom_config("C7");
+  for (int bc : {20000000, 40000000}) {
+    std::array<int, arch::kNumHwParams> values{};
+    for (HwParam p : arch::all_hw_params()) {
+      values[static_cast<std::size_t>(p)] = c7.value(p);
+    }
+    values[static_cast<std::size_t>(HwParam::kBranchCount)] = bc;
+    const arch::HardwareConfig cfg("C7'", values);
+    EXPECT_THROW((void)sim.simulate(cfg, wl("dhrystone")),
+                 util::InvalidArgument)
+        << "BranchCount=" << bc;
+  }
 }
 
 TEST(PerfSim, TraceCoversWholeRun) {

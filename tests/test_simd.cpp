@@ -138,7 +138,7 @@ std::vector<double> stress_vector(Pcg32& rng, std::size_t n,
 /// Tiers with a table on this host, scalar first (the reference).
 std::vector<const KernelTable*> available_tables() {
   std::vector<const KernelTable*> out;
-  for (Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
+  for (Tier t : {Tier::kScalar, Tier::kAvx2}) {
     if (const KernelTable* kt = util::simd::kernels_for(t)) out.push_back(kt);
   }
   return out;
@@ -586,7 +586,7 @@ TEST(SimdDispatch, TierTablesAndNamesAreConsistent) {
   const Tier best = util::simd::detect_best_tier();
   ASSERT_NE(util::simd::kernels_for(Tier::kScalar), nullptr);
   EXPECT_EQ(util::simd::kernels_for(Tier::kScalar)->tier, Tier::kScalar);
-  for (Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
+  for (Tier t : {Tier::kScalar, Tier::kAvx2}) {
     const KernelTable* kt = util::simd::kernels_for(t);
     if (t <= best) {
       ASSERT_NE(kt, nullptr) << "tier <= best must have a table";
@@ -600,11 +600,10 @@ TEST(SimdDispatch, TierTablesAndNamesAreConsistent) {
   }
 
   EXPECT_EQ(util::simd::tier_name(Tier::kScalar), "scalar");
-  EXPECT_EQ(util::simd::tier_name(Tier::kSse2), "sse2");
   EXPECT_EQ(util::simd::tier_name(Tier::kAvx2), "avx2");
   EXPECT_EQ(util::simd::parse_tier("scalar"), Tier::kScalar);
-  EXPECT_EQ(util::simd::parse_tier("sse2"), Tier::kSse2);
   EXPECT_EQ(util::simd::parse_tier("avx2"), Tier::kAvx2);
+  EXPECT_EQ(util::simd::parse_tier("sse2"), std::nullopt);  // retired tier
   EXPECT_EQ(util::simd::parse_tier("AVX2"), std::nullopt);
   EXPECT_EQ(util::simd::parse_tier(""), std::nullopt);
   EXPECT_EQ(util::simd::parse_tier("bogus"), std::nullopt);
@@ -646,15 +645,10 @@ TEST(SimdDispatch, EnvOverrideSelectsEachAvailableTier) {
   const Tier best = util::simd::detect_best_tier();
   // Forcing scalar always works, on any host.
   EXPECT_EQ(tier_in_subprocess("scalar"), static_cast<int>(Tier::kScalar));
-  // Each supported tier can be requested exactly.
-  for (Tier t : {Tier::kSse2, Tier::kAvx2}) {
-    if (t > best) continue;
-    EXPECT_EQ(tier_in_subprocess(std::string(util::simd::tier_name(t))),
-              static_cast<int>(t));
-  }
-  // Unknown values and requests above the host's capability fall back
-  // to auto-detection.
+  // Unknown values (the retired "sse2" among them) and requests above
+  // the host's capability fall back to auto-detection.
   EXPECT_EQ(tier_in_subprocess("bogus"), static_cast<int>(best));
+  EXPECT_EQ(tier_in_subprocess("sse2"), static_cast<int>(best));
   EXPECT_EQ(tier_in_subprocess("avx2"),
             static_cast<int>(std::min(Tier::kAvx2, best)));
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo health check: builds the default preset, verifies the SIMD arch
-# flags stay confined to the dispatched TUs, runs the self-checking
+# flag stays confined to the dispatched AVX2 TU, runs the self-checking
 # throughput benches (training core + SIMD tier differencing + batch
 # serving + daemon wire path + structural-memo sweep) and collects their
 # headline numbers into BENCH_train.json, BENCH_serve.json and
@@ -30,27 +30,29 @@ echo "== configure + build (default preset) =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 
-echo "== SIMD flag isolation (arch flags stay in the dispatched TUs) =="
-# The runtime dispatcher is only sound if AVX2/SSE2 codegen is confined
-# to the per-tier translation units: -mavx2 leaking into a generally
-# linked TU would let the compiler emit AVX2 in code that runs on any
-# host.  compile_commands.json is exported by the default preset.
+echo "== SIMD flag isolation (arch flags stay in the dispatched TU) =="
+# The runtime dispatcher is only sound if AVX2 codegen is confined to
+# simd_avx2.cpp: -mavx2 leaking into a generally linked TU would let the
+# compiler emit AVX2 in code that runs on any host.  simd_avx2.cpp may
+# carry exactly -mavx2; no TU may carry any other SSE/AVX/FMA -m flag.
+# compile_commands.json is exported by the default preset.
 python3 - <<'EOF'
-import json, sys
+import json, re, sys
 cc = json.load(open('build/compile_commands.json'))
 bad = []
 for e in cc:
     cmd = e.get('command') or ' '.join(e.get('arguments', []))
-    if '-mavx2' in cmd or '-msse2' in cmd:
-        f = e['file']
-        if not (f.endswith('simd_avx2.cpp') or f.endswith('simd_sse2.cpp')):
-            bad.append(f)
+    flags = set(re.findall(r'(?<!\S)-m(?:sse|avx|fma)\S*', cmd))
+    f = e['file']
+    allowed = {'-mavx2'} if f.endswith('simd_avx2.cpp') else set()
+    if flags - allowed:
+        bad.append(f + ': ' + ' '.join(sorted(flags - allowed)))
 if bad:
-    print('arch flags leaked outside the dispatched SIMD TUs:')
-    for f in bad:
-        print('  ' + f)
+    print('arch flags leaked outside simd_avx2.cpp:')
+    for line in bad:
+        print('  ' + line)
     sys.exit(1)
-print('arch flags confined to simd_sse2.cpp / simd_avx2.cpp')
+print('arch flags confined to simd_avx2.cpp (-mavx2 only)')
 EOF
 
 echo "== one fan-out primitive (util::ThreadPool stays behind util::parallel_for) =="
