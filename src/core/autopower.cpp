@@ -138,17 +138,10 @@ void AutoPowerModel::load_from_file(const std::string& path) {
   load(in);
 }
 
-power::PowerResult AutoPowerModel::predict(const EvalContext& ctx) const {
-  return predict_batch({&ctx, 1}).front();
-}
-
-std::vector<power::PowerResult> AutoPowerModel::predict_batch(
-    std::span<const EvalContext> ctxs) const {
-  if (ctxs.empty()) return {};  // nothing to do, even untrained
+template <typename Sink>
+void AutoPowerModel::for_each_group_power(std::span<const EvalContext> ctxs,
+                                          Sink&& sink) const {
   AP_REQUIRE(trained_, "AutoPower not trained");
-  std::vector<power::PowerResult> out(ctxs.size());
-  for (auto& r : out) r.components.resize(arch::kNumComponents);
-
   // Component-major: each component's group models see the whole batch at
   // once, so every GBT walks its flattened forest in one predict_rows
   // pass instead of once per context.
@@ -160,48 +153,44 @@ std::vector<power::PowerResult> AutoPowerModel::predict_batch(
     const auto sram = sram_[i].predict_batch(ctxs);
     logic_[i].predict_batch(ctxs, reg, comb);
     for (std::size_t j = 0; j < ctxs.size(); ++j) {
-      power::ComponentPower& cp = out[j].components[i];
-      cp.component = c;
-      cp.groups.clock = clock[j];
-      cp.groups.sram = sram[j];
-      cp.groups.logic_register = reg[j];
-      cp.groups.logic_comb = comb[j];
+      sink(c, j, power::PowerGroups{clock[j], sram[j], reg[j], comb[j]});
     }
   }
+}
+
+power::PowerResult AutoPowerModel::predict(const EvalContext& ctx) const {
+  return predict_batch({&ctx, 1}).front();
+}
+
+std::vector<power::PowerResult> AutoPowerModel::predict_batch(
+    std::span<const EvalContext> ctxs) const {
+  if (ctxs.empty()) return {};  // nothing to do, even untrained
+  std::vector<power::PowerResult> out(ctxs.size());
+  for (auto& r : out) r.components.resize(arch::kNumComponents);
+  for_each_group_power(ctxs, [&](arch::ComponentKind c, std::size_t j,
+                                 const power::PowerGroups& groups) {
+    out[j].components[static_cast<std::size_t>(c)] = {c, groups};
+  });
   return out;
 }
 
 double AutoPowerModel::predict_total(const EvalContext& ctx) const {
-  return predict(ctx).total();
+  return predict_total_batch({&ctx, 1}).front();
 }
 
 std::vector<double> AutoPowerModel::predict_total_batch(
     std::span<const EvalContext> ctxs) const {
   if (ctxs.empty()) return {};
-  AP_REQUIRE(trained_, "AutoPower not trained");
-  // Same component-major evaluation as predict_batch, but each context
-  // keeps one running PowerGroups instead of a 22-component vector.  The
-  // per-field accumulation in component order followed by
+  // Each context keeps one running PowerGroups instead of a 22-component
+  // vector.  The per-field accumulation in component order followed by
   // clock+sram+logic_register+logic_comb reproduces
   // PowerResult::totals().total() exactly, so every element is
   // bit-identical to predict(ctxs[i]).total().
   std::vector<power::PowerGroups> acc(ctxs.size());
-  std::vector<double> reg(ctxs.size());
-  std::vector<double> comb(ctxs.size());
-  for (arch::ComponentKind c : arch::all_components()) {
-    const auto i = static_cast<std::size_t>(c);
-    const auto clock = clock_[i].predict_batch(ctxs);
-    const auto sram = sram_[i].predict_batch(ctxs);
-    logic_[i].predict_batch(ctxs, reg, comb);
-    for (std::size_t j = 0; j < ctxs.size(); ++j) {
-      power::PowerGroups groups;
-      groups.clock = clock[j];
-      groups.sram = sram[j];
-      groups.logic_register = reg[j];
-      groups.logic_comb = comb[j];
-      acc[j] += groups;
-    }
-  }
+  for_each_group_power(ctxs, [&](arch::ComponentKind, std::size_t j,
+                                 const power::PowerGroups& groups) {
+    acc[j] += groups;
+  });
   std::vector<double> out;
   out.reserve(ctxs.size());
   for (const power::PowerGroups& groups : acc) out.push_back(groups.total());
@@ -210,11 +199,7 @@ std::vector<double> AutoPowerModel::predict_total_batch(
 
 std::vector<double> AutoPowerModel::predict_trace(
     std::span<const EvalContext> windows) const {
-  const auto results = predict_batch(windows);
-  std::vector<double> out;
-  out.reserve(results.size());
-  for (const auto& r : results) out.push_back(r.total());
-  return out;
+  return predict_total_batch(windows);
 }
 
 const ClockPowerModel& AutoPowerModel::clock_model(

@@ -66,29 +66,31 @@ class AutoPowerModel {
   void train(std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden, std::size_t threads = 1);
 
-  /// Full per-component, per-group power prediction (mW).
+  /// Full per-component, per-group power prediction (mW): predict_batch
+  /// of one context.
   [[nodiscard]] power::PowerResult predict(const EvalContext& ctx) const;
 
   /// Batched prediction: one PowerResult per context, evaluated
   /// component-major so every GBT sub-model makes a single pass over its
-  /// flattened forest for the whole batch.  Element i is bit-identical to
-  /// predict(ctxs[i]).
+  /// flattened forest for the whole batch.  Element i does not depend on
+  /// the rest of the batch.
   [[nodiscard]] std::vector<power::PowerResult> predict_batch(
       std::span<const EvalContext> ctxs) const;
 
-  /// Total core power (mW).
+  /// Total core power (mW): predict_total_batch of one context.
   [[nodiscard]] double predict_total(const EvalContext& ctx) const;
 
   /// Batched totals: element i is bit-identical to
-  /// predict(ctxs[i]).total(), evaluated component-major like
-  /// predict_batch but holding only one PowerGroups accumulator per
+  /// predict(ctxs[i]).total(), evaluated by the same component-major loop
+  /// as predict_batch but holding only one PowerGroups accumulator per
   /// context instead of the full 22-component breakdown — the scoring
-  /// path for surrogate-driven search loops that rank thousands of
-  /// candidates per generation and never look at per-component power.
+  /// path for search loops and power traces that never look at
+  /// per-component power.
   [[nodiscard]] std::vector<double> predict_total_batch(
       std::span<const EvalContext> ctxs) const;
 
-  /// Per-window total power for a time-based power trace.
+  /// Per-window total power for a time-based power trace
+  /// (predict_total_batch over the windows).
   [[nodiscard]] std::vector<double> predict_trace(
       std::span<const EvalContext> windows) const;
 
@@ -128,6 +130,13 @@ class AutoPowerModel {
   std::string fingerprint_;
 
   void refresh_fingerprint();
+
+  /// The one component-major loop behind predict_batch and
+  /// predict_total_batch: calls sink(component, j, groups) with the group
+  /// powers of ctxs[j], components in Table III order.
+  template <typename Sink>
+  void for_each_group_power(std::span<const EvalContext> ctxs,
+                            Sink&& sink) const;
 };
 
 }  // namespace autopower::core

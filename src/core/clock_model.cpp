@@ -7,23 +7,6 @@
 
 namespace autopower::core {
 
-namespace {
-
-/// Deduplicates configurations: structural sub-models (F_reg, F_gate) get
-/// one sample per known configuration, not one per workload.
-std::vector<const arch::HardwareConfig*> unique_configs(
-    std::span<const EvalContext> samples) {
-  std::vector<const arch::HardwareConfig*> out;
-  for (const auto& s : samples) {
-    if (std::find(out.begin(), out.end(), s.cfg) == out.end()) {
-      out.push_back(s.cfg);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void ClockPowerModel::train(arch::ComponentKind c,
                             std::span<const EvalContext> samples,
                             const power::GoldenPowerModel& golden) {
@@ -122,23 +105,8 @@ double ClockPowerModel::predict_gating_rate(
       0.0, 0.99);
 }
 
-double ClockPowerModel::predict_effective_active_rate(
-    const EvalContext& ctx) const {
-  if (!trained_) throw util::NotFitted("clock model not trained");
-  const auto f = feature_vector(component_, FeatureSpec::he(), *ctx.cfg,
-                                ctx.events, ctx.program);
-  return options_.linear_alpha ? alpha_linear_model_.predict(f)
-                               : alpha_model_.predict(f);
-}
-
 double ClockPowerModel::predict(const EvalContext& ctx) const {
-  const double r = predict_register_count(*ctx.cfg);
-  const double g = predict_gating_rate(*ctx.cfg);
-  const double alpha_eff = predict_effective_active_rate(ctx);
-  const double p_reg =
-      techlib::TechLibrary::default_40nm().clock_pin_energy;
-  // Eq. 7: P_clk = R (1 - g) p_reg + alpha' R g.
-  return std::max(0.0, r * (1.0 - g) * p_reg + alpha_eff * r * g);
+  return predict_batch({&ctx, 1}).front();
 }
 
 std::vector<double> ClockPowerModel::predict_batch(
@@ -148,8 +116,7 @@ std::vector<double> ClockPowerModel::predict_batch(
 
   // alpha' for all contexts in one flattened-forest (or batched ridge)
   // pass; R and g go through the batched ridge path over one shared
-  // row-major H matrix instead of re-assembling features per context.
-  // Every batched predict is bit-identical to its per-context twin.
+  // row-major H matrix.
   const auto he_rows = feature_rows(component_, FeatureSpec::he(), ctxs);
   const std::size_t he_arity = he_rows.size() / ctxs.size();
   const std::vector<double> alpha =
@@ -157,21 +124,17 @@ std::vector<double> ClockPowerModel::predict_batch(
           ? alpha_linear_model_.predict_rows(he_rows, he_arity)
           : alpha_model_.predict_rows(he_rows, he_arity);
 
-  const auto params = arch::component_hw_params(component_);
-  std::vector<double> h_rows;
-  h_rows.reserve(ctxs.size() * params.size());
-  for (const auto& ctx : ctxs) {
-    for (const arch::HwParam p : params) h_rows.push_back(ctx.cfg->value_d(p));
-  }
-  const std::vector<double> r_all =
-      reg_model_.predict_rows(h_rows, params.size());
-  std::vector<double> g_all = gate_model_.predict_rows(h_rows, params.size());
+  const auto h_rows = feature_rows(component_, FeatureSpec::h(), ctxs);
+  const std::size_t h_arity = h_rows.size() / ctxs.size();
+  const std::vector<double> r_all = reg_model_.predict_rows(h_rows, h_arity);
+  const std::vector<double> g_all = gate_model_.predict_rows(h_rows, h_arity);
 
   const double p_reg = techlib::TechLibrary::default_40nm().clock_pin_energy;
   std::vector<double> out(ctxs.size());
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
     const double r = r_all[i];
     const double g = std::clamp(g_all[i], 0.0, 0.99);
+    // Eq. 7: P_clk = R (1 - g) p_reg + alpha' R g.
     out[i] = std::max(0.0, r * (1.0 - g) * p_reg + alpha[i] * r * g);
   }
   return out;

@@ -52,22 +52,22 @@ class ClockPowerModel {
   void train(arch::ComponentKind c, std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden);
 
-  /// Predicted clock power (mW) via Eq. 7.
+  /// Predicted clock power (mW) via Eq. 7: predict_batch of one context.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// Batched Eq. 7 over many contexts: alpha' is evaluated through the
-  /// GBT's flattened predict_rows path.  Bit-identical to predict() per
-  /// context.
+  /// Eq. 7 over many contexts, the one implementation of the formula:
+  /// alpha' goes through the GBT's flattened predict_rows path, R and g
+  /// through the batched ridge path over one shared H matrix.  Element i
+  /// does not depend on the rest of the batch.
   [[nodiscard]] std::vector<double> predict_batch(
       std::span<const EvalContext> ctxs) const;
 
-  // Sub-model outputs, exposed for the Fig. 7 sub-model accuracy study.
+  // Structural sub-model outputs, exposed for the Fig. 7 sub-model
+  // accuracy study.
   [[nodiscard]] double predict_register_count(
       const arch::HardwareConfig& cfg) const;
   [[nodiscard]] double predict_gating_rate(
       const arch::HardwareConfig& cfg) const;
-  [[nodiscard]] double predict_effective_active_rate(
-      const EvalContext& ctx) const;
 
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 

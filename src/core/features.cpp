@@ -1,5 +1,7 @@
 #include "core/features.hpp"
 
+#include <algorithm>
+
 namespace autopower::core {
 
 std::vector<std::string> feature_names(arch::ComponentKind c,
@@ -68,6 +70,17 @@ std::vector<double> feature_rows(arch::ComponentKind c,
     }
   }
   return rows;
+}
+
+std::vector<const arch::HardwareConfig*> unique_configs(
+    std::span<const EvalContext> samples) {
+  std::vector<const arch::HardwareConfig*> out;
+  for (const auto& s : samples) {
+    if (std::find(out.begin(), out.end(), s.cfg) == out.end()) {
+      out.push_back(s.cfg);
+    }
+  }
+  return out;
 }
 
 }  // namespace autopower::core

@@ -61,4 +61,10 @@ void feature_vector_into(arch::ComponentKind c, const FeatureSpec& spec,
     arch::ComponentKind c, const FeatureSpec& spec,
     std::span<const EvalContext> ctxs);
 
+/// The distinct configurations of `samples`, in first-seen order:
+/// structural sub-models (F_reg, F_gate, the SRAM hardware model) get one
+/// sample per known configuration, not one per workload.
+[[nodiscard]] std::vector<const arch::HardwareConfig*> unique_configs(
+    std::span<const EvalContext> samples);
+
 }  // namespace autopower::core

@@ -104,26 +104,11 @@ void LogicPowerModel::load(util::ArchiveReader& in) {
   comb_var_model_.load(in);
 }
 
-double LogicPowerModel::predict_register_power(const EvalContext& ctx) const {
-  AP_REQUIRE(trained_, "logic model not trained");
-  const double r = reg_count_model_.predict(
-      ctx.cfg->features_for(arch::component_hw_params(component_)));
-  const double act = reg_act_model_.predict(feature_vector(
-      component_, FeatureSpec::he(), *ctx.cfg, ctx.events, ctx.program));
-  return std::max(0.0, r * act);  // Eq. 11
-}
-
-double LogicPowerModel::predict_comb_power(const EvalContext& ctx) const {
-  AP_REQUIRE(trained_, "logic model not trained");
-  const double sta = comb_stable_model_.predict(
-      ctx.cfg->features_for(arch::component_hw_params(component_)));
-  const double var = comb_var_model_.predict(feature_vector(
-      component_, FeatureSpec::he(), *ctx.cfg, ctx.events, ctx.program));
-  return std::max(0.0, sta * var);  // Eq. 12
-}
-
 double LogicPowerModel::predict(const EvalContext& ctx) const {
-  return predict_register_power(ctx) + predict_comb_power(ctx);
+  double reg = 0.0;
+  double comb = 0.0;
+  predict_batch({&ctx, 1}, {&reg, 1}, {&comb, 1});
+  return reg + comb;
 }
 
 void LogicPowerModel::predict_batch(std::span<const EvalContext> ctxs,
@@ -139,21 +124,15 @@ void LogicPowerModel::predict_batch(std::span<const EvalContext> ctxs,
   const auto act = reg_act_model_.predict_rows(rows, arity);
   const auto var = comb_var_model_.predict_rows(rows, arity);
 
-  // The structural ridge models run batched too, over one shared H
-  // matrix — bit-identical to the per-context predict(h) calls.
-  const auto params = arch::component_hw_params(component_);
-  std::vector<double> h_rows;
-  h_rows.reserve(ctxs.size() * params.size());
-  for (const auto& ctx : ctxs) {
-    for (const arch::HwParam p : params) h_rows.push_back(ctx.cfg->value_d(p));
-  }
-  const auto reg_count = reg_count_model_.predict_rows(h_rows, params.size());
-  const auto comb_stable =
-      comb_stable_model_.predict_rows(h_rows, params.size());
+  // The structural ridge models run batched too, over one shared H matrix.
+  const auto h_rows = feature_rows(component_, FeatureSpec::h(), ctxs);
+  const std::size_t h_arity = h_rows.size() / ctxs.size();
+  const auto reg_count = reg_count_model_.predict_rows(h_rows, h_arity);
+  const auto comb_stable = comb_stable_model_.predict_rows(h_rows, h_arity);
 
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    reg_out[i] = std::max(0.0, reg_count[i] * act[i]);
-    comb_out[i] = std::max(0.0, comb_stable[i] * var[i]);
+    reg_out[i] = std::max(0.0, reg_count[i] * act[i]);       // Eq. 11
+    comb_out[i] = std::max(0.0, comb_stable[i] * var[i]);  // Eq. 12
   }
 }
 

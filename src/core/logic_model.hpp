@@ -41,19 +41,18 @@ class LogicPowerModel {
   void train(arch::ComponentKind c, std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden);
 
-  /// Predicted logic power (register + combinational, mW).
+  /// Predicted logic power (register + combinational, mW): predict_batch
+  /// of one context.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// Batched Eq. 11/12 over many contexts, filling per-context register
-  /// and combinational power.  Both GBT activity models share one feature
-  /// matrix and go through the flattened predict_rows path; bit-identical
-  /// to the per-context getters.
+  /// Eq. 11-12 over many contexts, the one implementation of the
+  /// formulas, filling per-context register and combinational power.
+  /// Both GBT activity models share one feature matrix and go through the
+  /// flattened predict_rows path.  Element i does not depend on the rest
+  /// of the batch.
   void predict_batch(std::span<const EvalContext> ctxs,
                      std::span<double> reg_out,
                      std::span<double> comb_out) const;
-
-  [[nodiscard]] double predict_register_power(const EvalContext& ctx) const;
-  [[nodiscard]] double predict_comb_power(const EvalContext& ctx) const;
 
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 

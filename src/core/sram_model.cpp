@@ -8,21 +8,6 @@
 
 namespace autopower::core {
 
-namespace {
-
-std::vector<const arch::HardwareConfig*> unique_configs(
-    std::span<const EvalContext> samples) {
-  std::vector<const arch::HardwareConfig*> out;
-  for (const auto& s : samples) {
-    if (std::find(out.begin(), out.end(), s.cfg) == out.end()) {
-      out.push_back(s.cfg);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void SramPowerModel::train(arch::ComponentKind c,
                            std::span<const EvalContext> samples,
                            const power::GoldenPowerModel& golden) {
@@ -132,30 +117,7 @@ void SramPowerModel::load(util::ArchiveReader& in) {
 }
 
 double SramPowerModel::predict(const EvalContext& ctx) const {
-  AP_REQUIRE(trained_, "SRAM model not trained");
-  if (positions_.empty()) return 0.0;
-
-  const FeatureSpec spec = options_.program_features ? FeatureSpec::hep()
-                                                     : FeatureSpec::he();
-  const auto f =
-      feature_vector(component_, spec, *ctx.cfg, ctx.events, ctx.program);
-  const auto& macros = techlib::SramMacroLibrary::default_40nm();
-  const auto& lib = techlib::TechLibrary::default_40nm();
-
-  double total = 0.0;
-  for (const auto& pm : positions_) {
-    const BlockPrediction block = pm.hardware.predict(*ctx.cfg);
-    const auto mapping =
-        techlib::map_block_to_macros(macros, block.width, block.depth);
-    const double f_read = pm.read_model.predict(f);
-    const double f_write = pm.write_model.predict(f);
-    // Eq. 9 + Eq. 10: one row of macros per access, plus the constant C.
-    const double rw = lib.power_mw(
-        f_read * mapping.per_row * mapping.macro.read_energy +
-        f_write * mapping.per_row * mapping.macro.write_energy);
-    total += block.count * (rw + pm.pin_constant);
-  }
-  return std::max(0.0, total);
+  return predict_batch({&ctx, 1}).front();
 }
 
 std::vector<double> SramPowerModel::predict_batch(
@@ -173,8 +135,7 @@ std::vector<double> SramPowerModel::predict_batch(
   const auto& lib = techlib::TechLibrary::default_40nm();
 
   // Position-major so each position's two forests make one batched pass;
-  // out[i] accumulates positions in declaration order, the same order
-  // predict() sums them, so totals are bit-identical.
+  // out[i] accumulates positions in declaration order whatever the batch.
   for (const auto& pm : positions_) {
     const auto f_read = pm.read_model.predict_rows(rows, arity);
     const auto f_write = pm.write_model.predict_rows(rows, arity);
@@ -182,6 +143,7 @@ std::vector<double> SramPowerModel::predict_batch(
       const BlockPrediction block = pm.hardware.predict(*ctxs[i].cfg);
       const auto mapping =
           techlib::map_block_to_macros(macros, block.width, block.depth);
+      // Eq. 9 + Eq. 10: one row of macros per access, plus the constant C.
       const double rw = lib.power_mw(
           f_read[i] * mapping.per_row * mapping.macro.read_energy +
           f_write[i] * mapping.per_row * mapping.macro.write_energy);

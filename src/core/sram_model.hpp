@@ -51,12 +51,13 @@ class SramPowerModel {
              const power::GoldenPowerModel& golden);
 
   /// Predicted SRAM power of the component (mW), Eq. 10 summed over
-  /// positions.
+  /// positions: predict_batch of one context.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// Batched Eq. 10 over many contexts: per-position read/write
-  /// frequencies go through the GBTs' flattened predict_rows path.
-  /// Bit-identical to predict() per context.
+  /// Eq. 9-10 over many contexts, the one implementation of the formula:
+  /// per-position read/write frequencies go through the GBTs' flattened
+  /// predict_rows path.  Element i does not depend on the rest of the
+  /// batch.
   [[nodiscard]] std::vector<double> predict_batch(
       std::span<const EvalContext> ctxs) const;
 

@@ -11,8 +11,9 @@
 // Node arrays for one sample, while predict_rows()/predict_all() walk a
 // flattened structure-of-arrays forest (feature[] / threshold[] / left[] /
 // right[] / weight[], rebuilt on fit() and load()) tree-major over blocks
-// of samples.  Both are bit-identical; the flattened path is what the
-// batch-serving and trace-prediction layers use.
+// of samples.  Both are bit-identical.  Every prediction path in src/core
+// goes through predict_rows; the scalar predict() stays as the reference
+// the differential tests compare predict_rows against.
 #pragma once
 
 #include <cstdint>

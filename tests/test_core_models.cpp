@@ -103,7 +103,6 @@ TEST_F(GroupModelTest, ClockAlphaNonNegative) {
   ClockPowerModel model;
   model.train(ComponentKind::kLsu, *train_ctx_, *golden_);
   for (const auto* s : data_->samples_excluding(*train_configs_)) {
-    EXPECT_GE(model.predict_effective_active_rate(s->ctx), 0.0);
     EXPECT_GE(model.predict(s->ctx), 0.0);
   }
 }
@@ -197,8 +196,9 @@ TEST_F(GroupModelTest, LogicSplitsIntoRegisterAndComb) {
   LogicPowerModel model;
   model.train(ComponentKind::kRob, *train_ctx_, *golden_);
   const auto& ctx = data_->samples_excluding(*train_configs_)[0]->ctx;
-  const double reg = model.predict_register_power(ctx);
-  const double comb = model.predict_comb_power(ctx);
+  double reg = 0.0;
+  double comb = 0.0;
+  model.predict_batch({&ctx, 1}, {&reg, 1}, {&comb, 1});
   EXPECT_GT(reg, 0.0);
   EXPECT_GT(comb, 0.0);
   EXPECT_NEAR(model.predict(ctx), reg + comb, 1e-12);

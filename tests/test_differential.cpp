@@ -5,7 +5,8 @@
 // per oracle and compare the two paths exactly:
 //
 //   (a) reference vs presorted tree builder  -> byte-equal archives,
-//   (b) per-sample vs SoA batched forest predict -> identical doubles,
+//   (b) per-sample vs SoA batched forest predict, and per-context vs
+//       batched clock/SRAM/logic group predict -> identical doubles,
 //   (c) cold vs memoized / shared-structural-cache simulate and
 //       simulate_trace -> identical event vectors,
 //   (d) serial vs multi-threaded train / batch engine / sweep ->
@@ -19,6 +20,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -233,6 +235,141 @@ TEST(DifferentialTrees, ScalarVsBatchedPredictBitIdentical) {
       },
       [](const TreeCase& c) { return describe_dataset(c.data, c.opt); });
   ASSERT_TRUE(result.passed) << result.report;
+}
+
+// Oracle (b), group level: per-context vs batched power-group predict.
+//
+// Every clock / SRAM / logic model evaluates its power formula (Eq. 7,
+// Eq. 9-10, Eq. 11-12) over a whole batch in predict_batch.  Element i of
+// a batch must equal predict(ctxs[i]) for each of the 22 components,
+// wherever row i lands relative to predict_rows' 64-row block and the
+// SIMD tail; the batch sizes straddle both.
+
+constexpr std::size_t kGroupBatchSizes[] = {1, 63, 64, 65, 129};
+
+// Full-size models trained once on C1/C15.  The ablation variant (ridge
+// alpha', SRAM activity without program features) takes the other
+// branches of the clock and SRAM predict_batch.
+const core::AutoPowerModel& group_oracle_model(bool ablation) {
+  static const auto* const models = [] {
+    sim::SimOptions opt;
+    opt.sample_accesses = 500;
+    opt.sample_branches = 500;
+    sim::PerfSimulator sim(opt);
+    std::vector<core::EvalContext> train;
+    for (const char* cfg_name : {"C1", "C15"}) {
+      const auto& cfg = arch::boom_config(cfg_name);
+      for (const char* wl_name : {"dhrystone", "qsort", "vvadd", "median"}) {
+        const auto& wl = workload::workload_by_name(wl_name);
+        core::EvalContext ctx;
+        ctx.cfg = &cfg;
+        ctx.workload = wl.name;
+        ctx.program = workload::program_features(wl);
+        ctx.events = sim.simulate(cfg, wl);
+        train.push_back(std::move(ctx));
+      }
+    }
+    core::AutoPowerOptions ablation_opt;
+    ablation_opt.clock.linear_alpha = true;
+    ablation_opt.sram.program_features = false;
+    auto* out = new std::array<core::AutoPowerModel, 2>{
+        core::AutoPowerModel{}, core::AutoPowerModel{ablation_opt}};
+    for (auto& model : *out) model.train(train, shared_golden(), 1);
+    return out;
+  }();
+  return (*models)[ablation ? 1 : 0];
+}
+
+struct GroupCase {
+  arch::HardwareConfig cfg_a;
+  arch::HardwareConfig cfg_b;
+  workload::WorkloadProfile wl;
+  sim::SimOptions sim_opt;
+  bool ablation = false;
+  std::uint64_t pick_seed = 0;  ///< draws each batch's trace windows
+};
+
+std::string describe_group_case(const GroupCase& c) {
+  std::ostringstream out;
+  out << "configs " << c.cfg_a.name() << "/" << c.cfg_b.name()
+      << ", workload " << c.wl.name << " (" << c.wl.instructions
+      << " instrs), window=" << c.sim_opt.window_cycles
+      << (c.ablation ? ", ablation model" : ", default model")
+      << ", pick seed " << c.pick_seed;
+  return out.str();
+}
+
+TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
+  const auto result = testcore::run_property<GroupCase>(
+      {.name = "core.group_per_context_vs_batched", .cases = 25},
+      [](Pcg32& rng) {
+        GroupCase c{testcore::random_hardware_config(rng),
+                    testcore::random_hardware_config(rng),
+                    testcore::random_workload_profile(rng),
+                    testcore::small_sim_options(rng)};
+        c.wl.instructions = 20'000 + rng.next_below(20'000);
+        c.ablation = rng.next_bool();
+        c.pick_seed = rng.next_u64();
+        return c;
+      },
+      [](const GroupCase& c) -> std::optional<std::string> {
+        // Held-out contexts: trace windows of two random configurations.
+        sim::PerfSimulator sim(c.sim_opt);
+        std::vector<core::EvalContext> pool;
+        for (const auto* cfg : {&c.cfg_a, &c.cfg_b}) {
+          core::EvalContext ctx;
+          ctx.cfg = cfg;
+          ctx.workload = c.wl.name;
+          ctx.program = workload::program_features(c.wl);
+          for (const auto& window : sim.simulate_trace(*cfg, c.wl)) {
+            ctx.events = window;
+            pool.push_back(ctx);
+          }
+        }
+        if (pool.empty()) return "simulate_trace returned no windows";
+
+        const auto& model = group_oracle_model(c.ablation);
+        Pcg32 pick(c.pick_seed);
+        for (const std::size_t size : kGroupBatchSizes) {
+          std::vector<core::EvalContext> batch;
+          for (std::size_t k = 0; k < size; ++k) {
+            batch.push_back(pool[pick.index(pool.size())]);
+          }
+          for (const arch::ComponentKind comp : arch::all_components()) {
+            const auto& clock = model.clock_model(comp);
+            const auto& sram = model.sram_model(comp);
+            const auto& logic = model.logic_model(comp);
+            const auto clock_batched = clock.predict_batch(batch);
+            const auto sram_batched = sram.predict_batch(batch);
+            std::vector<double> reg(size);
+            std::vector<double> comb(size);
+            logic.predict_batch(batch, reg, comb);
+            for (std::size_t i = 0; i < size; ++i) {
+              const double per_context[] = {clock.predict(batch[i]),
+                                            sram.predict(batch[i]),
+                                            logic.predict(batch[i])};
+              const double batched[] = {clock_batched[i], sram_batched[i],
+                                        reg[i] + comb[i]};
+              for (int g = 0; g < 3; ++g) {
+                if (per_context[g] != batched[g]) {
+                  std::ostringstream msg;
+                  msg.precision(17);
+                  msg << arch::component_name(comp) << " "
+                      << (g == 0 ? "clock" : g == 1 ? "sram" : "logic")
+                      << ", batch " << size << " row " << i
+                      << ": predict()=" << per_context[g]
+                      << " predict_batch()=" << batched[g];
+                  return msg.str();
+                }
+              }
+            }
+          }
+        }
+        return std::nullopt;
+      },
+      describe_group_case);
+  ASSERT_TRUE(result.passed) << result.report;
+  EXPECT_GE(result.cases_run, 1);
 }
 
 // ---------------------------------------------------------------------

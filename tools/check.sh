@@ -68,6 +68,23 @@ if grep -rn --include='*.cpp' --include='*.hpp' --exclude-dir='build*' \
 fi
 echo "util::ThreadPool confined to src/util/ and tests/"
 
+echo "== one prediction path (GBT sub-models in src/core go through predict_rows) =="
+# Each power group's formula lives once, in its predict_batch, which
+# evaluates every GBT activity sub-model through the batched predict_rows.
+# The scalar GBTRegressor::predict walk stays an ml-level differential
+# oracle (tests/test_differential.cpp), never a src/core prediction path.
+gbt_members=$(grep -ho 'ml::GBTRegressor [A-Za-z_]*' src/core/*.hpp \
+  | awk '{print $2}' | sort -u | paste -sd'|' -)
+if [ -z "$gbt_members" ]; then
+  echo "no ml::GBTRegressor members found in src/core headers"
+  exit 1
+fi
+if grep -rnE "\b(${gbt_members})\.predict\(" src/core; then
+  echo "scalar GBT predict in src/core; evaluate through predict_rows"
+  exit 1
+fi
+echo "GBT sub-models in src/core (${gbt_members}) only use predict_rows"
+
 echo "== bench_train_throughput (self-check: bit-identity + speedup bars) =="
 ./build/bench/bench_train_throughput --json /tmp/autopower_bench_train.json
 
