@@ -5,7 +5,7 @@
 //      builder vs the per-node re-sorting reference.  The ensembles must
 //      be byte-identical (same splits, same tie-breaking); the fast
 //      builder must clear a 3x speedup bar.
-//   2. Batched inference — predict_all on the flattened SoA forest vs a
+//   2. Batched inference — predict_all on the padded forest vs a
 //      per-sample predict() loop.  Bit-identical outputs; 2x bar,
 //      single-threaded.
 //   2b. SIMD tier differencing — predict_all with the kernel table forced
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // --- 2. Flattened batched inference ------------------------------------
+  // --- 2. Padded-forest batched inference --------------------------------
   // Repeat the passes so the per-sample baseline runs long enough to time.
   constexpr int kPredictRepeats = 30;
   std::vector<double> per_sample(data.size());
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   }
   std::printf("predict loop, per-sample   : %.2f Msamples/s  (%.4f s)\n",
               data.size() / loop_s / 1e6, loop_s);
-  std::printf("predict_all, flattened     : %.2f Msamples/s  (%.4f s, "
+  std::printf("predict_all, padded        : %.2f Msamples/s  (%.4f s, "
               "%.2fx, bar 2.00x)\n",
               data.size() / batch_s / 1e6, batch_s, predict_speedup);
   std::printf("predictions bit-identical  : %s\n",
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // --- 2b. SIMD tier differencing on the flattened forest ----------------
+  // --- 2b. SIMD tier differencing on the padded forest -------------------
   // predict_all under a forced-scalar kernel table vs the host's best
   // tier.  The outputs must be bit-identical (the vector kernels promise
   // per-row op-order equality); the >= 2x speedup bar is enforced only

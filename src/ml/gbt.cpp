@@ -66,80 +66,31 @@ void GBTRegressor::fit(const Dataset& data) {
     }
     trees_.push_back(std::move(tree));
   }
-  rebuild_flat();
+  rebuild_padded();
   fitted_ = true;
 }
 
-void GBTRegressor::rebuild_flat() {
-  flat_feature_.clear();
-  flat_threshold_.clear();
-  flat_left_.clear();
-  flat_right_.clear();
-  flat_weight_.clear();
-  flat_roots_.clear();
-  flat_depth_.clear();
-  max_feature_ = -1;
-
-  std::size_t total = 0;
-  for (const auto& tree : trees_) total += tree.node_count();
-  flat_feature_.reserve(total);
-  flat_threshold_.reserve(total);
-  flat_left_.reserve(total);
-  flat_right_.reserve(total);
-  flat_weight_.reserve(total);
-  flat_roots_.reserve(trees_.size());
-  flat_depth_.reserve(trees_.size());
-
-  for (const auto& tree : trees_) {
-    flat_roots_.push_back(static_cast<std::int32_t>(flat_feature_.size()));
-    flat_depth_.push_back(static_cast<std::int32_t>(tree.depth()));
-    tree.flatten_into(flat_feature_, flat_threshold_, flat_left_, flat_right_,
-                      flat_weight_);
-  }
-  for (const std::int32_t f : flat_feature_) {
-    max_feature_ = std::max(max_feature_, static_cast<int>(f));
-  }
-  // The padded mirror must be built while leaf links are still -1 (the
-  // self-loop fixup below erases that distinction).
-  rebuild_padded();
-  // Make leaves self-looping so a fixed-depth level-synchronous walk lands
-  // on — and stays on — the correct leaf.  Leaf feature becomes 0 (a valid
-  // column; the comparison result no longer matters once both children are
-  // the node itself), which never raises max_feature_ above an interior
-  // node's.
-  for (std::size_t i = 0; i < flat_feature_.size(); ++i) {
-    if (flat_left_[i] < 0) {
-      flat_left_[i] = static_cast<std::int32_t>(i);
-      flat_right_[i] = static_cast<std::int32_t>(i);
-      flat_feature_[i] = 0;
-    }
-  }
-}
-
 void GBTRegressor::rebuild_padded() {
-  pad_depth_.clear();
-  pad_node_off_.clear();
-  pad_leaf_off_.clear();
+  pad_trees_.clear();
   pad_feature_.clear();
   pad_threshold_.clear();
   pad_weight_.clear();
-  pad_depth_.reserve(trees_.size());
-  pad_node_off_.reserve(trees_.size());
-  pad_leaf_off_.reserve(trees_.size());
+  pad_trees_.reserve(trees_.size());
+  max_feature_ = -1;
 
-  for (std::size_t t = 0; t < flat_roots_.size(); ++t) {
-    pad_node_off_.push_back(pad_feature_.size());
-    pad_leaf_off_.push_back(pad_weight_.size());
-    const std::int32_t depth = flat_depth_[t];
-    if (depth > util::simd::kMaxPaddedDepth) {
-      pad_depth_.push_back(-1);  // mask bits would overflow; scalar walk
-      continue;
+  for (const auto& tree : trees_) {
+    const auto nodes = tree.nodes();
+    for (const auto& node : nodes) {
+      max_feature_ = std::max(max_feature_, node.feature);
     }
-    pad_depth_.push_back(depth);
-    const std::size_t interior = (std::size_t{1} << depth) - 1;
-    const std::size_t leaves = std::size_t{1} << depth;
+    const std::int32_t depth = tree.depth();
     const std::size_t node_off = pad_feature_.size();
     const std::size_t leaf_off = pad_weight_.size();
+    const bool too_deep = depth > util::simd::kMaxPaddedDepth;
+    pad_trees_.push_back({too_deep ? -1 : depth, node_off, leaf_off});
+    if (too_deep) continue;  // predict_rows walks it with predict()
+    const std::size_t interior = (std::size_t{1} << depth) - 1;
+    const std::size_t leaves = std::size_t{1} << depth;
     pad_feature_.resize(node_off + interior, 0);
     pad_threshold_.resize(node_off + interior, 0.0);
     pad_weight_.resize(leaf_off + leaves, 0.0);
@@ -150,27 +101,27 @@ void GBTRegressor::rebuild_padded() {
     // is irrelevant once every leaf slot below holds the same weight).
     struct Item {
       std::size_t slot;
-      std::int32_t node;  // flat index; interior iff flat_left_[node] >= 0
+      int node;
     };
-    std::vector<Item> stack{{0, flat_roots_[t]}};
+    std::vector<Item> stack{{0, 0}};
     while (!stack.empty()) {
       const Item item = stack.back();
       stack.pop_back();
-      const auto node = static_cast<std::size_t>(item.node);
-      const bool is_leaf = flat_left_[node] < 0;
+      const auto& node = nodes[static_cast<std::size_t>(item.node)];
+      const bool is_leaf = node.feature < 0;
       if (item.slot >= interior) {
-        AP_ASSERT(is_leaf);  // depth counts the deepest interior level
-        pad_weight_[leaf_off + (item.slot - interior)] = flat_weight_[node];
+        AP_ASSERT(is_leaf);  // depth is the deepest node level
+        pad_weight_[leaf_off + (item.slot - interior)] = node.weight;
         continue;
       }
       if (is_leaf) {
         stack.push_back({2 * item.slot + 1, item.node});
         stack.push_back({2 * item.slot + 2, item.node});
       } else {
-        pad_feature_[node_off + item.slot] = flat_feature_[node];
-        pad_threshold_[node_off + item.slot] = flat_threshold_[node];
-        stack.push_back({2 * item.slot + 1, flat_left_[node]});
-        stack.push_back({2 * item.slot + 2, flat_right_[node]});
+        pad_feature_[node_off + item.slot] = node.feature;
+        pad_threshold_[node_off + item.slot] = node.threshold;
+        stack.push_back({2 * item.slot + 1, node.left});
+        stack.push_back({2 * item.slot + 2, node.right});
       }
     }
   }
@@ -205,7 +156,7 @@ void GBTRegressor::load(util::ArchiveReader& in) {
   AP_REQUIRE(n >= 0 && n < (1 << 20), "corrupt GBT archive");
   trees_.assign(static_cast<std::size_t>(n), RegressionTree{});
   for (auto& tree : trees_) tree.load(in);
-  rebuild_flat();
+  rebuild_padded();
 }
 
 double GBTRegressor::predict(std::span<const double> features) const {
@@ -236,32 +187,15 @@ std::vector<double> GBTRegressor::predict_rows(
   gbt_metrics().predict_rows.add(count);
   std::vector<double> out(count, base_score_);
 
-  // Tree-major over blocks of samples, level-synchronous within a tree:
-  // every sample in the block advances one level per pass, for exactly the
-  // tree's depth.  Self-looping leaves make the walk branch-free (a sample
-  // that reaches its leaf early just stays there), and the per-level loads
-  // are independent across the block — the CPU overlaps them instead of
-  // serialising one root-to-leaf chain per sample.  The per-sample
-  // accumulation order (tree 0, 1, ...) matches predict() exactly, so
-  // results are bit-identical.
+  // Tree-major over blocks of samples: each block is copied once into
+  // column-major scratch, then every padded tree runs through the
+  // dispatched forest_leaf_add kernel, which evaluates all of a tree's
+  // conditions with contiguous loads across rows.  The per-row
+  // accumulation order — tree 0, 1, ... with one mul-then-add per tree —
+  // matches predict() exactly, so every tier is bit-identical to it.
   constexpr std::size_t kBlock = 64;
   const double lr = options_.learning_rate;
-  const std::int32_t* const feature = flat_feature_.data();
-  const double* const threshold = flat_threshold_.data();
-  const std::int32_t* const left = flat_left_.data();
-  const std::int32_t* const right = flat_right_.data();
-  const double* const weight = flat_weight_.data();
-  std::int32_t idx[kBlock];
-
-  // SIMD tiers additionally run each padded tree through the vector
-  // forest_leaf_add kernel over a column-major copy of the block (the
-  // kernel evaluates all of a tree's conditions with contiguous loads
-  // across rows).  The per-row accumulation order — tree 0, 1, ... with
-  // one mul-then-add per tree — is identical either way, so the tiers
-  // are bit-identical; the scalar tier takes exactly the pre-SIMD path.
   const auto& kt = util::simd::kernels();
-  const bool vectorize = kt.tier != util::simd::Tier::kScalar &&
-                         !pad_depth_.empty();
   // Column scratch, neither allocated nor zero-filled per call: each block
   // writes rows [0, block) of every column before the kernel reads them,
   // and the kernel reads no other rows.  Every power-model arity (<= 28)
@@ -273,7 +207,7 @@ std::vector<double> GBTRegressor::predict_rows(
   std::vector<double> heap_cols;
   double* cols = stack_cols;
   const auto n_cols = static_cast<std::size_t>(max_feature_ + 1);
-  if (vectorize && n_cols > kStackColumns) {
+  if (n_cols > kStackColumns) {
     heap_cols.resize(n_cols * kBlock);
     cols = heap_cols.data();
   }
@@ -281,49 +215,34 @@ std::vector<double> GBTRegressor::predict_rows(
   for (std::size_t begin = 0; begin < count; begin += kBlock) {
     const std::size_t block = std::min(kBlock, count - begin);
     const double* const block_rows = rows.data() + begin * num_features;
-    if (vectorize) {
-      // Row-major copy order: reads stream sequentially and the 4 KiB
-      // cols buffer stays L1-resident, which beats a per-feature
-      // strided-gather pass here (each gather lane would touch its own
-      // cache line at typical feature arities).
-      for (std::size_t i = 0; i < block; ++i) {
-        const double* const r = block_rows + i * num_features;
-        for (int f = 0; f <= max_feature_; ++f) {
-          cols[static_cast<std::size_t>(f) * kBlock + i] = r[f];
-        }
+    // Row-major copy order: reads stream sequentially and the cols
+    // buffer stays L1-resident, which beats a per-feature strided-gather
+    // pass here (each gather lane would touch its own cache line at
+    // typical feature arities).
+    for (std::size_t i = 0; i < block; ++i) {
+      const double* const r = block_rows + i * num_features;
+      for (int f = 0; f <= max_feature_; ++f) {
+        cols[static_cast<std::size_t>(f) * kBlock + i] = r[f];
       }
     }
-    for (std::size_t t = 0; t < flat_roots_.size(); ++t) {
-      if (vectorize && pad_depth_[t] >= 0) {
-        const util::simd::PaddedTreeView view{
-            pad_feature_.data() + pad_node_off_[t],
-            pad_threshold_.data() + pad_node_off_[t],
-            pad_weight_.data() + pad_leaf_off_[t],
-            pad_depth_[t],
-        };
-        kt.forest_leaf_add(view, cols, kBlock, block, lr,
-                           out.data() + begin);
+    for (std::size_t t = 0; t < pad_trees_.size(); ++t) {
+      const PaddedTree& pad = pad_trees_[t];
+      if (pad.depth < 0) {
+        // Deeper than the padded layout: the scalar oracle, per row.
+        for (std::size_t i = 0; i < block; ++i) {
+          out[begin + i] +=
+              lr * trees_[t].predict(
+                       {block_rows + i * num_features, num_features});
+        }
         continue;
       }
-      const std::int32_t root = flat_roots_[t];
-      const std::int32_t depth = flat_depth_[t];
-      for (std::size_t i = 0; i < block; ++i) idx[i] = root;
-      for (std::int32_t level = 0; level < depth; ++level) {
-        for (std::size_t i = 0; i < block; ++i) {
-          const auto k = static_cast<std::size_t>(idx[i]);
-          const double x = block_rows[i * num_features +
-                                      static_cast<std::size_t>(feature[k])];
-          // Branchless select: split direction is data-dependent and
-          // unpredictable, so a conditional jump here would mispredict
-          // roughly every other node and stall the whole block.
-          const std::int32_t mask = -static_cast<std::int32_t>(
-              x < threshold[k]);
-          idx[i] = (left[k] & mask) | (right[k] & ~mask);
-        }
-      }
-      for (std::size_t i = 0; i < block; ++i) {
-        out[begin + i] += lr * weight[static_cast<std::size_t>(idx[i])];
-      }
+      const util::simd::PaddedTreeView view{
+          pad_feature_.data() + pad.node_off,
+          pad_threshold_.data() + pad.node_off,
+          pad_weight_.data() + pad.leaf_off,
+          pad.depth,
+      };
+      kt.forest_leaf_add(view, cols, kBlock, block, lr, out.data() + begin);
     }
   }
 

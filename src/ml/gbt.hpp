@@ -7,13 +7,13 @@
 // loss: second-order boosting with shrinkage, L2 leaf regularisation and
 // gamma split cost.  Deterministic — no row/column subsampling.
 //
-// Inference comes in two layouts: predict() pointer-walks the per-tree
-// Node arrays for one sample, while predict_rows()/predict_all() walk a
-// flattened structure-of-arrays forest (feature[] / threshold[] / left[] /
-// right[] / weight[], rebuilt on fit() and load()) tree-major over blocks
-// of samples.  Both are bit-identical.  Every prediction path in src/core
-// goes through predict_rows; the scalar predict() stays as the reference
-// the differential tests compare predict_rows against.
+// predict() pointer-walks each tree's nodes for one sample.  The batched
+// predict_rows()/predict_all() use one layout: every tree mirrored into a
+// padded perfect tree (rebuilt on fit() and load()) that the dispatched
+// util::simd forest_leaf_add kernel walks tree-major over column-major
+// blocks of samples.  Both are bit-identical.  Every prediction path in
+// src/core goes through predict_rows; the scalar predict() stays as the
+// reference the differential tests compare predict_rows against.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +46,13 @@ class GBTRegressor {
   /// Predicts one sample; throws util::NotFitted before fit().
   [[nodiscard]] double predict(std::span<const double> features) const;
 
-  /// Predicts every sample in a dataset (batched, flattened-forest path).
+  /// Predicts every sample in a dataset (batched, padded-forest path).
   [[nodiscard]] std::vector<double> predict_all(const Dataset& data) const;
 
   /// Batched prediction over `rows.size() / num_features` feature vectors
   /// stored row-major in `rows`.  Iterates tree-major over blocks of
-  /// samples on the flattened SoA forest; bit-identical to calling
-  /// predict() on each row.
+  /// samples on the padded forest; bit-identical to calling predict() on
+  /// each row.
   [[nodiscard]] std::vector<double> predict_rows(
       std::span<const double> rows, std::size_t num_features) const;
 
@@ -67,7 +67,6 @@ class GBTRegressor {
   void load(util::ArchiveReader& in);
 
  private:
-  void rebuild_flat();
   void rebuild_padded();
 
   GbtOptions options_;
@@ -75,33 +74,22 @@ class GBTRegressor {
   double base_score_ = 0.0;
   bool fitted_ = false;
 
-  // Flattened SoA forest (rebuilt on fit()/load()): every tree's nodes
-  // concatenated, child links rebased to absolute indices.  Leaves are
-  // made self-looping (left = right = own index, feature = 0) so a block
-  // of samples can be advanced level-synchronously for exactly the tree's
-  // depth with no per-sample termination test — the traversal becomes
-  // independent work across samples instead of one serial load chain each.
-  std::vector<std::int32_t> flat_feature_;
-  std::vector<double> flat_threshold_;
-  std::vector<std::int32_t> flat_left_;
-  std::vector<std::int32_t> flat_right_;
-  std::vector<double> flat_weight_;
-  std::vector<std::int32_t> flat_roots_;  ///< root node index per tree
-  std::vector<std::int32_t> flat_depth_;  ///< levels to walk per tree
-  int max_feature_ = -1;  ///< highest feature index any node tests
-
-  // Padded perfect-tree mirror of the flat forest, consumed by the SIMD
-  // forest_leaf_add kernel (util/simd.hpp): per tree of depth d, 2^d - 1
-  // interior slots in breadth-first order plus 2^d leaf slots, with each
-  // real leaf's weight replicated across every leaf slot of its padded
-  // subtree.  Trees deeper than simd::kMaxPaddedDepth get pad_depth_ -1
-  // and fall back to the scalar level-synchronous walk per tree.
-  std::vector<std::int32_t> pad_depth_;      ///< padded depth, -1 = too deep
-  std::vector<std::size_t> pad_node_off_;    ///< per-tree interior offset
-  std::vector<std::size_t> pad_leaf_off_;    ///< per-tree leaf offset
+  // Padded perfect-tree mirror of trees_ (util::simd::PaddedTreeView): per
+  // tree of depth d, 2^d - 1 interior slots in breadth-first order plus
+  // 2^d leaf slots, with each real leaf's weight replicated across every
+  // leaf slot of its padded subtree.  A tree deeper than
+  // simd::kMaxPaddedDepth gets depth -1 and no slots; predict_rows walks
+  // it with RegressionTree::predict instead.
+  struct PaddedTree {
+    std::int32_t depth;    ///< padded depth, -1 = too deep
+    std::size_t node_off;  ///< offset into pad_feature_/pad_threshold_
+    std::size_t leaf_off;  ///< offset into pad_weight_
+  };
+  std::vector<PaddedTree> pad_trees_;
   std::vector<std::int32_t> pad_feature_;
   std::vector<double> pad_threshold_;
   std::vector<double> pad_weight_;
+  int max_feature_ = -1;  ///< highest feature index any node tests
 };
 
 }  // namespace autopower::ml

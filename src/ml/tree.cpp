@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -279,21 +280,6 @@ int RegressionTree::build_reference(const Dataset& data,
   return node_index;
 }
 
-void RegressionTree::flatten_into(std::vector<std::int32_t>& feature,
-                                  std::vector<double>& threshold,
-                                  std::vector<std::int32_t>& left,
-                                  std::vector<std::int32_t>& right,
-                                  std::vector<double>& weight) const {
-  const auto offset = static_cast<std::int32_t>(feature.size());
-  for (const Node& n : nodes_) {
-    feature.push_back(n.feature);
-    threshold.push_back(n.threshold);
-    left.push_back(n.left < 0 ? -1 : n.left + offset);
-    right.push_back(n.right < 0 ? -1 : n.right + offset);
-    weight.push_back(n.weight);
-  }
-}
-
 void RegressionTree::save(util::ArchiveWriter& out) const {
   out.write("tree.depth", static_cast<std::int64_t>(depth_));
   std::vector<std::int64_t> structure;
@@ -312,7 +298,8 @@ void RegressionTree::save(util::ArchiveWriter& out) const {
 }
 
 void RegressionTree::load(util::ArchiveReader& in) {
-  depth_ = static_cast<int>(in.read_int("tree.depth"));
+  const std::int64_t archived_depth = in.read_int("tree.depth");
+  AP_REQUIRE(archived_depth >= 0, "corrupt tree archive: negative depth");
   const auto structure = in.read_ints("tree.structure");
   const auto values = in.read_doubles("tree.values");
   AP_REQUIRE(structure.size() % 3 == 0 &&
@@ -340,6 +327,30 @@ void RegressionTree::load(util::ArchiveReader& in) {
                "corrupt tree archive: interior node missing a child");
   }
   AP_REQUIRE(!nodes_.empty(), "corrupt tree archive: no nodes");
+
+  // Walk from the root: a node reached twice is a cycle or a shared child
+  // (predict() could loop forever), a node never reached is garbage.  Each
+  // node is expanded at most once, so the walk itself always terminates.
+  std::vector<unsigned char> seen(n, 0);
+  std::vector<std::pair<int, int>> stack{{0, 0}};  // (node, level)
+  std::size_t reached = 0;
+  depth_ = 0;
+  while (!stack.empty()) {
+    const auto [idx, level] = stack.back();
+    stack.pop_back();
+    const auto i = static_cast<std::size_t>(idx);
+    AP_REQUIRE(!seen[i], "corrupt tree archive: node reached twice");
+    seen[i] = 1;
+    ++reached;
+    depth_ = std::max(depth_, level);
+    if (nodes_[i].feature >= 0) {
+      stack.push_back({nodes_[i].left, level + 1});
+      stack.push_back({nodes_[i].right, level + 1});
+    }
+  }
+  AP_REQUIRE(reached == n, "corrupt tree archive: unreachable node");
+  AP_REQUIRE(archived_depth == depth_,
+             "corrupt tree archive: depth disagrees with the nodes");
 }
 
 double RegressionTree::predict(std::span<const double> features) const {

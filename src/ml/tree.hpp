@@ -41,6 +41,14 @@ struct TreeOptions {
 /// A fitted regression tree (flat node array, index 0 is the root).
 class RegressionTree {
  public:
+  struct Node {
+    int feature = -1;        ///< -1 for leaves
+    double threshold = 0.0;  ///< go left if x[feature] < threshold
+    int left = -1;
+    int right = -1;
+    double weight = 0.0;  ///< leaf value
+  };
+
   /// Fits the tree to gradients/hessians over the dataset's features.
   /// `grad` and `hess` must have `data.size()` entries.
   void fit(const Dataset& data, std::span<const double> grad,
@@ -52,30 +60,22 @@ class RegressionTree {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
+  /// Deepest node level (the root is level 0).
   [[nodiscard]] int depth() const noexcept { return depth_; }
+  /// The nodes, root at index 0: each is reachable from the root exactly
+  /// once and interior nodes have both children.  GBTRegressor mirrors
+  /// them into its padded inference layout.
+  [[nodiscard]] std::span<const Node> nodes() const noexcept {
+    return nodes_;
+  }
 
-  /// Appends this tree's nodes to a flattened structure-of-arrays forest,
-  /// rebasing child links to absolute indices (leaf links stay -1).
-  /// GBTRegressor builds its batched inference layout from this.
-  void flatten_into(std::vector<std::int32_t>& feature,
-                    std::vector<double>& threshold,
-                    std::vector<std::int32_t>& left,
-                    std::vector<std::int32_t>& right,
-                    std::vector<double>& weight) const;
-
-  /// Serialization (see util/archive.hpp).
+  /// Serialization (see util/archive.hpp).  load() rejects a node graph
+  /// that is not a tree rooted at node 0, and a `tree.depth` that
+  /// disagrees with it, with util::InvalidArgument.
   void save(util::ArchiveWriter& out) const;
   void load(util::ArchiveReader& in);
 
  private:
-  struct Node {
-    int feature = -1;        // -1 for leaves
-    double threshold = 0.0;  // go left if x[feature] < threshold
-    int left = -1;
-    int right = -1;
-    double weight = 0.0;  // leaf value
-  };
-
   struct PresortWorkspace;  // defined in tree.cpp
 
   int build_reference(const Dataset& data, std::span<const double> grad,

@@ -66,7 +66,9 @@ void scalar_forest_leaf_add(const PaddedTreeView& tree, const double* cols,
       const double x =
           cols[static_cast<std::size_t>(tree.feature[idx]) * col_stride + i];
       // NaN compares false -> right child, matching the fitted walk.
-      idx = 2 * idx + (x < tree.threshold[idx] ? 1 : 2);
+      // Arithmetic on the comparison, not a branch: split directions are
+      // data-dependent, so a branch would mispredict often.
+      idx = 2 * idx + 2 - static_cast<std::int32_t>(x < tree.threshold[idx]);
     }
     out[i] += lr * tree.weight[idx - interior];
   }

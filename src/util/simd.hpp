@@ -53,7 +53,8 @@ enum class Tier : int { kScalar = 0, kAvx2 = 2 };
 /// tree is replicated across all leaf slots of its padded subtree (so
 /// the walk direction through padded interior slots cannot matter).
 /// Node k's children are 2k+1 (x[feature[k]] < threshold[k]) and 2k+2;
-/// depth <= kMaxPaddedDepth so the 2^d - 1 condition bits fit a uint64.
+/// depth <= kMaxPaddedDepth so the 2^d - 1 condition bits fit a 32-bit
+/// lane.
 struct PaddedTreeView {
   const std::int32_t* feature;
   const double* threshold;
@@ -61,9 +62,11 @@ struct PaddedTreeView {
   std::int32_t depth;
 };
 
-/// Deepest tree the padded layout accepts: 2^6 - 1 = 63 interior
-/// condition bits is the most a per-row uint64 mask can carry.
-inline constexpr std::int32_t kMaxPaddedDepth = 6;
+/// Deepest tree the padded layout accepts: 2^5 - 1 = 31 interior
+/// condition bits is the most a per-row 32-bit mask lane can carry.
+/// ml::GBTRegressor walks deeper trees with the scalar
+/// RegressionTree::predict instead.
+inline constexpr std::int32_t kMaxPaddedDepth = 5;
 
 /// The dispatched kernels.  All pointers are always non-null (the
 /// scalar implementation backs any slot a tier does not accelerate).

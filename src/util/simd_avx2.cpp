@@ -108,17 +108,17 @@ void avx2_affine_rows(const double* rows, std::size_t arity,
   }
 }
 
-/// Depth <= 5 fast path: a row's at-most-31 condition bits fit a 32-bit
-/// lane, so the mask accumulation and the walk run 8 rows per register
-/// instead of 4.  The condition compares are still 64-bit (doubles);
-/// each pair of compare results is packed to one 8-lane truth register
-/// with a single shuffle.  The pack maps rows [0,1,4,5 | 2,3,6,7] into
-/// lanes (shuffle_ps works within 128-bit halves); the walk is
-/// lane-wise so any consistent lane->row map works, and the weight
-/// permute before the store undoes it.
-void avx2_forest_leaf_add_w32(const PaddedTreeView& tree, const double* cols,
-                              std::size_t col_stride, std::size_t rows,
-                              double lr, double* out) {
+/// A row's at-most-31 condition bits (depth <= kMaxPaddedDepth = 5) fit
+/// a 32-bit lane, so the mask accumulation and the walk run 8 rows per
+/// register.  The condition compares are still 64-bit (doubles); each
+/// pair of compare results is packed to one 8-lane truth register with a
+/// single shuffle.  The pack maps rows [0,1,4,5 | 2,3,6,7] into lanes
+/// (shuffle_ps works within 128-bit halves); the walk is lane-wise so any
+/// consistent lane->row map works, and the weight permute before the
+/// store undoes it.
+void avx2_forest_leaf_add(const PaddedTreeView& tree, const double* cols,
+                          std::size_t col_stride, std::size_t rows, double lr,
+                          double* out) {
   const std::int32_t interior = (1 << tree.depth) - 1;
   const __m256d lrv = _mm256_set1_pd(lr);
   const __m256i one = _mm256_set1_epi32(1);
@@ -193,110 +193,6 @@ void avx2_forest_leaf_add_w32(const PaddedTreeView& tree, const double* cols,
     _mm256_storeu_pd(out + i + 12,
                      _mm256_add_pd(_mm256_loadu_pd(out + i + 12),
                                    _mm256_mul_pd(lrv, d)));
-  }
-  if (i < rows) {
-    detail::scalar_forest_leaf_add(tree, cols + i, col_stride, rows - i, lr,
-                                   out + i);
-  }
-}
-
-void avx2_forest_leaf_add(const PaddedTreeView& tree, const double* cols,
-                          std::size_t col_stride, std::size_t rows, double lr,
-                          double* out) {
-  if (tree.depth <= 5) {
-    avx2_forest_leaf_add_w32(tree, cols, col_stride, rows, lr, out);
-    return;
-  }
-  // Depth 6: 63 condition bits need 64-bit lanes for the mask and walk.
-  const std::int32_t interior = (1 << tree.depth) - 1;
-  const __m256d lrv = _mm256_set1_pd(lr);
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i two = _mm256_set1_epi64x(2);
-  const __m256i top = _mm256_set1_epi64x(interior - 1);
-  const __m256i iv = _mm256_set1_epi64x(interior);
-  std::size_t i = 0;
-  // 16 rows per pass: the per-node bookkeeping (feature load, column
-  // address, threshold broadcast, loop control) then amortises over four
-  // compare lanes instead of one, which is what lifts this kernel past
-  // the 2x bar over the already-ILP-friendly scalar block walk.
-  for (; i + 16 <= rows; i += 16) {
-    // Evaluate every interior condition: feature columns are contiguous
-    // across rows, so each condition is four unaligned loads plus one
-    // broadcast threshold.  The mask accumulates by doubling
-    // (m = 2m + cond, the compare result being all-ones), which needs no
-    // per-node bit constant; node k's truth therefore lands at bit
-    // position interior-1-k (depth <= 6 -> at most 63 conditions).
-    __m256i m0 = _mm256_setzero_si256();
-    __m256i m1 = m0;
-    __m256i m2 = m0;
-    __m256i m3 = m0;
-    for (std::int32_t k = 0; k < interior; ++k) {
-      const double* c =
-          cols + static_cast<std::size_t>(tree.feature[k]) * col_stride + i;
-      // _CMP_LT_OQ: false for NaN, matching the scalar `x < thr`.
-      const __m256d tv = _mm256_set1_pd(tree.threshold[k]);
-      const __m256i l0 =
-          _mm256_castpd_si256(_mm256_cmp_pd(_mm256_loadu_pd(c), tv,
-                                            _CMP_LT_OQ));
-      const __m256i l1 =
-          _mm256_castpd_si256(_mm256_cmp_pd(_mm256_loadu_pd(c + 4), tv,
-                                            _CMP_LT_OQ));
-      const __m256i l2 =
-          _mm256_castpd_si256(_mm256_cmp_pd(_mm256_loadu_pd(c + 8), tv,
-                                            _CMP_LT_OQ));
-      const __m256i l3 =
-          _mm256_castpd_si256(_mm256_cmp_pd(_mm256_loadu_pd(c + 12), tv,
-                                            _CMP_LT_OQ));
-      m0 = _mm256_sub_epi64(_mm256_add_epi64(m0, m0), l0);
-      m1 = _mm256_sub_epi64(_mm256_add_epi64(m1, m1), l1);
-      m2 = _mm256_sub_epi64(_mm256_add_epi64(m2, m2), l2);
-      m3 = _mm256_sub_epi64(_mm256_add_epi64(m3, m3), l3);
-    }
-    // Walk the perfect tree with pure ALU: the child step only needs
-    // bit interior-1-idx of the mask, never memory.  Four independent
-    // walks overlap the srlv dependency chains.
-    __m256i i0 = _mm256_setzero_si256();
-    __m256i i1 = i0;
-    __m256i i2 = i0;
-    __m256i i3 = i0;
-    for (std::int32_t level = 0; level < tree.depth; ++level) {
-      const __m256i b0 = _mm256_and_si256(
-          _mm256_srlv_epi64(m0, _mm256_sub_epi64(top, i0)), one);
-      const __m256i b1 = _mm256_and_si256(
-          _mm256_srlv_epi64(m1, _mm256_sub_epi64(top, i1)), one);
-      const __m256i b2 = _mm256_and_si256(
-          _mm256_srlv_epi64(m2, _mm256_sub_epi64(top, i2)), one);
-      const __m256i b3 = _mm256_and_si256(
-          _mm256_srlv_epi64(m3, _mm256_sub_epi64(top, i3)), one);
-      // idx = 2*idx + 2 - bit  (bit set -> left child 2*idx + 1).
-      i0 = _mm256_sub_epi64(
-          _mm256_add_epi64(_mm256_add_epi64(i0, i0), two), b0);
-      i1 = _mm256_sub_epi64(
-          _mm256_add_epi64(_mm256_add_epi64(i1, i1), two), b1);
-      i2 = _mm256_sub_epi64(
-          _mm256_add_epi64(_mm256_add_epi64(i2, i2), two), b2);
-      i3 = _mm256_sub_epi64(
-          _mm256_add_epi64(_mm256_add_epi64(i3, i3), two), b3);
-    }
-    const __m256d w0 =
-        _mm256_i64gather_pd(tree.weight, _mm256_sub_epi64(i0, iv), 8);
-    const __m256d w1 =
-        _mm256_i64gather_pd(tree.weight, _mm256_sub_epi64(i1, iv), 8);
-    const __m256d w2 =
-        _mm256_i64gather_pd(tree.weight, _mm256_sub_epi64(i2, iv), 8);
-    const __m256d w3 =
-        _mm256_i64gather_pd(tree.weight, _mm256_sub_epi64(i3, iv), 8);
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(out + i),
-                                            _mm256_mul_pd(lrv, w0)));
-    _mm256_storeu_pd(out + i + 4,
-                     _mm256_add_pd(_mm256_loadu_pd(out + i + 4),
-                                   _mm256_mul_pd(lrv, w1)));
-    _mm256_storeu_pd(out + i + 8,
-                     _mm256_add_pd(_mm256_loadu_pd(out + i + 8),
-                                   _mm256_mul_pd(lrv, w2)));
-    _mm256_storeu_pd(out + i + 12,
-                     _mm256_add_pd(_mm256_loadu_pd(out + i + 12),
-                                   _mm256_mul_pd(lrv, w3)));
   }
   if (i < rows) {
     detail::scalar_forest_leaf_add(tree, cols + i, col_stride, rows - i, lr,

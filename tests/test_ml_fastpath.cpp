@@ -1,25 +1,34 @@
 // Property tests for the fast training/inference paths.
 //
-// The presorted exact-greedy tree builder and the flattened batched GBT
-// inference are pure optimisations: they must reproduce the reference
+// The presorted exact-greedy tree builder and the padded-forest batched
+// GBT inference are pure optimisations: they must reproduce the reference
 // implementations bit-for-bit.  These tests pin that contract on datasets
 // chosen to stress the tie-breaking paths — duplicate-heavy columns,
-// constant columns — across a grid of tree hyper-parameters, and also pin
-// the archive-validation fixes in RegressionTree::load.
+// constant columns — across a grid of tree hyper-parameters and every
+// SIMD tier, and also pin the archive validation in RegressionTree::load.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ml/gbt.hpp"
 #include "ml/tree.hpp"
+#include "testcore/tier_guard.hpp"
 #include "util/archive.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace autopower::ml {
 namespace {
@@ -99,27 +108,58 @@ TEST(FastPath, GbtEnsemblesIdenticalUnderBothBuilders) {
   EXPECT_EQ(gbt_archive(fast), gbt_archive(reference));
 }
 
-TEST(FastPath, BatchedPredictAllBitIdenticalToPerSample) {
-  const auto data = awkward_dataset(173, 23);  // not a multiple of the block
-  GBTRegressor model(GbtOptions{.num_rounds = 30, .learning_rate = 0.15});
-  model.fit(data);
-
-  const auto batched = model.predict_all(data);
-  ASSERT_EQ(batched.size(), data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(batched[i], model.predict(data.features(i))) << "sample " << i;
+// Deepest `tree.depth` in a GBT archive.
+int deepest_tree(const std::string& archive) {
+  std::istringstream lines(archive);
+  std::string tag;
+  int deepest = -1;
+  while (lines >> tag) {
+    if (tag == "tree.depth") {
+      int depth = 0;
+      lines >> depth;
+      deepest = std::max(deepest, depth);
+    }
+    lines.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
   }
+  return deepest;
+}
 
-  // The flattened forest is rebuilt on load; it must match too.
-  std::stringstream buf;
-  util::ArchiveWriter w(buf);
-  model.save(w);
-  util::ArchiveReader r(buf);
-  GBTRegressor restored;
-  restored.load(r);
-  const auto batched2 = restored.predict_all(data);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(batched2[i], batched[i]);
+TEST(FastPath, BatchedPredictAllBitIdenticalToPerSample) {
+  // Depths straddle the padded layout's limit: trees deeper than
+  // simd::kMaxPaddedDepth take the per-row scalar fallback.
+  const auto data = awkward_dataset(173, 23);  // not a multiple of the block
+  testcore::TierGuard guard;
+  for (const int depth : {1, 4, 5, 6, 8}) {
+    GbtOptions options;
+    options.num_rounds = 30;
+    options.learning_rate = 0.15;
+    options.tree.max_depth = depth;
+    GBTRegressor model(options);
+    model.fit(data);
+    const std::string archive = gbt_archive(model);
+    ASSERT_EQ(deepest_tree(archive), depth);
+
+    // The padded forest is rebuilt on load; it must match too.
+    std::istringstream buf(archive);
+    util::ArchiveReader r(buf);
+    GBTRegressor restored;
+    restored.load(r);
+
+    for (const auto tier : {util::simd::Tier::kScalar,
+                            util::simd::Tier::kAvx2}) {
+      if (util::simd::kernels_for(tier) == nullptr) continue;
+      util::simd::set_active_tier(tier);
+      for (const GBTRegressor* m : {&model, &restored}) {
+        const auto batched = m->predict_all(data);
+        ASSERT_EQ(batched.size(), data.size());
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          EXPECT_EQ(batched[i], model.predict(data.features(i)))
+              << "depth " << depth << " tier "
+              << util::simd::tier_name(tier)
+              << (m == &model ? " fitted" : " restored") << " sample " << i;
+        }
+      }
+    }
   }
 }
 
@@ -169,13 +209,39 @@ TEST(FastPath, PredictRowsValidatesArity) {
 
 // --- RegressionTree::load archive validation --------------------------------
 
-std::string raw_tree_archive(const std::vector<std::int64_t>& structure,
-                             const std::vector<double>& values) {
-  std::ostringstream os;
-  util::ArchiveWriter w(os);
-  w.write("tree.depth", std::int64_t{1});
+void write_raw_tree(util::ArchiveWriter& w,
+                    const std::vector<std::int64_t>& structure,
+                    const std::vector<double>& values, std::int64_t depth) {
+  w.write("tree.depth", depth);
   w.write("tree.structure", structure);
   w.write("tree.values", values);
+}
+
+std::string raw_tree_archive(const std::vector<std::int64_t>& structure,
+                             const std::vector<double>& values,
+                             std::int64_t depth = 1) {
+  std::ostringstream os;
+  util::ArchiveWriter w(os);
+  write_raw_tree(w, structure, values, depth);
+  return os.str();
+}
+
+// A fitted one-tree GBT archive whose node 0 is its own left child.
+std::string self_looping_gbt_archive(std::int64_t tree_depth) {
+  std::ostringstream os;
+  util::ArchiveWriter w(os);
+  w.write("gbt.rounds", std::int64_t{1});
+  w.write("gbt.lr", 0.1);
+  w.write("gbt.max_depth", std::int64_t{3});
+  w.write("gbt.lambda", 1.0);
+  w.write("gbt.gamma", 0.0);
+  w.write("gbt.min_child_weight", 1.0);
+  w.write("gbt.nonneg", false);
+  w.write("gbt.fitted", true);
+  w.write("gbt.base_score", 0.0);
+  w.write("gbt.num_trees", std::int64_t{1});
+  write_raw_tree(w, {0, 0, 1, -1, -1, -1}, {0.5, 0.0, 0.0, 1.0},
+                 tree_depth);
   return os.str();
 }
 
@@ -183,7 +249,7 @@ void expect_load_rejects(const std::string& archive) {
   std::istringstream is(archive);
   util::ArchiveReader r(is);
   RegressionTree tree;
-  EXPECT_THROW(tree.load(r), util::Error);
+  EXPECT_THROW(tree.load(r), util::InvalidArgument);
 }
 
 TEST(FastPath, LoadRejectsNegativeChildIndicesOtherThanLeafMarker) {
@@ -204,6 +270,63 @@ TEST(FastPath, LoadRejectsInteriorNodeWithLeafChild) {
   // marker: predict() would walk to index -1.
   expect_load_rejects(raw_tree_archive({0, 1, -1, -1, -1, -1},
                                        {0.5, 0.0, 0.0, 1.0}));
+}
+
+TEST(FastPath, LoadRejectsNodesOffTheRootedTree) {
+  const std::vector<double> two = {0.5, 0.0, 0.0, 1.0};
+  const std::vector<double> three = {0.5, 0.0, 0.0, 1.0, 0.0, 2.0};
+  // Both children of node 0 are node 1: reached twice.
+  expect_load_rejects(raw_tree_archive({0, 1, 1, -1, -1, -1}, two));
+  // Node 1 splits back to the root: a cycle.
+  expect_load_rejects(raw_tree_archive({0, 1, 2, 0, 0, 2, -1, -1, -1},
+                                       three, 2));
+  // Node 3 is never reached from the root.
+  expect_load_rejects(raw_tree_archive(
+      {0, 1, 2, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+      {0.5, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0}));
+}
+
+TEST(FastPath, LoadRejectsDepthThatDisagreesWithTheNodes) {
+  const std::vector<std::int64_t> structure = {0, 1, 2, -1, -1, -1,
+                                               -1, -1, -1};
+  const std::vector<double> values = {0.5, 0.0, 0.0, 1.0, 0.0, 2.0};
+  expect_load_rejects(raw_tree_archive(structure, values, 0));
+  expect_load_rejects(raw_tree_archive(structure, values, 2));
+  expect_load_rejects(raw_tree_archive(structure, values, -1));
+}
+
+TEST(FastPath, LoadRejectsSelfLoopingGbtTreeWithinDeadline) {
+  // A self-loop used to load at tree.depth 7 and then never return from
+  // predict(); at 1 and -1 it failed with unrelated errors.  The load runs
+  // on a worker so a hang ends the run with a message instead of stalling
+  // the suite: a thread stuck in a loop cannot be joined.
+  for (const std::int64_t depth : {7, 1, -1}) {
+    const std::string archive = self_looping_gbt_archive(depth);
+    std::promise<std::string> outcome;
+    auto result = outcome.get_future();
+    std::thread worker([&archive, &outcome] {
+      std::string what = "loaded";
+      try {
+        std::istringstream is(archive);
+        util::ArchiveReader r(is);
+        GBTRegressor model;
+        model.load(r);
+      } catch (const util::InvalidArgument&) {
+        what = "InvalidArgument";
+      } catch (const std::exception& e) {
+        what = std::string("other error: ") + e.what();
+      }
+      outcome.set_value(what);
+    });
+    if (result.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "GBT load hung at tree.depth %lld\n",
+                   static_cast<long long>(depth));
+      std::abort();
+    }
+    worker.join();
+    EXPECT_EQ(result.get(), "InvalidArgument") << "tree.depth " << depth;
+  }
 }
 
 TEST(FastPath, LoadAcceptsWellFormedArchive) {

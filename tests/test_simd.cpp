@@ -38,6 +38,7 @@
 #include "ml/gbt.hpp"
 #include "testcore/generators.hpp"
 #include "testcore/proptest.hpp"
+#include "testcore/tier_guard.hpp"
 #include "util/archive.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -46,6 +47,7 @@ namespace autopower {
 namespace {
 
 using testcore::Pcg32;
+using testcore::TierGuard;
 using util::simd::KernelTable;
 using util::simd::PaddedTreeView;
 using util::simd::Tier;
@@ -143,19 +145,6 @@ std::vector<const KernelTable*> available_tables() {
   }
   return out;
 }
-
-/// Restores the dispatched tier (and its gauge) on scope exit, so tier-
-/// flipping tests cannot leak state into later tests.
-class TierGuard {
- public:
-  TierGuard() : saved_(util::simd::active_tier()) {}
-  ~TierGuard() { util::simd::set_active_tier(saved_); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-
- private:
-  Tier saved_;
-};
 
 std::string gbt_archive(const ml::GBTRegressor& model) {
   std::ostringstream out;

@@ -206,11 +206,21 @@ AUTOPOWER_BENCH_EXPLORE_CELLS="${AUTOPOWER_BENCH_EXPLORE_CELLS:-100000}" \
   ./build/bench/bench_explore --json BENCH_explore.json
 echo "headline numbers in BENCH_explore.json"
 
-echo "== SIMD dual-tier byte-identity (sweep + batch JSONL) =="
-# The same sweep and batch runs under AUTOPOWER_SIMD=scalar must produce
-# byte-identical output files to the best-tier runs above/below: the
-# vector kernels promise per-row op-order equality, so any diff here is
-# a kernel bug, not a tolerance question.
+echo "== SIMD dual-tier byte-identity (sweep + trace CSV + batch JSONL) =="
+# The same sweep, trace and batch runs under AUTOPOWER_SIMD=scalar must
+# produce byte-identical output files to the best-tier runs above/below:
+# the vector kernels promise per-row op-order equality, so any diff here
+# is a kernel bug, not a tolerance question.  The gemm trace predicts
+# ~125k windows in one batch, the largest batched-forest call of any
+# smoke here.
+./build/tools/autopower trace --model "$smoke_dir/model.ap" --config C3 \
+  --workload gemm --csv "$smoke_dir/trace.csv"
+AUTOPOWER_SIMD=scalar ./build/tools/autopower trace \
+  --model "$smoke_dir/model.ap" --config C3 --workload gemm \
+  --csv "$smoke_dir/trace_scalar.csv"
+diff "$smoke_dir/trace.csv" "$smoke_dir/trace_scalar.csv" \
+  || { echo "trace CSV differs between SIMD tiers"; exit 1; }
+echo "trace CSV byte-identical across tiers"
 AUTOPOWER_SIMD=scalar ./build/tools/autopower sweep \
   --model "$smoke_dir/model.ap" \
   --grid "RobEntry=64,96" --workloads dhrystone,qsort --threads 2 \
