@@ -1,5 +1,6 @@
 // Golden-snapshot tests for the CLI report formats: train/evaluate
-// stdout, batch and sweep JSONL reports, and the --stats JSON schema.
+// stdout, batch (incl. a trace-mode digest) and sweep JSONL reports, and
+// the --stats JSON schema.
 //
 // Each snapshot lives in tests/golden/*.golden (the .golden extension
 // keeps them out of the repo's *.jsonl/*.csv gitignore rules).  A test
@@ -17,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -30,6 +32,7 @@
 #include <thread>
 
 #include "serve/net.hpp"
+#include "util/archive.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -190,6 +193,34 @@ TEST_F(GoldenCliTest, BatchJsonlReport) {
   check_golden(
       "batch_stats_schema.golden",
       normalize_numbers(read_file(tmp_dir() + "/batch_stats.json")));
+}
+
+TEST_F(GoldenCliTest, BatchTraceDigest) {
+  // Pins trace mode to exact doubles: batch prints round-trip-exact
+  // numbers, and the ~80 KB response line is kept as its window count
+  // plus a content fingerprint rather than verbatim.
+  const std::string reqs = tmp_dir() + "/trace_reqs.jsonl";
+  {
+    std::ofstream out(reqs);
+    out << R"({"config": "C3", "workload": "median", "mode": "trace"})"
+        << "\n";
+  }
+  const auto r = run_cli("batch --model " + model() + " --requests " + reqs);
+  ASSERT_EQ(r.exit_code, 0) << r.out;
+  const std::string line = r.out.substr(0, r.out.find('\n'));
+  ASSERT_EQ(line.size() + 1, r.out.size()) << "expected one response line";
+  const std::string key = "\"trace_mw\": [";
+  const std::size_t begin = line.find(key);
+  ASSERT_NE(begin, std::string::npos) << line.substr(0, 200);
+  const std::size_t end = line.find(']', begin);
+  ASSERT_NE(end, std::string::npos);
+  const std::string values = line.substr(begin + key.size(),
+                                         end - begin - key.size());
+  const auto windows =
+      values.empty() ? 0 : 1 + std::count(values.begin(), values.end(), ',');
+  check_golden("batch_trace_digest.golden",
+               "windows " + std::to_string(windows) + "\nfingerprint " +
+                   autopower::util::content_fingerprint(line) + "\n");
 }
 
 TEST_F(GoldenCliTest, DaemonControlSchema) {
