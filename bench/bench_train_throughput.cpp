@@ -5,9 +5,11 @@
 //      builder vs the per-node re-sorting reference.  The ensembles must
 //      be byte-identical (same splits, same tie-breaking); the fast
 //      builder must clear a 3x speedup bar.
-//   2. Batched inference — predict_all on the padded forest vs a
-//      per-sample predict() loop.  Bit-identical outputs; 2x bar,
-//      single-threaded.
+//   2. Batched inference — predict_all (prefix grid table, then the
+//      padded-forest walk) vs a per-sample predict() loop.  Bit-identical
+//      outputs; 2x bar, single-threaded.  Fit on 2000 rows, the forest's
+//      first trees already span the table's 2048-cell cap, so only 3 of
+//      its 60 trees are tabled and the bars here keep measuring the walk.
 //   2b. SIMD tier differencing — predict_all with the kernel table forced
 //      to scalar vs the host's best tier (util/simd.hpp).  Bit-identical
 //      outputs; the 2x bar is enforced only on AVX2 hosts (reported

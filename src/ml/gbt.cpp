@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -19,6 +20,9 @@ struct GbtMetrics {
   util::Counter& fit_rows;
   util::Histogram& predict_ns;
   util::Counter& predict_rows;
+  util::Histogram& compile_ns;
+  util::Counter& tabled_trees;
+  util::Counter& walked_trees;
 };
 
 GbtMetrics& gbt_metrics() {
@@ -26,9 +30,15 @@ GbtMetrics& gbt_metrics() {
   static GbtMetrics m{r.histogram("ml.gbt.fit_ns"),
                       r.counter("ml.gbt.fit_rows"),
                       r.histogram("ml.gbt.predict_ns"),
-                      r.counter("ml.gbt.predict_rows")};
+                      r.counter("ml.gbt.predict_rows"),
+                      r.histogram("ml.gbt.compile_ns"),
+                      r.counter("ml.gbt.tabled_trees"),
+                      r.counter("ml.gbt.walked_trees")};
   return m;
 }
+
+// Rows per column-major block in predict_rows and the table fill.
+constexpr std::size_t kBlock = 64;
 
 }  // namespace
 
@@ -67,6 +77,7 @@ void GBTRegressor::fit(const Dataset& data) {
     trees_.push_back(std::move(tree));
   }
   rebuild_padded();
+  compile_grid();
   fitted_ = true;
 }
 
@@ -127,6 +138,78 @@ void GBTRegressor::rebuild_padded() {
   }
 }
 
+void GBTRegressor::compile_grid() {
+  util::ScopedTimer compile_timer(gbt_metrics().compile_ns);
+  // Per feature, the sorted distinct thresholds T_f of the longest prefix
+  // whose grid fits the cap.  A NaN threshold (nothing to rank against)
+  // or a tree without a padded mirror (the fill below runs the padded
+  // kernel) ends the prefix.  Equality merges -0.0 with +0.0, which
+  // every x compares against alike.
+  const auto n_cols = static_cast<std::size_t>(max_feature_ + 1);
+  std::vector<std::vector<double>> thresholds(n_cols);
+  const auto add_tree = [&](std::size_t t) {
+    for (const auto& node : trees_[t].nodes()) {
+      if (node.feature < 0) continue;
+      if (std::isnan(node.threshold)) return false;
+      auto& tf = thresholds[static_cast<std::size_t>(node.feature)];
+      const auto at = std::lower_bound(tf.begin(), tf.end(), node.threshold);
+      if (at == tf.end() || *at != node.threshold) tf.insert(at, node.threshold);
+    }
+    return true;
+  };
+  const auto cells_spanned = [&] {
+    std::size_t cells = 1;  // saturates past the cap
+    for (const auto& tf : thresholds) {
+      cells = std::min(cells * (tf.size() + 1), kMaxGridCells + 1);
+    }
+    return cells;
+  };
+  std::size_t prefix = 0;
+  while (prefix < trees_.size() && pad_trees_[prefix].depth >= 0 &&
+         add_tree(prefix) && cells_spanned() <= kMaxGridCells) {
+    ++prefix;
+  }
+  if (prefix < trees_.size()) {  // drop what the rejected tree added
+    for (auto& tf : thresholds) tf.clear();
+    for (std::size_t t = 0; t < prefix; ++t) add_tree(t);
+  }
+  tabled_trees_ = prefix;
+  gbt_metrics().tabled_trees.add(prefix);
+  gbt_metrics().walked_trees.add(trees_.size() - prefix);
+
+  // One representative row per cell, column-major over the whole table,
+  // feature 0 varying fastest.  Rank 0 maps to -inf and rank r to
+  // T_f[r - 1], which has exactly rank r because T_f is strictly
+  // increasing; when T_f[0] is -inf, rank 0 is unreachable and its entry
+  // is never read.  A feature no tabled condition tests has rank 0 in
+  // every cell; only padding slots read it, and the leaf slots below a
+  // padding slot all hold the same weight.
+  const std::size_t cells = cells_spanned();
+  std::vector<double> cols(n_cols * cells);
+  grid_feature_.clear();
+  grid_threshold_.clear();
+  grid_stride_.clear();
+  std::size_t stride = 1;
+  for (std::size_t f = 0; f < n_cols; ++f) {
+    const auto& tf = thresholds[f];
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      const std::size_t rank = cell / stride % (tf.size() + 1);
+      cols[f * cells + cell] = rank == 0
+                                   ? -std::numeric_limits<double>::infinity()
+                                   : tf[rank - 1];
+    }
+    for (const double t : tf) {
+      grid_feature_.push_back(static_cast<std::int32_t>(f));
+      grid_threshold_.push_back(t);
+      grid_stride_.push_back(static_cast<std::uint32_t>(stride));
+    }
+    stride *= tf.size() + 1;
+  }
+  grid_table_.assign(cells, base_score_);
+  walk_trees(cols.data(), cells, nullptr, 0, cells, 0, prefix,
+             grid_table_.data());
+}
+
 void GBTRegressor::save(util::ArchiveWriter& out) const {
   out.write("gbt.rounds", static_cast<std::int64_t>(options_.num_rounds));
   out.write("gbt.lr", options_.learning_rate);
@@ -157,6 +240,7 @@ void GBTRegressor::load(util::ArchiveReader& in) {
   trees_.assign(static_cast<std::size_t>(n), RegressionTree{});
   for (auto& tree : trees_) tree.load(in);
   rebuild_padded();
+  compile_grid();
 }
 
 double GBTRegressor::predict(std::span<const double> features) const {
@@ -185,23 +269,20 @@ std::vector<double> GBTRegressor::predict_rows(
   const std::size_t count = rows.size() / num_features;
   util::ScopedTimer predict_timer(gbt_metrics().predict_ns);
   gbt_metrics().predict_rows.add(count);
-  std::vector<double> out(count, base_score_);
+  std::vector<double> out(count);
 
-  // Tree-major over blocks of samples: each block is copied once into
-  // column-major scratch, then every padded tree runs through the
-  // dispatched forest_leaf_add kernel, which evaluates all of a tree's
-  // conditions with contiguous loads across rows.  The per-row
-  // accumulation order — tree 0, 1, ... with one mul-then-add per tree —
-  // matches predict() exactly, so every tier is bit-identical to it.
-  constexpr std::size_t kBlock = 64;
-  const double lr = options_.learning_rate;
-  const auto& kt = util::simd::kernels();
+  // Per block of samples: copy the block once into column-major scratch,
+  // start each row at its prefix-table entry, then walk the untabled
+  // trees.  The per-row accumulation order — base score, then tree 0,
+  // 1, ... with one mul-then-add per tree — matches predict() exactly,
+  // so every tier is bit-identical to it.
+  //
   // Column scratch, neither allocated nor zero-filled per call: each block
-  // writes rows [0, block) of every column before the kernel reads them,
-  // and the kernel reads no other rows.  Every power-model arity (<= 28)
-  // fits the stack buffer; wider rows fall back to the heap.  (A
-  // persistent thread_local heap buffer would pin the heap between the
-  // large batch allocations of a trace and raise its peak RSS.)
+  // writes rows [0, block) of every column before anything reads them,
+  // and nothing reads other rows.  Every power-model arity (<= 28) fits
+  // the stack buffer; wider rows fall back to the heap.  (A persistent
+  // thread_local heap buffer would pin the heap between the large batch
+  // allocations of a trace and raise its peak RSS.)
   constexpr std::size_t kStackColumns = 32;
   double stack_cols[kStackColumns * kBlock];
   std::vector<double> heap_cols;
@@ -225,31 +306,59 @@ std::vector<double> GBTRegressor::predict_rows(
         cols[static_cast<std::size_t>(f) * kBlock + i] = r[f];
       }
     }
-    for (std::size_t t = 0; t < pad_trees_.size(); ++t) {
-      const PaddedTree& pad = pad_trees_[t];
-      if (pad.depth < 0) {
-        // Deeper than the padded layout: the scalar oracle, per row.
-        for (std::size_t i = 0; i < block; ++i) {
-          out[begin + i] +=
-              lr * trees_[t].predict(
-                       {block_rows + i * num_features, num_features});
-        }
-        continue;
+    // Table index: one compare-add per condition, arithmetic on the
+    // comparison rather than a select so the loop stays branch-free
+    // (a ternary here compiled to branchy scalar code).
+    std::uint32_t idx[kBlock] = {};
+    for (std::size_t c = 0; c < grid_feature_.size(); ++c) {
+      const double* const x =
+          cols + static_cast<std::size_t>(grid_feature_[c]) * kBlock;
+      const double t = grid_threshold_[c];
+      const std::uint32_t stride = grid_stride_[c];
+      for (std::size_t i = 0; i < block; ++i) {
+        idx[i] += stride * static_cast<std::uint32_t>(!(x[i] < t));
       }
-      const util::simd::PaddedTreeView view{
-          pad_feature_.data() + pad.node_off,
-          pad_threshold_.data() + pad.node_off,
-          pad_weight_.data() + pad.leaf_off,
-          pad.depth,
-      };
-      kt.forest_leaf_add(view, cols, kBlock, block, lr, out.data() + begin);
     }
+    for (std::size_t i = 0; i < block; ++i) {
+      out[begin + i] = grid_table_[idx[i]];
+    }
+    walk_trees(cols, kBlock, block_rows, num_features, block, tabled_trees_,
+               trees_.size(), out.data() + begin);
   }
 
   if (options_.nonnegative_prediction) {
     for (double& v : out) v = std::max(v, 0.0);
   }
   return out;
+}
+
+void GBTRegressor::walk_trees(const double* cols, std::size_t col_stride,
+                              const double* block_rows,
+                              std::size_t num_features, std::size_t block,
+                              std::size_t first, std::size_t last,
+                              double* out) const {
+  const double lr = options_.learning_rate;
+  const auto& kt = util::simd::kernels();
+  for (std::size_t t = first; t < last; ++t) {
+    const PaddedTree& pad = pad_trees_[t];
+    if (pad.depth < 0) {
+      // Deeper than the padded layout: the scalar oracle, per row.  Never
+      // reached from the table fill, whose prefix stops before such trees.
+      AP_ASSERT(block_rows != nullptr);
+      for (std::size_t i = 0; i < block; ++i) {
+        out[i] += lr * trees_[t].predict(
+                           {block_rows + i * num_features, num_features});
+      }
+      continue;
+    }
+    const util::simd::PaddedTreeView view{
+        pad_feature_.data() + pad.node_off,
+        pad_threshold_.data() + pad.node_off,
+        pad_weight_.data() + pad.leaf_off,
+        pad.depth,
+    };
+    kt.forest_leaf_add(view, cols, col_stride, block, lr, out);
+  }
 }
 
 }  // namespace autopower::ml

@@ -8,10 +8,16 @@
 // gamma split cost.  Deterministic — no row/column subsampling.
 //
 // predict() pointer-walks each tree's nodes for one sample.  The batched
-// predict_rows()/predict_all() use one layout: every tree mirrored into a
-// padded perfect tree (rebuilt on fit() and load()) that the dispatched
-// util::simd forest_leaf_add kernel walks tree-major over column-major
-// blocks of samples.  Both are bit-identical.  Every prediction path in
+// predict_rows()/predict_all() run two stages, both rebuilt on fit() and
+// load() (the archive format is unchanged):
+//   1. a prefix grid table: the longest tree prefix whose distinct
+//      (feature, threshold) conditions span at most kMaxGridCells grid
+//      cells is compiled into one table of partial sums, and each row
+//      starts at the entry its per-feature threshold ranks select;
+//   2. a walk of the remaining trees, each mirrored into a padded perfect
+//      tree that the dispatched util::simd forest_leaf_add kernel walks
+//      tree-major over column-major blocks of samples.
+// Both stages are bit-identical to predict().  Every prediction path in
 // src/core goes through predict_rows; the scalar predict() stays as the
 // reference the differential tests compare predict_rows against.
 #pragma once
@@ -50,9 +56,9 @@ class GBTRegressor {
   [[nodiscard]] std::vector<double> predict_all(const Dataset& data) const;
 
   /// Batched prediction over `rows.size() / num_features` feature vectors
-  /// stored row-major in `rows`.  Iterates tree-major over blocks of
-  /// samples on the padded forest; bit-identical to calling predict() on
-  /// each row.
+  /// stored row-major in `rows`.  Per block of samples: a prefix-table
+  /// lookup, then a tree-major walk of the untabled trees on the padded
+  /// forest; bit-identical to calling predict() on each row.
   [[nodiscard]] std::vector<double> predict_rows(
       std::span<const double> rows, std::size_t num_features) const;
 
@@ -61,6 +67,14 @@ class GBTRegressor {
     return trees_.size();
   }
   [[nodiscard]] double base_score() const noexcept { return base_score_; }
+  /// Trees [0, tabled_trees()) are folded into the prefix grid table;
+  /// predict_rows walks only the rest.
+  [[nodiscard]] std::size_t tabled_trees() const noexcept {
+    return tabled_trees_;
+  }
+
+  /// Most grid cells (table entries) one forest's prefix table may hold.
+  static constexpr std::size_t kMaxGridCells = 2048;
 
   /// Serialization (see util/archive.hpp).
   void save(util::ArchiveWriter& out) const;
@@ -68,6 +82,15 @@ class GBTRegressor {
 
  private:
   void rebuild_padded();
+  void compile_grid();
+  /// Adds lr * leaf(row i) of trees [first, last) to out[i] for i <
+  /// `block`, feature f of row i being cols[f * col_stride + i];
+  /// `block_rows` holds the same rows row-major and is read only for
+  /// trees deeper than the padded layout.
+  void walk_trees(const double* cols, std::size_t col_stride,
+                  const double* block_rows, std::size_t num_features,
+                  std::size_t block, std::size_t first, std::size_t last,
+                  double* out) const;
 
   GbtOptions options_;
   std::vector<RegressionTree> trees_;
@@ -90,6 +113,19 @@ class GBTRegressor {
   std::vector<double> pad_threshold_;
   std::vector<double> pad_weight_;
   int max_feature_ = -1;  ///< highest feature index any node tests
+
+  // Prefix grid table over trees [0, tabled_trees_).  Feature f with
+  // sorted distinct thresholds T_f contributes rank_f(x) =
+  // #{j : !(x_f < T_f[j])} (NaN takes the top rank, as it goes right in
+  // the walk), and a row's entry is grid_table_[sum_f stride_f *
+  // rank_f(x)]: base_score_ plus each tabled tree's lr * leaf, added in
+  // tree order exactly as predict() adds them.  grid_* hold one entry
+  // per condition, so the rank sum is one compare-add per condition.
+  std::size_t tabled_trees_ = 0;
+  std::vector<std::int32_t> grid_feature_;
+  std::vector<double> grid_threshold_;
+  std::vector<std::uint32_t> grid_stride_;
+  std::vector<double> grid_table_;  ///< one entry per cell, >= 1
 };
 
 }  // namespace autopower::ml

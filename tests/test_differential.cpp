@@ -5,8 +5,9 @@
 // per oracle and compare the two paths exactly:
 //
 //   (a) reference vs presorted tree builder  -> byte-equal archives,
-//   (b) per-sample vs SoA batched forest predict, and per-context vs
-//       batched clock/SRAM/logic group predict -> identical doubles,
+//   (b) per-sample vs batched forest predict (prefix grid table, then
+//       padded walk), and per-context vs batched clock/SRAM/logic group
+//       predict -> identical doubles,
 //   (c) cold vs memoized / shared-structural-cache simulate and
 //       simulate_trace -> identical event vectors,
 //   (d) serial vs multi-threaded train / batch engine / sweep ->
@@ -21,12 +22,15 @@
 #include <unistd.h>
 
 #include <array>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/events.hpp"
@@ -37,10 +41,12 @@
 #include "serve/engine.hpp"
 #include "serve/sweep.hpp"
 #include "sim/perfsim.hpp"
+#include "testcore/tier_guard.hpp"
 #include "testcore/generators.hpp"
 #include "testcore/proptest.hpp"
 #include "util/archive.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "workload/workload.hpp"
 
 namespace autopower {
@@ -183,7 +189,7 @@ TEST(DifferentialTrees, ReferenceVsPresortedBuildersBitIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// Oracle (b): per-sample predict vs the flattened SoA batched paths.
+// Oracle (b): per-sample predict vs the batched path.
 
 TEST(DifferentialTrees, ScalarVsBatchedPredictBitIdentical) {
   const auto result = testcore::run_property<TreeCase>(
@@ -235,6 +241,262 @@ TEST(DifferentialTrees, ScalarVsBatchedPredictBitIdentical) {
       },
       [](const TreeCase& c) { return describe_dataset(c.data, c.opt); });
   ASSERT_TRUE(result.passed) << result.report;
+}
+
+// Oracle (b), prefix grid: predict_rows starts each row at its prefix
+// table entry and walks only the untabled trees.  Queries sit on every
+// split threshold, one ulp either side of it, and on the values whose
+// ordering is easiest to get wrong (signed zeros, the smallest denormal,
+// infinities, NaN), in widths that straddle the 64-row block.
+
+constexpr std::size_t kGridBatchWidths[] = {1, 63, 64, 65, 129};
+
+// Every split threshold of `model`, per feature, read back from its
+// archive.
+std::vector<std::vector<double>> forest_thresholds(
+    const ml::GBTRegressor& model, std::size_t features) {
+  std::istringstream in(gbt_archive(model));
+  util::ArchiveReader r(in);
+  (void)r.read_int("gbt.rounds");
+  (void)r.read_double("gbt.lr");
+  (void)r.read_int("gbt.max_depth");
+  (void)r.read_double("gbt.lambda");
+  (void)r.read_double("gbt.gamma");
+  (void)r.read_double("gbt.min_child_weight");
+  (void)r.read_bool("gbt.nonneg");
+  (void)r.read_bool("gbt.fitted");
+  (void)r.read_double("gbt.base_score");
+  const auto trees = r.read_int("gbt.num_trees");
+  std::vector<std::vector<double>> out(features);
+  for (std::int64_t t = 0; t < trees; ++t) {
+    ml::RegressionTree tree;
+    tree.load(r);
+    for (const auto& node : tree.nodes()) {
+      if (node.feature >= 0) {
+        out[static_cast<std::size_t>(node.feature)].push_back(node.threshold);
+      }
+    }
+  }
+  return out;
+}
+
+// Query rows: each base row as is, then with one feature at a time moved
+// to each threshold, its two neighbouring doubles, and the edge values.
+std::vector<double> grid_queries(
+    std::span<const double> base_rows, std::size_t features,
+    const std::vector<std::vector<double>>& thresholds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double edges[] = {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(), kInf,
+                          -kInf, std::numeric_limits<double>::quiet_NaN()};
+  std::vector<double> rows(base_rows.begin(), base_rows.end());
+  const std::size_t bases = base_rows.size() / features;
+  std::size_t next_base = 0;
+  const auto add = [&](std::size_t f, double v) {
+    const double* base = base_rows.data() + next_base * features;
+    next_base = (next_base + 1) % bases;
+    const std::size_t at = rows.size();
+    rows.insert(rows.end(), base, base + features);
+    rows[at + f] = v;
+  };
+  for (std::size_t f = 0; f < features; ++f) {
+    for (const double t : thresholds[f]) {
+      add(f, t);
+      add(f, std::nextafter(t, -kInf));
+      add(f, std::nextafter(t, kInf));
+    }
+    for (const double v : edges) add(f, v);
+  }
+  return rows;
+}
+
+// Every width's batches against predict(), on every tier, for `model`
+// and its archive round trip.
+std::optional<std::string> grid_oracle_diff(const ml::GBTRegressor& model,
+                                            std::span<const double> rows,
+                                            std::size_t features) {
+  std::istringstream in(gbt_archive(model));
+  util::ArchiveReader reader(in);
+  ml::GBTRegressor restored;
+  restored.load(reader);
+  if (restored.tabled_trees() != model.tabled_trees()) {
+    return "restored model tables a different prefix";
+  }
+  const std::size_t count = rows.size() / features;
+  testcore::TierGuard guard;
+  for (const auto tier :
+       {util::simd::Tier::kScalar, util::simd::Tier::kAvx2}) {
+    if (util::simd::kernels_for(tier) == nullptr) continue;
+    util::simd::set_active_tier(tier);
+    for (const ml::GBTRegressor* m : {&model, &std::as_const(restored)}) {
+      for (const std::size_t width : kGridBatchWidths) {
+        for (std::size_t begin = 0; begin < count; begin += width) {
+          const std::size_t n = std::min(width, count - begin);
+          const auto batched =
+              m->predict_rows(rows.subspan(begin * features, n * features),
+                              features);
+          for (std::size_t i = 0; i < n; ++i) {
+            const double scalar =
+                model.predict(rows.subspan((begin + i) * features, features));
+            if (batched[i] != scalar) {
+              std::ostringstream msg;
+              msg.precision(17);
+              msg << util::simd::tier_name(tier)
+                  << (m == &model ? " fitted" : " restored") << ", width "
+                  << width << ", row " << begin + i << ": predict()="
+                  << scalar << " predict_rows()=" << batched[i]
+                  << " (tabled " << m->tabled_trees() << " of "
+                  << m->num_trees() << ")";
+              return msg.str();
+            }
+          }
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// Continuous features in [0, 1) with a target that needs all of them, so
+// the trees keep finding new thresholds.
+ml::Dataset continuous_dataset(Pcg32& rng, int rows, int features) {
+  std::vector<std::string> names;
+  for (int f = 0; f < features; ++f) names.push_back("f" + std::to_string(f));
+  ml::Dataset data(std::move(names));
+  util::Rng values(rng.next_u64());
+  std::vector<double> row(static_cast<std::size_t>(features));
+  for (int i = 0; i < rows; ++i) {
+    values.fill_unit(row);
+    double y = 0.0;
+    for (const double x : row) y = 2.0 * y + x * x;
+    data.add_sample(row, y);
+  }
+  return data;
+}
+
+TEST(DifferentialTrees, PrefixGridTableVsScalarPredictBitIdentical) {
+  // Three forest shapes: 16 mixed-style rows are tabled whole, 40
+  // continuous rows over 3 features table a prefix, and 2,000 continuous
+  // rows leave a tiny table or none.
+  std::array<int, 3> shapes{};  // full, partial, at most two trees tabled
+  const auto result = testcore::run_property<TreeCase>(
+      {.name = "gbt.prefix_grid_vs_scalar", .cases = 200},
+      [](Pcg32& rng) {
+        ml::GbtOptions opt = testcore::random_gbt_options(rng);
+        switch (rng.index(3)) {
+          case 0:
+            return TreeCase{testcore::random_dataset(rng, {16, 16, 2, 6}),
+                            opt};
+          case 1:
+            opt.num_rounds = rng.next_int(8, 16);
+            opt.tree.max_depth = 3;
+            return TreeCase{continuous_dataset(rng, 40, 4), opt};
+          default:
+            opt.tree.max_depth = 4;
+            return TreeCase{continuous_dataset(rng, 2000, rng.next_int(4, 6)),
+                            opt};
+        }
+      },
+      [&shapes](const TreeCase& c) -> std::optional<std::string> {
+        ml::GBTRegressor model(c.opt);
+        model.fit(c.data);
+        const std::size_t tabled = model.tabled_trees();
+        if (tabled > model.num_trees()) return "tabled more trees than fit";
+        if (tabled == model.num_trees()) {
+          ++shapes[0];
+        } else if (tabled > 2) {
+          ++shapes[1];
+        } else {
+          ++shapes[2];
+        }
+        const std::size_t features = c.data.num_features();
+        const auto base = c.data.row_major_features().first(
+            std::min<std::size_t>(c.data.size(), 8) * features);
+        const auto rows = grid_queries(
+            base, features, forest_thresholds(model, features));
+        return grid_oracle_diff(model, rows, features);
+      },
+      [](const TreeCase& c) { return describe_dataset(c.data, c.opt); });
+  ASSERT_TRUE(result.passed) << result.report;
+  if (result.cases_run >= 30) {  // a short --cases run may miss a shape
+    EXPECT_GT(shapes[0], 0) << "no forest was tabled whole";
+    EXPECT_GT(shapes[1], 0) << "no forest was tabled in part";
+    EXPECT_GT(shapes[2], 0) << "no forest left (almost) every tree walked";
+  }
+}
+
+// A right-leaning chain of splits: split k tests feature k % 2 against
+// thresholds[k] and its left child is a leaf, so the tree's depth is
+// thresholds.size().
+void write_chain_tree(util::ArchiveWriter& w,
+                      const std::vector<double>& thresholds) {
+  std::vector<std::int64_t> structure;
+  std::vector<double> values;
+  const auto n = static_cast<std::int64_t>(thresholds.size());
+  for (std::int64_t k = 0; k < n; ++k) {  // split k is node 2k
+    structure.insert(structure.end(), {k % 2, 2 * k + 1, 2 * k + 2, -1, -1, -1});
+    values.insert(values.end(),
+                  {thresholds[static_cast<std::size_t>(k)], 0.0, 0.0,
+                   0.5 + static_cast<double>(k)});
+  }
+  structure.insert(structure.end(), {-1, -1, -1});
+  values.insert(values.end(), {0.0, -1.25});
+  w.write("tree.depth", n);
+  w.write("tree.structure", structure);
+  w.write("tree.values", values);
+}
+
+ml::GBTRegressor chain_forest(
+    const std::vector<std::vector<double>>& trees) {
+  std::ostringstream os;
+  util::ArchiveWriter w(os);
+  w.write("gbt.rounds", static_cast<std::int64_t>(trees.size()));
+  w.write("gbt.lr", 0.3);
+  w.write("gbt.max_depth", std::int64_t{6});
+  w.write("gbt.lambda", 1.0);
+  w.write("gbt.gamma", 0.0);
+  w.write("gbt.min_child_weight", 1.0);
+  w.write("gbt.nonneg", false);
+  w.write("gbt.fitted", true);
+  w.write("gbt.base_score", 0.125);
+  w.write("gbt.num_trees", static_cast<std::int64_t>(trees.size()));
+  for (const auto& t : trees) write_chain_tree(w, t);
+  std::istringstream in(os.str());
+  util::ArchiveReader r(in);
+  ml::GBTRegressor model;
+  model.load(r);
+  return model;
+}
+
+TEST(DifferentialTrees, PrefixGridStopsAtNanThresholdsAndDeepTrees) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Forest {
+    const char* what;
+    std::vector<std::vector<double>> trees;
+    std::size_t tabled;
+  };
+  const Forest forests[] = {
+      {"NaN threshold in tree 1", {{0.5, -1.0}, {nan, 2.0}, {0.25}}, 1},
+      // Infinite thresholds are ordinary ranks; T[0] = -inf leaves rank 0
+      // unreachable.
+      {"+-inf thresholds", {{-kInf, 1.0}, {kInf}, {-kInf, kInf, 0.0}}, 3},
+      {"depth-6 tree 1", {{0.5}, {1, 2, 3, 4, 5, 6}, {0.5, 1.5}}, 1},
+  };
+  for (const Forest& f : forests) {
+    const ml::GBTRegressor model = chain_forest(f.trees);
+    EXPECT_EQ(model.tabled_trees(), f.tabled) << f.what;
+    std::vector<std::vector<double>> thresholds(2);
+    for (const auto& t : f.trees) {
+      for (std::size_t k = 0; k < t.size(); ++k) {
+        thresholds[k % 2].push_back(t[k]);
+      }
+    }
+    const double base[] = {0.0, 0.0, 1.0, -1.0, 7.0, 3.5};
+    const auto rows = grid_queries(base, 2, thresholds);
+    const auto diff = grid_oracle_diff(model, rows, 2);
+    EXPECT_FALSE(diff.has_value()) << f.what << ": " << *diff;
+  }
 }
 
 // Oracle (b), group level: per-context vs batched power-group predict.

@@ -212,7 +212,9 @@ echo "== SIMD dual-tier byte-identity (sweep + trace CSV + batch JSONL) =="
 # the vector kernels promise per-row op-order equality, so any diff here
 # is a kernel bug, not a tolerance question.  The gemm trace predicts
 # ~125k windows in one batch, the largest batched-forest call of any
-# smoke here.
+# smoke here.  The trace CSV prints 6 significant digits, so its diff
+# only catches coarse divergence; the exact check is the trace-mode
+# batch run below, whose JSONL prints round-trip-exact doubles.
 ./build/tools/autopower trace --model "$smoke_dir/model.ap" --config C3 \
   --workload gemm --csv "$smoke_dir/trace.csv"
 AUTOPOWER_SIMD=scalar ./build/tools/autopower trace \
@@ -220,7 +222,17 @@ AUTOPOWER_SIMD=scalar ./build/tools/autopower trace \
   --csv "$smoke_dir/trace_scalar.csv"
 diff "$smoke_dir/trace.csv" "$smoke_dir/trace_scalar.csv" \
   || { echo "trace CSV differs between SIMD tiers"; exit 1; }
-echo "trace CSV byte-identical across tiers"
+echo "trace CSV identical across tiers"
+printf '{"config": "C3", "workload": "gemm", "mode": "trace"}\n' \
+  > "$smoke_dir/trace_req.jsonl"
+./build/tools/autopower batch --model "$smoke_dir/model.ap" \
+  --requests "$smoke_dir/trace_req.jsonl" --out "$smoke_dir/trace_batch.jsonl"
+AUTOPOWER_SIMD=scalar ./build/tools/autopower batch \
+  --model "$smoke_dir/model.ap" --requests "$smoke_dir/trace_req.jsonl" \
+  --out "$smoke_dir/trace_batch_scalar.jsonl"
+diff "$smoke_dir/trace_batch.jsonl" "$smoke_dir/trace_batch_scalar.jsonl" \
+  || { echo "trace-mode batch differs between SIMD tiers"; exit 1; }
+echo "trace-mode batch JSONL byte-identical across tiers"
 AUTOPOWER_SIMD=scalar ./build/tools/autopower sweep \
   --model "$smoke_dir/model.ap" \
   --grid "RobEntry=64,96" --workloads dhrystone,qsort --threads 2 \
