@@ -153,7 +153,9 @@ void GBTRegressor::compile_grid() {
       if (std::isnan(node.threshold)) return false;
       auto& tf = thresholds[static_cast<std::size_t>(node.feature)];
       const auto at = std::lower_bound(tf.begin(), tf.end(), node.threshold);
-      if (at == tf.end() || *at != node.threshold) tf.insert(at, node.threshold);
+      if (at == tf.end() || *at != node.threshold) {
+        tf.insert(at, node.threshold);
+      }
     }
     return true;
   };

@@ -434,7 +434,8 @@ void write_chain_tree(util::ArchiveWriter& w,
   std::vector<double> values;
   const auto n = static_cast<std::int64_t>(thresholds.size());
   for (std::int64_t k = 0; k < n; ++k) {  // split k is node 2k
-    structure.insert(structure.end(), {k % 2, 2 * k + 1, 2 * k + 2, -1, -1, -1});
+    structure.insert(structure.end(),
+                     {k % 2, 2 * k + 1, 2 * k + 2, -1, -1, -1});
     values.insert(values.end(),
                   {thresholds[static_cast<std::size_t>(k)], 0.0, 0.0,
                    0.5 + static_cast<double>(k)});
