@@ -4,9 +4,9 @@
 //
 //   1. Phase compute on a 64-config sweep (base C8, axes over ROB / fetch
 //      buffer / LDQ-STQ — parameters the structural sub-simulations never
-//      read).  Cold = a fresh PerfSimulator per configuration, which is
-//      exactly what the old whole-config phase memo cost on a sweep (every
-//      configuration was a distinct key, so it never hit across configs).
+//      read).  Cold = a fresh PerfSimulator (and so a fresh structural
+//      cache) per configuration: every configuration of a sweep is a new
+//      point, so nothing keyed on the whole configuration would ever hit.
 //      Memoized = fresh simulators sharing one StructuralSimCache.  All
 //      event vectors must be bit-identical; the memoized sweep must clear
 //      a 5x speedup bar.
@@ -81,8 +81,8 @@ const std::vector<std::string> kWorkloads = {"dhrystone", "qsort"};
 // --- Streaming stage sizing --------------------------------------------------
 
 // Peak-RSS ceiling for the streaming stage.  The run must hold a bounded
-// structural cache (64 MiB budget), per-worker phase memos and top-16
-// heaps regardless of grid size, so the whole process — model, training
+// structural cache (64 MiB budget) and per-worker top-16 heaps
+// regardless of grid size, so the whole process — model, training
 // data from stage 3 included — stays far under this.
 constexpr double kStreamRssBarMiB = 1024.0;
 
@@ -95,7 +95,7 @@ std::size_t stream_target_cells() {
 
 // Builds a grid of roughly `target` configurations: up to seven 10-value
 // axes over window/queue parameters (cheap per-cell, structurally
-// memoised) plus a leading structural CacheWay axis so the bounded L2
+// memoised) plus a leading structural CacheWay axis so the bounded cache
 // sees more than one key per lane.  All values are plausible Table II
 // neighbourhood points, so every cell evaluates rather than failing fast.
 std::vector<serve::SweepAxis> stream_axes(std::size_t target) {
@@ -223,16 +223,12 @@ int main(int argc, char** argv) {
     std::atomic<std::size_t> next{0};
     util::parallel_for(4, 4, [&](std::size_t) {
       auto mine = share ? cache : std::make_shared<util::StructuralSimCache>();
-      {
-        // Scoped so the simulator's private L1 flushes its counters back
-        // into `mine` before the stats are read.
-        sim::PerfSimulator sim(sim::SimOptions{}, mine);
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= evals) break;
-          (void)sim.simulate(configs[i / profiles.size()],
-                             *profiles[i % profiles.size()]);
-        }
+      sim::PerfSimulator sim(sim::SimOptions{}, mine);
+      for (;;) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= evals) break;
+        (void)sim.simulate(configs[i / profiles.size()],
+                           *profiles[i % profiles.size()]);
       }
       if (!share) {
         const auto s = mine->stats();
@@ -262,8 +258,8 @@ int main(int argc, char** argv) {
   model.train(data.contexts_of(exp::ExperimentData::training_configs(2)),
               golden);
 
-  // Old per-query cost: a fresh, un-memoized simulator per evaluation
-  // (the whole-config memo never hit across a sweep's distinct configs).
+  // Per-query cost without sharing: a fresh, un-memoized simulator per
+  // evaluation.
   std::vector<double> old_mw(evals);
   start = std::chrono::steady_clock::now();
   util::parallel_for(evals, 4, [&](std::size_t i) {

@@ -60,7 +60,6 @@ BatchEngine::BatchEngine(std::shared_ptr<const core::AutoPowerModel> model,
     : model_(std::move(model)),
       options_(options),
       cache_(options.cache_shards),
-      structural_(std::make_shared<util::StructuralSimCache>()),
       response_shards_(options.cache_shards == 0 ? 1 : options.cache_shards),
       metrics_{util::MetricsRegistry::global().counter(
                    "serve.batch.requests"),
@@ -101,13 +100,12 @@ std::string BatchEngine::model_fingerprint() const {
 
 BatchResponse BatchEngine::handle(const BatchRequest& request,
                                   std::size_t index,
-                                  const sim::PerfSimulator& sim,
                                   const core::AutoPowerModel& model) {
   // Outside compute()'s try block: an injected failure here exercises the
   // worker-loop error isolation, not the per-request error reporting.
   AUTOPOWER_FAULT_POINT("serve.engine.handle");
   if (!options_.memoize_responses || request.mode == PredictMode::kTrace) {
-    BatchResponse resp = compute(request, sim, model);
+    BatchResponse resp = compute(request, model);
     resp.index = index;
     return resp;
   }
@@ -130,7 +128,7 @@ BatchResponse BatchEngine::handle(const BatchRequest& request,
   // Compute outside the lock; on a racing miss the first insert wins and
   // both copies are bit-identical anyway (everything is deterministic).
   auto computed =
-      std::make_shared<const BatchResponse>(compute(request, sim, model));
+      std::make_shared<const BatchResponse>(compute(request, model));
   if (!computed->ok) {
     // Never memoise a failed response: compute() folds transient faults
     // (allocation / injected failures) into ok == false, and publishing
@@ -165,7 +163,6 @@ BatchResponse BatchEngine::handle(const BatchRequest& request,
 }
 
 BatchResponse BatchEngine::compute(const BatchRequest& request,
-                                   const sim::PerfSimulator& sim,
                                    const core::AutoPowerModel& model) {
   BatchResponse resp;
   resp.config = request.config;
@@ -178,7 +175,7 @@ BatchResponse BatchEngine::compute(const BatchRequest& request,
       const auto& cfg = arch::boom_config(request.config);
       const auto& profile = workload::workload_by_name(request.workload);
       const auto program = workload::program_features(profile);
-      const auto windows = sim.simulate_trace(cfg, profile);
+      const auto windows = sim_.simulate_trace(cfg, profile);
       std::vector<core::EvalContext> contexts(windows.size());
       for (std::size_t w = 0; w < windows.size(); ++w) {
         contexts[w].cfg = &cfg;
@@ -194,7 +191,7 @@ BatchResponse BatchEngine::compute(const BatchRequest& request,
     } else {
       const auto ctx = cache_.get_or_compute(model.fingerprint(),
                                              request.config,
-                                             request.workload, sim);
+                                             request.workload, sim_);
       if (request.mode == PredictMode::kPerComponent) {
         const auto result = model.predict(*ctx);
         resp.components.reserve(result.components.size());
@@ -232,15 +229,13 @@ std::vector<BatchResponse> BatchEngine::run(
 
   // One slot per worker; each pulls request indices off a shared atomic
   // counter and writes into disjoint response slots, so the output is in
-  // input order by construction.  Each worker owns a private PerfSimulator
-  // — its phase-rate memo is not thread-safe to share — but all of them
-  // share the engine's structural cache, so cache/TLB/branch measurements
-  // (for simulate AND simulate_trace) dedupe across workers.
+  // input order by construction.  Every worker reads the engine's one
+  // simulator, whose structural cache dedupes cache/TLB/branch
+  // measurements (for simulate AND simulate_trace) across workers.
   const std::size_t workers =
       util::parallel_width(requests.size(), options_.threads);
   std::atomic<std::size_t> next{0};
   util::parallel_for(workers, workers, [&](std::size_t) {
-    sim::PerfSimulator sim(sim::SimOptions{}, structural_);
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < requests.size();
          i = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -258,7 +253,7 @@ std::vector<BatchResponse> BatchEngine::run(
       // gets an error response and the worker moves on to the next index
       // instead of taking the rest of the batch down with it.
       try {
-        responses[i] = handle(requests[i], i, sim, *pinned);
+        responses[i] = handle(requests[i], i, *pinned);
       } catch (const std::exception& e) {
         responses[i] = BatchResponse{};
         responses[i].index = i;
@@ -281,7 +276,7 @@ void BatchEngine::finish_run(std::span<const BatchResponse> responses) {
     if (!r.ok) ++failed;
   }
   if (failed > 0) metrics_.failed.add(failed);
-  structural_->export_metrics(util::MetricsRegistry::global());
+  sim_.structural_cache()->export_metrics(util::MetricsRegistry::global());
 }
 
 }  // namespace autopower::serve

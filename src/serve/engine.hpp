@@ -10,17 +10,14 @@
 // (response memo, EvalCache) is qualified by the pinned model's archive
 // fingerprint, so entries filled under one model can never be served for
 // another — the stale-model hazard hot-swap would otherwise create.
-// run() executes every request and returns responses IN INPUT ORDER; each
-// worker thread owns a private PerfSimulator (the simulator's instance
-// memo is not thread-safe) while the serve::EvalCache deduplicates
-// (config, workload) simulations and the response memo answers exact
-// repeat queries — (config, workload, mode) — without touching the model
-// at all.  Underneath both, every worker simulator shares the engine's
-// util::StructuralSimCache, so the expensive cache/TLB/branch structural
-// measurements are computed once per distinct sub-key across ALL workers
-// and ALL modes — including kTrace, whose simulate_trace calls previously
-// redid the full structural work in every worker.  All layers persist
-// across run() calls.
+// run() executes every request and returns responses IN INPUT ORDER; the
+// serve::EvalCache deduplicates (config, workload) simulations and the
+// response memo answers exact repeat queries — (config, workload, mode) —
+// without touching the model at all.  Underneath both, every worker
+// shares the engine's one PerfSimulator and its util::StructuralSimCache,
+// so the expensive cache/TLB/branch structural measurements are computed
+// once per distinct sub-key across ALL workers and ALL modes — including
+// kTrace.  All layers persist across run() calls.
 //
 // Determinism contract: the simulator, feature extraction, and the model
 // are all deterministic, so `run(reqs)` is bit-identical for any thread
@@ -31,14 +28,15 @@
 //
 // Multi-caller contract (audited for the serving daemon, where several
 // connection handlers share one engine): run() is safe to call from
-// multiple threads concurrently.  Each call owns its worker simulators
-// and its response vector (helper threads come from parallel_for's shared
-// pool, where the calling thread always takes part, so concurrent calls
-// never wait on each other's helpers); the state shared across
-// calls — the EvalCache (sharded, internally locked), the response memo
-// (mutex per shard), the StructuralSimCache, and the hit/miss atomics —
-// is individually thread-safe, and each model snapshot is immutable
-// (swap_model() replaces the published handle; it never mutates a model).
+// multiple threads concurrently.  Each call owns its response vector
+// (helper threads come from parallel_for's shared pool, where the calling
+// thread always takes part, so concurrent calls never wait on each
+// other's helpers); the state shared across calls — the simulator (no
+// mutable state of its own), the EvalCache (sharded, internally locked),
+// the response memo (mutex per shard), the StructuralSimCache, and the
+// hit/miss atomics — is individually thread-safe, and each model
+// snapshot is immutable (swap_model() replaces the published handle; it
+// never mutates a model).
 // Concurrent calls therefore stay bit-identical per call; only the
 // aggregate cache counters interleave.  (The daemon still funnels
 // requests through ONE dispatcher call at a time — not for safety, but
@@ -59,8 +57,8 @@
 
 #include "core/autopower.hpp"
 #include "serve/eval_cache.hpp"
+#include "sim/perfsim.hpp"
 #include "util/metrics.hpp"
-#include "util/structural_cache.hpp"
 
 namespace autopower::serve {
 
@@ -136,10 +134,10 @@ class BatchEngine {
   [[nodiscard]] std::string model_fingerprint() const;
 
   [[nodiscard]] const EvalCache& cache() const noexcept { return cache_; }
-  /// The structural sub-simulation cache shared by all worker simulators.
+  /// The structural sub-simulation cache under the engine's simulator.
   [[nodiscard]] const std::shared_ptr<util::StructuralSimCache>&
   structural_cache() const noexcept {
-    return structural_;
+    return sim_.structural_cache();
   }
   /// Hit/miss counters of the response memo (all zero when disabled).
   /// Same corrected semantics as EvalCache::Stats: a miss is counted
@@ -160,10 +158,8 @@ class BatchEngine {
 
   [[nodiscard]] BatchResponse handle(const BatchRequest& request,
                                      std::size_t index,
-                                     const sim::PerfSimulator& sim,
                                      const core::AutoPowerModel& model);
   [[nodiscard]] BatchResponse compute(const BatchRequest& request,
-                                      const sim::PerfSimulator& sim,
                                       const core::AutoPowerModel& model);
   /// Post-run bookkeeping: failed-request count and the structural-cache
   /// gauge export (no-op while metrics are disabled).
@@ -175,7 +171,8 @@ class BatchEngine {
   std::shared_ptr<const core::AutoPowerModel> model_;
   EngineOptions options_;
   EvalCache cache_;
-  std::shared_ptr<util::StructuralSimCache> structural_;
+  /// Shared by every worker of every run() call.
+  const sim::PerfSimulator sim_;
   std::deque<ResponseShard> response_shards_;
   std::atomic<std::uint64_t> response_hits_{0};
   std::atomic<std::uint64_t> response_misses_{0};

@@ -3,12 +3,10 @@
 // Building an evaluation context — looking up the configuration and
 // workload, extracting program-level features, and above all running
 // `PerfSimulator::simulate` — dominates per-query cost and is fully
-// deterministic, so the serving layer memoises it here.  The cache is the
-// concurrency boundary around the simulator: `PerfSimulator::simulate` is
-// const but memoises phase rates internally and is therefore NOT safe to
-// share across threads; each caller passes its own (thread-local)
-// simulator, and the cache publishes the resulting context as an
-// immutable `shared_ptr<const EvalContext>` that any thread may read.
+// deterministic, so the serving layer memoises it here.  Callers pass the
+// simulator to fill a miss with (one simulator may serve every thread),
+// and the cache publishes the resulting context as an immutable
+// `shared_ptr<const EvalContext>` that any thread may read.
 //
 // Sharding: keys hash onto `shards` independently-locked maps, so lookups
 // of different keys rarely contend.  On a miss the context is computed

@@ -190,19 +190,18 @@ std::size_t chunk_size(std::size_t n_configs, std::size_t workers) {
 
 /// One worker's evaluator for chunks of rows, shared by the streaming
 /// sweep and evaluate_configs so both produce bit-identical rows for the
-/// same configuration.  evaluate() simulates every (config, workload)
-/// cell of the chunk — a simulate failure fails only its own cell — then
-/// predicts the cells that simulated in predict_total_batch calls of at
-/// most kPredictBatch contexts.  Batched totals are element-wise
+/// same configuration; every worker's evaluator borrows the call's one
+/// simulator.  evaluate() simulates every (config, workload) cell of the
+/// chunk — a simulate failure fails only its own cell — then predicts
+/// the cells that simulated in predict_total_batch calls of at most
+/// kPredictBatch contexts.  Batched totals are element-wise
 /// bit-identical to predict_total, so batching changes only the cost.
 class ChunkEvaluator {
  public:
   ChunkEvaluator(const core::AutoPowerModel& model,
-                 std::shared_ptr<util::StructuralSimCache> structural,
+                 const sim::PerfSimulator& sim,
                  const SweepWorkloads& workloads)
-      : model_(model),
-        sim_(sim::SimOptions{}, std::move(structural)),
-        workloads_(workloads) {}
+      : model_(model), sim_(sim), workloads_(workloads) {}
 
   /// Fills the cells and summary means of `rows`, whose configs are set.
   void evaluate(std::span<SweepRow> rows) {
@@ -295,7 +294,7 @@ class ChunkEvaluator {
   }
 
   const core::AutoPowerModel& model_;
-  sim::PerfSimulator sim_;
+  const sim::PerfSimulator& sim_;
   const SweepWorkloads& workloads_;
   util::Counter& m_cells_ =
       util::MetricsRegistry::global().counter("serve.sweep.cells");
@@ -408,7 +407,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   const SweepWorkloads workloads(spec.workloads);
 
   if (structural == nullptr) {
-    // --memory-budget sizes the shared L2 tier; entries are ~64 B
+    // --memory-budget sizes the structural cache; entries are ~64 B
     // apiece, with a floor so tiny budgets still cache something.
     std::size_t max_entries = 0;
     if (spec.memory_budget > 0) {
@@ -422,6 +421,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
                                                    max_entries);
   }
   const util::StructuralSimCache::Stats before = structural->stats();
+  const sim::PerfSimulator sim(sim::SimOptions{}, structural);
 
   // Checkpoint replay + writer.  Replayed indices are marked done before
   // any worker starts, so `done` is read-only while they run.
@@ -472,7 +472,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
                                   TopKRanker(spec.top, spec.metric));
 
   const auto worker_loop = [&](std::size_t w) {
-    ChunkEvaluator evaluator(model, structural, workloads);
+    ChunkEvaluator evaluator(model, sim, workloads);
     TopKRanker& ranker = rankers[w];
     std::vector<SweepRow> rows;
     std::string name_scratch;
@@ -566,14 +566,12 @@ std::vector<SweepRow> evaluate_configs(
   AP_REQUIRE(!workloads.empty(),
              "evaluate_configs needs at least one workload");
   const SweepWorkloads resolved(workloads);
-  if (structural == nullptr) {
-    structural =
-        std::make_shared<util::StructuralSimCache>(/*shards_per_sub=*/8,
-                                                   /*max_entries=*/0);
-  }
-
   std::vector<SweepRow> rows(configs.size());
   if (configs.empty()) return rows;
+  const sim::PerfSimulator sim =
+      structural == nullptr
+          ? sim::PerfSimulator()
+          : sim::PerfSimulator(sim::SimOptions{}, std::move(structural));
 
   // Workers claim config chunks off one counter; results land at their
   // input index, so the output order (and every byte of it) is
@@ -582,7 +580,7 @@ std::vector<SweepRow> evaluate_configs(
   const std::size_t chunk = chunk_size(configs.size(), workers);
   std::atomic<std::size_t> next{0};
   util::parallel_for(workers, workers, [&](std::size_t) {
-    ChunkEvaluator evaluator(model, structural, resolved);
+    ChunkEvaluator evaluator(model, sim, resolved);
     for (std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
          begin < configs.size();
          begin = next.fetch_add(chunk, std::memory_order_relaxed)) {

@@ -22,12 +22,12 @@
 // report is byte-identical to an uninterrupted run (serve/checkpoint.hpp
 // documents the format and torn-line policy).
 //
-// Every worker's PerfSimulator shares ONE util::StructuralSimCache (the
-// L2 directory tier; each simulator fronts it with a private L1), so
-// neighbouring grid points (which differ only in a few parameters) reuse
-// each other's cache/TLB/branch structural measurements; on a grid that
-// varies ROB/width/queue parameters the whole sweep performs the
-// structural work of a single configuration.  Results are bit-identical
+// Every worker borrows the call's ONE PerfSimulator and its
+// util::StructuralSimCache, so neighbouring grid points (which differ
+// only in a few parameters) reuse each other's cache/TLB/branch
+// structural measurements; on a grid that varies ROB/width/queue
+// parameters the whole sweep performs the structural work of a single
+// configuration.  Results are bit-identical
 // to evaluating each cell with a fresh, unshared simulator, for any
 // thread count, any chunking/steal schedule, and any `--memory-budget`
 // (`bench_sim_throughput` enforces these properties).

@@ -37,29 +37,6 @@ std::uint64_t hash_double(std::uint64_t h, double v) {
   return util::hash_combine(h, std::bit_cast<std::uint64_t>(v));
 }
 
-std::uint64_t phase_key(const HardwareConfig& cfg, const WorkloadPhase& ph,
-                        const SimOptions& opt) {
-  std::uint64_t h = util::hash_str("phase-rates");
-  for (HwParam p : arch::all_hw_params()) {
-    h = util::hash_combine(h, static_cast<std::uint64_t>(cfg.value(p)));
-  }
-  h = util::hash_combine(h, util::hash_str(ph.name));
-  h = hash_double(h, ph.ilp);
-  h = hash_double(h, ph.branch_frac);
-  h = hash_double(h, ph.load_frac);
-  h = hash_double(h, ph.store_frac);
-  h = hash_double(h, ph.fp_frac);
-  h = hash_double(h, ph.muldiv_frac);
-  h = hash_double(h, ph.branch_entropy);
-  h = hash_double(h, ph.dcache_footprint_kb);
-  h = hash_double(h, ph.dcache_stride_frac);
-  h = hash_double(h, ph.icache_footprint_kb);
-  h = hash_double(h, ph.mem_serialisation);
-  h = util::hash_combine(h, static_cast<std::uint64_t>(opt.sample_accesses));
-  h = util::hash_combine(h, static_cast<std::uint64_t>(opt.sample_branches));
-  return h;
-}
-
 using SubSim = util::StructuralSimCache::SubSim;
 
 // Each structural sub-simulation is memoised in its own StructuralSimCache
@@ -75,8 +52,9 @@ using SubSim = util::StructuralSimCache::SubSim;
 // seed is part of every key because it selects the synthetic reference
 // stream; two phases with equal profiles and names would replay the same
 // stream and may legitimately share an entry.
-MissRates measure_memory(util::StructuralL1& cache, const HardwareConfig& cfg,
-                         const WorkloadPhase& ph, const SimOptions& opt) {
+MissRates measure_memory(util::StructuralSimCache& cache,
+                         const HardwareConfig& cfg, const WorkloadPhase& ph,
+                         const SimOptions& opt) {
   MissRates mb;
   const int way = cfg.value(HwParam::kCacheWay);
   const int mfw = cfg.value(HwParam::kMemFpIssueWidth);
@@ -372,30 +350,16 @@ std::shared_ptr<util::StructuralSimCache> require_structural(
 PerfSimulator::PerfSimulator(
     SimOptions options, std::shared_ptr<util::StructuralSimCache> structural)
     : options_(options),
-      structural_(require_structural(std::move(structural))),
-      l1_(structural_) {}
+      structural_(require_structural(std::move(structural))) {}
 
-const PhaseRates& PerfSimulator::phase_rates(
-    const HardwareConfig& cfg, const WorkloadProfile& profile,
-    std::size_t phase_index) const {
+PhaseRates PerfSimulator::phase_rates(const HardwareConfig& cfg,
+                                      const WorkloadProfile& profile,
+                                      std::size_t phase_index) const {
   AP_REQUIRE(phase_index < profile.phases.size(),
              "phase index out of range for workload " + profile.name);
   const WorkloadPhase& ph = profile.phases[phase_index];
-  const std::uint64_t key = phase_key(cfg, ph, options_);
-  auto it = memo_.find(key);
-  if (it == memo_.end()) {
-    // Bounded memo: flush wholesale before the insert that would exceed
-    // the cap.  Entries are pure functions of their key, so a flush only
-    // costs recomputation; this keeps streaming sweeps over millions of
-    // configurations at O(phase_memo_max) instance memory.
-    if (options_.phase_memo_max > 0 &&
-        memo_.size() >= static_cast<std::size_t>(options_.phase_memo_max)) {
-      memo_.clear();
-    }
-    const MissRates misses = measure_memory(l1_, cfg, ph, options_);
-    it = memo_.emplace(key, rates_from_misses(cfg, ph, misses)).first;
-  }
-  return it->second;
+  return rates_from_misses(cfg, ph,
+                           measure_memory(*structural_, cfg, ph, options_));
 }
 
 arch::EventVector PerfSimulator::simulate(
@@ -408,7 +372,7 @@ arch::EventVector PerfSimulator::simulate(
 
   for (std::size_t i = 0; i < profile.phases.size(); ++i) {
     const WorkloadPhase& ph = profile.phases[i];
-    const PhaseRates& pr = phase_rates(cfg, profile, i);
+    const PhaseRates pr = phase_rates(cfg, profile, i);
     const double instr = static_cast<double>(profile.instructions) *
                          ph.weight / weight_sum;
     const double cycles = instr / pr.ipc;
@@ -434,12 +398,13 @@ std::vector<arch::EventVector> PerfSimulator::simulate_trace(
       profile.phases.size() > 1 ? std::max(1, options_.phase_repeats) : 1;
 
   std::vector<Segment> schedule;
+  std::vector<PhaseRates> rates;
   std::vector<double> phase_cycles(profile.phases.size());
   for (std::size_t i = 0; i < profile.phases.size(); ++i) {
-    const PhaseRates& pr = phase_rates(cfg, profile, i);
+    rates.push_back(phase_rates(cfg, profile, i));
     const double instr = static_cast<double>(profile.instructions) *
                          profile.phases[i].weight / weight_sum;
-    phase_cycles[i] = instr / pr.ipc;
+    phase_cycles[i] = instr / rates[i].ipc;
   }
   for (int rep = 0; rep < repeats; ++rep) {
     for (std::size_t i = 0; i < profile.phases.size(); ++i) {
@@ -470,8 +435,7 @@ std::vector<arch::EventVector> PerfSimulator::simulate_trace(
     const double modulation = 1.0 + wave + jitter;
     while (need > 1e-9 && seg < schedule.size()) {
       const double take = std::min(need, seg_left);
-      const PhaseRates& pr = phase_rates(cfg, profile, schedule[seg].phase);
-      accumulate(ev, pr.rates, take, modulation);
+      accumulate(ev, rates[schedule[seg].phase].rates, take, modulation);
       need -= take;
       seg_left -= take;
       if (seg_left <= 1e-9) {

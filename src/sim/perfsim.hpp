@@ -20,31 +20,22 @@
 // the same underlying behaviour, reproducing the gem5-vs-RTL gap the paper
 // identifies as a root cause of ML power-model error.
 //
-// Memoisation is two-layered.  The five expensive structural measurements
-// per phase (I/D-cache, I/D-TLB, branch predictor) are decoupled into a
-// shared util::StructuralSimCache, each keyed ONLY on the hardware
-// parameters that sub-simulation reads plus the phase's stream profile —
-// so a sweep varying ROB/width/queue parameters reuses every cache and
-// branch measurement across configurations.  Each simulator instance
-// fronts the shared cache with a private util::StructuralL1 (one array
-// probe per hit, no locks), so warm lookups never touch the shared tier.
-// The composed per-(config, phase) PhaseRates are additionally memoised
-// per simulator instance; that memo is BOUNDED (SimOptions::
-// phase_memo_max) and flushed wholesale when full, so a million-config
-// streaming sweep does not accumulate an unbounded map — PhaseRates are
-// pure functions of their key, so a flush only costs recomputation.
+// Memoisation is one shared layer.  The five expensive structural
+// measurements per phase (I/D-cache, I/D-TLB, branch predictor) are
+// decoupled into a util::StructuralSimCache, each keyed ONLY on the
+// hardware parameters that sub-simulation reads plus the phase's stream
+// profile — so a sweep varying ROB/width/queue parameters reuses every
+// cache and branch measurement across configurations.  Composing a
+// phase's rates from its miss rates is cheap, so it is recomputed on
+// every call rather than memoised.
 //
-// Thread-safety: a PerfSimulator instance is NOT safe to share across
-// threads (the instance-level PhaseRates memo and the private L1 are
-// unguarded), but any number of instances may safely share one
-// StructuralSimCache — that is the supported way to reuse structural work
-// across sweep/serve workers.  Results are bit-identical to a fresh,
-// unshared simulator in all cases (every memoised value is a pure
-// function of its key).
+// Thread-safety: a PerfSimulator holds no mutable state of its own, so
+// one instance may be shared by any number of threads, and any number of
+// instances may share one StructuralSimCache.  Results are bit-identical
+// to a fresh, unshared simulator in all cases (every memoised value is a
+// pure function of its key).
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -63,12 +54,6 @@ struct SimOptions {
   /// Number of times a multi-phase workload's phase sequence repeats in
   /// the trace schedule (outer loop of blocked GEMM/SPMM kernels).
   int phase_repeats = 24;
-  /// Bound on the per-instance PhaseRates memo.  When an insert would
-  /// exceed it the whole memo is flushed (entries are pure functions of
-  /// their key, so this only costs recomputation).  <= 0 means unbounded.
-  /// At ~300 bytes per entry the default keeps an instance under ~20 MiB
-  /// even on a 10^7-config streaming sweep.
-  int phase_memo_max = 65536;
 };
 
 /// Miss rates of one phase on one configuration: the five structural
@@ -102,8 +87,8 @@ class PerfSimulator {
   /// A simulator with a private structural cache (standalone use).
   PerfSimulator();
   explicit PerfSimulator(SimOptions options);
-  /// A simulator sharing `structural` with other instances (sweep/serve
-  /// workers).  `structural` must not be null.
+  /// A simulator sharing `structural` with other instances.  `structural`
+  /// must not be null.
   PerfSimulator(SimOptions options,
                 std::shared_ptr<util::StructuralSimCache> structural);
 
@@ -118,10 +103,8 @@ class PerfSimulator {
       const arch::HardwareConfig& cfg,
       const workload::WorkloadProfile& profile) const;
 
-  /// Steady-state rates for one phase (memoised; exposed for tests).
-  /// The reference stays valid only until the next phase_rates call — a
-  /// later insert may flush the bounded memo (SimOptions::phase_memo_max).
-  [[nodiscard]] const PhaseRates& phase_rates(
+  /// Steady-state rates for one phase (exposed for tests).
+  [[nodiscard]] PhaseRates phase_rates(
       const arch::HardwareConfig& cfg,
       const workload::WorkloadProfile& profile,
       std::size_t phase_index) const;
@@ -138,10 +121,6 @@ class PerfSimulator {
  private:
   SimOptions options_;
   std::shared_ptr<util::StructuralSimCache> structural_;
-  /// Private first-level memo in front of structural_; thread-private
-  /// like the instance itself, so its hit path needs no synchronisation.
-  mutable util::StructuralL1 l1_;
-  mutable std::map<std::uint64_t, PhaseRates> memo_;
 };
 
 }  // namespace autopower::sim

@@ -20,11 +20,11 @@
 //   * With threads <= 1, n <= 1 or a single-core host, fn runs inline on
 //     the caller, in index order, and the pool is never created.
 //
-// Callers that need per-thread state (a private PerfSimulator, a shard's
-// ranker) size their worker slots with parallel_width() and fan out over
-// the slots, each slot pulling work off the caller's own shared counter;
-// a slot no helper reached is run by the caller and finds the work
-// drained.
+// Callers that need per-thread state (a sweep worker's chunk buffers, a
+// shard's ranker) size their worker slots with parallel_width() and fan
+// out over the slots, each slot pulling work off the caller's own shared
+// counter; a slot no helper reached is run by the caller and finds the
+// work drained.
 #pragma once
 
 #include <cstddef>

@@ -407,7 +407,7 @@ TEST(EvalCacheTest, CrossThreadLookupsAgree) {
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&cache, &seen, t] {
-        sim::PerfSimulator sim;  // thread-private, as the contract requires
+        sim::PerfSimulator sim;
         seen[t] = cache.get_or_compute(kFpA, "C7", "spmv", sim);
       });
     }
@@ -759,8 +759,7 @@ TEST_F(EngineTest, TraceModeSharesStructuralCacheAcrossWorkers) {
   // C11 and C12 share every structural parameter (branch count, issue
   // width, cache ways, TLB entries, fetch bytes) and differ only in window
   // parameters, so the second config's trace can only avoid re-running the
-  // structural simulations through the engine's shared StructuralSimCache
-  // — each worker's private instance memo keys on the whole config.
+  // structural simulations through the engine's shared StructuralSimCache.
   std::vector<BatchRequest> requests;
   for (const char* w : {"median", "qsort", "towers", "vvadd"}) {
     requests.push_back({"C11", w, PredictMode::kTrace});

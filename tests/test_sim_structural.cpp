@@ -1,8 +1,9 @@
 // Tests for the decoupled structural memoisation of the performance
 // simulator: StructuralSimCache semantics, bit-identity of memoized /
-// shared-memo / fresh-simulator runs, and the cross-configuration reuse
-// the decomposition exists for (sweeps over window parameters must not
-// re-run any cache or branch sub-simulation).
+// shared-memo / fresh-simulator runs, one simulator shared across
+// threads, and the cross-configuration reuse the decomposition exists
+// for (sweeps over window parameters must not re-run any cache or branch
+// sub-simulation).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "sim/perfsim.hpp"
+#include "testcore/generators.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/structural_cache.hpp"
 
@@ -125,12 +128,56 @@ TEST(StructuralMemoProperty, SharedWarmedMatchesFreshSimulator) {
                      cfg.name().c_str());
     expect_identical(fresh.simulate_trace(cfg, w),
                      warmed.simulate_trace(cfg, w), cfg.name().c_str());
-    // Re-running on the same instance (instance memo hit) is stable too.
+    // Re-running on the same instance (all structural hits) is stable too.
     expect_identical(warmed.simulate(cfg, w), fresh.simulate(cfg, w),
                      cfg.name().c_str());
   }
   // The warmed runs actually exercised the shared cache.
   EXPECT_GT(shared->stats().hits, 0u);
+}
+
+// One simulator serves every thread: 4 threads run simulate and
+// simulate_trace on the same PerfSimulator (and so the same structural
+// cache) and must reproduce a fresh serial simulator exactly.
+TEST(StructuralMemoProperty, OneSimulatorSharedAcrossThreads) {
+  testcore::Pcg32 rng(0x5EED5);
+  const sim::SimOptions options = testcore::small_sim_options(rng);
+  std::vector<arch::HardwareConfig> configs;
+  std::vector<workload::WorkloadProfile> profiles;
+  for (int i = 0; i < 8; ++i) {
+    configs.push_back(testcore::random_hardware_config(rng));
+    workload::WorkloadProfile profile = testcore::random_workload_profile(rng);
+    profile.instructions = 20'000;  // short traces
+    profiles.push_back(std::move(profile));
+  }
+  workload::WorkloadProfile gemm = wl("gemm");  // multi-phase
+  gemm.instructions = 40'000;
+  ASSERT_GT(gemm.phases.size(), 1u);
+  configs.push_back(arch::boom_config("C8"));
+  profiles.push_back(gemm);
+
+  const std::size_t n = configs.size();
+  std::vector<arch::EventVector> totals(n);
+  std::vector<std::vector<arch::EventVector>> traces(n);
+  const PerfSimulator shared(options);
+  util::parallel_for(4 * n, 4, [&](std::size_t k) {
+    // Every case runs on 4 indices; two of them write the results.
+    const std::size_t i = k % n;
+    const auto total = shared.simulate(configs[i], profiles[i]);
+    const auto trace = shared.simulate_trace(configs[i], profiles[i]);
+    if (k < n) totals[i] = total;
+    if (k >= n && k < 2 * n) traces[i] = trace;
+  });
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const PerfSimulator serial(options);
+    const auto what = configs[i].name() + "/" + profiles[i].name;
+    expect_identical(serial.simulate(configs[i], profiles[i]), totals[i],
+                     what.c_str());
+    expect_identical(serial.simulate_trace(configs[i], profiles[i]),
+                     traces[i], what.c_str());
+  }
+  EXPECT_GT(shared.structural_cache()->stats().hits, 0u);
 }
 
 // The reuse the decomposition exists for: changing only window parameters
@@ -193,7 +240,7 @@ TEST(StructuralMemoProperty, CacheWayMissesOnlyCacheLanes) {
   EXPECT_EQ(shared->stats(SubSim::kBranch).hits, branch0.hits + 1);
 }
 
-// --- Bounded L2 (CLOCK eviction) and the private L1 --------------------------
+// --- Bounded cache (full-shard flush) ----------------------------------------
 
 // The pure-function value a lane would memoise; any deterministic mix of
 // (lane, key) works for the identity properties below.
@@ -209,8 +256,8 @@ double lane_value(SubSim sub, std::uint64_t key) {
 TEST(StructuralCacheEviction, BoundedMatchesUnboundedOverRandomStreams) {
   util::Rng rng(0xB0DE);
   for (int round = 0; round < 8; ++round) {
-    // 1 shard/lane, 40 entries total -> 8 slots per lane: small enough
-    // that a 64-key working set evicts constantly.
+    // 1 shard/lane, 40 entries total -> 8 entries per lane: small enough
+    // that a 64-key working set flushes constantly.
     StructuralSimCache bounded(1, 40);
     StructuralSimCache unbounded(1, 0);
     ASSERT_EQ(bounded.capacity(), 40u);
@@ -218,7 +265,7 @@ TEST(StructuralCacheEviction, BoundedMatchesUnboundedOverRandomStreams) {
       const auto sub = static_cast<SubSim>(
           rng.next_below(StructuralSimCache::kNumSubSims));
       // Hot working set with an occasional cold key, so the stream has
-      // both CLOCK second-chance hits and forced evictions.
+      // both hits and full-shard flushes.
       const std::uint64_t key = rng.next_below(10) == 0
                                     ? rng.next_below(1u << 20)
                                     : rng.next_below(64);
@@ -237,11 +284,10 @@ TEST(StructuralCacheEviction, BoundedMatchesUnboundedOverRandomStreams) {
   }
 }
 
-TEST(StructuralCacheEviction, ClockKeepsTheHotKeyResident) {
-  // One lane, one shard, 5-entry budget -> 1 slot in that shard.  A key
-  // that is re-referenced between inserts keeps its second-chance bit
-  // set... with a single slot every insert evicts, but the re-reference
-  // pattern must still always return the right value.
+TEST(StructuralCacheEviction, FullShardFlushesBeforeEachInsert) {
+  // One shard per lane, 5-entry budget -> 1 entry per shard.  Every
+  // insert after the first finds its shard full and flushes it, but the
+  // key just inserted keeps answering until the next insert.
   StructuralSimCache cache(1, 5);
   int computes = 0;
   for (std::uint64_t k = 0; k < 10; ++k) {
@@ -260,34 +306,24 @@ TEST(StructuralCacheEviction, ClockKeepsTheHotKeyResident) {
   EXPECT_EQ(cache.stats().evictions, 9u);
 }
 
-TEST(StructuralL1Cache, HitsNeverTouchTheSharedTier) {
-  auto l2 = std::make_shared<StructuralSimCache>();
-  util::StructuralL1 l1(l2);
-  EXPECT_EQ(l1.get_or_compute(SubSim::kICache, 42, [] { return 0.5; }), 0.5);
-  const auto after_fill = l2->stats(SubSim::kICache);
-  EXPECT_EQ(after_fill.misses, 1u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(l1.get_or_compute(SubSim::kICache, 42, [] { return -1.0; }),
-              0.5);
+// capacity() is the bound the cache really keeps: with more shards than
+// budget every shard still holds one entry, so (8, 16) holds up to 40.
+TEST(StructuralCacheEviction, CapacityIsTheResidentBound) {
+  StructuralSimCache cache(8, 16);
+  EXPECT_EQ(cache.capacity(), 40u);
+  for (std::size_t lane = 0; lane < StructuralSimCache::kNumSubSims; ++lane) {
+    for (std::uint64_t key = 0; key < 64; ++key) {
+      const auto sub = static_cast<SubSim>(lane);
+      cache.get_or_compute(sub, key, [&] { return lane_value(sub, key); });
+      ASSERT_LE(cache.size(), cache.capacity());
+    }
   }
-  // The repeats were answered privately: the L2 lane counters are frozen.
-  EXPECT_EQ(l2->stats(SubSim::kICache).hits, after_fill.hits);
-  EXPECT_EQ(l2->stats(SubSim::kICache).misses, 1u);
-  EXPECT_EQ(l1.hits(), 100u);
-  EXPECT_EQ(l1.misses(), 1u);
-
-  // flush_stats folds the private counters into the combined aggregate
-  // (and zeroes the local ones), keeping end-to-end hit+miss == lookups.
-  l1.flush_stats();
-  EXPECT_EQ(l1.hits(), 0u);
-  const auto combined = l2->stats();
-  EXPECT_EQ(combined.hits + combined.misses, 101u);
-  EXPECT_EQ(combined.misses, 1u);
+  EXPECT_EQ(cache.size(), cache.capacity());
 }
 
-TEST(StructuralL1Cache, BoundedL2BehindL1StaysBitIdentical) {
-  // Simulators sharing a tiny bounded L2 (evicting constantly) must stay
-  // bit-identical to a fresh unshared simulator.
+TEST(StructuralCacheEviction, BoundedSharedCacheStaysBitIdentical) {
+  // Simulators sharing a tiny bounded cache (flushing constantly) must
+  // stay bit-identical to a fresh unshared simulator.
   auto tiny = std::make_shared<StructuralSimCache>(2, 16);
   util::Rng rng(0x11FA2);
   for (int i = 0; i < 6; ++i) {

@@ -449,6 +449,13 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   ./build-tsan/tests/autopower_tests \
   --gtest_filter='AutoPowerTest.ParallelTrainArchiveByteIdentical'
 
+echo "== run the shared-simulator test under ThreadSanitizer =="
+# Four threads call simulate and simulate_trace on ONE PerfSimulator, so
+# TSan checks that the simulator keeps no unguarded state of its own.
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+  ./build-tsan/tests/autopower_tests \
+  --gtest_filter='StructuralMemoProperty.OneSimulatorSharedAcrossThreads'
+
 echo "== run metrics-registry tests under ThreadSanitizer =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   ./build-tsan/tests/autopower_tests \
