@@ -5,7 +5,6 @@
 
 #include "ml/matrix.hpp"
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace autopower::ml {
 
@@ -35,10 +34,9 @@ void RidgeRegression::fit(const Dataset& data) {
 
   Matrix x(n, p);
   std::vector<double> y(n);
-  const auto& kt = util::simd::kernels();
   for (std::size_t i = 0; i < n; ++i) {
     const auto f = data.features(i);
-    kt.sub_div(f.data(), mean.data(), scale.data(), &x(i, 0), p);
+    for (std::size_t j = 0; j < p; ++j) x(i, j) = (f[j] - mean[j]) / scale[j];
     y[i] = data.target(i) - ymean;
   }
 
@@ -102,15 +100,9 @@ std::vector<double> RidgeRegression::predict_rows(
              "feature arity mismatch in RidgeRegression::predict_rows");
   AP_REQUIRE(arity > 0 && rows.size() % arity == 0,
              "row buffer is not a multiple of the feature arity");
-  const std::size_t count = rows.size() / arity;
-  std::vector<double> out(count);
-  // Vectorised across samples; per sample the kernel accumulates
-  // intercept then coef[0], coef[1], ... — exactly predict()'s order,
-  // so the batch is bit-identical to per-sample calls.
-  util::simd::kernels().affine_rows(rows.data(), arity, count, coef_.data(),
-                                    intercept_, out.data());
-  if (options_.nonnegative_prediction) {
-    for (double& v : out) v = std::max(v, 0.0);
+  std::vector<double> out(rows.size() / arity);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = predict(rows.subspan(i * arity, arity));
   }
   return out;
 }

@@ -41,8 +41,7 @@ class RidgeRegression {
   [[nodiscard]] std::vector<double> predict_all(const Dataset& data) const;
 
   /// Batched prediction over `rows.size() / arity` feature vectors stored
-  /// row-major in `rows` (SIMD-dispatched across samples; bit-identical
-  /// to calling predict() on each row).
+  /// row-major in `rows`: predict() on each row.
   [[nodiscard]] std::vector<double> predict_rows(std::span<const double> rows,
                                                  std::size_t arity) const;
 

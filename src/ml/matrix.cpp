@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace autopower::ml {
 
@@ -24,15 +23,14 @@ Matrix Matrix::transpose_times(const Matrix& other) const {
   AP_REQUIRE(rows_ == other.rows_, "dimension mismatch in transpose_times");
   Matrix out(cols_, other.cols_);
   // k-outer order keeps each out(i, j)'s accumulation over k in
-  // ascending order, so the inner row update is an axpy over
-  // independent j outputs — SIMD-dispatched without changing any sum.
-  const auto& kt = util::simd::kernels();
+  // ascending order; the inner row update runs over independent j.
   for (std::size_t k = 0; k < rows_; ++k) {
+    const double* row = &other.data_[k * other.cols_];
     for (std::size_t i = 0; i < cols_; ++i) {
       const double aki = at(k, i);
       if (aki == 0.0) continue;
-      kt.axpy(aki, &other.data_[k * other.cols_], &out.data_[i * out.cols_],
-              other.cols_);
+      double* acc = &out.data_[i * out.cols_];
+      for (std::size_t j = 0; j < other.cols_; ++j) acc[j] += aki * row[j];
     }
   }
   return out;
@@ -53,11 +51,10 @@ std::vector<double> Matrix::transpose_times(
     const std::vector<double>& vec) const {
   AP_REQUIRE(vec.size() == rows_, "dimension mismatch in transpose_times");
   std::vector<double> out(cols_, 0.0);
-  const auto& kt = util::simd::kernels();
   for (std::size_t r = 0; r < rows_; ++r) {
     const double v = vec[r];
     if (v == 0.0) continue;
-    kt.axpy(v, &data_[r * cols_], out.data(), cols_);
+    for (std::size_t c = 0; c < cols_; ++c) out[c] += v * at(r, c);
   }
   return out;
 }

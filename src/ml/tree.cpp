@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace autopower::ml {
 
@@ -58,8 +57,8 @@ void RegressionTree::fit(const Dataset& data, std::span<const double> grad,
 
   const std::size_t n = data.size();
   const std::size_t num_features = data.num_features();
-  // int32 bound (not uint32): the SIMD gather kernels consume the sorted
-  // index columns as signed 32-bit gather indices.
+  // Sample indices are stored as uint32 (the presorted index columns and
+  // every node's sample list); the signed int32 bound keeps them in range.
   AP_REQUIRE(n <= static_cast<std::size_t>(
                       std::numeric_limits<std::int32_t>::max()),
              "dataset too large for the presorted tree builder");
@@ -75,10 +74,9 @@ void RegressionTree::fit(const Dataset& data, std::span<const double> grad,
 
   std::vector<double> col(n);
   std::vector<std::uint32_t> order(n);
-  const auto& kt = util::simd::kernels();
   const std::span<const double> all = data.row_major_features();
   for (std::size_t f = 0; f < num_features; ++f) {
-    kt.strided_gather(all.data() + f, num_features, col.data(), n);
+    for (std::size_t i = 0; i < n; ++i) col[i] = all[i * num_features + f];
     std::iota(order.begin(), order.end(), std::uint32_t{0});
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
@@ -130,13 +128,12 @@ int RegressionTree::build_presorted(const Dataset& data,
     // buffers; the split scan then runs over plain arrays.
     const std::uint32_t* idx = ws.sorted_idx.data() + f * n;
     const double* val = ws.sorted_val.data() + f * n;
-    if (m == n) {  // root: every sample is a member
-      // Straight indexed gathers (SIMD-dispatched); the membership-
-      // masked compaction below is inherently serial and stays scalar.
-      const auto& kt = util::simd::kernels();
+    if (m == n) {  // root: every sample is a member, no mask test
       std::copy(val, val + n, ws.val.begin());
-      kt.gather(grad.data(), idx, ws.grad.data(), n);
-      kt.gather(hess.data(), idx, ws.hess.data(), n);
+      for (std::size_t k = 0; k < n; ++k) {
+        ws.grad[k] = grad[idx[k]];
+        ws.hess[k] = hess[idx[k]];
+      }
     } else {
       std::size_t out = 0;
       for (std::size_t k = 0; k < n; ++k) {

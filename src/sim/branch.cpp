@@ -38,9 +38,7 @@ double measure_mispredict_rate(BranchPredictorModel& predictor,
                                int branches) {
   AP_REQUIRE(branches > 0, "need a positive branch count");
   predictor.reset();
-  // Same u64 stream as a plain Rng, block-refilled through the SIMD
-  // batch-fill kernel — bit-identical rates, fewer serial mixes.
-  util::BufferedRng rng(util::hash_combine(profile.seed, 0xb4a2c3d1ULL));
+  util::Rng rng(util::hash_combine(profile.seed, 0xb4a2c3d1ULL));
 
   // Assign each static branch a behaviour: "easy" branches are strongly
   // biased loop back-edges; "hard" branches are per-execution coin flips

@@ -62,10 +62,7 @@ double measure_miss_rate(SetAssocCache& cache, const StreamProfile& profile,
                          int accesses) {
   AP_REQUIRE(accesses > 0, "need a positive access count");
   cache.reset();
-  // BufferedRng draws the identical stream through the SIMD batch-fill
-  // kernel; results match the plain Rng bit for bit even though the
-  // per-access draw count (1 or 2) is data-dependent.
-  util::BufferedRng rng(util::hash_combine(profile.seed, 0xcafef00dULL));
+  util::Rng rng(util::hash_combine(profile.seed, 0xcafef00dULL));
 
   const auto footprint_bytes = static_cast<std::uint64_t>(
       std::max(1.0, profile.footprint_kb * 1024.0));

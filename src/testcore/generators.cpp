@@ -135,11 +135,9 @@ ml::Dataset random_dataset(Pcg32& rng, const DatasetShape& shape) {
         v = pool[rng.index(static_cast<std::size_t>(pool_size))];
       }
     } else {
-      // Continuous column: one batched unit fill through the SIMD rng
-      // kernel (util::Rng::fill_unit), mapped onto [-10, 10).
+      // Continuous column: a util::Rng unit stream mapped onto [-10, 10).
       util::Rng crng(rng.next_u64());
-      crng.fill_unit(col);
-      for (double& v : col) v = -10.0 + 20.0 * v;
+      for (double& v : col) v = -10.0 + 20.0 * crng.next_unit();
     }
   }
 

@@ -2,25 +2,10 @@
 
 #include <cmath>
 
-#include "util/simd.hpp"
-
 namespace autopower::util {
 
 double lognormal_factor(Rng& rng, double sigma) {
   return std::exp(sigma * rng.next_gauss());
-}
-
-void Rng::fill_u64(std::span<std::uint64_t> out) noexcept {
-  // The kernel computes out[k] = mix64(state + (k+1) * gamma) — the
-  // exact sequence of out.size() next_u64() calls — so the stream
-  // position afterwards is state + n * gamma.
-  simd::kernels().rng_fill_u64(state_, out.data(), out.size());
-  state_ += 0x9e3779b97f4a7c15ULL * out.size();
-}
-
-void Rng::fill_unit(std::span<double> out) noexcept {
-  simd::kernels().rng_fill_unit(state_, out.data(), out.size());
-  state_ += 0x9e3779b97f4a7c15ULL * out.size();
 }
 
 }  // namespace autopower::util

@@ -7,9 +7,7 @@
 // keeps every experiment reproducible and every test stable.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <span>
 #include <string_view>
 
 namespace autopower::util {
@@ -57,7 +55,7 @@ namespace autopower::util {
 }
 
 /// A small counter-based PRNG (xoshiro-style stream over SplitMix64).
-/// Stateless streams: `Rng(seed)` then `next()` walks a deterministic
+/// Stateless streams: `Rng(seed)` then `next_*()` walks a deterministic
 /// sequence; copies are independent continuations.
 class Rng {
  public:
@@ -90,51 +88,8 @@ class Rng {
     return (s - 2.0) * 1.7320508075688772;  // variance-normalised
   }
 
-  /// Batch fill: writes the next out.size() raw draws and advances the
-  /// stream exactly as that many next_u64() calls would.  The counter-
-  /// based stream is embarrassingly parallel, so this dispatches to the
-  /// SIMD kernel layer (util/simd.hpp) — bit-identical to the loop.
-  void fill_u64(std::span<std::uint64_t> out) noexcept;
-
-  /// Batch fill of next_unit() values; same stream contract as
-  /// fill_u64.
-  void fill_unit(std::span<double> out) noexcept;
-
  private:
   std::uint64_t state_;
-};
-
-/// Rng with a block-refilled draw buffer.  Every derived operation
-/// consumes the identical underlying u64 stream one draw at a time, so
-/// a BufferedRng is a drop-in, bit-identical replacement for Rng even
-/// in loops whose draw count is data-dependent — the batching only
-/// moves the mixing work into the vectorised fill_u64 kernel.
-class BufferedRng {
- public:
-  explicit BufferedRng(std::uint64_t seed) noexcept : rng_(seed) {}
-
-  std::uint64_t next_u64() noexcept {
-    if (pos_ == buf_.size()) {
-      rng_.fill_u64(buf_);
-      pos_ = 0;
-    }
-    return buf_[pos_++];
-  }
-
-  double next_unit() noexcept { return hash_unit(next_u64()); }
-
-  double next_range(double lo, double hi) noexcept {
-    return lo + (hi - lo) * next_unit();
-  }
-
-  std::uint64_t next_below(std::uint64_t n) noexcept {
-    return n == 0 ? 0 : next_u64() % n;
-  }
-
- private:
-  Rng rng_;
-  std::array<std::uint64_t, 128> buf_;
-  std::size_t pos_ = buf_.size();  // empty until first refill
 };
 
 double lognormal_factor(Rng& rng, double sigma);

@@ -1,13 +1,12 @@
 // Scalar kernel tier + runtime dispatch for util/simd.hpp.
 //
-// The scalar implementations here are the reference semantics every
-// vector tier must reproduce bit for bit — they are deliberately plain
-// element loops with no manual unrolling, so reading one tells you the
-// exact per-element operation sequence the AVX2 twins promise to
-// match.  This TU is compiled with the project-default flags only
-// (no -mavx2): it must run on any x86-64, and a vector tier that
-// borrows a scalar kernel for an unaccelerated slot gets this baseline
-// codegen, not a re-materialised copy under its own ISA flags.
+// The scalar kernel here is the reference semantics the AVX2 tier must
+// reproduce bit for bit — a deliberately plain row loop with no manual
+// unrolling, so reading it tells you the exact per-row operation
+// sequence the AVX2 twin promises to match.  This TU is compiled with
+// the project-default flags only (no -mavx2): it must run on any
+// x86-64, and the AVX2 kernel's tail rows get this baseline codegen,
+// not a re-materialised copy under its own ISA flags.
 
 #include "util/simd.hpp"
 
@@ -15,46 +14,11 @@
 #include <cstdlib>
 
 #include "util/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/simd_internal.hpp"
 
 namespace autopower::util::simd {
 
 namespace detail {
-
-namespace {
-constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-}  // namespace
-
-void scalar_axpy(double a, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-void scalar_sub_div(const double* x, const double* mean, const double* scale,
-                    double* out, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] = (x[j] - mean[j]) / scale[j];
-}
-
-void scalar_gather(const double* src, const std::uint32_t* idx, double* out,
-                   std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = src[idx[k]];
-}
-
-void scalar_strided_gather(const double* src, std::size_t stride, double* out,
-                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = src[i * stride];
-}
-
-void scalar_affine_rows(const double* rows, std::size_t arity,
-                        std::size_t count, const double* coef,
-                        double intercept, double* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* r = rows + i * arity;
-    double acc = intercept;
-    for (std::size_t j = 0; j < arity; ++j) acc += coef[j] * r[j];
-    out[i] = acc;
-  }
-}
 
 void scalar_forest_leaf_add(const PaddedTreeView& tree, const double* cols,
                             std::size_t col_stride, std::size_t rows,
@@ -74,35 +38,13 @@ void scalar_forest_leaf_add(const PaddedTreeView& tree, const double* cols,
   }
 }
 
-void scalar_rng_fill_u64(std::uint64_t base, std::uint64_t* out,
-                         std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    base += kGamma;
-    out[k] = mix64(base);
-  }
-}
-
-void scalar_rng_fill_unit(std::uint64_t base, double* out, std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    base += kGamma;
-    out[k] = hash_unit(mix64(base));
-  }
-}
-
 }  // namespace detail
 
 namespace {
 
 constexpr KernelTable kScalarTable = {
     Tier::kScalar,
-    detail::scalar_axpy,
-    detail::scalar_sub_div,
-    detail::scalar_gather,
-    detail::scalar_strided_gather,
-    detail::scalar_affine_rows,
     detail::scalar_forest_leaf_add,
-    detail::scalar_rng_fill_u64,
-    detail::scalar_rng_fill_unit,
 };
 
 void publish_tier_gauge(Tier tier) {

@@ -1,20 +1,19 @@
 // SIMD kernel layer with runtime CPU dispatch.
 //
-// The numeric hot paths (forest inference, presort gathers, ridge
-// predicts, batched PRNG fills) call through a per-process kernel table
-// selected once from cpuid: scalar or AVX2.  Three properties the
-// rest of the repository relies on:
+// The one dispatched kernel is forest inference (forest_leaf_add, the
+// padded-tree walk behind ml::GBTRegressor's batch predict), called
+// through a per-process kernel table selected once from cpuid: scalar or
+// AVX2.  It is the only kernel whose AVX2 body wins on the ledger (~2x,
+// enforced by bench_train_throughput); the other numeric loops are plain
+// scalar code at their call sites (see DESIGN.md "SIMD dispatch").
+// Three properties the rest of the repository relies on:
 //
-//   * Bit-identity across tiers.  Every vector kernel performs, per
-//     output element, exactly the operation sequence of its scalar twin
-//     — vectorisation is only ever *across* independent output elements
-//     (rows, samples, lanes), never across a reduction whose order
-//     affects the result.  Kernels that cannot keep that promise do not
-//     exist here; those loops stay scalar at the call site (see
-//     DESIGN.md "SIMD dispatch" for the per-site inventory).  The
-//     differential oracles in tests/test_simd.cpp pin every kernel to
-//     its scalar twin over random sizes, alignments, NaNs and
-//     denormals.
+//   * Bit-identity across tiers.  The vector kernel performs, per output
+//     row, exactly the operation sequence of its scalar twin —
+//     vectorisation is only ever *across* independent rows, never across
+//     a reduction whose order affects the result.  The differential
+//     oracle in tests/test_simd.cpp pins it to its scalar twin over
+//     random sizes, depths, NaNs and denormals.
 //   * No ISA leakage.  AVX2 code lives only in simd_avx2.cpp, the only
 //     translation unit compiled with -mavx2 (tools/check.sh fails the
 //     build if the flag appears anywhere else).  This header stays
@@ -68,35 +67,9 @@ struct PaddedTreeView {
 /// RegressionTree::predict instead.
 inline constexpr std::int32_t kMaxPaddedDepth = 5;
 
-/// The dispatched kernels.  All pointers are always non-null (the
-/// scalar implementation backs any slot a tier does not accelerate).
-/// Index arguments must be < 2^31: the x86 gather instructions treat
-/// indices as signed 32/64-bit.
+/// The dispatched kernel table; forest_leaf_add is never null.
 struct KernelTable {
   Tier tier;
-
-  /// y[i] += a * x[i]  (multiply then add, no FMA contraction).
-  void (*axpy)(double a, const double* x, double* y, std::size_t n);
-
-  /// out[j] = (x[j] - mean[j]) / scale[j]  (IEEE divide, as scalar).
-  void (*sub_div)(const double* x, const double* mean, const double* scale,
-                  double* out, std::size_t n);
-
-  /// out[k] = src[idx[k]].
-  void (*gather)(const double* src, const std::uint32_t* idx, double* out,
-                 std::size_t n);
-
-  /// out[i] = src[i * stride]  (column gather from a row-major matrix;
-  /// pass src already offset to the column).
-  void (*strided_gather)(const double* src, std::size_t stride, double* out,
-                         std::size_t n);
-
-  /// Dense affine map over row-major samples, vectorised across rows:
-  /// out[i] = intercept + sum_j coef[j] * rows[i*arity + j], the sum
-  /// accumulated in ascending j exactly like a scalar predict loop.
-  void (*affine_rows)(const double* rows, std::size_t arity,
-                      std::size_t count, const double* coef, double intercept,
-                      double* out);
 
   /// Forest inference over one padded tree and one column-major block:
   /// out[i] += lr * leaf_weight(row i), where cols[f*col_stride + i] is
@@ -105,15 +78,6 @@ struct KernelTable {
   void (*forest_leaf_add)(const PaddedTreeView& tree, const double* cols,
                           std::size_t col_stride, std::size_t rows, double lr,
                           double* out);
-
-  /// Counter-based SplitMix64 block fill (the Rng::next_u64 stream):
-  /// out[k] = mix64(base + (k+1) * 0x9e3779b97f4a7c15).
-  void (*rng_fill_u64)(std::uint64_t base, std::uint64_t* out, std::size_t n);
-
-  /// The Rng::next_unit stream: out[k] = hash_unit(rng_fill_u64 value),
-  /// i.e. a second mix64 pass then (v >> 11) * 0x1.0p-53, with the
-  /// integer->double conversion exact in every lane.
-  void (*rng_fill_unit)(std::uint64_t base, double* out, std::size_t n);
 };
 
 /// The active kernel table (initialised on first use from cpuid + the

@@ -366,7 +366,7 @@ ml::Dataset continuous_dataset(Pcg32& rng, int rows, int features) {
   util::Rng values(rng.next_u64());
   std::vector<double> row(static_cast<std::size_t>(features));
   for (int i = 0; i < rows; ++i) {
-    values.fill_unit(row);
+    for (double& x : row) x = values.next_unit();
     double y = 0.0;
     for (const double x : row) y = 2.0 * y + x * x;
     data.add_sample(row, y);

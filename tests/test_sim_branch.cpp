@@ -54,6 +54,15 @@ TEST(BranchStream, MispredictRateDeterministic) {
                    measure_mispredict_rate(b, s, 5000));
 }
 
+TEST(BranchStream, MispredictRateMatchesRecordedStream) {
+  // Pins the exact util::Rng draw stream: 1199 mispredicts in 5000.
+  BranchPredictorModel bp(512);
+  BranchStreamProfile s;
+  s.entropy = 0.4;
+  s.seed = 5;
+  EXPECT_EQ(measure_mispredict_rate(bp, s, 5000), 0x1.eb1c432ca57a8p-3);
+}
+
 TEST(BranchStream, EntropyRaisesMispredicts) {
   BranchStreamProfile easy;
   easy.entropy = 0.05;

@@ -1,17 +1,15 @@
 // Differential oracles for the SIMD kernel layer (util/simd.hpp).
 //
-// Every vector kernel claims BIT-identity with its scalar twin.  These
-// properties pin that claim over random sizes (including 0 and every
-// tail length below the vector width), unaligned base pointers, NaNs
-// and denormals, for every tier the host can execute:
+// The dispatched kernel (forest_leaf_add) claims BIT-identity with its
+// scalar twin.  These properties pin that claim over random sizes
+// (including 0 and every tail length below the vector width), depths,
+// NaNs and denormals, for every tier the host can execute:
 //
-//   (a) each KernelTable entry vs the scalar table, element-exact,
-//   (b) Rng::fill_u64 / fill_unit vs the next_u64()/next_unit() loop,
-//       including the post-fill stream position, and BufferedRng as a
-//       drop-in for Rng under data-dependent draw counts,
-//   (c) GBT predict_all / predict_rows and the presorted tree builder
+//   (a) the forest_leaf_add entry of each KernelTable vs the scalar
+//       table, element-exact,
+//   (b) GBT predict_all / predict_rows and the presorted tree builder
 //       (fit -> archive bytes) across tiers via set_active_tier(),
-//   (d) the AUTOPOWER_SIMD environment override, exercised in a child
+//   (c) the AUTOPOWER_SIMD environment override, exercised in a child
 //       process per tier name (this binary re-runs itself with
 //       --print-tier, which prints the resolved tier and exits).
 //
@@ -40,7 +38,6 @@
 #include "testcore/proptest.hpp"
 #include "testcore/tier_guard.hpp"
 #include "util/archive.hpp"
-#include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace autopower {
@@ -96,21 +93,6 @@ std::optional<std::string> diff_doubles(const std::vector<double>& ref,
   return std::nullopt;
 }
 
-std::optional<std::string> diff_u64(const std::vector<std::uint64_t>& ref,
-                                    const std::vector<std::uint64_t>& got,
-                                    const std::string& what) {
-  if (ref.size() != got.size()) return what + ": size mismatch";
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (ref[i] != got[i]) {
-      std::ostringstream msg;
-      msg << what << ": element " << i << " differs: 0x" << std::hex
-          << ref[i] << " vs 0x" << got[i];
-      return msg.str();
-    }
-  }
-  return std::nullopt;
-}
-
 /// Random double from a palette that stresses the kernels: ordinary
 /// finite values, huge/tiny magnitudes, denormals, zeros and NaN/inf.
 double stress_double(Pcg32& rng, bool allow_non_finite) {
@@ -154,171 +136,9 @@ std::string gbt_archive(const ml::GBTRegressor& model) {
 }
 
 // ---------------------------------------------------------------------
-// (a) Raw kernel oracles: every tier's entry vs the scalar table.
-//
-// Sizes sweep 0..~3x the widest vector width so every tail length is
-// hit; a random lead offset into an oversized buffer exercises
-// unaligned bases (the kernels use unaligned loads throughout).
-
-struct Buffers {
-  std::size_t n = 0;
-  std::size_t lead = 0;  ///< elements skipped at the buffer front
-};
-
-Buffers random_extent(Pcg32& rng) {
-  Buffers b;
-  b.n = static_cast<std::size_t>(rng.next_int(0, 24));
-  b.lead = static_cast<std::size_t>(rng.next_int(0, 3));
-  return b;
-}
-
-TEST(SimdKernels, AxpyMatchesScalarOnAllTiers) {
-  const auto tables = available_tables();
-  const auto result = testcore::run_property<std::uint64_t>(
-      {.name = "simd.axpy", .cases = 300},
-      [](Pcg32& rng) { return rng.next_u64(); },
-      [&tables](const std::uint64_t& seed) -> std::optional<std::string> {
-        Pcg32 rng(seed);
-        const Buffers b = random_extent(rng);
-        const double a = stress_double(rng, true);
-        const auto x = stress_vector(rng, b.lead + b.n, true);
-        const auto y0 = stress_vector(rng, b.lead + b.n, true);
-        std::vector<double> ref;
-        for (const KernelTable* kt : tables) {
-          auto y = y0;
-          kt->axpy(a, x.data() + b.lead, y.data() + b.lead, b.n);
-          if (kt->tier == Tier::kScalar) {
-            ref = y;
-            continue;
-          }
-          if (auto d = diff_doubles(
-                  ref, y,
-                  std::string("axpy ") +
-                      std::string(util::simd::tier_name(kt->tier)) +
-                      " n=" + std::to_string(b.n) +
-                      " lead=" + std::to_string(b.lead))) {
-            return d;
-          }
-        }
-        return std::nullopt;
-      });
-  ASSERT_TRUE(result.passed) << result.report;
-}
-
-TEST(SimdKernels, SubDivMatchesScalarOnAllTiers) {
-  const auto tables = available_tables();
-  const auto result = testcore::run_property<std::uint64_t>(
-      {.name = "simd.sub_div", .cases = 300},
-      [](Pcg32& rng) { return rng.next_u64(); },
-      [&tables](const std::uint64_t& seed) -> std::optional<std::string> {
-        Pcg32 rng(seed);
-        const Buffers b = random_extent(rng);
-        const auto x = stress_vector(rng, b.lead + b.n, true);
-        const auto mean = stress_vector(rng, b.lead + b.n, true);
-        auto scale = stress_vector(rng, b.lead + b.n, true);
-        // Occasional zero scale: the IEEE divide (inf/NaN results) must
-        // still match the scalar op bit for bit.
-        for (double& s : scale) {
-          if (rng.next_bool(0.1)) s = 0.0;
-        }
-        std::vector<double> ref;
-        for (const KernelTable* kt : tables) {
-          std::vector<double> out(b.lead + b.n, -7.0);
-          kt->sub_div(x.data() + b.lead, mean.data() + b.lead,
-                      scale.data() + b.lead, out.data() + b.lead, b.n);
-          if (kt->tier == Tier::kScalar) {
-            ref = out;
-            continue;
-          }
-          if (auto d = diff_doubles(
-                  ref, out,
-                  std::string("sub_div ") +
-                      std::string(util::simd::tier_name(kt->tier)) +
-                      " n=" + std::to_string(b.n))) {
-            return d;
-          }
-        }
-        return std::nullopt;
-      });
-  ASSERT_TRUE(result.passed) << result.report;
-}
-
-TEST(SimdKernels, GathersMatchScalarOnAllTiers) {
-  const auto tables = available_tables();
-  const auto result = testcore::run_property<std::uint64_t>(
-      {.name = "simd.gather", .cases = 300},
-      [](Pcg32& rng) { return rng.next_u64(); },
-      [&tables](const std::uint64_t& seed) -> std::optional<std::string> {
-        Pcg32 rng(seed);
-        const Buffers b = random_extent(rng);
-        const std::size_t src_len = b.n + 1 + rng.index(16);
-        const auto src = stress_vector(rng, src_len, true);
-        std::vector<std::uint32_t> idx(b.n);
-        for (auto& i : idx) {
-          i = static_cast<std::uint32_t>(rng.index(src_len));
-        }
-        const std::size_t stride = 1 + rng.index(5);
-        const auto strided_src = stress_vector(rng, b.n * stride + 1, true);
-
-        std::vector<double> ref_g;
-        std::vector<double> ref_s;
-        for (const KernelTable* kt : tables) {
-          std::vector<double> got_g(b.n, -7.0);
-          std::vector<double> got_s(b.n, -7.0);
-          kt->gather(src.data(), idx.data(), got_g.data(), b.n);
-          kt->strided_gather(strided_src.data(), stride, got_s.data(), b.n);
-          if (kt->tier == Tier::kScalar) {
-            ref_g = got_g;
-            ref_s = got_s;
-            continue;
-          }
-          const auto name = std::string(util::simd::tier_name(kt->tier));
-          if (auto d = diff_doubles(ref_g, got_g, "gather " + name)) return d;
-          if (auto d = diff_doubles(ref_s, got_s,
-                                    "strided_gather " + name +
-                                        " stride=" + std::to_string(stride))) {
-            return d;
-          }
-        }
-        return std::nullopt;
-      });
-  ASSERT_TRUE(result.passed) << result.report;
-}
-
-TEST(SimdKernels, AffineRowsMatchesScalarOnAllTiers) {
-  const auto tables = available_tables();
-  const auto result = testcore::run_property<std::uint64_t>(
-      {.name = "simd.affine_rows", .cases = 300},
-      [](Pcg32& rng) { return rng.next_u64(); },
-      [&tables](const std::uint64_t& seed) -> std::optional<std::string> {
-        Pcg32 rng(seed);
-        const std::size_t count = static_cast<std::size_t>(rng.next_int(0, 17));
-        const std::size_t arity = static_cast<std::size_t>(rng.next_int(1, 9));
-        const auto rows = stress_vector(rng, count * arity, true);
-        const auto coef = stress_vector(rng, arity, true);
-        const double intercept = stress_double(rng, true);
-        std::vector<double> ref;
-        for (const KernelTable* kt : tables) {
-          std::vector<double> out(count, -7.0);
-          kt->affine_rows(rows.data(), arity, count, coef.data(), intercept,
-                          out.data());
-          if (kt->tier == Tier::kScalar) {
-            ref = out;
-            continue;
-          }
-          if (auto d = diff_doubles(
-                  ref, out,
-                  std::string("affine_rows ") +
-                      std::string(util::simd::tier_name(kt->tier)) +
-                      " count=" + std::to_string(count) +
-                      " arity=" + std::to_string(arity))) {
-            return d;
-          }
-        }
-        return std::nullopt;
-      });
-  ASSERT_TRUE(result.passed) << result.report;
-}
+// (a) Raw kernel oracle: every tier's forest_leaf_add vs the scalar
+// table.  Row counts sweep 0..18, past the AVX2 kernel's 16-row block,
+// so every tail length is hit.
 
 TEST(SimdKernels, ForestLeafAddMatchesScalarOnAllTiers) {
   const auto tables = available_tables();
@@ -383,127 +203,8 @@ TEST(SimdKernels, ForestLeafAddMatchesScalarOnAllTiers) {
   ASSERT_TRUE(result.passed) << result.report;
 }
 
-TEST(SimdKernels, RngFillsMatchScalarOnAllTiers) {
-  const auto tables = available_tables();
-  const auto result = testcore::run_property<std::uint64_t>(
-      {.name = "simd.rng_fill", .cases = 300},
-      [](Pcg32& rng) { return rng.next_u64(); },
-      [&tables](const std::uint64_t& seed) -> std::optional<std::string> {
-        Pcg32 rng(seed);
-        const std::size_t n = static_cast<std::size_t>(rng.next_int(0, 24));
-        // Bases across the whole u64 range, including near-wraparound:
-        // the counter arithmetic is modular and must match in every lane.
-        const std::uint64_t base =
-            rng.next_bool(0.2) ? ~std::uint64_t{0} - rng.next_below(1000)
-                               : rng.next_u64();
-        std::vector<std::uint64_t> ref_u;
-        std::vector<double> ref_d;
-        for (const KernelTable* kt : tables) {
-          std::vector<std::uint64_t> got_u(n, 0);
-          std::vector<double> got_d(n, -7.0);
-          kt->rng_fill_u64(base, got_u.data(), n);
-          kt->rng_fill_unit(base, got_d.data(), n);
-          if (kt->tier == Tier::kScalar) {
-            ref_u = got_u;
-            ref_d = got_d;
-            continue;
-          }
-          const auto name = std::string(util::simd::tier_name(kt->tier));
-          if (auto d = diff_u64(ref_u, got_u, "rng_fill_u64 " + name)) {
-            return d;
-          }
-          if (auto d = diff_doubles(ref_d, got_d, "rng_fill_unit " + name)) {
-            return d;
-          }
-        }
-        return std::nullopt;
-      });
-  ASSERT_TRUE(result.passed) << result.report;
-}
-
 // ---------------------------------------------------------------------
-// (b) Rng / BufferedRng stream contracts.
-
-TEST(SimdRng, FillMatchesLoopAndAdvancesStream) {
-  const auto result = testcore::run_property<std::uint64_t>(
-      {.name = "simd.rng_fill_stream", .cases = 200},
-      [](Pcg32& rng) { return rng.next_u64(); },
-      [](const std::uint64_t& seed) -> std::optional<std::string> {
-        Pcg32 rng(seed);
-        const std::size_t n = static_cast<std::size_t>(rng.next_int(0, 300));
-        util::Rng loop_rng(seed);
-        util::Rng fill_rng(seed);
-
-        std::vector<std::uint64_t> expect_u(n);
-        for (auto& v : expect_u) v = loop_rng.next_u64();
-        std::vector<std::uint64_t> got_u(n);
-        fill_rng.fill_u64(got_u);
-        if (auto d = diff_u64(expect_u, got_u, "fill_u64 vs loop")) return d;
-
-        // Post-fill stream position: the next draws must agree too.
-        std::vector<double> expect_d(7);
-        for (auto& v : expect_d) v = loop_rng.next_unit();
-        std::vector<double> got_d(7);
-        fill_rng.fill_unit(got_d);
-        return diff_doubles(expect_d, got_d, "fill_unit after fill_u64");
-      });
-  ASSERT_TRUE(result.passed) << result.report;
-}
-
-TEST(SimdRng, BufferedRngIsDropInForRng) {
-  const auto result = testcore::run_property<std::uint64_t>(
-      {.name = "simd.buffered_rng", .cases = 200},
-      [](Pcg32& rng) { return rng.next_u64(); },
-      [](const std::uint64_t& seed) -> std::optional<std::string> {
-        Pcg32 rng(seed);
-        util::Rng plain(seed);
-        util::BufferedRng buffered(seed);
-        // Data-dependent op mix, long enough to cross several 128-draw
-        // buffer refills.
-        const int ops = rng.next_int(1, 500);
-        for (int i = 0; i < ops; ++i) {
-          switch (rng.next_int(0, 3)) {
-            case 0: {
-              const auto a = plain.next_u64();
-              const auto b = buffered.next_u64();
-              if (a != b) return std::string("next_u64 diverged at op ") +
-                                 std::to_string(i);
-              break;
-            }
-            case 1: {
-              const double a = plain.next_unit();
-              const double b = buffered.next_unit();
-              if (bits(a) != bits(b)) {
-                return std::string("next_unit diverged at op ") +
-                       std::to_string(i);
-              }
-              break;
-            }
-            case 2: {
-              const double a = plain.next_range(-3.0, 9.0);
-              const double b = buffered.next_range(-3.0, 9.0);
-              if (bits(a) != bits(b)) {
-                return std::string("next_range diverged at op ") +
-                       std::to_string(i);
-              }
-              break;
-            }
-            default: {
-              const auto a = plain.next_below(97);
-              const auto b = buffered.next_below(97);
-              if (a != b) return std::string("next_below diverged at op ") +
-                                 std::to_string(i);
-              break;
-            }
-          }
-        }
-        return std::nullopt;
-      });
-  ASSERT_TRUE(result.passed) << result.report;
-}
-
-// ---------------------------------------------------------------------
-// (c) End-to-end tier differencing: the model layer must produce the
+// (b) End-to-end tier differencing: the model layer must produce the
 // same bits whichever tier is dispatched.
 
 TEST(SimdTiers, GbtPredictIsBitIdenticalAcrossTiers) {
@@ -580,9 +281,7 @@ TEST(SimdDispatch, TierTablesAndNamesAreConsistent) {
     if (t <= best) {
       ASSERT_NE(kt, nullptr) << "tier <= best must have a table";
       EXPECT_EQ(kt->tier, t);
-      EXPECT_NE(kt->axpy, nullptr);
       EXPECT_NE(kt->forest_leaf_add, nullptr);
-      EXPECT_NE(kt->rng_fill_unit, nullptr);
     } else {
       EXPECT_EQ(kt, nullptr) << "tier above best must be unavailable";
     }
@@ -613,7 +312,7 @@ TEST(SimdDispatch, SetActiveTierClampsAndSwitches) {
 }
 
 // ---------------------------------------------------------------------
-// (d) AUTOPOWER_SIMD environment override, observed from a child
+// (c) AUTOPOWER_SIMD environment override, observed from a child
 // process (the override is read once at first dispatch, so it cannot be
 // tested in-process).  The child is this very binary run with
 // --print-tier, which prints the resolved tier number and exits.

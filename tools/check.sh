@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo health check: builds the default preset, verifies the SIMD arch
-# flag stays confined to the dispatched AVX2 TU, runs the self-checking
+# flag stays confined to the dispatched AVX2 TU and the dispatched kernel
+# table to the GBT forest walk, runs the self-checking
 # throughput benches (training core + SIMD tier differencing + batch
 # serving + daemon wire path + structural-memo sweep) and collects their
 # headline numbers into BENCH_train.json, BENCH_serve.json and
@@ -15,7 +16,7 @@
 # simulator-economy bars into BENCH_explore.json, re-runs the
 # sweep/batch smokes under
 # AUTOPOWER_SIMD=scalar and diffs the JSONL byte-for-byte against the
-# best tier, runs the property-based differential + SIMD kernel oracles
+# best tier, runs the property-based differential + SIMD kernel oracle
 # and the archive fuzz under AddressSanitizer, then race-checks the
 # threaded subsystems, the fault-injection suite, the SIMD dispatch
 # handoff, and the daemon under ThreadSanitizer.  Run
@@ -67,6 +68,21 @@ if grep -rn --include='*.cpp' --include='*.hpp' --exclude-dir='build*' \
   exit 1
 fi
 echo "util::ThreadPool confined to src/util/ and tests/"
+
+echo "== one dispatched kernel (simd::kernels() stays in the forest walk) =="
+# forest_leaf_add is the only SIMD kernel with a measured win; every
+# other numeric loop is plain scalar code at its call site.  A new
+# dispatched kernel needs a ledger entry first, so only the forest walk
+# (src/ml/gbt.cpp), the dispatcher (src/util/) and tests/ may fetch the
+# kernel table.
+if grep -rn --include='*.cpp' --include='*.hpp' --exclude-dir='build*' \
+    --exclude-dir=.bench_build 'simd::kernels()' . \
+    | grep -v -e '^\./src/ml/gbt\.cpp:' -e '^\./src/util/' -e '^\./tests/'; then
+  echo "util::simd::kernels() used outside src/ml/gbt.cpp, src/util/ and" \
+    "tests/; write the loop as plain scalar code at its call site"
+  exit 1
+fi
+echo "util::simd::kernels() confined to src/ml/gbt.cpp, src/util/ and tests/"
 
 echo "== one prediction path (GBT sub-models in src/core go through predict_rows) =="
 # Each power group's formula lives once, in its predict_batch, which
@@ -209,7 +225,7 @@ echo "headline numbers in BENCH_explore.json"
 echo "== SIMD dual-tier byte-identity (sweep + trace CSV + batch JSONL) =="
 # The same sweep, trace and batch runs under AUTOPOWER_SIMD=scalar must
 # produce byte-identical output files to the best-tier runs above/below:
-# the vector kernels promise per-row op-order equality, so any diff here
+# the forest kernel promises per-row op-order equality, so any diff here
 # is a kernel bug, not a tolerance question.  The gemm trace predicts
 # ~125k windows in one batch, the largest batched-forest call of any
 # smoke here.  The trace CSV prints 6 significant digits, so its diff
@@ -290,6 +306,12 @@ s.bind(("127.0.0.1", 0)); print(s.getsockname()[1]); s.close()')"
 ./build/tools/autopower serve --model "main=$smoke_dir/live.ap" \
   --port "$swap_port" --threads 2 &
 swap_pid=$!
+# The daemon listens before it loads its models, so wait for a health
+# response first: overwriting live.ap mid-load would hand the initial
+# load a half-written archive and the daemon would exit.
+echo '{"cmd": "health"}' > "$smoke_dir/health.jsonl"
+python3 tools/serve_client.py --port "$swap_port" \
+  --requests "$smoke_dir/health.jsonl" --out "$smoke_dir/health_out.jsonl"
 # Overwrite the live archive while the daemon still serves the old
 # snapshot, then stream [50 reqs | {"cmd":"reload"} | same 50 reqs] on
 # ONE connection.  The swap linearizes with admission, so the first half
@@ -369,10 +391,11 @@ echo "== proptest: explore optimizer oracles under AddressSanitizer =="
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   timeout 900 ./build-asan/tests/test_explore --cases 200
 
-echo "== proptest: SIMD kernel oracles under AddressSanitizer =="
-# Every vector kernel vs its scalar twin over random sizes, lead offsets
-# and NaN palettes — under ASan this also checks the unaligned loads and
-# gather index arithmetic never read past a buffer.
+echo "== proptest: SIMD kernel oracle under AddressSanitizer =="
+# The forest kernel vs its scalar twin over random depths, row counts,
+# column strides and NaN palettes — under ASan this also checks the
+# unaligned column loads and the leaf-weight gathers never read past a
+# buffer.
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   timeout 900 ./build-asan/tests/test_simd --cases 60
 
