@@ -1,8 +1,10 @@
 #include "core/autopower.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
+#include "core/features.hpp"
 #include "util/archive.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -142,18 +144,28 @@ template <typename Sink>
 void AutoPowerModel::for_each_group_power(std::span<const EvalContext> ctxs,
                                           Sink&& sink) const {
   AP_REQUIRE(trained_, "AutoPower not trained");
-  // Component-major: each component's group models see the whole batch at
-  // once, so every GBT walks its flattened forest in one predict_rows
-  // pass instead of once per context.
-  std::vector<double> reg(ctxs.size());
-  std::vector<double> comb(ctxs.size());
-  for (arch::ComponentKind c : arch::all_components()) {
-    const auto i = static_cast<std::size_t>(c);
-    const auto clock = clock_[i].predict_batch(ctxs);
-    const auto sram = sram_[i].predict_batch(ctxs);
-    logic_[i].predict_batch(ctxs, reg, comb);
-    for (std::size_t j = 0; j < ctxs.size(); ++j) {
-      sink(c, j, power::PowerGroups{clock[j], sram[j], reg[j], comb[j]});
+  // Tile-major: per tile and component, one H+E+P feature tile feeds all
+  // three group models (the H+E forests read each row's prefix), so the
+  // tile and every forest's outputs stay cache-resident.  Each context
+  // still sees its components in Table III order.
+  std::array<double, kTileRows> clock;
+  std::array<double, kTileRows> sram;
+  std::array<double, kTileRows> reg;
+  std::array<double, kTileRows> comb;
+  for (std::size_t begin = 0; begin < ctxs.size(); begin += kTileRows) {
+    const auto tile =
+        ctxs.subspan(begin, std::min(kTileRows, ctxs.size() - begin));
+    const std::size_t n = tile.size();
+    for (arch::ComponentKind c : arch::all_components()) {
+      const auto i = static_cast<std::size_t>(c);
+      const auto rows = feature_rows(c, FeatureSpec::hep(), tile);
+      clock_[i].predict_tile(tile, rows, {clock.data(), n});
+      sram_[i].predict_tile(tile, rows, {sram.data(), n});
+      logic_[i].predict_tile(tile, rows, {reg.data(), n}, {comb.data(), n});
+      for (std::size_t j = 0; j < n; ++j) {
+        sink(c, begin + j,
+             power::PowerGroups{clock[j], sram[j], reg[j], comb[j]});
+      }
     }
   }
 }

@@ -66,14 +66,21 @@ class AutoPowerModel {
   void train(std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden, std::size_t threads = 1);
 
+  /// Rows per tile of the tile-major prediction loop: every batch call
+  /// walks its contexts kTileRows at a time, so each component's H+E+P
+  /// feature tile and the forests' outputs stay cache-resident however
+  /// long the batch (a gemm trace is ~55k windows).
+  static constexpr std::size_t kTileRows = 512;
+
   /// Full per-component, per-group power prediction (mW): predict_batch
   /// of one context.
   [[nodiscard]] power::PowerResult predict(const EvalContext& ctx) const;
 
   /// Batched prediction: one PowerResult per context, evaluated
-  /// component-major so every GBT sub-model makes a single pass over its
-  /// flattened forest for the whole batch.  Element i does not depend on
-  /// the rest of the batch.
+  /// tile-major.  Per tile of kTileRows contexts and per component, one
+  /// H+E+P feature tile feeds the clock, SRAM and logic models, each of
+  /// whose GBT sub-models makes one predict_rows pass over it.  Element i
+  /// does not depend on the rest of the batch.
   [[nodiscard]] std::vector<power::PowerResult> predict_batch(
       std::span<const EvalContext> ctxs) const;
 
@@ -81,8 +88,8 @@ class AutoPowerModel {
   [[nodiscard]] double predict_total(const EvalContext& ctx) const;
 
   /// Batched totals: element i is bit-identical to
-  /// predict(ctxs[i]).total(), evaluated by the same component-major loop
-  /// as predict_batch but holding only one PowerGroups accumulator per
+  /// predict(ctxs[i]).total(), evaluated by the same tile-major loop as
+  /// predict_batch but holding only one PowerGroups accumulator per
   /// context instead of the full 22-component breakdown — the scoring
   /// path for search loops and power traces that never look at
   /// per-component power.
@@ -131,9 +138,9 @@ class AutoPowerModel {
 
   void refresh_fingerprint();
 
-  /// The one component-major loop behind predict_batch and
+  /// The one tile-major loop behind predict_batch and
   /// predict_total_batch: calls sink(component, j, groups) with the group
-  /// powers of ctxs[j], components in Table III order.
+  /// powers of ctxs[j], each context's components in Table III order.
   template <typename Sink>
   void for_each_group_power(std::span<const EvalContext> ctxs,
                             Sink&& sink) const;

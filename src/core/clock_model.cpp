@@ -106,38 +106,56 @@ double ClockPowerModel::predict_gating_rate(
 }
 
 double ClockPowerModel::predict(const EvalContext& ctx) const {
-  return predict_batch({&ctx, 1}).front();
+  const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
+                                  ctx.events, ctx.program);
+  double out = 0.0;
+  predict_tile({&ctx, 1}, row, {&out, 1});
+  return out;
 }
 
 std::vector<double> ClockPowerModel::predict_batch(
     std::span<const EvalContext> ctxs) const {
+  std::vector<double> out;
+  out.reserve(ctxs.size());
+  for (const auto& ctx : ctxs) out.push_back(predict(ctx));
+  return out;
+}
+
+void ClockPowerModel::predict_tile(std::span<const EvalContext> ctxs,
+                                   std::span<const double> rows,
+                                   std::span<double> out) const {
   if (!trained_) throw util::NotFitted("clock model not trained");
-  if (ctxs.empty()) return {};
+  AP_REQUIRE(out.size() == ctxs.size(),
+             "clock predict_tile output span must match context count");
+  if (ctxs.empty()) return;
 
-  // alpha' for all contexts in one flattened-forest (or batched ridge)
-  // pass; R and g go through the batched ridge path over one shared
-  // row-major H matrix.
-  const auto he_rows = feature_rows(component_, FeatureSpec::he(), ctxs);
-  const std::size_t he_arity = he_rows.size() / ctxs.size();
-  const std::vector<double> alpha =
-      options_.linear_alpha
-          ? alpha_linear_model_.predict_rows(he_rows, he_arity)
-          : alpha_model_.predict_rows(he_rows, he_arity);
-
-  const auto h_rows = feature_rows(component_, FeatureSpec::h(), ctxs);
-  const std::size_t h_arity = h_rows.size() / ctxs.size();
-  const std::vector<double> r_all = reg_model_.predict_rows(h_rows, h_arity);
-  const std::vector<double> g_all = gate_model_.predict_rows(h_rows, h_arity);
+  // alpha' for the whole tile in one predict_rows pass over the H+E
+  // prefix of each row (the ablation ridge reads the same prefix).
+  const std::size_t arity = rows.size() / ctxs.size();
+  std::vector<double> alpha;
+  if (options_.linear_alpha) {
+    const std::size_t he_arity = alpha_linear_model_.coefficients().size();
+    alpha.resize(ctxs.size());
+    for (std::size_t i = 0; i < ctxs.size(); ++i) {
+      alpha[i] = alpha_linear_model_.predict(rows.subspan(i * arity, he_arity));
+    }
+  } else {
+    alpha = alpha_model_.predict_rows(rows, arity);
+  }
 
   const double p_reg = techlib::TechLibrary::default_40nm().clock_pin_energy;
-  std::vector<double> out(ctxs.size());
+  const arch::HardwareConfig* cfg = nullptr;
+  double r = 0.0;
+  double g = 0.0;
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    const double r = r_all[i];
-    const double g = std::clamp(g_all[i], 0.0, 0.99);
+    if (ctxs[i].cfg != cfg) {
+      cfg = ctxs[i].cfg;
+      r = predict_register_count(*cfg);
+      g = predict_gating_rate(*cfg);
+    }
     // Eq. 7: P_clk = R (1 - g) p_reg + alpha' R g.
     out[i] = std::max(0.0, r * (1.0 - g) * p_reg + alpha[i] * r * g);
   }
-  return out;
 }
 
 }  // namespace autopower::core

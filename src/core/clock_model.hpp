@@ -52,15 +52,23 @@ class ClockPowerModel {
   void train(arch::ComponentKind c, std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden);
 
-  /// Predicted clock power (mW) via Eq. 7: predict_batch of one context.
+  /// Predicted clock power (mW) via Eq. 7: predict_tile of the one H+E+P
+  /// row feature_vector builds for `ctx`.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// Eq. 7 over many contexts, the one implementation of the formula:
-  /// alpha' goes through the GBT's flattened predict_rows path, R and g
-  /// through the batched ridge path over one shared H matrix.  Element i
-  /// does not depend on the rest of the batch.
+  /// predict() of each context, in order.  The batched path is
+  /// predict_tile, which AutoPowerModel feeds one shared feature tile.
   [[nodiscard]] std::vector<double> predict_batch(
       std::span<const EvalContext> ctxs) const;
+
+  /// Eq. 7 over one feature tile, the one implementation of the formula.
+  /// `rows` holds each context's H+E+P row, row-major, as feature_rows
+  /// assembles them.  alpha' reads each row's H+E prefix; R and g run once
+  /// per run of contexts sharing a cfg pointer.  out[i] depends only on
+  /// ctxs[i].
+  void predict_tile(std::span<const EvalContext> ctxs,
+                    std::span<const double> rows,
+                    std::span<double> out) const;
 
   // Structural sub-model outputs, exposed for the Fig. 7 sub-model
   // accuracy study.

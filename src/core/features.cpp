@@ -42,8 +42,12 @@ void feature_vector_into(arch::ComponentKind c, const FeatureSpec& spec,
     }
   }
   if (spec.program) {
-    const auto p = program.as_vector();
-    out.insert(out.end(), p.begin(), p.end());
+    // Same order as workload::ProgramFeatures::names().
+    out.insert(out.end(),
+               {program.log_instructions, program.branch_frac,
+                program.load_frac, program.store_frac, program.fp_frac,
+                program.muldiv_frac, program.ilp, program.branch_entropy,
+                program.dcache_footprint_kb, program.icache_footprint_kb});
   }
 }
 

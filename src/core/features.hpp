@@ -56,7 +56,8 @@ void feature_vector_into(arch::ComponentKind c, const FeatureSpec& spec,
 
 /// Row-major feature matrix for one component across many contexts — the
 /// input layout ml::GBTRegressor::predict_rows consumes.  Row i is exactly
-/// feature_vector(c, spec, ctxs[i]...).
+/// feature_vector(c, spec, ctxs[i]...).  AutoPowerModel calls it once per
+/// (tile, component) with the H+E+P spec; the group models share it.
 [[nodiscard]] std::vector<double> feature_rows(
     arch::ComponentKind c, const FeatureSpec& spec,
     std::span<const EvalContext> ctxs);

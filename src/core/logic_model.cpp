@@ -114,25 +114,42 @@ double LogicPowerModel::predict(const EvalContext& ctx) const {
 void LogicPowerModel::predict_batch(std::span<const EvalContext> ctxs,
                                     std::span<double> reg_out,
                                     std::span<double> comb_out) const {
-  AP_REQUIRE(trained_, "logic model not trained");
   AP_REQUIRE(reg_out.size() == ctxs.size() && comb_out.size() == ctxs.size(),
              "logic predict_batch output spans must match context count");
+  for (std::size_t i = 0; i < ctxs.size(); ++i) {
+    const auto& ctx = ctxs[i];
+    const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
+                                    ctx.events, ctx.program);
+    predict_tile(ctxs.subspan(i, 1), row, reg_out.subspan(i, 1),
+                 comb_out.subspan(i, 1));
+  }
+}
+
+void LogicPowerModel::predict_tile(std::span<const EvalContext> ctxs,
+                                   std::span<const double> rows,
+                                   std::span<double> reg_out,
+                                   std::span<double> comb_out) const {
+  AP_REQUIRE(trained_, "logic model not trained");
+  AP_REQUIRE(reg_out.size() == ctxs.size() && comb_out.size() == ctxs.size(),
+             "logic predict_tile output spans must match context count");
   if (ctxs.empty()) return;
 
-  const auto rows = feature_rows(component_, FeatureSpec::he(), ctxs);
   const std::size_t arity = rows.size() / ctxs.size();
   const auto act = reg_act_model_.predict_rows(rows, arity);
   const auto var = comb_var_model_.predict_rows(rows, arity);
 
-  // The structural ridge models run batched too, over one shared H matrix.
-  const auto h_rows = feature_rows(component_, FeatureSpec::h(), ctxs);
-  const std::size_t h_arity = h_rows.size() / ctxs.size();
-  const auto reg_count = reg_count_model_.predict_rows(h_rows, h_arity);
-  const auto comb_stable = comb_stable_model_.predict_rows(h_rows, h_arity);
-
+  const arch::HardwareConfig* cfg = nullptr;
+  double reg_count = 0.0;
+  double comb_stable = 0.0;
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    reg_out[i] = std::max(0.0, reg_count[i] * act[i]);       // Eq. 11
-    comb_out[i] = std::max(0.0, comb_stable[i] * var[i]);  // Eq. 12
+    if (ctxs[i].cfg != cfg) {
+      cfg = ctxs[i].cfg;
+      const auto h = cfg->features_for(arch::component_hw_params(component_));
+      reg_count = reg_count_model_.predict(h);
+      comb_stable = comb_stable_model_.predict(h);
+    }
+    reg_out[i] = std::max(0.0, reg_count * act[i]);      // Eq. 11
+    comb_out[i] = std::max(0.0, comb_stable * var[i]);  // Eq. 12
   }
 }
 

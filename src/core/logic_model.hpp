@@ -45,14 +45,22 @@ class LogicPowerModel {
   /// of one context.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// Eq. 11-12 over many contexts, the one implementation of the
-  /// formulas, filling per-context register and combinational power.
-  /// Both GBT activity models share one feature matrix and go through the
-  /// flattened predict_rows path.  Element i does not depend on the rest
-  /// of the batch.
+  /// Per-context register and combinational power: predict_tile of the
+  /// one H+E+P row feature_vector builds for each context.  The batched
+  /// path is predict_tile, which AutoPowerModel feeds one shared feature
+  /// tile.
   void predict_batch(std::span<const EvalContext> ctxs,
                      std::span<double> reg_out,
                      std::span<double> comb_out) const;
+
+  /// Eq. 11-12 over one feature tile, the one implementation of the
+  /// formulas.  `rows` holds each context's H+E+P row, row-major, as
+  /// feature_rows assembles them; F_act and F_var read the H+E prefix.
+  /// F_reg and F_sta run once per run of contexts sharing a cfg pointer.
+  /// Element i depends only on ctxs[i].
+  void predict_tile(std::span<const EvalContext> ctxs,
+                    std::span<const double> rows, std::span<double> reg_out,
+                    std::span<double> comb_out) const;
 
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 

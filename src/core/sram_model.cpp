@@ -117,32 +117,49 @@ void SramPowerModel::load(util::ArchiveReader& in) {
 }
 
 double SramPowerModel::predict(const EvalContext& ctx) const {
-  return predict_batch({&ctx, 1}).front();
+  const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
+                                  ctx.events, ctx.program);
+  double out = 0.0;
+  predict_tile({&ctx, 1}, row, {&out, 1});
+  return out;
 }
 
 std::vector<double> SramPowerModel::predict_batch(
     std::span<const EvalContext> ctxs) const {
-  AP_REQUIRE(trained_, "SRAM model not trained");
-  if (ctxs.empty()) return {};
-  std::vector<double> out(ctxs.size(), 0.0);
-  if (positions_.empty()) return out;
+  std::vector<double> out;
+  out.reserve(ctxs.size());
+  for (const auto& ctx : ctxs) out.push_back(predict(ctx));
+  return out;
+}
 
-  const FeatureSpec spec = options_.program_features ? FeatureSpec::hep()
-                                                     : FeatureSpec::he();
-  const auto rows = feature_rows(component_, spec, ctxs);
+void SramPowerModel::predict_tile(std::span<const EvalContext> ctxs,
+                                  std::span<const double> rows,
+                                  std::span<double> out) const {
+  AP_REQUIRE(trained_, "SRAM model not trained");
+  AP_REQUIRE(out.size() == ctxs.size(),
+             "SRAM predict_tile output span must match context count");
+  std::fill(out.begin(), out.end(), 0.0);
+  if (ctxs.empty() || positions_.empty()) return;
+
   const std::size_t arity = rows.size() / ctxs.size();
   const auto& macros = techlib::SramMacroLibrary::default_40nm();
   const auto& lib = techlib::TechLibrary::default_40nm();
 
   // Position-major so each position's two forests make one batched pass;
-  // out[i] accumulates positions in declaration order whatever the batch.
+  // out[i] accumulates positions in declaration order whatever the tile.
   for (const auto& pm : positions_) {
     const auto f_read = pm.read_model.predict_rows(rows, arity);
     const auto f_write = pm.write_model.predict_rows(rows, arity);
+    const arch::HardwareConfig* cfg = nullptr;
+    BlockPrediction block;
+    techlib::MacroMappingResult mapping;
     for (std::size_t i = 0; i < ctxs.size(); ++i) {
-      const BlockPrediction block = pm.hardware.predict(*ctxs[i].cfg);
-      const auto mapping =
-          techlib::map_block_to_macros(macros, block.width, block.depth);
+      if (ctxs[i].cfg != cfg) {
+        cfg = ctxs[i].cfg;
+        block = pm.hardware.predict(*cfg);
+        mapping = techlib::map_block_to_macros(macros, block.width,
+                                               block.depth);
+      }
       // Eq. 9 + Eq. 10: one row of macros per access, plus the constant C.
       const double rw = lib.power_mw(
           f_read[i] * mapping.per_row * mapping.macro.read_energy +
@@ -151,7 +168,6 @@ std::vector<double> SramPowerModel::predict_batch(
     }
   }
   for (double& v : out) v = std::max(0.0, v);
-  return out;
 }
 
 BlockPrediction SramPowerModel::predict_block(

@@ -51,15 +51,23 @@ class SramPowerModel {
              const power::GoldenPowerModel& golden);
 
   /// Predicted SRAM power of the component (mW), Eq. 10 summed over
-  /// positions: predict_batch of one context.
+  /// positions: predict_tile of the one H+E+P row feature_vector builds
+  /// for `ctx`.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// Eq. 9-10 over many contexts, the one implementation of the formula:
-  /// per-position read/write frequencies go through the GBTs' flattened
-  /// predict_rows path.  Element i does not depend on the rest of the
-  /// batch.
+  /// predict() of each context, in order.  The batched path is
+  /// predict_tile, which AutoPowerModel feeds one shared feature tile.
   [[nodiscard]] std::vector<double> predict_batch(
       std::span<const EvalContext> ctxs) const;
+
+  /// Eq. 9-10 over one feature tile, the one implementation of the
+  /// formula.  `rows` holds each context's H+E+P row, row-major, as
+  /// feature_rows assembles them (forests fit without P read the H+E
+  /// prefix).  The block shape and its macro mapping run once per run of
+  /// contexts sharing a cfg pointer.  out[i] depends only on ctxs[i].
+  void predict_tile(std::span<const EvalContext> ctxs,
+                    std::span<const double> rows,
+                    std::span<double> out) const;
 
   /// Predicted block shape of one position (hardware model output),
   /// for the Table I example and the ~0-MAPE hardware-model check.

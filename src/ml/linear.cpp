@@ -87,22 +87,10 @@ void RidgeRegression::load(util::ArchiveReader& in) {
 }
 
 std::vector<double> RidgeRegression::predict_all(const Dataset& data) const {
-  if (data.empty()) return {};
-  return predict_rows(data.row_major_features(), data.num_features());
-}
-
-std::vector<double> RidgeRegression::predict_rows(
-    std::span<const double> rows, std::size_t arity) const {
-  if (!fitted_) {
-    throw util::NotFitted("RidgeRegression::predict_rows before fit");
-  }
-  AP_REQUIRE(arity == coef_.size(),
-             "feature arity mismatch in RidgeRegression::predict_rows");
-  AP_REQUIRE(arity > 0 && rows.size() % arity == 0,
-             "row buffer is not a multiple of the feature arity");
-  std::vector<double> out(rows.size() / arity);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = predict(rows.subspan(i * arity, arity));
+  std::vector<double> out;
+  out.reserve(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    out.push_back(predict(data.features(i)));
   }
   return out;
 }

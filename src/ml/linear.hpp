@@ -40,11 +40,6 @@ class RidgeRegression {
   /// Predicts every sample in a dataset.
   [[nodiscard]] std::vector<double> predict_all(const Dataset& data) const;
 
-  /// Batched prediction over `rows.size() / arity` feature vectors stored
-  /// row-major in `rows`: predict() on each row.
-  [[nodiscard]] std::vector<double> predict_rows(std::span<const double> rows,
-                                                 std::size_t arity) const;
-
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
 
   /// Coefficients in the original (unstandardised) feature space.

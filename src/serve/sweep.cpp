@@ -177,9 +177,9 @@ struct SweepWorkloads {
   }
 };
 
-/// Most contexts one predict_total_batch call sees.  GBT inference walks
-/// its forests in 64-row blocks, so larger batches gain nothing; the cap
-/// bounds the context buffer of a 1024-config chunk.
+/// Most contexts one predict_total_batch call sees.  The call walks any
+/// batch in AutoPowerModel::kTileRows tiles, so the cap only bounds the
+/// context buffer of a 1024-config chunk.
 constexpr std::size_t kPredictBatch = 256;
 
 /// Configs per claimed chunk: ~8 chunks per worker so stealing can

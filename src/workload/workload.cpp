@@ -17,13 +17,6 @@ double WorkloadProfile::average(double WorkloadPhase::* field) const {
   return acc / wsum;
 }
 
-std::vector<double> ProgramFeatures::as_vector() const {
-  return {log_instructions, branch_frac, load_frac,
-          store_frac,       fp_frac,     muldiv_frac,
-          ilp,              branch_entropy, dcache_footprint_kb,
-          icache_footprint_kb};
-}
-
 std::vector<std::string> ProgramFeatures::names() {
   return {"P.LogInstructions", "P.BranchFrac",   "P.LoadFrac",
           "P.StoreFrac",       "P.FpFrac",       "P.MulDivFrac",

@@ -67,7 +67,6 @@ struct ProgramFeatures {
   double dcache_footprint_kb = 0.0;
   double icache_footprint_kb = 0.0;
 
-  [[nodiscard]] std::vector<double> as_vector() const;
   [[nodiscard]] static std::vector<std::string> names();
 };
 

@@ -6,8 +6,9 @@
 //
 //   (a) reference vs presorted tree builder  -> byte-equal archives,
 //   (b) per-sample vs batched forest predict (prefix grid table, then
-//       padded walk), and per-context vs batched clock/SRAM/logic group
-//       predict -> identical doubles,
+//       padded walk), per-context vs tiled clock/SRAM/logic group
+//       predict, and per-context vs batched AutoPowerModel predict ->
+//       identical doubles,
 //   (c) cold vs memoized / shared-structural-cache simulate and
 //       simulate_trace -> identical event vectors,
 //   (d) serial vs multi-threaded train / batch engine / sweep ->
@@ -24,6 +25,7 @@
 #include <array>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <fstream>
 #include <memory>
@@ -36,6 +38,7 @@
 #include "arch/events.hpp"
 #include "arch/params.hpp"
 #include "core/autopower.hpp"
+#include "core/features.hpp"
 #include "ml/gbt.hpp"
 #include "power/golden.hpp"
 #include "serve/engine.hpp"
@@ -500,19 +503,21 @@ TEST(DifferentialTrees, PrefixGridStopsAtNanThresholdsAndDeepTrees) {
   }
 }
 
-// Oracle (b), group level: per-context vs batched power-group predict.
+// Oracle (b), group level: per-context vs tiled power-group predict.
 //
 // Every clock / SRAM / logic model evaluates its power formula (Eq. 7,
-// Eq. 9-10, Eq. 11-12) over a whole batch in predict_batch.  Element i of
-// a batch must equal predict(ctxs[i]) for each of the 22 components,
-// wherever row i lands relative to predict_rows' 64-row block and the
-// SIMD tail; the batch sizes straddle both.
+// Eq. 9-10, Eq. 11-12) over one H+E+P feature tile in predict_tile.
+// Element i of a tile must equal predict(ctxs[i]) for each of the 22
+// components, wherever row i lands relative to predict_rows' 64-row block
+// and the SIMD tail; the batch sizes straddle both.  Rows are drawn from
+// two configurations at random, so the per-configuration structural
+// sub-models restart at arbitrary rows.
 
 constexpr std::size_t kGroupBatchSizes[] = {1, 63, 64, 65, 129};
 
 // Full-size models trained once on C1/C15.  The ablation variant (ridge
 // alpha', SRAM activity without program features) takes the other
-// branches of the clock and SRAM predict_batch.
+// branches of the clock and SRAM predict_tile.
 const core::AutoPowerModel& group_oracle_model(bool ablation) {
   static const auto* const models = [] {
     sim::SimOptions opt;
@@ -602,16 +607,20 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
             const auto& clock = model.clock_model(comp);
             const auto& sram = model.sram_model(comp);
             const auto& logic = model.logic_model(comp);
-            const auto clock_batched = clock.predict_batch(batch);
-            const auto sram_batched = sram.predict_batch(batch);
+            const auto rows =
+                core::feature_rows(comp, core::FeatureSpec::hep(), batch);
+            std::vector<double> clock_tiled(size);
+            std::vector<double> sram_tiled(size);
             std::vector<double> reg(size);
             std::vector<double> comb(size);
-            logic.predict_batch(batch, reg, comb);
+            clock.predict_tile(batch, rows, clock_tiled);
+            sram.predict_tile(batch, rows, sram_tiled);
+            logic.predict_tile(batch, rows, reg, comb);
             for (std::size_t i = 0; i < size; ++i) {
               const double per_context[] = {clock.predict(batch[i]),
                                             sram.predict(batch[i]),
                                             logic.predict(batch[i])};
-              const double batched[] = {clock_batched[i], sram_batched[i],
+              const double batched[] = {clock_tiled[i], sram_tiled[i],
                                         reg[i] + comb[i]};
               for (int g = 0; g < 3; ++g) {
                 if (per_context[g] != batched[g]) {
@@ -621,7 +630,7 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
                       << (g == 0 ? "clock" : g == 1 ? "sram" : "logic")
                       << ", batch " << size << " row " << i
                       << ": predict()=" << per_context[g]
-                      << " predict_batch()=" << batched[g];
+                      << " predict_tile()=" << batched[g];
                   return msg.str();
                 }
               }
@@ -633,6 +642,107 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
       describe_group_case);
   ASSERT_TRUE(result.passed) << result.report;
   EXPECT_GE(result.cases_run, 1);
+}
+
+// Oracle (b), model level: per-context vs tile-major AutoPowerModel
+// predict.
+//
+// predict_batch, predict_total_batch and predict_trace walk their contexts
+// in kTileRows tiles and evaluate the structural sub-models once per run
+// of consecutive contexts that share a cfg pointer.  Element i of each
+// must equal predict(ctxs[i]) for batch sizes around one and two tiles,
+// under layouts that start a run at every kind of row: one long run,
+// alternating configs, and runs of 8 (a sweep's cells per config) that
+// switch between two distinct HardwareConfig objects holding equal
+// values.
+
+std::optional<std::string> groups_diff(const power::PowerGroups& a,
+                                       const power::PowerGroups& b) {
+  const double fa[] = {a.clock, a.sram, a.logic_register, a.logic_comb};
+  const double fb[] = {b.clock, b.sram, b.logic_register, b.logic_comb};
+  const char* const names[] = {"clock", "sram", "logic_register",
+                               "logic_comb"};
+  for (int g = 0; g < 4; ++g) {
+    if (fa[g] != fb[g]) {
+      std::ostringstream msg;
+      msg.precision(17);
+      msg << names[g] << " " << fa[g] << " vs " << fb[g];
+      return msg.str();
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(DifferentialModel, PerContextVsTiledModelPredictBitIdentical) {
+  const auto& c3 = arch::boom_config("C3");
+  const arch::HardwareConfig c3_copy = c3;  // equal values, own address
+  const auto& c8 = arch::boom_config("C8");
+  const auto& wl = workload::workload_by_name("qsort");
+  sim::SimOptions opt;
+  opt.sample_accesses = 500;
+  opt.sample_branches = 500;
+  const sim::PerfSimulator sim(opt);
+  const auto c3_windows = sim.simulate_trace(c3, wl);
+  const auto c8_windows = sim.simulate_trace(c8, wl);
+  ASSERT_FALSE(c3_windows.empty());
+  ASSERT_FALSE(c8_windows.empty());
+
+  // Layout: the config pointer of row k.
+  using Layout = std::function<const arch::HardwareConfig*(std::size_t)>;
+  const std::pair<const char*, Layout> layouts[] = {
+      {"one config", [&](std::size_t) { return &c8; }},
+      {"alternating",
+       [&](std::size_t k) { return k % 2 == 0 ? &c3 : &c8; }},
+      {"runs of 8, equal-valued copies",
+       [&](std::size_t k) {
+         const arch::HardwareConfig* run[] = {&c3, &c3_copy, &c8};
+         return run[(k / 8) % 3];
+       }},
+  };
+  constexpr std::size_t kTile = core::AutoPowerModel::kTileRows;
+  const std::size_t sizes[] = {kTile - 1, kTile, kTile + 1, 2 * kTile + 1};
+
+  Pcg32 pick(20261018);
+  const auto program = workload::program_features(wl);
+  for (const bool ablation : {false, true}) {
+    const auto& model = group_oracle_model(ablation);
+    for (const auto& [layout_name, layout] : layouts) {
+      for (const std::size_t size : sizes) {
+        std::vector<core::EvalContext> batch(size);
+        for (std::size_t k = 0; k < size; ++k) {
+          auto& ctx = batch[k];
+          ctx.cfg = layout(k);
+          ctx.workload = wl.name;
+          ctx.program = program;
+          const auto& windows = ctx.cfg == &c8 ? c8_windows : c3_windows;
+          ctx.events = windows[pick.index(windows.size())];
+        }
+        const auto totals = model.predict_total_batch(batch);
+        const auto trace = model.predict_trace(batch);
+        const auto full = model.predict_batch(batch);
+        ASSERT_EQ(totals.size(), size);
+        ASSERT_EQ(trace.size(), size);
+        ASSERT_EQ(full.size(), size);
+        const std::string where =
+            std::string(ablation ? "ablation" : "default") + " model, " +
+            layout_name + ", batch " + std::to_string(size);
+        for (std::size_t i = 0; i < size; ++i) {
+          const auto one = model.predict(batch[i]);
+          ASSERT_EQ(totals[i], one.total()) << where << " row " << i;
+          ASSERT_EQ(trace[i], one.total()) << where << " row " << i;
+          for (std::size_t k = 0; k < arch::kNumComponents; ++k) {
+            const auto diff =
+                groups_diff(full[i].components[k].groups,
+                            one.components[k].groups);
+            ASSERT_FALSE(diff.has_value())
+                << where << " row " << i << " component "
+                << arch::component_name(one.components[k].component)
+                << ": predict_batch vs predict " << *diff;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -85,7 +85,7 @@ fi
 echo "util::simd::kernels() confined to src/ml/gbt.cpp, src/util/ and tests/"
 
 echo "== one prediction path (GBT sub-models in src/core go through predict_rows) =="
-# Each power group's formula lives once, in its predict_batch, which
+# Each power group's formula lives once, in its predict_tile, which
 # evaluates every GBT activity sub-model through the batched predict_rows.
 # The scalar GBTRegressor::predict walk stays an ml-level differential
 # oracle (tests/test_differential.cpp), never a src/core prediction path.
@@ -100,6 +100,20 @@ if grep -rnE "\b(${gbt_members})\.predict\(" src/core; then
   exit 1
 fi
 echo "GBT sub-models in src/core (${gbt_members}) only use predict_rows"
+
+echo "== one feature assembly per component tile (feature_rows stays in the tile loop) =="
+# AutoPowerModel's tile-major loop assembles each component's H+E+P
+# feature tile once and hands it to the clock, SRAM and logic models'
+# predict_tile.  A group model building its own feature matrix would
+# assemble the same rows again, once per group, for the whole batch.
+if grep -rn 'feature_rows(' src/core \
+    | grep -v -e '^src/core/autopower\.cpp:' \
+      -e '^src/core/features\.[ch]pp:'; then
+  echo "feature_rows( used in src/core outside autopower.cpp and" \
+    "features.{hpp,cpp}; take the shared tile through predict_tile instead"
+  exit 1
+fi
+echo "feature_rows confined to src/core/autopower.cpp and src/core/features.*"
 
 echo "== bench_train_throughput (self-check: bit-identity + speedup bars) =="
 ./build/bench/bench_train_throughput --json /tmp/autopower_bench_train.json
