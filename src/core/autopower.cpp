@@ -24,6 +24,23 @@ struct TrainMetrics {
   util::Counter& submodel_fits;
 };
 
+// Pinned power traces: the compile cost (one observation per pinned
+// trace) and, summed over every forest of the trace, the trees its tables
+// hold and the trees each window still walks.
+struct TraceMetrics {
+  util::Histogram& pin_ns;
+  util::Counter& tabled_trees;
+  util::Counter& walked_trees;
+};
+
+TraceMetrics& trace_metrics() {
+  auto& r = util::MetricsRegistry::global();
+  static TraceMetrics m{r.histogram("core.predict_trace.pin_ns"),
+                        r.counter("core.predict_trace.tabled_trees"),
+                        r.counter("core.predict_trace.walked_trees")};
+  return m;
+}
+
 TrainMetrics& train_metrics() {
   auto& r = util::MetricsRegistry::global();
   static TrainMetrics m{r.histogram("core.train.train_ns"),
@@ -76,8 +93,24 @@ void AutoPowerModel::train(std::span<const EvalContext> samples,
     }
     train_metrics().submodel_fits.inc();
   });
+  rebuild_forests();
   trained_ = true;
   refresh_fingerprint();
+}
+
+std::vector<const ml::GBTRegressor*> AutoPowerModel::component_forests(
+    std::size_t i) const {
+  auto out = clock_[i].forests();
+  for (const auto& group : {sram_[i].forests(), logic_[i].forests()}) {
+    out.insert(out.end(), group.begin(), group.end());
+  }
+  return out;
+}
+
+void AutoPowerModel::rebuild_forests() {
+  for (std::size_t i = 0; i < arch::kNumComponents; ++i) {
+    forests_[i] = ml::ForestBundle(component_forests(i));
+  }
 }
 
 void AutoPowerModel::refresh_fingerprint() {
@@ -123,6 +156,7 @@ void AutoPowerModel::load(std::istream& in) {
     sram_[i].load(r);
     logic_[i].load(r);
   }
+  rebuild_forests();
   trained_ = true;
   fingerprint_ = util::content_fingerprint(bytes);
 }
@@ -142,16 +176,19 @@ void AutoPowerModel::load_from_file(const std::string& path) {
 
 template <typename Sink>
 void AutoPowerModel::for_each_group_power(std::span<const EvalContext> ctxs,
+                                          const Bundles& bundles,
                                           Sink&& sink) const {
   AP_REQUIRE(trained_, "AutoPower not trained");
-  // Tile-major: per tile and component, one H+E+P feature tile feeds all
-  // three group models (the H+E forests read each row's prefix), so the
-  // tile and every forest's outputs stay cache-resident.  Each context
-  // still sees its components in Table III order.
+  // Tile-major: per tile and component, one H+E+P feature tile is ranked
+  // once and feeds all three group models (the H+E forests read each
+  // row's prefix), so the tile, its ranks and every forest's outputs stay
+  // cache-resident.  Each context still sees its components in Table III
+  // order.
   std::array<double, kTileRows> clock;
   std::array<double, kTileRows> sram;
   std::array<double, kTileRows> reg;
   std::array<double, kTileRows> comb;
+  ml::ForestTile ranked;
   for (std::size_t begin = 0; begin < ctxs.size(); begin += kTileRows) {
     const auto tile =
         ctxs.subspan(begin, std::min(kTileRows, ctxs.size() - begin));
@@ -159,9 +196,12 @@ void AutoPowerModel::for_each_group_power(std::span<const EvalContext> ctxs,
     for (arch::ComponentKind c : arch::all_components()) {
       const auto i = static_cast<std::size_t>(c);
       const auto rows = feature_rows(c, FeatureSpec::hep(), tile);
-      clock_[i].predict_tile(tile, rows, {clock.data(), n});
-      sram_[i].predict_tile(tile, rows, {sram.data(), n});
-      logic_[i].predict_tile(tile, rows, {reg.data(), n}, {comb.data(), n});
+      const ml::ForestBundle& forests = bundles[i];
+      forests.rank(rows, rows.size() / n, ranked);
+      clock_[i].predict_tile(tile, forests, ranked, {clock.data(), n});
+      sram_[i].predict_tile(tile, forests, ranked, {sram.data(), n});
+      logic_[i].predict_tile(tile, forests, ranked, {reg.data(), n},
+                             {comb.data(), n});
       for (std::size_t j = 0; j < n; ++j) {
         sink(c, begin + j,
              power::PowerGroups{clock[j], sram[j], reg[j], comb[j]});
@@ -179,10 +219,12 @@ std::vector<power::PowerResult> AutoPowerModel::predict_batch(
   if (ctxs.empty()) return {};  // nothing to do, even untrained
   std::vector<power::PowerResult> out(ctxs.size());
   for (auto& r : out) r.components.resize(arch::kNumComponents);
-  for_each_group_power(ctxs, [&](arch::ComponentKind c, std::size_t j,
-                                 const power::PowerGroups& groups) {
-    out[j].components[static_cast<std::size_t>(c)] = {c, groups};
-  });
+  for_each_group_power(ctxs, forests_,
+                       [&](arch::ComponentKind c, std::size_t j,
+                           const power::PowerGroups& groups) {
+                         out[j].components[static_cast<std::size_t>(c)] = {
+                             c, groups};
+                       });
   return out;
 }
 
@@ -193,16 +235,22 @@ double AutoPowerModel::predict_total(const EvalContext& ctx) const {
 std::vector<double> AutoPowerModel::predict_total_batch(
     std::span<const EvalContext> ctxs) const {
   if (ctxs.empty()) return {};
+  return totals(ctxs, forests_);
+}
+
+std::vector<double> AutoPowerModel::totals(std::span<const EvalContext> ctxs,
+                                           const Bundles& bundles) const {
   // Each context keeps one running PowerGroups instead of a 22-component
   // vector.  The per-field accumulation in component order followed by
   // clock+sram+logic_register+logic_comb reproduces
   // PowerResult::totals().total() exactly, so every element is
   // bit-identical to predict(ctxs[i]).total().
   std::vector<power::PowerGroups> acc(ctxs.size());
-  for_each_group_power(ctxs, [&](arch::ComponentKind, std::size_t j,
-                                 const power::PowerGroups& groups) {
-    acc[j] += groups;
-  });
+  for_each_group_power(ctxs, bundles,
+                       [&](arch::ComponentKind, std::size_t j,
+                           const power::PowerGroups& groups) {
+                         acc[j] += groups;
+                       });
   std::vector<double> out;
   out.reserve(ctxs.size());
   for (const power::PowerGroups& groups : acc) out.push_back(groups.total());
@@ -211,7 +259,37 @@ std::vector<double> AutoPowerModel::predict_total_batch(
 
 std::vector<double> AutoPowerModel::predict_trace(
     std::span<const EvalContext> windows) const {
-  return predict_total_batch(windows);
+  if (windows.empty()) return {};
+  AP_REQUIRE(trained_, "AutoPower not trained");
+  auto& metrics = trace_metrics();
+  const EvalContext& first = windows.front();
+  const bool one_design =
+      std::all_of(windows.begin(), windows.end(), [&](const EvalContext& w) {
+        return w.cfg == first.cfg && w.program == first.program;
+      });
+  if (!one_design) return totals(windows, forests_);
+
+  // Pin each component's H block (from the shared cfg) and P block (from
+  // the shared program) at the first window's values; E stays free.
+  Bundles pinned;
+  {
+    util::ScopedTimer pin_timer(metrics.pin_ns);
+    for (arch::ComponentKind c : arch::all_components()) {
+      const auto i = static_cast<std::size_t>(c);
+      const auto row = feature_vector(c, FeatureSpec::hep(), *first.cfg,
+                                      first.events, first.program);
+      const std::size_t e_begin = arch::component_hw_params(c).size();
+      const std::size_t e_end = e_begin + arch::component_events(c).size();
+      std::vector<std::optional<double>> pins(row.size());
+      for (std::size_t f = 0; f < row.size(); ++f) {
+        if (f < e_begin || f >= e_end) pins[f] = row[f];
+      }
+      pinned[i] = ml::ForestBundle(component_forests(i), pins, windows.size());
+      metrics.tabled_trees.add(pinned[i].tabled_trees());
+      metrics.walked_trees.add(pinned[i].walked_trees());
+    }
+  }
+  return totals(windows, pinned);
 }
 
 const ClockPowerModel& AutoPowerModel::clock_model(
@@ -227,6 +305,10 @@ const SramPowerModel& AutoPowerModel::sram_model(
 const LogicPowerModel& AutoPowerModel::logic_model(
     arch::ComponentKind c) const {
   return logic_[static_cast<std::size_t>(c)];
+}
+
+const ml::ForestBundle& AutoPowerModel::forests(arch::ComponentKind c) const {
+  return forests_[static_cast<std::size_t>(c)];
 }
 
 }  // namespace autopower::core

@@ -27,6 +27,7 @@
 #include "core/logic_model.hpp"
 #include "core/sample.hpp"
 #include "core/sram_model.hpp"
+#include "ml/forest_bundle.hpp"
 #include "power/report.hpp"
 
 namespace autopower::core {
@@ -78,9 +79,10 @@ class AutoPowerModel {
 
   /// Batched prediction: one PowerResult per context, evaluated
   /// tile-major.  Per tile of kTileRows contexts and per component, one
-  /// H+E+P feature tile feeds the clock, SRAM and logic models, each of
-  /// whose GBT sub-models makes one predict_rows pass over it.  Element i
-  /// does not depend on the rest of the batch.
+  /// H+E+P feature tile is ranked once by the component's ForestBundle
+  /// and feeds the clock, SRAM and logic models, each of whose GBT
+  /// sub-models makes one pass over it.  Element i does not depend on the
+  /// rest of the batch.
   [[nodiscard]] std::vector<power::PowerResult> predict_batch(
       std::span<const EvalContext> ctxs) const;
 
@@ -96,8 +98,14 @@ class AutoPowerModel {
   [[nodiscard]] std::vector<double> predict_total_batch(
       std::span<const EvalContext> ctxs) const;
 
-  /// Per-window total power for a time-based power trace
-  /// (predict_total_batch over the windows).
+  /// Per-window total power for a time-based power trace; element i is
+  /// bit-identical to predict(windows[i]).total().  When every window
+  /// shares one cfg pointer and equal ProgramFeatures (one design running
+  /// one program), each component's forests are recompiled with the H and
+  /// P features pinned to the trace's values, where the rows saved pay for
+  /// the table fill (ml::GBTRegressor::compile_table), so each window
+  /// ranks only its E features.  The pinned tables live for this call
+  /// only.  Any other span runs predict_total_batch.
   [[nodiscard]] std::vector<double> predict_trace(
       std::span<const EvalContext> windows) const;
 
@@ -108,6 +116,9 @@ class AutoPowerModel {
       arch::ComponentKind c) const;
   [[nodiscard]] const LogicPowerModel& logic_model(
       arch::ComponentKind c) const;
+  /// Component c's clock, SRAM and logic GBT sub-models, bundled with
+  /// their fit-time tables: the rank pass every batch call shares.
+  [[nodiscard]] const ml::ForestBundle& forests(arch::ComponentKind c) const;
 
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
@@ -133,17 +144,26 @@ class AutoPowerModel {
   std::array<ClockPowerModel, arch::kNumComponents> clock_;
   std::array<SramPowerModel, arch::kNumComponents> sram_;
   std::array<LogicPowerModel, arch::kNumComponents> logic_;
+  using Bundles = std::array<ml::ForestBundle, arch::kNumComponents>;
+  Bundles forests_;  ///< fit-time bundles, rebuilt by train() and load()
   bool trained_ = false;
   std::string fingerprint_;
 
   void refresh_fingerprint();
+  void rebuild_forests();
+  /// Component i's GBT sub-models: clock, then SRAM, then logic.
+  [[nodiscard]] std::vector<const ml::GBTRegressor*> component_forests(
+      std::size_t i) const;
 
-  /// The one tile-major loop behind predict_batch and
-  /// predict_total_batch: calls sink(component, j, groups) with the group
-  /// powers of ctxs[j], each context's components in Table III order.
+  /// The one tile-major loop behind predict_batch, predict_total_batch
+  /// and predict_trace: calls sink(component, j, groups) with the group
+  /// powers of ctxs[j], each context's components in Table III order,
+  /// ranking each component's tiles with bundles[component].
   template <typename Sink>
   void for_each_group_power(std::span<const EvalContext> ctxs,
-                            Sink&& sink) const;
+                            const Bundles& bundles, Sink&& sink) const;
+  [[nodiscard]] std::vector<double> totals(std::span<const EvalContext> ctxs,
+                                           const Bundles& bundles) const;
 };
 
 }  // namespace autopower::core

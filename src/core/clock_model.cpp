@@ -59,6 +59,7 @@ void ClockPowerModel::train(arch::ComponentKind c,
   } else {
     alpha_model_.fit(alpha_data);
   }
+  bundle_ = ml::ForestBundle(forests());
   trained_ = true;
 }
 
@@ -87,6 +88,12 @@ void ClockPowerModel::load(util::ArchiveReader& in) {
   } else {
     alpha_model_.load(in);
   }
+  bundle_ = trained_ ? ml::ForestBundle(forests()) : ml::ForestBundle();
+}
+
+std::vector<const ml::GBTRegressor*> ClockPowerModel::forests() const {
+  if (options_.linear_alpha) return {};
+  return {&alpha_model_};
 }
 
 double ClockPowerModel::predict_register_count(
@@ -108,8 +115,10 @@ double ClockPowerModel::predict_gating_rate(
 double ClockPowerModel::predict(const EvalContext& ctx) const {
   const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
                                   ctx.events, ctx.program);
+  ml::ForestTile tile;
+  bundle_.rank(row, row.size(), tile);
   double out = 0.0;
-  predict_tile({&ctx, 1}, row, {&out, 1});
+  predict_tile({&ctx, 1}, bundle_, tile, {&out, 1});
   return out;
 }
 
@@ -122,25 +131,25 @@ std::vector<double> ClockPowerModel::predict_batch(
 }
 
 void ClockPowerModel::predict_tile(std::span<const EvalContext> ctxs,
-                                   std::span<const double> rows,
+                                   const ml::ForestBundle& forests,
+                                   const ml::ForestTile& tile,
                                    std::span<double> out) const {
   if (!trained_) throw util::NotFitted("clock model not trained");
-  AP_REQUIRE(out.size() == ctxs.size(),
-             "clock predict_tile output span must match context count");
+  AP_REQUIRE(out.size() == ctxs.size() && tile.count == ctxs.size(),
+             "clock predict_tile spans must match context count");
   if (ctxs.empty()) return;
 
-  // alpha' for the whole tile in one predict_rows pass over the H+E
-  // prefix of each row (the ablation ridge reads the same prefix).
-  const std::size_t arity = rows.size() / ctxs.size();
-  std::vector<double> alpha;
+  // alpha' for the whole tile in one bundle pass over the H+E prefix of
+  // each row (the ablation ridge reads the same prefix).
+  std::vector<double> alpha(ctxs.size());
   if (options_.linear_alpha) {
     const std::size_t he_arity = alpha_linear_model_.coefficients().size();
-    alpha.resize(ctxs.size());
     for (std::size_t i = 0; i < ctxs.size(); ++i) {
-      alpha[i] = alpha_linear_model_.predict(rows.subspan(i * arity, he_arity));
+      alpha[i] = alpha_linear_model_.predict(
+          tile.rows.subspan(i * tile.arity, he_arity));
     }
   } else {
-    alpha = alpha_model_.predict_rows(rows, arity);
+    forests.predict(alpha_model_, tile, alpha);
   }
 
   const double p_reg = techlib::TechLibrary::default_40nm().clock_pin_energy;

@@ -19,6 +19,7 @@
 
 #include "arch/component.hpp"
 #include "core/sample.hpp"
+#include "ml/forest_bundle.hpp"
 #include "ml/gbt.hpp"
 #include "ml/linear.hpp"
 #include "power/golden.hpp"
@@ -53,7 +54,8 @@ class ClockPowerModel {
              const power::GoldenPowerModel& golden);
 
   /// Predicted clock power (mW) via Eq. 7: predict_tile of the one H+E+P
-  /// row feature_vector builds for `ctx`.
+  /// row feature_vector builds for `ctx`, ranked by this model's own
+  /// forest bundle.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
   /// predict() of each context, in order.  The batched path is
@@ -62,13 +64,17 @@ class ClockPowerModel {
       std::span<const EvalContext> ctxs) const;
 
   /// Eq. 7 over one feature tile, the one implementation of the formula.
-  /// `rows` holds each context's H+E+P row, row-major, as feature_rows
-  /// assembles them.  alpha' reads each row's H+E prefix; R and g run once
-  /// per run of contexts sharing a cfg pointer.  out[i] depends only on
-  /// ctxs[i].
+  /// `tile` holds each context's H+E+P row, as feature_rows assembles
+  /// them, ranked by `forests`, a bundle holding forests() (AutoPowerModel
+  /// shares one per component across the three groups).  alpha' reads
+  /// each row's H+E prefix; R and g run once per run of contexts sharing
+  /// a cfg pointer.  out[i] depends only on ctxs[i].
   void predict_tile(std::span<const EvalContext> ctxs,
-                    std::span<const double> rows,
-                    std::span<double> out) const;
+                    const ml::ForestBundle& forests,
+                    const ml::ForestTile& tile, std::span<double> out) const;
+
+  /// The GBT sub-models predict_tile reads through its ForestBundle.
+  [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
 
   // Structural sub-model outputs, exposed for the Fig. 7 sub-model
   // accuracy study.
@@ -90,6 +96,7 @@ class ClockPowerModel {
   ml::RidgeRegression gate_model_;  // F_gate(H)
   ml::GBTRegressor alpha_model_;    // F_a'(H, E), default
   ml::RidgeRegression alpha_linear_model_;  // F_a' ablation variant
+  ml::ForestBundle bundle_;  // forests(), for predict()
   bool trained_ = false;
 };
 

@@ -55,7 +55,7 @@ void feature_vector_into(arch::ComponentKind c, const FeatureSpec& spec,
                          std::vector<double>& out);
 
 /// Row-major feature matrix for one component across many contexts — the
-/// input layout ml::GBTRegressor::predict_rows consumes.  Row i is exactly
+/// input layout ml::ForestBundle::rank consumes.  Row i is exactly
 /// feature_vector(c, spec, ctxs[i]...).  AutoPowerModel calls it once per
 /// (tile, component) with the H+E+P spec; the group models share it.
 [[nodiscard]] std::vector<double> feature_rows(

@@ -82,6 +82,7 @@ void LogicPowerModel::train(arch::ComponentKind c,
         label);
   }
   comb_var_model_.fit(var_data);
+  bundle_ = ml::ForestBundle(forests());
   trained_ = true;
 }
 
@@ -102,6 +103,11 @@ void LogicPowerModel::load(util::ArchiveReader& in) {
   reg_act_model_.load(in);
   comb_stable_model_.load(in);
   comb_var_model_.load(in);
+  bundle_ = trained_ ? ml::ForestBundle(forests()) : ml::ForestBundle();
+}
+
+std::vector<const ml::GBTRegressor*> LogicPowerModel::forests() const {
+  return {&reg_act_model_, &comb_var_model_};
 }
 
 double LogicPowerModel::predict(const EvalContext& ctx) const {
@@ -116,27 +122,32 @@ void LogicPowerModel::predict_batch(std::span<const EvalContext> ctxs,
                                     std::span<double> comb_out) const {
   AP_REQUIRE(reg_out.size() == ctxs.size() && comb_out.size() == ctxs.size(),
              "logic predict_batch output spans must match context count");
+  ml::ForestTile tile;
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
     const auto& ctx = ctxs[i];
     const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
                                     ctx.events, ctx.program);
-    predict_tile(ctxs.subspan(i, 1), row, reg_out.subspan(i, 1),
+    bundle_.rank(row, row.size(), tile);
+    predict_tile(ctxs.subspan(i, 1), bundle_, tile, reg_out.subspan(i, 1),
                  comb_out.subspan(i, 1));
   }
 }
 
 void LogicPowerModel::predict_tile(std::span<const EvalContext> ctxs,
-                                   std::span<const double> rows,
+                                   const ml::ForestBundle& forests,
+                                   const ml::ForestTile& tile,
                                    std::span<double> reg_out,
                                    std::span<double> comb_out) const {
   AP_REQUIRE(trained_, "logic model not trained");
-  AP_REQUIRE(reg_out.size() == ctxs.size() && comb_out.size() == ctxs.size(),
-             "logic predict_tile output spans must match context count");
+  AP_REQUIRE(reg_out.size() == ctxs.size() && comb_out.size() == ctxs.size() &&
+                 tile.count == ctxs.size(),
+             "logic predict_tile spans must match context count");
   if (ctxs.empty()) return;
 
-  const std::size_t arity = rows.size() / ctxs.size();
-  const auto act = reg_act_model_.predict_rows(rows, arity);
-  const auto var = comb_var_model_.predict_rows(rows, arity);
+  std::vector<double> act(ctxs.size());
+  std::vector<double> var(ctxs.size());
+  forests.predict(reg_act_model_, tile, act);
+  forests.predict(comb_var_model_, tile, var);
 
   const arch::HardwareConfig* cfg = nullptr;
   double reg_count = 0.0;

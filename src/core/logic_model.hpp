@@ -15,6 +15,7 @@
 
 #include "arch/component.hpp"
 #include "core/sample.hpp"
+#include "ml/forest_bundle.hpp"
 #include "ml/gbt.hpp"
 #include "ml/linear.hpp"
 #include "power/golden.hpp"
@@ -46,21 +47,26 @@ class LogicPowerModel {
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
   /// Per-context register and combinational power: predict_tile of the
-  /// one H+E+P row feature_vector builds for each context.  The batched
-  /// path is predict_tile, which AutoPowerModel feeds one shared feature
-  /// tile.
+  /// one H+E+P row feature_vector builds for each context, ranked by this
+  /// model's own forest bundle.  The batched path is predict_tile, which
+  /// AutoPowerModel feeds one shared feature tile.
   void predict_batch(std::span<const EvalContext> ctxs,
                      std::span<double> reg_out,
                      std::span<double> comb_out) const;
 
   /// Eq. 11-12 over one feature tile, the one implementation of the
-  /// formulas.  `rows` holds each context's H+E+P row, row-major, as
-  /// feature_rows assembles them; F_act and F_var read the H+E prefix.
-  /// F_reg and F_sta run once per run of contexts sharing a cfg pointer.
-  /// Element i depends only on ctxs[i].
+  /// formulas.  `tile` holds each context's H+E+P row, as feature_rows
+  /// assembles them, ranked by `forests`, a bundle holding forests();
+  /// F_act and F_var read the H+E prefix.  F_reg and F_sta run once per
+  /// run of contexts sharing a cfg pointer.  Element i depends only on
+  /// ctxs[i].
   void predict_tile(std::span<const EvalContext> ctxs,
-                    std::span<const double> rows, std::span<double> reg_out,
+                    const ml::ForestBundle& forests,
+                    const ml::ForestTile& tile, std::span<double> reg_out,
                     std::span<double> comb_out) const;
+
+  /// The GBT sub-models predict_tile reads through its ForestBundle.
+  [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
 
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
@@ -75,6 +81,7 @@ class LogicPowerModel {
   ml::GBTRegressor reg_act_model_;       // F_act(H, E)
   ml::RidgeRegression comb_stable_model_;  // F_sta(H)
   ml::GBTRegressor comb_var_model_;        // F_var(H, E)
+  ml::ForestBundle bundle_;  // forests(), for predict_batch()
   bool trained_ = false;
 };
 

@@ -20,6 +20,7 @@ void SramPowerModel::train(arch::ComponentKind c,
   const auto& first_positions =
       first_netlist[static_cast<std::size_t>(c)].sram_positions;
   if (first_positions.empty()) {
+    bundle_ = ml::ForestBundle();
     trained_ = true;  // flop-based component: zero SRAM power
     return;
   }
@@ -81,6 +82,7 @@ void SramPowerModel::train(arch::ComponentKind c,
 
     positions_.push_back(std::move(pm));
   }
+  bundle_ = ml::ForestBundle(forests());
   trained_ = true;
 }
 
@@ -114,13 +116,25 @@ void SramPowerModel::load(util::ArchiveReader& in) {
     pm.read_model.load(in);
     pm.write_model.load(in);
   }
+  bundle_ = trained_ ? ml::ForestBundle(forests()) : ml::ForestBundle();
+}
+
+std::vector<const ml::GBTRegressor*> SramPowerModel::forests() const {
+  std::vector<const ml::GBTRegressor*> out;
+  for (const auto& pm : positions_) {
+    out.push_back(&pm.read_model);
+    out.push_back(&pm.write_model);
+  }
+  return out;
 }
 
 double SramPowerModel::predict(const EvalContext& ctx) const {
   const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
                                   ctx.events, ctx.program);
+  ml::ForestTile tile;
+  bundle_.rank(row, row.size(), tile);
   double out = 0.0;
-  predict_tile({&ctx, 1}, row, {&out, 1});
+  predict_tile({&ctx, 1}, bundle_, tile, {&out, 1});
   return out;
 }
 
@@ -133,23 +147,25 @@ std::vector<double> SramPowerModel::predict_batch(
 }
 
 void SramPowerModel::predict_tile(std::span<const EvalContext> ctxs,
-                                  std::span<const double> rows,
+                                  const ml::ForestBundle& forests,
+                                  const ml::ForestTile& tile,
                                   std::span<double> out) const {
   AP_REQUIRE(trained_, "SRAM model not trained");
-  AP_REQUIRE(out.size() == ctxs.size(),
-             "SRAM predict_tile output span must match context count");
+  AP_REQUIRE(out.size() == ctxs.size() && tile.count == ctxs.size(),
+             "SRAM predict_tile spans must match context count");
   std::fill(out.begin(), out.end(), 0.0);
   if (ctxs.empty() || positions_.empty()) return;
 
-  const std::size_t arity = rows.size() / ctxs.size();
+  std::vector<double> f_read(ctxs.size());
+  std::vector<double> f_write(ctxs.size());
   const auto& macros = techlib::SramMacroLibrary::default_40nm();
   const auto& lib = techlib::TechLibrary::default_40nm();
 
   // Position-major so each position's two forests make one batched pass;
   // out[i] accumulates positions in declaration order whatever the tile.
   for (const auto& pm : positions_) {
-    const auto f_read = pm.read_model.predict_rows(rows, arity);
-    const auto f_write = pm.write_model.predict_rows(rows, arity);
+    forests.predict(pm.read_model, tile, f_read);
+    forests.predict(pm.write_model, tile, f_write);
     const arch::HardwareConfig* cfg = nullptr;
     BlockPrediction block;
     techlib::MacroMappingResult mapping;

@@ -23,6 +23,7 @@
 #include "arch/component.hpp"
 #include "core/sample.hpp"
 #include "core/scaling_model.hpp"
+#include "ml/forest_bundle.hpp"
 #include "ml/gbt.hpp"
 #include "power/golden.hpp"
 
@@ -52,7 +53,7 @@ class SramPowerModel {
 
   /// Predicted SRAM power of the component (mW), Eq. 10 summed over
   /// positions: predict_tile of the one H+E+P row feature_vector builds
-  /// for `ctx`.
+  /// for `ctx`, ranked by this model's own forest bundle.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
   /// predict() of each context, in order.  The batched path is
@@ -61,13 +62,18 @@ class SramPowerModel {
       std::span<const EvalContext> ctxs) const;
 
   /// Eq. 9-10 over one feature tile, the one implementation of the
-  /// formula.  `rows` holds each context's H+E+P row, row-major, as
-  /// feature_rows assembles them (forests fit without P read the H+E
-  /// prefix).  The block shape and its macro mapping run once per run of
-  /// contexts sharing a cfg pointer.  out[i] depends only on ctxs[i].
+  /// formula.  `tile` holds each context's H+E+P row, as feature_rows
+  /// assembles them, ranked by `forests`, a bundle holding forests()
+  /// (forests fit without P read the H+E prefix).  The block shape and its
+  /// macro mapping run once per run of contexts sharing a cfg pointer.
+  /// out[i] depends only on ctxs[i].
   void predict_tile(std::span<const EvalContext> ctxs,
-                    std::span<const double> rows,
-                    std::span<double> out) const;
+                    const ml::ForestBundle& forests,
+                    const ml::ForestTile& tile, std::span<double> out) const;
+
+  /// The GBT sub-models predict_tile reads through its ForestBundle: each
+  /// position's read and write models, in position order.
+  [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
 
   /// Predicted block shape of one position (hardware model output),
   /// for the Table I example and the ~0-MAPE hardware-model check.
@@ -95,6 +101,7 @@ class SramPowerModel {
   arch::ComponentKind component_{};
   SramModelOptions options_;
   std::vector<PositionModel> positions_;
+  ml::ForestBundle bundle_;  // forests(), for predict()
   bool trained_ = false;
 };
 

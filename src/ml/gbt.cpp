@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ml/forest_bundle.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/simd.hpp"
@@ -15,6 +16,9 @@ namespace {
 // Process-wide instruments, looked up once (thread-safe static init);
 // recording through the references is lock-free.  rows/sec is derived
 // from the snapshot: rows / (sum of the matching _ns histogram / 1e9).
+// ForestBundle::predict records predict_ns and predict_rows; they are
+// registered here too, so every snapshot taken after a fit or load lists
+// the whole ml.gbt family.
 struct GbtMetrics {
   util::Histogram& fit_ns;
   util::Counter& fit_rows;
@@ -37,8 +41,8 @@ GbtMetrics& gbt_metrics() {
   return m;
 }
 
-// Rows per column-major block in predict_rows and the table fill.
-constexpr std::size_t kBlock = 64;
+// Rows predict_rows copies and ranks at a time.
+constexpr std::size_t kChunkRows = 512;
 
 }  // namespace
 
@@ -76,9 +80,15 @@ void GBTRegressor::fit(const Dataset& data) {
     }
     trees_.push_back(std::move(tree));
   }
-  rebuild_padded();
-  compile_grid();
+  compile();
   fitted_ = true;
+}
+
+void GBTRegressor::compile() {
+  rebuild_padded();
+  table_ = compile_table({}, 0);
+  gbt_metrics().tabled_trees.add(table_->tabled_trees);
+  gbt_metrics().walked_trees.add(trees_.size() - table_->tabled_trees);
 }
 
 void GBTRegressor::rebuild_padded() {
@@ -99,7 +109,7 @@ void GBTRegressor::rebuild_padded() {
     const std::size_t leaf_off = pad_weight_.size();
     const bool too_deep = depth > util::simd::kMaxPaddedDepth;
     pad_trees_.push_back({too_deep ? -1 : depth, node_off, leaf_off});
-    if (too_deep) continue;  // predict_rows walks it with predict()
+    if (too_deep) continue;  // batched predict walks it with predict()
     const std::size_t interior = (std::size_t{1} << depth) - 1;
     const std::size_t leaves = std::size_t{1} << depth;
     pad_feature_.resize(node_off + interior, 0);
@@ -138,24 +148,40 @@ void GBTRegressor::rebuild_padded() {
   }
 }
 
-void GBTRegressor::compile_grid() {
+std::shared_ptr<const GridTable> GBTRegressor::compile_table(
+    std::span<const std::optional<double>> pins, std::size_t rows) const {
   util::ScopedTimer compile_timer(gbt_metrics().compile_ns);
-  // Per feature, the sorted distinct thresholds T_f of the longest prefix
-  // whose grid fits the cap.  A NaN threshold (nothing to rank against)
-  // or a tree without a padded mirror (the fill below runs the padded
-  // kernel) ends the prefix.  Equality merges -0.0 with +0.0, which
-  // every x compares against alike.
+  const auto pinned = [&](std::size_t f) {
+    return f < pins.size() ? pins[f] : std::nullopt;
+  };
+  // Per free feature, the sorted distinct thresholds T_f of the longest
+  // prefix whose grid fits the cap.  A reachable NaN threshold on a free
+  // feature (nothing to rank against) or a tree without a padded mirror
+  // (the fill below runs the padded kernel) ends the prefix.  Equality
+  // merges -0.0 with +0.0, which every x compares against alike.
   const auto n_cols = static_cast<std::size_t>(max_feature_ + 1);
   std::vector<std::vector<double>> thresholds(n_cols);
+  std::vector<int> stack;
   const auto add_tree = [&](std::size_t t) {
-    for (const auto& node : trees_[t].nodes()) {
+    const auto nodes = trees_[t].nodes();
+    stack.assign(1, 0);
+    while (!stack.empty()) {
+      const auto& node = nodes[static_cast<std::size_t>(stack.back())];
+      stack.pop_back();
       if (node.feature < 0) continue;
+      if (const auto pin = pinned(static_cast<std::size_t>(node.feature))) {
+        // The walk's branch rule: NaN compares false and goes right.
+        stack.push_back(*pin < node.threshold ? node.left : node.right);
+        continue;
+      }
       if (std::isnan(node.threshold)) return false;
       auto& tf = thresholds[static_cast<std::size_t>(node.feature)];
       const auto at = std::lower_bound(tf.begin(), tf.end(), node.threshold);
       if (at == tf.end() || *at != node.threshold) {
         tf.insert(at, node.threshold);
       }
+      stack.push_back(node.left);
+      stack.push_back(node.right);
     }
     return true;
   };
@@ -175,41 +201,43 @@ void GBTRegressor::compile_grid() {
     for (auto& tf : thresholds) tf.clear();
     for (std::size_t t = 0; t < prefix; ++t) add_tree(t);
   }
-  tabled_trees_ = prefix;
-  gbt_metrics().tabled_trees.add(prefix);
-  gbt_metrics().walked_trees.add(trees_.size() - prefix);
+  const std::size_t cells = cells_spanned();
+  if (!pins.empty() &&
+      rows * (prefix - std::min(prefix, tabled_trees())) <= cells * prefix) {
+    return nullptr;  // the fill would cost more tree walks than it saves
+  }
 
   // One representative row per cell, column-major over the whole table,
-  // feature 0 varying fastest.  Rank 0 maps to -inf and rank r to
+  // feature 0 varying fastest.  A pinned feature holds its pinned value in
+  // every cell.  For a free one, rank 0 maps to -inf and rank r to
   // T_f[r - 1], which has exactly rank r because T_f is strictly
   // increasing; when T_f[0] is -inf, rank 0 is unreachable and its entry
-  // is never read.  A feature no tabled condition tests has rank 0 in
-  // every cell; only padding slots read it, and the leaf slots below a
-  // padding slot all hold the same weight.
-  const std::size_t cells = cells_spanned();
+  // is never read.  A free feature no tabled condition tests has rank 0
+  // in every cell; only padding slots and unreachable nodes read it, and
+  // neither can change a leaf.
+  auto table = std::make_shared<GridTable>();
+  table->tabled_trees = prefix;
   std::vector<double> cols(n_cols * cells);
-  grid_feature_.clear();
-  grid_threshold_.clear();
-  grid_stride_.clear();
   std::size_t stride = 1;
   for (std::size_t f = 0; f < n_cols; ++f) {
+    double* const col = cols.data() + f * cells;
+    if (const auto pin = pinned(f)) {  // T_f is empty: stride unchanged
+      std::fill(col, col + cells, *pin);
+      continue;
+    }
     const auto& tf = thresholds[f];
     for (std::size_t cell = 0; cell < cells; ++cell) {
       const std::size_t rank = cell / stride % (tf.size() + 1);
-      cols[f * cells + cell] = rank == 0
-                                   ? -std::numeric_limits<double>::infinity()
-                                   : tf[rank - 1];
-    }
-    for (const double t : tf) {
-      grid_feature_.push_back(static_cast<std::int32_t>(f));
-      grid_threshold_.push_back(t);
-      grid_stride_.push_back(static_cast<std::uint32_t>(stride));
+      col[cell] = rank == 0 ? -std::numeric_limits<double>::infinity()
+                            : tf[rank - 1];
     }
     stride *= tf.size() + 1;
   }
-  grid_table_.assign(cells, base_score_);
+  table->cells.assign(cells, base_score_);
   walk_trees(cols.data(), cells, nullptr, 0, cells, 0, prefix,
-             grid_table_.data());
+             table->cells.data());
+  table->thresholds = std::move(thresholds);
+  return table;
 }
 
 void GBTRegressor::save(util::ArchiveWriter& out) const {
@@ -241,8 +269,7 @@ void GBTRegressor::load(util::ArchiveReader& in) {
   AP_REQUIRE(n >= 0 && n < (1 << 20), "corrupt GBT archive");
   trees_.assign(static_cast<std::size_t>(n), RegressionTree{});
   for (auto& tree : trees_) tree.load(in);
-  rebuild_padded();
-  compile_grid();
+  compile();
 }
 
 double GBTRegressor::predict(std::span<const double> features) const {
@@ -265,71 +292,16 @@ std::vector<double> GBTRegressor::predict_rows(
   if (!fitted_) throw util::NotFitted("GBTRegressor::predict_rows before fit");
   AP_REQUIRE(num_features > 0 && rows.size() % num_features == 0,
              "row buffer is not a multiple of the feature arity");
-  AP_REQUIRE(max_feature_ < static_cast<int>(num_features),
-             "feature arity mismatch in GBT predict_rows");
-
   const std::size_t count = rows.size() / num_features;
-  util::ScopedTimer predict_timer(gbt_metrics().predict_ns);
-  gbt_metrics().predict_rows.add(count);
   std::vector<double> out(count);
-
-  // Per block of samples: copy the block once into column-major scratch,
-  // start each row at its prefix-table entry, then walk the untabled
-  // trees.  The per-row accumulation order — base score, then tree 0,
-  // 1, ... with one mul-then-add per tree — matches predict() exactly,
-  // so every tier is bit-identical to it.
-  //
-  // Column scratch, neither allocated nor zero-filled per call: each block
-  // writes rows [0, block) of every column before anything reads them,
-  // and nothing reads other rows.  Every power-model arity (<= 28) fits
-  // the stack buffer; wider rows fall back to the heap.  (A persistent
-  // thread_local heap buffer would pin the heap between the large batch
-  // allocations of a trace and raise its peak RSS.)
-  constexpr std::size_t kStackColumns = 32;
-  double stack_cols[kStackColumns * kBlock];
-  std::vector<double> heap_cols;
-  double* cols = stack_cols;
-  const auto n_cols = static_cast<std::size_t>(max_feature_ + 1);
-  if (n_cols > kStackColumns) {
-    heap_cols.resize(n_cols * kBlock);
-    cols = heap_cols.data();
-  }
-
-  for (std::size_t begin = 0; begin < count; begin += kBlock) {
-    const std::size_t block = std::min(kBlock, count - begin);
-    const double* const block_rows = rows.data() + begin * num_features;
-    // Row-major copy order: reads stream sequentially and the cols
-    // buffer stays L1-resident, which beats a per-feature strided-gather
-    // pass here (each gather lane would touch its own cache line at
-    // typical feature arities).
-    for (std::size_t i = 0; i < block; ++i) {
-      const double* const r = block_rows + i * num_features;
-      for (int f = 0; f <= max_feature_; ++f) {
-        cols[static_cast<std::size_t>(f) * kBlock + i] = r[f];
-      }
-    }
-    // Table index: one compare-add per condition, arithmetic on the
-    // comparison rather than a select so the loop stays branch-free
-    // (a ternary here compiled to branchy scalar code).
-    std::uint32_t idx[kBlock] = {};
-    for (std::size_t c = 0; c < grid_feature_.size(); ++c) {
-      const double* const x =
-          cols + static_cast<std::size_t>(grid_feature_[c]) * kBlock;
-      const double t = grid_threshold_[c];
-      const std::uint32_t stride = grid_stride_[c];
-      for (std::size_t i = 0; i < block; ++i) {
-        idx[i] += stride * static_cast<std::uint32_t>(!(x[i] < t));
-      }
-    }
-    for (std::size_t i = 0; i < block; ++i) {
-      out[begin + i] = grid_table_[idx[i]];
-    }
-    walk_trees(cols, kBlock, block_rows, num_features, block, tabled_trees_,
-               trees_.size(), out.data() + begin);
-  }
-
-  if (options_.nonnegative_prediction) {
-    for (double& v : out) v = std::max(v, 0.0);
+  const GBTRegressor* const self = this;
+  const ForestBundle bundle({&self, 1});
+  ForestTile tile;
+  for (std::size_t begin = 0; begin < count; begin += kChunkRows) {
+    const std::size_t n = std::min(kChunkRows, count - begin);
+    bundle.rank(rows.subspan(begin * num_features, n * num_features),
+                num_features, tile);
+    bundle.predict(*this, tile, {out.data() + begin, n});
   }
   return out;
 }
@@ -345,7 +317,7 @@ void GBTRegressor::walk_trees(const double* cols, std::size_t col_stride,
     const PaddedTree& pad = pad_trees_[t];
     if (pad.depth < 0) {
       // Deeper than the padded layout: the scalar oracle, per row.  Never
-      // reached from the table fill, whose prefix stops before such trees.
+      // reached from a table fill, whose prefix stops before such trees.
       AP_ASSERT(block_rows != nullptr);
       for (std::size_t i = 0; i < block; ++i) {
         out[i] += lr * trees_[t].predict(

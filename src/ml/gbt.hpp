@@ -7,22 +7,29 @@
 // loss: second-order boosting with shrinkage, L2 leaf regularisation and
 // gamma split cost.  Deterministic — no row/column subsampling.
 //
-// predict() pointer-walks each tree's nodes for one sample.  The batched
-// predict_rows()/predict_all() run two stages, both rebuilt on fit() and
-// load() (the archive format is unchanged):
-//   1. a prefix grid table: the longest tree prefix whose distinct
-//      (feature, threshold) conditions span at most kMaxGridCells grid
-//      cells is compiled into one table of partial sums, and each row
-//      starts at the entry its per-feature threshold ranks select;
+// predict() pointer-walks each tree's nodes for one sample.  Batched
+// prediction runs two stages through ml::ForestBundle (forest_bundle.hpp):
+//   1. a prefix grid table: compile_table(), the one compile routine,
+//      folds the longest tree prefix whose reachable (feature, threshold)
+//      conditions span at most kMaxGridCells grid cells into one table of
+//      partial sums.  fit() and load() compile it with nothing pinned (the
+//      archive format is unchanged); a caller that knows some features
+//      are fixed across its rows (a power trace's hardware and program
+//      features) compiles it again with those pinned, which drops their
+//      conditions and usually tables the whole forest.  Each row starts at
+//      the entry its per-feature threshold ranks select;
 //   2. a walk of the remaining trees, each mirrored into a padded perfect
 //      tree that the dispatched util::simd forest_leaf_add kernel walks
 //      tree-major over column-major blocks of samples.
 // Both stages are bit-identical to predict().  Every prediction path in
-// src/core goes through predict_rows; the scalar predict() stays as the
-// reference the differential tests compare predict_rows against.
+// src/core goes through ForestBundle; predict_rows() is a bundle of one
+// forest, and the scalar predict() stays as the reference the
+// differential tests compare both against.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,6 +45,23 @@ struct GbtOptions {
   TreeOptions tree;
   /// If true, predictions are clamped to be non-negative (rates, powers).
   bool nonnegative_prediction = false;
+};
+
+class ForestBundle;
+
+/// A compiled prefix grid table of one forest (GBTRegressor::
+/// compile_table).  Feature f with sorted distinct thresholds T_f has rank
+/// rank_f(x) = #{j : !(x_f < T_f[j])} (NaN takes the top rank, as it goes
+/// right in the walk), and a row's entry is cells[sum_f stride_f *
+/// rank_f(x)] with stride_f = prod_{g<f} (|T_g| + 1): base score plus
+/// each tabled tree's lr * leaf, added in tree order exactly as predict()
+/// adds them.
+struct GridTable {
+  std::size_t tabled_trees = 0;  ///< trees [0, tabled_trees) are tabled
+  /// Per feature (up to the forest's highest), T_f of the tabled trees'
+  /// reachable conditions; empty for a pinned or untested feature.
+  std::vector<std::vector<double>> thresholds;
+  std::vector<double> cells;  ///< one entry per grid cell, >= 1
 };
 
 /// XGBoost-style gradient boosted trees for squared-error regression.
@@ -56,9 +80,10 @@ class GBTRegressor {
   [[nodiscard]] std::vector<double> predict_all(const Dataset& data) const;
 
   /// Batched prediction over `rows.size() / num_features` feature vectors
-  /// stored row-major in `rows`.  Per block of samples: a prefix-table
-  /// lookup, then a tree-major walk of the untabled trees on the padded
-  /// forest; bit-identical to calling predict() on each row.
+  /// stored row-major in `rows`: a ForestBundle of this one forest's
+  /// fit-time table.  Per block of samples: a prefix-table lookup, then a
+  /// tree-major walk of the untabled trees on the padded forest;
+  /// bit-identical to calling predict() on each row.
   [[nodiscard]] std::vector<double> predict_rows(
       std::span<const double> rows, std::size_t num_features) const;
 
@@ -67,22 +92,43 @@ class GBTRegressor {
     return trees_.size();
   }
   [[nodiscard]] double base_score() const noexcept { return base_score_; }
-  /// Trees [0, tabled_trees()) are folded into the prefix grid table;
-  /// predict_rows walks only the rest.
+  /// Trees [0, tabled_trees()) are folded into the fit-time prefix grid
+  /// table; predict_rows walks only the rest.
   [[nodiscard]] std::size_t tabled_trees() const noexcept {
-    return tabled_trees_;
+    return table_ ? table_->tabled_trees : 0;
   }
 
   /// Most grid cells (table entries) one forest's prefix table may hold.
   static constexpr std::size_t kMaxGridCells = 2048;
+
+  /// The one compile routine.  Feature f with pins[f] set is fixed at
+  /// that value: each tree is followed from its root, pinned conditions
+  /// take their fixed branch, and only the conditions on free features
+  /// that stay reachable are collected.  The longest tree prefix whose
+  /// free conditions span at most kMaxGridCells cells (stopping at a NaN
+  /// threshold or a tree deeper than the padded layout) is then filled
+  /// tree-major by the padded walk, in tree order, so every entry is
+  /// bit-identical to predict() of any row it stands for.
+  ///
+  /// With `pins` empty this is the fit-time table fit() and load() build.
+  /// Otherwise it returns nullptr unless the table pays for itself over
+  /// `rows` rows: the tree evaluations it saves, rows x (trees it tables
+  /// beyond the fit-time table), must exceed the ones its fill costs,
+  /// cells x trees it tables.  Rows passed to a bundle holding the table
+  /// must carry exactly the pinned values.
+  [[nodiscard]] std::shared_ptr<const GridTable> compile_table(
+      std::span<const std::optional<double>> pins, std::size_t rows) const;
 
   /// Serialization (see util/archive.hpp).
   void save(util::ArchiveWriter& out) const;
   void load(util::ArchiveReader& in);
 
  private:
+  friend class ForestBundle;
+
   void rebuild_padded();
-  void compile_grid();
+  /// rebuild_padded() plus the fit-time table.
+  void compile();
   /// Adds lr * leaf(row i) of trees [first, last) to out[i] for i <
   /// `block`, feature f of row i being cols[f * col_stride + i];
   /// `block_rows` holds the same rows row-major and is read only for
@@ -101,8 +147,8 @@ class GBTRegressor {
   // tree of depth d, 2^d - 1 interior slots in breadth-first order plus
   // 2^d leaf slots, with each real leaf's weight replicated across every
   // leaf slot of its padded subtree.  A tree deeper than
-  // simd::kMaxPaddedDepth gets depth -1 and no slots; predict_rows walks
-  // it with RegressionTree::predict instead.
+  // simd::kMaxPaddedDepth gets depth -1 and no slots; batched predict
+  // walks it with RegressionTree::predict instead.
   struct PaddedTree {
     std::int32_t depth;    ///< padded depth, -1 = too deep
     std::size_t node_off;  ///< offset into pad_feature_/pad_threshold_
@@ -114,18 +160,10 @@ class GBTRegressor {
   std::vector<double> pad_weight_;
   int max_feature_ = -1;  ///< highest feature index any node tests
 
-  // Prefix grid table over trees [0, tabled_trees_).  Feature f with
-  // sorted distinct thresholds T_f contributes rank_f(x) =
-  // #{j : !(x_f < T_f[j])} (NaN takes the top rank, as it goes right in
-  // the walk), and a row's entry is grid_table_[sum_f stride_f *
-  // rank_f(x)]: base_score_ plus each tabled tree's lr * leaf, added in
-  // tree order exactly as predict() adds them.  grid_* hold one entry
-  // per condition, so the rank sum is one compare-add per condition.
-  std::size_t tabled_trees_ = 0;
-  std::vector<std::int32_t> grid_feature_;
-  std::vector<double> grid_threshold_;
-  std::vector<std::uint32_t> grid_stride_;
-  std::vector<double> grid_table_;  ///< one entry per cell, >= 1
+  /// Fit-time prefix grid table (nothing pinned).  Immutable and shared
+  /// by copies of this forest, so a ForestBundle can name the forest by
+  /// it whichever copy it is handed.
+  std::shared_ptr<const GridTable> table_;
 };
 
 }  // namespace autopower::ml

@@ -68,6 +68,8 @@ struct ProgramFeatures {
   double icache_footprint_kb = 0.0;
 
   [[nodiscard]] static std::vector<std::string> names();
+  /// Field-wise ==, so a NaN field makes two feature sets unequal.
+  bool operator==(const ProgramFeatures&) const = default;
 };
 
 /// Extracts the program-level features of a profile.

@@ -118,7 +118,7 @@ TEST(ScalingModel, HandlesBankedCountScaling) {
   const netlist::SynthesisModel synth;
   std::vector<BlockObservation> obs;
   for (const char* name : {"C1", "C15"}) {
-    const auto& pos =
+    const auto pos =
         synth.synthesize(arch::boom_config(name), ComponentKind::kRegfile)
             .sram_positions[0];  // int_rf
     obs.push_back(
@@ -139,7 +139,7 @@ TEST(ScalingModel, HandlesRatioDepth) {
   const netlist::SynthesisModel synth;
   std::vector<BlockObservation> obs;
   for (const char* name : {"C1", "C15"}) {
-    const auto& pos =
+    const auto pos =
         synth.synthesize(arch::boom_config(name), ComponentKind::kRob)
             .sram_positions[0];
     obs.push_back(
@@ -226,7 +226,7 @@ TEST_P(FloorplanRecovery, ExactOnAllConfigs) {
   for (std::size_t pi = 0; pi < positions.size(); ++pi) {
     std::vector<BlockObservation> obs;
     for (const char* name : {"C1", "C15"}) {
-      const auto& pos =
+      const auto pos =
           synth.synthesize(arch::boom_config(name), c).sram_positions[pi];
       obs.push_back(
           {cfg(name), pos.block_width, pos.block_depth, pos.block_count});
@@ -234,7 +234,7 @@ TEST_P(FloorplanRecovery, ExactOnAllConfigs) {
     ScalingPatternModel model;
     model.fit(arch::component_hw_params(c), obs);
     for (const auto& config : arch::boom_design_space()) {
-      const auto& actual =
+      const auto actual =
           synth.synthesize(config, c).sram_positions[pi];
       const auto pred = model.predict(config);
       EXPECT_EQ(pred.width, actual.block_width)

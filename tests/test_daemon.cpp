@@ -587,17 +587,18 @@ TEST_F(DaemonTest, DeadlineIsRecheckedAfterQueueWait) {
   options.max_batch = 1;
   DaemonRunner runner(options);
 
-  // Three uncached trace simulations occupy the single engine thread for
-  // far longer than the 50 ms deadline, and max_batch 1 keeps the
-  // deadlined request out of their batches.  It is admitted immediately
-  // (50 ms have NOT passed at the admission-time check), so the only
-  // place it can expire is the dispatcher's re-check after the queue
-  // wait — the regression this test pins: a request must never burn an
-  // engine worker after its caller already gave up on it.
+  // Three uncached qsort traces (~23k windows, ~50 ms each on a 4 vCPU
+  // host) occupy the single engine thread for far longer than the 50 ms
+  // deadline, and max_batch 1 keeps the deadlined request out of their
+  // batches.  It is admitted immediately (50 ms have NOT passed at the
+  // admission-time check), so the only place it can expire is the
+  // dispatcher's re-check after the queue wait — the regression this test
+  // pins: a request must never burn an engine worker after its caller
+  // already gave up on it.
   const std::vector<std::string> lines = {
-      "{\"config\": \"C2\", \"workload\": \"multiply\", \"mode\": \"trace\"}",
-      "{\"config\": \"C5\", \"workload\": \"median\", \"mode\": \"trace\"}",
-      "{\"config\": \"C9\", \"workload\": \"multiply\", \"mode\": \"trace\"}",
+      "{\"config\": \"C2\", \"workload\": \"qsort\", \"mode\": \"trace\"}",
+      "{\"config\": \"C5\", \"workload\": \"qsort\", \"mode\": \"trace\"}",
+      "{\"config\": \"C9\", \"workload\": \"qsort\", \"mode\": \"trace\"}",
       "{\"config\": \"C13\", \"workload\": \"qsort\", \"deadline_ms\": 50}",
   };
   const auto got = roundtrip(runner.daemon.port(), lines);
@@ -621,9 +622,9 @@ TEST_F(DaemonTest, HealthDuringDrainReportsDraining) {
   // signal a load balancer keys off — while a NEW compute line is
   // refused with a structured error instead of being admitted.
   const std::vector<std::string> lines = {
-      "{\"config\": \"C2\", \"workload\": \"multiply\", \"mode\": \"trace\"}",
-      "{\"config\": \"C5\", \"workload\": \"median\", \"mode\": \"trace\"}",
-      "{\"config\": \"C9\", \"workload\": \"multiply\", \"mode\": \"trace\"}",
+      "{\"config\": \"C2\", \"workload\": \"qsort\", \"mode\": \"trace\"}",
+      "{\"config\": \"C5\", \"workload\": \"qsort\", \"mode\": \"trace\"}",
+      "{\"config\": \"C9\", \"workload\": \"qsort\", \"mode\": \"trace\"}",
   };
   net::Socket sock = net::connect_loopback(runner.daemon.port());
   std::string blob;

@@ -6,9 +6,10 @@
 //
 //   (a) reference vs presorted tree builder  -> byte-equal archives,
 //   (b) per-sample vs batched forest predict (prefix grid table, then
-//       padded walk), per-context vs tiled clock/SRAM/logic group
-//       predict, and per-context vs batched AutoPowerModel predict ->
-//       identical doubles,
+//       padded walk), unpinned and pinned ForestBundle predict,
+//       per-context vs tiled clock/SRAM/logic group predict, and
+//       per-context vs batched and pinned-trace AutoPowerModel predict
+//       -> identical doubles,
 //   (c) cold vs memoized / shared-structural-cache simulate and
 //       simulate_trace -> identical event vectors,
 //   (d) serial vs multi-threaded train / batch engine / sweep ->
@@ -39,6 +40,7 @@
 #include "arch/params.hpp"
 #include "core/autopower.hpp"
 #include "core/features.hpp"
+#include "ml/forest_bundle.hpp"
 #include "ml/gbt.hpp"
 #include "power/golden.hpp"
 #include "serve/engine.hpp"
@@ -48,6 +50,7 @@
 #include "testcore/generators.hpp"
 #include "testcore/proptest.hpp"
 #include "util/archive.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "workload/workload.hpp"
@@ -503,6 +506,180 @@ TEST(DifferentialTrees, PrefixGridStopsAtNanThresholdsAndDeepTrees) {
   }
 }
 
+// Oracle (b), bundle level: pinned and unpinned ForestBundle predict vs
+// per-sample predict().
+//
+// A bundle ranks each feature once against the union of its forests'
+// thresholds and maps the shared ranks to each forest's own table; with
+// features pinned, each forest's table is recompiled over the conditions
+// its free features still reach.  Two or three forests fit on one dataset
+// share a bundle.  A random mask pins features at a base-row value, a
+// split threshold or an edge value (signed zeros, denormals, infinities,
+// NaN), and every query row carries exactly the pinned values while its
+// free features sit on the grid_queries values.  Widths straddle the
+// 64-row block and AutoPowerModel's kTileRows tile.
+
+constexpr std::size_t kBundleWidths[] = {1,
+                                         63,
+                                         64,
+                                         65,
+                                         core::AutoPowerModel::kTileRows - 1,
+                                         core::AutoPowerModel::kTileRows + 1};
+
+struct BundleCase {
+  ml::Dataset data;
+  std::vector<ml::GbtOptions> opts;  ///< one forest each
+  std::uint64_t pin_seed = 0;
+};
+
+std::string describe_bundle_case(const BundleCase& c) {
+  std::ostringstream out;
+  out << "pin seed " << c.pin_seed;
+  for (const auto& opt : c.opts) out << "; " << describe_dataset(c.data, opt);
+  return out.str();
+}
+
+TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
+  std::array<int, 2> shapes{};  // some forest pinned tighter, none did
+  const auto result = testcore::run_property<BundleCase>(
+      {.name = "gbt.bundle_pinned_vs_scalar", .cases = 100},
+      [](Pcg32& rng) {
+        // The prefix-grid shapes: mixed-style rows tabled whole, and
+        // continuous rows whose forests table only a prefix unpinned.
+        const int shape = rng.next_int(0, 2);
+        BundleCase c{shape == 0 ? testcore::random_dataset(rng, {16, 16, 2, 6})
+                     : shape == 1 ? continuous_dataset(rng, 40, 4)
+                                  : continuous_dataset(rng, 300, 5),
+                     {},
+                     0};
+        for (int k = rng.next_int(2, 3); k > 0; --k) {
+          ml::GbtOptions opt = testcore::random_gbt_options(rng);
+          if (shape > 0) {
+            opt.num_rounds = rng.next_int(8, 24);
+            opt.tree.max_depth = rng.next_int(3, 4);
+          }
+          c.opts.push_back(opt);
+        }
+        c.pin_seed = rng.next_u64();
+        return c;
+      },
+      [&shapes](const BundleCase& c) -> std::optional<std::string> {
+        const std::size_t features = c.data.num_features();
+        std::vector<ml::GBTRegressor> forests;
+        for (const auto& opt : c.opts) {
+          forests.emplace_back(opt);
+          forests.back().fit(c.data);
+        }
+        std::vector<const ml::GBTRegressor*> ptrs;
+        std::vector<std::vector<double>> thresholds(features);
+        for (const auto& forest : forests) {
+          ptrs.push_back(&forest);
+          const auto t = forest_thresholds(forest, features);
+          for (std::size_t f = 0; f < features; ++f) {
+            thresholds[f].insert(thresholds[f].end(), t[f].begin(),
+                                 t[f].end());
+          }
+        }
+
+        // Pin a random subset of the features.
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        const double edges[] = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                kInf,
+                                -kInf,
+                                std::numeric_limits<double>::quiet_NaN()};
+        Pcg32 pick(c.pin_seed);
+        std::vector<std::optional<double>> pins(features);
+        for (std::size_t f = 0; f < features; ++f) {
+          if (!pick.next_bool()) continue;
+          switch (pick.index(3)) {
+            case 0:
+              pins[f] = c.data.features(pick.index(c.data.size()))[f];
+              break;
+            case 1:
+              if (!thresholds[f].empty()) {
+                pins[f] = thresholds[f][pick.index(thresholds[f].size())];
+                break;
+              }
+              [[fallthrough]];
+            default:
+              pins[f] = edges[pick.index(std::size(edges))];
+          }
+        }
+
+        const auto base = c.data.row_major_features().first(
+            std::min<std::size_t>(c.data.size(), 8) * features);
+        auto rows = grid_queries(base, features, thresholds);
+        const std::size_t count = rows.size() / features;
+        for (std::size_t i = 0; i < count; ++i) {
+          for (std::size_t f = 0; f < features; ++f) {
+            if (pins[f]) rows[i * features + f] = *pins[f];
+          }
+        }
+        std::vector<std::vector<double>> expected(forests.size());
+        for (std::size_t k = 0; k < forests.size(); ++k) {
+          for (std::size_t i = 0; i < count; ++i) {
+            expected[k].push_back(forests[k].predict(
+                std::span<const double>(rows).subspan(i * features,
+                                                      features)));
+          }
+        }
+
+        // Rows enough that every forest whose pinned table tables more
+        // trees gets it.
+        const ml::ForestBundle unpinned(ptrs);
+        const ml::ForestBundle pinned(ptrs, pins, std::size_t{1} << 40);
+        ++shapes[pinned.tabled_trees() > unpinned.tabled_trees() ? 0 : 1];
+        if (pinned.tabled_trees() < unpinned.tabled_trees()) {
+          return "pinning tabled fewer trees than the fit-time tables";
+        }
+        testcore::TierGuard guard;
+        ml::ForestTile tile;
+        std::vector<double> out;
+        for (const auto tier :
+             {util::simd::Tier::kScalar, util::simd::Tier::kAvx2}) {
+          if (util::simd::kernels_for(tier) == nullptr) continue;
+          util::simd::set_active_tier(tier);
+          for (const ml::ForestBundle* bundle : {&unpinned, &pinned}) {
+            for (const std::size_t width : kBundleWidths) {
+              for (std::size_t begin = 0; begin < count; begin += width) {
+                const std::size_t n = std::min(width, count - begin);
+                bundle->rank(std::span<const double>(rows).subspan(
+                                 begin * features, n * features),
+                             features, tile);
+                for (std::size_t k = 0; k < forests.size(); ++k) {
+                  out.assign(n, 0.0);
+                  bundle->predict(forests[k], tile, out);
+                  for (std::size_t i = 0; i < n; ++i) {
+                    if (out[i] == expected[k][begin + i]) continue;
+                    std::ostringstream msg;
+                    msg.precision(17);
+                    msg << util::simd::tier_name(tier)
+                        << (bundle == &pinned ? " pinned" : " unpinned")
+                        << ", forest " << k << ", width " << width
+                        << ", row " << begin + i
+                        << ": predict()=" << expected[k][begin + i]
+                        << " bundle=" << out[i] << " (tabled "
+                        << bundle->tabled_trees() << ")";
+                    return msg.str();
+                  }
+                }
+              }
+            }
+          }
+        }
+        return std::nullopt;
+      },
+      describe_bundle_case);
+  ASSERT_TRUE(result.passed) << result.report;
+  if (result.cases_run >= 30) {  // a short --cases run may miss a shape
+    EXPECT_GT(shapes[0], 0) << "pinning never tabled more trees";
+    EXPECT_GT(shapes[1], 0) << "pinning always tabled more trees";
+  }
+}
+
 // Oracle (b), group level: per-context vs tiled power-group predict.
 //
 // Every clock / SRAM / logic model evaluates its power formula (Eq. 7,
@@ -613,9 +790,12 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
             std::vector<double> sram_tiled(size);
             std::vector<double> reg(size);
             std::vector<double> comb(size);
-            clock.predict_tile(batch, rows, clock_tiled);
-            sram.predict_tile(batch, rows, sram_tiled);
-            logic.predict_tile(batch, rows, reg, comb);
+            const auto& forests = model.forests(comp);
+            ml::ForestTile tile;
+            forests.rank(rows, rows.size() / size, tile);
+            clock.predict_tile(batch, forests, tile, clock_tiled);
+            sram.predict_tile(batch, forests, tile, sram_tiled);
+            logic.predict_tile(batch, forests, tile, reg, comb);
             for (std::size_t i = 0; i < size; ++i) {
               const double per_context[] = {clock.predict(batch[i]),
                                             sram.predict(batch[i]),
@@ -743,6 +923,135 @@ TEST(DifferentialModel, PerContextVsTiledModelPredictBitIdentical) {
       }
     }
   }
+}
+
+// Oracle (b), trace level: pinned vs per-window predict_trace.
+//
+// predict_trace pins each component's H and P features when every window
+// shares one cfg pointer and equal program features, and recompiles the
+// forests over the E conditions alone where the trace is long enough to
+// pay for the fill.  A single-config trace, its first 256 windows cycled
+// to 4,000 rows so many forests recompile, takes that path; a span mixing two
+// configurations, or one configuration under two programs, takes the
+// unpinned one.  Every element must equal predict(window).total()
+// exactly, on the default and the ablation model.
+
+constexpr std::size_t kPinnedTraceRows = 4000;
+
+// Models trained like `autopower train --known C1,C15`: every riscv-tests
+// workload at full simulator fidelity, so their forests outgrow the
+// fit-time tables (group_oracle_model's eight samples grow forests that
+// are tabled whole, leaving pinning nothing to add).
+const core::AutoPowerModel& trace_oracle_model(bool ablation) {
+  static const auto* const models = [] {
+    const sim::PerfSimulator sim;
+    std::vector<core::EvalContext> train;
+    for (const char* cfg_name : {"C1", "C15"}) {
+      const auto& cfg = arch::boom_config(cfg_name);
+      for (const auto& wl : workload::riscv_tests_workloads()) {
+        train.push_back({&cfg, wl.name, workload::program_features(wl),
+                         sim.simulate(cfg, wl)});
+      }
+    }
+    core::AutoPowerOptions ablation_opt;
+    ablation_opt.clock.linear_alpha = true;
+    ablation_opt.sram.program_features = false;
+    auto* out = new std::array<core::AutoPowerModel, 2>{
+        core::AutoPowerModel{}, core::AutoPowerModel{ablation_opt}};
+    for (auto& model : *out) model.train(train, shared_golden(), 1);
+    return out;
+  }();
+  return (*models)[ablation ? 1 : 0];
+}
+
+TEST(DifferentialModel, PinnedTraceVsPerWindowPredictBitIdentical) {
+  auto& registry = util::MetricsRegistry::global();
+  const auto& pinned_traces = registry.histogram("core.predict_trace.pin_ns");
+  const auto& pinned_tabled = registry.counter("core.predict_trace.tabled_trees");
+  const auto result = testcore::run_property<GroupCase>(
+      {.name = "core.pinned_trace_vs_per_window", .cases = 10},
+      [](Pcg32& rng) {
+        GroupCase c{testcore::random_hardware_config(rng),
+                    testcore::random_hardware_config(rng),
+                    testcore::random_workload_profile(rng),
+                    testcore::small_sim_options(rng)};
+        c.wl.instructions = 20'000 + rng.next_below(20'000);
+        c.ablation = rng.next_bool();
+        c.pick_seed = rng.next_u64();
+        return c;
+      },
+      [&](const GroupCase& c) -> std::optional<std::string> {
+        sim::PerfSimulator sim(c.sim_opt);
+        const auto program = workload::program_features(c.wl);
+        auto other_program = program;
+        other_program.ilp += 0.5;
+        const auto windows = [&](const arch::HardwareConfig& cfg) {
+          std::vector<core::EvalContext> out;
+          for (const auto& events : sim.simulate_trace(cfg, c.wl)) {
+            out.push_back({&cfg, c.wl.name, program, events});
+          }
+          return out;
+        };
+        auto distinct = windows(c.cfg_a);
+        if (distinct.empty()) return "simulate_trace returned no windows";
+        distinct.resize(std::min<std::size_t>(distinct.size(), 256));
+        std::vector<core::EvalContext> trace;
+        while (trace.size() < kPinnedTraceRows) {
+          trace.push_back(distinct[trace.size() % distinct.size()]);
+        }
+        // Mixed spans: the distinct windows with a random one swapped for
+        // a window of the other configuration or program.
+        Pcg32 pick(c.pick_seed);
+        auto mixed_config = distinct;
+        mixed_config[pick.index(distinct.size())] = windows(c.cfg_b).front();
+        auto mixed_program = distinct;
+        mixed_program[pick.index(distinct.size())].program = other_program;
+
+        const auto& model = trace_oracle_model(c.ablation);
+        std::size_t fit_tabled = 0;
+        for (const arch::ComponentKind comp : arch::all_components()) {
+          fit_tabled += model.forests(comp).tabled_trees();
+        }
+        const std::pair<const char*, const std::vector<core::EvalContext>*>
+            spans[] = {{"single-config trace", &trace},
+                       {"mixed-config span", &mixed_config},
+                       {"mixed-program span", &mixed_program}};
+        for (const auto& [what, span] : spans) {
+          const auto traces_before = pinned_traces.count();
+          const auto tabled_before = pinned_tabled.value();
+          const auto got = model.predict_trace(*span);
+          const bool pinned = pinned_traces.count() > traces_before;
+          if (pinned != (span == &trace)) {
+            return std::string(what) +
+                   (pinned ? " took the pinned path" : " was not pinned");
+          }
+          if (pinned && pinned_tabled.value() - tabled_before <= fit_tabled) {
+            return std::string(what) + " tabled no tree beyond the "
+                                       "fit-time tables";
+          }
+          // The single-config trace cycles `distinct`, so its window i
+          // repeats window i % distinct.size().
+          std::vector<double> expected;
+          for (std::size_t i = 0; i < std::min(span->size(), distinct.size());
+               ++i) {
+            expected.push_back(model.predict((*span)[i]).total());
+          }
+          for (std::size_t i = 0; i < span->size(); ++i) {
+            const double one = expected[i % expected.size()];
+            if (got[i] != one) {
+              std::ostringstream msg;
+              msg.precision(17);
+              msg << what << ", window " << i << " of " << span->size()
+                  << ": predict()=" << one << " predict_trace()=" << got[i];
+              return msg.str();
+            }
+          }
+        }
+        return std::nullopt;
+      },
+      describe_group_case);
+  ASSERT_TRUE(result.passed) << result.report;
+  EXPECT_GE(result.cases_run, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -46,12 +46,14 @@ struct CliResult {
   std::string out;
 };
 
-/// Run the CLI with `args`, capturing stdout.  stderr is dropped: it
-/// carries progress chatter ("metrics snapshot written to ...") that is
-/// not part of the report contract.
-CliResult run_cli(const std::string& args) {
+/// Run the CLI with `args`, capturing stdout.  stderr is dropped by
+/// default: it carries progress chatter ("metrics snapshot written to
+/// ...") that is not part of the report contract.  A test of that chatter
+/// passes "2>&1 >/dev/null" to capture stderr instead.
+CliResult run_cli(const std::string& args,
+                  const std::string& redirect = "2>/dev/null") {
   const std::string cmd =
-      std::string("'") + AUTOPOWER_CLI_PATH + "' " + args + " 2>/dev/null";
+      std::string("'") + AUTOPOWER_CLI_PATH + "' " + args + " " + redirect;
   CliResult result;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -359,6 +361,30 @@ TEST_F(GoldenCliTest, SweepJsonlReport) {
                          " --base C8 --out " + out_path);
   ASSERT_EQ(r.exit_code, 0) << r.out;
   check_golden("sweep_report.golden", read_file(out_path));
+}
+
+TEST_F(GoldenCliTest, SweepNeverCallsAnAllFailedRowBest) {
+  // ICacheFetchBytes=3 passes the grid parser but fails every cell ("cache
+  // sets must be a power of two"), leaving a row with no mean to rank.
+  const auto none = run_cli("sweep --model " + model() +
+                                " --grid ICacheFetchBytes=3"
+                                " --workloads dhrystone,vvadd --base C8",
+                            "2>&1 >/dev/null");
+  ASSERT_EQ(none.exit_code, 0) << none.out;
+  EXPECT_NE(none.out.find("best: none (every cell failed)"),
+            std::string::npos)
+      << none.out;
+  EXPECT_EQ(none.out.find("0.00 mW"), std::string::npos) << none.out;
+
+  const auto mixed = run_cli("sweep --model " + model() +
+                                 " --grid ICacheFetchBytes=3,8"
+                                 " --workloads dhrystone --base C8"
+                                 " --rank power",
+                             "2>&1 >/dev/null");
+  ASSERT_EQ(mixed.exit_code, 0) << mixed.out;
+  EXPECT_NE(mixed.out.find("best: C8+ICacheFetchBytes=8 ("),
+            std::string::npos)
+      << mixed.out;
 }
 
 TEST_F(GoldenCliTest, ExploreFrontierReport) {

@@ -40,6 +40,7 @@
 
 #include <csignal>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -113,7 +114,7 @@ ArgMap parse_flags(int argc, char** argv, int first, const FlagSpec& spec) {
         it->second += value;
       }
     } else {
-      flags[key] = "1";
+      flags.emplace(key, "1");  // a boolean flag is never repeated
     }
   }
   return flags;
@@ -430,12 +431,18 @@ int cmd_sweep(const ArgMap& flags) {
               << " configurations from checkpoint " << spec.checkpoint
               << "\n";
   }
-  if (!report.rows.empty()) {
-    const auto& best = report.rows.front();
-    std::cerr << "best: " << best.config.name() << " ("
-              << util::fmt(best.mean_total_mw) << " mW, IPC "
-              << util::fmt(best.mean_ipc) << ", "
-              << util::fmt(best.ipc_per_watt) << " IPC/W)\n";
+  // A row whose every cell failed has no means to rank by; it is never
+  // the best.
+  const auto best = std::find_if(
+      report.rows.begin(), report.rows.end(),
+      [](const serve::SweepRow& row) { return row.failed < row.cells.size(); });
+  if (best != report.rows.end()) {
+    std::cerr << "best: " << best->config.name() << " ("
+              << util::fmt(best->mean_total_mw) << " mW, IPC "
+              << util::fmt(best->mean_ipc) << ", "
+              << util::fmt(best->ipc_per_watt) << " IPC/W)\n";
+  } else if (!report.rows.empty()) {
+    std::cerr << "best: none (every cell failed)\n";
   }
   write_stats_snapshot(flags);
   return 0;
@@ -674,33 +681,40 @@ const std::map<std::string, Command>& commands() {
   static const std::map<std::string, Command> table = {
       {"list", {{}, [](const ArgMap&) { return cmd_list(); }}},
       {"train",
-       {{.valued = {"known", "out", "threads", "stats"}, .boolean = {}},
+       {{.valued = {"known", "out", "threads", "stats"}, .boolean = {},
+         .repeatable = {}},
         cmd_train}},
       {"predict",
        {{.valued = {"model", "config", "workload"},
-         .boolean = {"per-component"}},
+         .boolean = {"per-component"},
+         .repeatable = {}},
         cmd_predict}},
       {"evaluate",
-       {{.valued = {"model", "known", "threads", "stats"}, .boolean = {}},
+       {{.valued = {"model", "known", "threads", "stats"}, .boolean = {},
+         .repeatable = {}},
         cmd_evaluate}},
       {"trace",
-       {{.valued = {"model", "config", "workload", "csv"}, .boolean = {}},
+       {{.valued = {"model", "config", "workload", "csv"}, .boolean = {},
+         .repeatable = {}},
         cmd_trace}},
       {"batch",
        {{.valued = {"model", "requests", "out", "threads", "stats"},
-         .boolean = {}},
+         .boolean = {},
+         .repeatable = {}},
         cmd_batch}},
       {"sweep",
        {{.valued = {"model", "grid", "workloads", "base", "rank", "top",
                     "out", "threads", "stats", "checkpoint",
                     "memory-budget"},
-         .boolean = {"progress", "resume"}},
+         .boolean = {"progress", "resume"},
+         .repeatable = {}},
         cmd_sweep}},
       {"explore",
        {{.valued = {"model", "grid", "workloads", "base", "seed",
                     "population", "generations", "verify-top", "out",
                     "threads", "stats", "checkpoint"},
-         .boolean = {"resume"}},
+         .boolean = {"resume"},
+         .repeatable = {}},
         cmd_explore}},
       {"serve",
        {{.valued = {"port", "queue-depth", "max-connections", "max-batch",
@@ -718,7 +732,7 @@ int main(int argc, char** argv) {
   // Resolve the SIMD dispatch tier up front so the util.simd.tier gauge
   // is present in every --stats snapshot, not only ones taken after a
   // kernel happened to run.
-  util::simd::active_tier();
+  static_cast<void>(util::simd::active_tier());
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const auto it = commands().find(command);

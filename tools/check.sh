@@ -84,22 +84,25 @@ if grep -rn --include='*.cpp' --include='*.hpp' --exclude-dir='build*' \
 fi
 echo "util::simd::kernels() confined to src/ml/gbt.cpp, src/util/ and tests/"
 
-echo "== one prediction path (GBT sub-models in src/core go through predict_rows) =="
+echo "== one prediction path (GBT sub-models in src/core go through ForestBundle) =="
 # Each power group's formula lives once, in its predict_tile, which
-# evaluates every GBT activity sub-model through the batched predict_rows.
-# The scalar GBTRegressor::predict walk stays an ml-level differential
-# oracle (tests/test_differential.cpp), never a src/core prediction path.
+# evaluates every GBT activity sub-model through ml::ForestBundle::predict
+# over the component's shared rank pass.  The scalar GBTRegressor::predict
+# walk and the one-forest predict_rows stay ml-level (predict() is the
+# differential oracle in tests/test_differential.cpp), never a src/core
+# prediction path.
 gbt_members=$(grep -ho 'ml::GBTRegressor [A-Za-z_]*' src/core/*.hpp \
   | awk '{print $2}' | sort -u | paste -sd'|' -)
 if [ -z "$gbt_members" ]; then
   echo "no ml::GBTRegressor members found in src/core headers"
   exit 1
 fi
-if grep -rnE "\b(${gbt_members})\.predict\(" src/core; then
-  echo "scalar GBT predict in src/core; evaluate through predict_rows"
+if grep -rnE "\b(${gbt_members})\.predict(_rows)?\(" src/core; then
+  echo "GBT predict or predict_rows in src/core; evaluate through the" \
+    "component's ForestBundle"
   exit 1
 fi
-echo "GBT sub-models in src/core (${gbt_members}) only use predict_rows"
+echo "GBT sub-models in src/core (${gbt_members}) only use ForestBundle"
 
 echo "== one feature assembly per component tile (feature_rows stays in the tile loop) =="
 # AutoPowerModel's tile-major loop assembles each component's H+E+P
@@ -413,10 +416,9 @@ echo "== proptest: SIMD kernel oracle under AddressSanitizer =="
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
   timeout 900 ./build-asan/tests/test_simd --cases 60
 
-echo "== proptest: archive fuzz under AddressSanitizer =="
+echo "== autopower_tests (archive fuzz included) under AddressSanitizer =="
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
-  timeout 300 ./build-asan/tests/autopower_tests \
-  --gtest_filter='Robustness.*'
+  timeout 900 ./build-asan/tests/autopower_tests
 
 echo "== configure (tsan preset) =="
 cmake --preset tsan
