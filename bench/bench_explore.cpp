@@ -1,22 +1,22 @@
-// Surrogate-guided exploration vs the exhaustive sweep: the explore
-// loop must find the grid's true ipc_per_watt optimum while touching an
-// order of magnitude fewer simulator cells.
+// Exploration vs the exhaustive sweep: the explore loop must find the
+// grid's true ipc_per_watt optimum while touching an order of magnitude
+// fewer simulator cells.
 //
 //   1. Exhaustive baseline: serve::run_sweep over a grid of
 //      AUTOPOWER_BENCH_EXPLORE_CELLS configurations (default 1e5),
 //      metric ipc_per_watt, top-1 — every configuration is simulated.
 //   2. explore::run_explore over the SAME grid with a fresh structural
-//      cache (no warm-state subsidy from the baseline): model-scored
-//      candidates, simulator-verified elites only.
+//      cache (no warm-state subsidy from the baseline): every candidate
+//      it draws is simulated, nothing else.
 //
 // Self-checked bars (exit 1 on a miss):
-//   * equality: explore's best VERIFIED ipc_per_watt must equal the
-//     exhaustive optimum exactly — verified rows are bit-identical to
-//     sweep rows, so finding the argmax config means exact agreement;
-//   * economy:  explore's simulator-verified configurations must be at
-//     most 1/10 of the grid (the ">=10x fewer simulator cells" claim).
+//   * equality: explore's best ipc_per_watt must equal the exhaustive
+//     optimum exactly — explore rows are bit-identical to sweep rows,
+//     so finding the argmax config means exact agreement;
+//   * economy:  explore's simulated configurations must be at most 1/10
+//     of the grid (the ">=10x fewer simulator cells" claim).
 //
-// `--json <path>` writes the headline numbers (candidates/sec scored,
+// `--json <path>` writes the headline numbers (both wall times,
 // simulator-calls-avoided ratio) for tools/check.sh to collect into
 // BENCH_explore.json.
 
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   std::printf("exhaustive optimum        : %s  ipc/W=%.6f\n",
               sweep_best.config.name().c_str(), sweep_best.ipc_per_watt);
 
-  // --- 2. Surrogate-guided search, fresh structural cache ----------------
+  // --- 2. Evolutionary search, fresh structural cache --------------------
   explore::ExploreSpec spec;
   spec.base = "C8";
   spec.axes = axes;
@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
   spec.seed = 1;
   spec.population = 64;
   spec.generations = 40;
-  spec.verify_top = 8;
   start = std::chrono::steady_clock::now();
   const auto report = explore::run_explore(
       model, spec, std::make_shared<util::StructuralSimCache>());
@@ -150,17 +149,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   // The frontier is sorted ipc_per_watt descending; its head is the best
-  // verified configuration.
+  // configuration found.
   const auto& explore_best = report.frontier.front().row;
-  const double candidates_per_s =
-      double(report.candidates_scored) / explore_s;
   const double avoided_ratio =
       double(cursor.size()) / double(std::max<std::size_t>(1, report.verified));
-  std::printf("explore @ 2t              : %7.1f candidates/s scored  "
-              "(%.1f s, %zu scored, %zu simulator configs)\n",
-              candidates_per_s, explore_s, report.candidates_scored,
-              report.verified);
-  std::printf("explore best verified     : %s  ipc/W=%.6f\n",
+  std::printf("explore @ 2t              : %.2f s, %zu simulator configs\n",
+              explore_s, report.verified);
+  std::printf("explore best              : %s  ipc/W=%.6f\n",
               explore_best.config.name().c_str(), explore_best.ipc_per_watt);
   std::printf("simulator calls avoided   : %.1fx fewer than exhaustive "
               "(bar 10.0x)\n",
@@ -173,14 +168,10 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (report.verified * 10 > cursor.size()) {
-    std::printf("FAIL: explore verified %zu configs — more than 1/10 of the "
+    std::printf("FAIL: explore simulated %zu configs — more than 1/10 of the "
                 "%zu-cell grid\n",
                 report.verified, cursor.size());
     ok = false;
-  }
-  if (!report.elite_err.empty()) {
-    std::printf("model-vs-sim elite error  : first gen %.4f, last gen %.4f\n",
-                report.elite_err.front(), report.elite_err.back());
   }
 
   if (!json_path.empty()) {
@@ -193,16 +184,14 @@ int main(int argc, char** argv) {
           "  \"sweep_s\": %.3f,\n"
           "  \"sweep_cells_per_s\": %.1f,\n"
           "  \"explore_s\": %.3f,\n"
-          "  \"candidates_scored\": %zu,\n"
-          "  \"candidates_per_s\": %.1f,\n"
           "  \"simulator_configs_verified\": %zu,\n"
           "  \"sim_calls_avoided_ratio\": %.2f,\n"
           "  \"best_ipc_per_watt\": %.9f,\n"
           "  \"optimum_matched\": %s\n"
           "}\n",
           cursor.size(), sweep_s, double(sweep.evaluations) / sweep_s,
-          explore_s, report.candidates_scored, candidates_per_s,
-          report.verified, avoided_ratio, explore_best.ipc_per_watt,
+          explore_s, report.verified, avoided_ratio,
+          explore_best.ipc_per_watt,
           explore_best.ipc_per_watt == sweep_best.ipc_per_watt ? "true"
                                                                : "false");
       std::fclose(f);

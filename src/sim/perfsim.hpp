@@ -5,8 +5,8 @@
 // simulations (sim/cache, sim/branch), then composes an interval IPC model
 // with width, queue and MSHR constraints, and finally emits the full
 // event-parameter vector of arch/events.hpp.  The composition step is the
-// public rates_from_misses(), the one rate model the explore surrogate
-// also runs (on closed-form miss estimates).
+// public rates_from_misses(), public so a test can pin the rate model
+// apart from the structural simulations that measure its miss rates.
 //
 // Two entry points:
 //   * simulate()        — whole-workload aggregate events (training and
@@ -75,8 +75,8 @@ struct PhaseRates {
 
 /// The interval IPC + event-rate model: composes one phase's per-cycle
 /// rates from its miss rates.  A pure function — PerfSimulator feeds it
-/// sampled structural measurements, the explore surrogate closed-form
-/// estimates, so both run exactly the same model.
+/// sampled structural measurements, and a test feeds it the same ones to
+/// pin the model on its own.
 [[nodiscard]] PhaseRates rates_from_misses(const arch::HardwareConfig& cfg,
                                            const workload::WorkloadPhase& phase,
                                            const MissRates& misses);

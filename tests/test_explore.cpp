@@ -1,18 +1,16 @@
 // Property tests over the explore optimizer core (src/explore) plus the
 // randomized differential oracle against the exhaustive sweep:
 //
-//   (a) non_dominated_rank vs a naive O(n^2)-per-front peeling oracle,
-//   (b) crowding-distance invariants (size, determinism, n<=2 => all
-//       infinite, boundary members infinite, permutation consistency on
-//       tie-free fronts),
-//   (c) grid-coordinate operators: digits<->index round trips, mutate /
+//   (a) the incremental Pareto archive vs a naive O(n^2) front-0 filter,
+//       checked after every insert of a random objective stream,
+//   (b) grid-coordinate operators: digits<->index round trips, mutate /
 //       crossover always in-grid, counter-based Rng determinism,
-//   (d) run_explore determinism: byte-identical frontier JSONL for the
+//   (c) run_explore determinism: byte-identical frontier JSONL for the
 //       same seed, for threads 1 vs 3, and across a SIGKILL-style
 //       checkpoint truncation + --resume replay,
-//   (e) differential oracle: with verify_top=0 and enough generations to
-//       cover a tiny grid, the explore frontier must EQUAL the Pareto
-//       set of the exhaustive run_sweep report — same grid indices, and
+//   (d) differential oracle: with enough generations to cover a tiny
+//       grid, the explore frontier must EQUAL the Pareto set of the
+//       exhaustive run_sweep report — same grid indices, and
 //       byte-identical row JSON for every member.
 //
 // On failure the proptest runner prints the base seed and the exact
@@ -29,7 +27,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -42,9 +39,11 @@
 #include "core/autopower.hpp"
 #include "explore/explore.hpp"
 #include "power/golden.hpp"
+#include "serve/checkpoint.hpp"
 #include "serve/sweep.hpp"
 #include "sim/perfsim.hpp"
 #include "testcore/proptest.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/structural_cache.hpp"
 #include "workload/workload.hpp"
@@ -53,8 +52,6 @@ namespace autopower {
 namespace {
 
 using testcore::Pcg32;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------
 // Shared helpers.
@@ -70,29 +67,19 @@ bool naive_dominates(const explore::Objectives& a,
   return no_worse && better;
 }
 
-// Peeling oracle: rank r = the non-dominated members after removing
-// every rank < r.  O(fronts * n^2), tiny n only.
-std::vector<std::size_t> naive_rank(
+// Front-0 filter: the positions of the members no other member
+// dominates.  O(n^2), tiny n only.
+std::vector<std::size_t> naive_front(
     const std::vector<explore::Objectives>& objs) {
-  const std::size_t n = objs.size();
-  constexpr auto kUnranked = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> ranks(n, kUnranked);
-  std::size_t assigned = 0;
-  for (std::size_t rank = 0; assigned < n; ++rank) {
-    std::vector<std::size_t> front;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ranks[i] != kUnranked) continue;
-      bool dominated = false;
-      for (std::size_t j = 0; j < n && !dominated; ++j) {
-        dominated = j != i && ranks[j] == kUnranked &&
-                    naive_dominates(objs[j], objs[i]);
-      }
-      if (!dominated) front.push_back(i);
+  std::vector<std::size_t> front;
+  for (std::size_t i = 0; i < objs.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < objs.size() && !dominated; ++j) {
+      dominated = naive_dominates(objs[j], objs[i]);
     }
-    for (const std::size_t i : front) ranks[i] = rank;
-    assigned += front.size();
+    if (!dominated) front.push_back(i);
   }
-  return ranks;
+  return front;
 }
 
 std::string describe_objectives(const std::vector<explore::Objectives>& objs) {
@@ -139,11 +126,11 @@ std::filesystem::path temp_path(const std::string& tag) {
 }
 
 // ---------------------------------------------------------------------
-// Oracle (a): fast non-dominated sort vs the peeling oracle.
+// Oracle (a): the incremental archive vs the front-0 filter.
 
 // Mostly-discrete draws force heavy tie/duplicate structure (the hard
-// cases for domination counting); occasional continuous draws cover the
-// generic position.
+// cases for dominance bookkeeping); occasional continuous draws cover
+// the generic position.
 explore::Objectives random_point(Pcg32& rng, bool discrete) {
   if (discrete) {
     return {static_cast<double>(rng.next_int(0, 3)),
@@ -154,157 +141,96 @@ explore::Objectives random_point(Pcg32& rng, bool discrete) {
           rng.next_range(0.1, 3.0)};
 }
 
-TEST(ExploreProps, NonDominatedRankMatchesPeelingOracle) {
-  const auto result = testcore::run_property<std::vector<explore::Objectives>>(
-      {.name = "explore.rank_vs_peeling", .cases = 200},
-      [](Pcg32& rng) {
-        const int n = rng.next_int(0, 40);
-        const bool discrete = rng.next_bool(0.6);
-        std::vector<explore::Objectives> objs;
-        objs.reserve(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) objs.push_back(random_point(rng, discrete));
-        return objs;
-      },
-      [](const std::vector<explore::Objectives>& objs)
-          -> std::optional<std::string> {
-        const auto fast = explore::non_dominated_rank(objs);
-        const auto oracle = naive_rank(objs);
-        if (fast.size() != oracle.size()) return "rank count differs";
-        for (std::size_t i = 0; i < fast.size(); ++i) {
-          if (fast[i] != oracle[i]) {
-            std::ostringstream msg;
-            msg << "point " << i << ": fast rank " << fast[i]
-                << " vs oracle rank " << oracle[i];
-            return msg.str();
-          }
-        }
-        return std::nullopt;
-      },
-      describe_objectives);
-  ASSERT_TRUE(result.passed) << result.report;
-}
-
-// ---------------------------------------------------------------------
-// Oracle (b): crowding-distance invariants.
-
-struct CrowdCase {
+// One insert stream: objective vectors with the distinct grid indices
+// they are inserted under (shuffled, so insertion order and index order
+// disagree).
+struct ArchiveCase {
   std::vector<explore::Objectives> objs;
-  std::vector<std::size_t> front;  ///< unique indices into objs
+  std::vector<std::size_t> index;
 };
 
-std::string describe_crowd(const CrowdCase& c) {
+std::string describe_archive(const ArchiveCase& c) {
   std::ostringstream out;
-  out << describe_objectives(c.objs) << "; front:";
-  for (const std::size_t i : c.front) out << " " << i;
+  out << describe_objectives(c.objs) << "; indices:";
+  for (const std::size_t i : c.index) out << " " << i;
   return out.str();
 }
 
-TEST(ExploreProps, CrowdingDistanceInvariants) {
-  const auto result = testcore::run_property<CrowdCase>(
-      {.name = "explore.crowding_invariants", .cases = 200},
+TEST(ExploreProps, ParetoArchiveMatchesNaiveFrontFilter) {
+  const auto result = testcore::run_property<ArchiveCase>(
+      {.name = "explore.archive_vs_front_filter", .cases = 200},
       [](Pcg32& rng) {
-        CrowdCase c;
-        const int n = rng.next_int(1, 12);
-        const bool discrete = rng.next_bool(0.4);
-        for (int i = 0; i < n; ++i)
-          c.objs.push_back(random_point(rng, discrete));
-        // Random non-empty subset, in random order.
-        std::vector<std::size_t> all(c.objs.size());
-        for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-        for (std::size_t i = all.size(); i > 1; --i)
-          std::swap(all[i - 1], all[rng.index(i)]);
-        const std::size_t take =
-            1 + rng.index(all.size());  // 1..n members
-        c.front.assign(all.begin(),
-                       all.begin() + static_cast<std::ptrdiff_t>(take));
+        ArchiveCase c;
+        const int n = rng.next_int(0, 40);
+        const bool discrete = rng.next_bool(0.6);
+        for (int i = 0; i < n; ++i) {
+          // Besides fresh draws: exact duplicates of an earlier vector,
+          // and earlier vectors made worse on one objective (a dominated
+          // re-insertion, which the archive must drop or never keep).
+          const double u = rng.next_unit();
+          if (i > 0 && u < 0.2) {
+            c.objs.push_back(c.objs[rng.index(c.objs.size())]);
+          } else if (i > 0 && u < 0.4) {
+            explore::Objectives o = c.objs[rng.index(c.objs.size())];
+            switch (rng.next_int(0, 2)) {
+              case 0: o.ipc_per_watt -= 1.0; break;
+              case 1: o.total_mw += 1.0; break;
+              default: o.area += 1.0; break;
+            }
+            c.objs.push_back(o);
+          } else {
+            c.objs.push_back(random_point(rng, discrete));
+          }
+        }
+        for (std::size_t i = 0; i < c.objs.size(); ++i) {
+          c.index.push_back(3 * i + 1);
+        }
+        for (std::size_t i = c.index.size(); i > 1; --i)
+          std::swap(c.index[i - 1], c.index[rng.index(i)]);
         return c;
       },
-      [](const CrowdCase& c) -> std::optional<std::string> {
-        const auto dist = explore::crowding_distance(c.objs, c.front);
-        if (dist.size() != c.front.size()) return "distance count differs";
-        if (explore::crowding_distance(c.objs, c.front) != dist) {
-          return "two identical calls disagree (non-deterministic)";
-        }
-        if (c.front.size() <= 2) {
-          for (std::size_t i = 0; i < dist.size(); ++i) {
-            if (dist[i] != kInf) {
-              return "front of <=2 members must be all infinite";
+      [](const ArchiveCase& c) -> std::optional<std::string> {
+        explore::ParetoArchive archive;
+        std::vector<explore::Objectives> seen;
+        std::vector<std::size_t> seen_index;
+        for (std::size_t k = 0; k < c.objs.size(); ++k) {
+          explore::archive_insert(archive, c.index[k], c.objs[k]);
+          seen.push_back(c.objs[k]);
+          seen_index.push_back(c.index[k]);
+          std::vector<std::size_t> expected;
+          for (const std::size_t i : naive_front(seen)) {
+            expected.push_back(seen_index[i]);
+          }
+          std::sort(expected.begin(), expected.end());
+          std::vector<std::size_t> got;
+          for (const auto& [idx, objs] : archive) {
+            got.push_back(idx);
+            const auto at = std::find(seen_index.begin(), seen_index.end(),
+                                      idx);
+            const auto& want = seen[static_cast<std::size_t>(
+                at - seen_index.begin())];
+            if (objs.ipc_per_watt != want.ipc_per_watt ||
+                objs.total_mw != want.total_mw || objs.area != want.area) {
+              return "archive member's objectives differ from its insert";
             }
           }
-          return std::nullopt;
-        }
-        for (std::size_t i = 0; i < dist.size(); ++i) {
-          if (!(dist[i] >= 0.0)) {
+          if (got != expected) {
             std::ostringstream msg;
-            msg << "member " << i << " has negative/NaN distance " << dist[i];
+            msg << "after insert " << k << ": archive";
+            for (const std::size_t i : got) msg << " " << i;
+            msg << "; front-0 filter";
+            for (const std::size_t i : expected) msg << " " << i;
             return msg.str();
-          }
-        }
-        // A member that is the UNIQUE minimum or maximum of any
-        // objective is a boundary member and must be infinite.
-        const auto value = [&](std::size_t member, int obj) {
-          const auto& o = c.objs[c.front[member]];
-          return obj == 0 ? o.ipc_per_watt : obj == 1 ? o.total_mw : o.area;
-        };
-        for (int obj = 0; obj < 3; ++obj) {
-          for (std::size_t i = 0; i < c.front.size(); ++i) {
-            bool unique_min = true;
-            bool unique_max = true;
-            for (std::size_t j = 0; j < c.front.size(); ++j) {
-              if (j == i) continue;
-              if (value(j, obj) <= value(i, obj)) unique_min = false;
-              if (value(j, obj) >= value(i, obj)) unique_max = false;
-            }
-            if ((unique_min || unique_max) && dist[i] != kInf) {
-              std::ostringstream msg;
-              msg << "member " << i << " is the unique "
-                  << (unique_min ? "min" : "max") << " of objective " << obj
-                  << " but got finite distance " << dist[i];
-              return msg.str();
-            }
-          }
-        }
-        // Permutation consistency: when every objective is tie-free
-        // within the front, each member's distance is independent of
-        // the front's order.
-        bool tie_free = true;
-        for (int obj = 0; obj < 3 && tie_free; ++obj) {
-          for (std::size_t i = 0; i < c.front.size() && tie_free; ++i) {
-            for (std::size_t j = i + 1; j < c.front.size(); ++j) {
-              if (value(i, obj) == value(j, obj)) {
-                tie_free = false;
-                break;
-              }
-            }
-          }
-        }
-        if (tie_free) {
-          std::vector<std::size_t> rotated(c.front.begin() + 1,
-                                           c.front.end());
-          rotated.push_back(c.front.front());
-          const auto rotated_dist =
-              explore::crowding_distance(c.objs, rotated);
-          for (std::size_t i = 0; i < c.front.size(); ++i) {
-            // c.front[i] sits at rotated position (i + n - 1) % n.
-            const std::size_t at =
-                (i + c.front.size() - 1) % c.front.size();
-            if (dist[i] != rotated_dist[at]) {
-              std::ostringstream msg;
-              msg << "member " << c.front[i]
-                  << " distance depends on front order: " << dist[i]
-                  << " vs " << rotated_dist[at];
-              return msg.str();
-            }
           }
         }
         return std::nullopt;
       },
-      describe_crowd);
+      describe_archive);
   ASSERT_TRUE(result.passed) << result.report;
 }
 
 // ---------------------------------------------------------------------
-// Oracle (c): grid-coordinate operators.
+// Oracle (b): grid-coordinate operators.
 
 struct GridOpCase {
   std::vector<serve::SweepAxis> axes;
@@ -539,14 +465,12 @@ struct SearchCase {
   std::uint64_t seed = 0;
   std::size_t population = 0;
   std::size_t generations = 0;
-  std::size_t verify_top = 0;
 };
 
 std::string describe_search(const SearchCase& c) {
   std::ostringstream out;
   out << describe_axes(c.axes) << "; seed=" << c.seed
-      << " pop=" << c.population << " gens=" << c.generations
-      << " verify_top=" << c.verify_top;
+      << " pop=" << c.population << " gens=" << c.generations;
   return out.str();
 }
 
@@ -559,7 +483,6 @@ explore::ExploreSpec spec_for(const SearchCase& c) {
   spec.seed = c.seed;
   spec.population = c.population;
   spec.generations = c.generations;
-  spec.verify_top = c.verify_top;
   return spec;
 }
 
@@ -569,12 +492,11 @@ SearchCase random_search_case(Pcg32& rng) {
   c.seed = rng.next_u64();
   c.population = static_cast<std::size_t>(rng.next_int(4, 10));
   c.generations = static_cast<std::size_t>(rng.next_int(2, 4));
-  c.verify_top = static_cast<std::size_t>(rng.next_int(0, 4));
   return c;
 }
 
-// Oracle (d): the frontier JSONL is byte-identical for the same seed
-// and for threads 1 vs 3, and elite errors / counters agree.
+// Oracle (c): the frontier JSONL is byte-identical for the same seed
+// and for threads 1 vs 3, and the simulated-config counts agree.
 TEST_F(ExploreSearch, SeedAndThreadCountInvariance) {
   const auto result = testcore::run_property<SearchCase>(
       {.name = "explore.seed_thread_invariance", .cases = 40},
@@ -593,14 +515,6 @@ TEST_F(ExploreSearch, SeedAndThreadCountInvariance) {
         if (frontier_bytes(threaded) != bytes) {
           return "threads=1 vs threads=3: frontier bytes differ";
         }
-        if (again.elite_err != first.elite_err ||
-            threaded.elite_err != first.elite_err) {
-          return "per-generation elite errors differ across reruns";
-        }
-        if (again.candidates_scored != first.candidates_scored ||
-            threaded.candidates_scored != first.candidates_scored) {
-          return "candidates_scored differs across reruns";
-        }
         if (again.verified != first.verified ||
             threaded.verified != first.verified) {
           return "verified count differs across reruns";
@@ -611,7 +525,7 @@ TEST_F(ExploreSearch, SeedAndThreadCountInvariance) {
   ASSERT_TRUE(result.passed) << result.report;
 }
 
-// Oracle (d, resume half): truncating the checkpoint at ANY byte (the
+// Oracle (c, resume half): truncating the checkpoint at ANY byte (the
 // torn tail a SIGKILL leaves) and resuming converges to the identical
 // frontier bytes.
 TEST_F(ExploreSearch, CheckpointTruncationResumeByteIdentical) {
@@ -655,12 +569,75 @@ TEST_F(ExploreSearch, CheckpointTruncationResumeByteIdentical) {
   ASSERT_TRUE(result.passed) << result.report;
 }
 
+// A checkpoint written before exact scoring (fingerprint base
+// "<base>#explore-v1#...#verify=K") walked a different scoring order, so
+// --resume must refuse it with the fingerprint error, replay nothing and
+// leave the file as it was.  The same row under the current fingerprint
+// is the control: it resumes and replays that row.
+TEST_F(ExploreSearch, ResumeRefusesV1FingerprintCheckpoint) {
+  explore::ExploreSpec spec;
+  spec.base = "C8";
+  spec.axes = serve::parse_grid("RobEntry=48,64,96;FetchBufferEntry=8,16");
+  spec.workloads = {"dhrystone"};
+  spec.seed = 3;
+  spec.population = 4;
+  spec.generations = 2;
+  const auto ckpt = temp_path("v1.ckpt");
+  struct Cleanup {
+    std::filesystem::path path;
+    ~Cleanup() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } cleanup{ckpt};
+  spec.checkpoint = ckpt.string();
+  spec.resume = true;
+
+  const serve::GridCursor cursor(arch::boom_config(spec.base), spec.axes);
+  const std::vector<arch::HardwareConfig> cfgs = {cursor.config_at(0)};
+  std::vector<serve::SweepRow> rows = serve::evaluate_configs(
+      **model_, cfgs, spec.workloads, 1, *structural_);
+  std::string row_json;
+  serve::append_row_json(row_json, rows[0]);
+  const auto write_checkpoint = [&](const std::string& base) {
+    serve::CheckpointWriter writer(
+        spec.checkpoint,
+        serve::sweep_fingerprint(base, spec.axes, spec.workloads,
+                                 (*model_)->fingerprint()),
+        cursor.size(), spec.workloads.size());
+    writer.append(0, row_json);
+    writer.close();
+  };
+  const auto read_bytes = [&] {
+    std::ifstream in(ckpt, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+
+  write_checkpoint("C8#explore-v1#seed=3#pop=4#gen=2#verify=16");
+  const std::string v1_bytes = read_bytes();
+  try {
+    (void)explore::run_explore(**model_, spec, *structural_);
+    FAIL() << "resume accepted a v1-fingerprint checkpoint";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(read_bytes(), v1_bytes);
+
+  write_checkpoint("C8#explore-v2#seed=3#pop=4#gen=2");
+  const auto resumed = explore::run_explore(**model_, spec, *structural_);
+  EXPECT_EQ(resumed.resumed, 1u);
+}
+
 // ---------------------------------------------------------------------
-// Oracle (e): differential against the exhaustive sweep.  verify_top=0
-// verifies every scored candidate and the generation budget covers the
-// whole grid, so every cell is simulator-verified — the frontier must
-// EQUAL the Pareto set of the exhaustive run_sweep report, member for
-// member and byte for byte.
+// Oracle (d): differential against the exhaustive sweep.  Every
+// candidate is simulated and the generation budget covers the whole
+// grid, so every cell is scored — the frontier must EQUAL the Pareto set
+// of the exhaustive run_sweep report, member for member and byte for
+// byte.
 
 TEST_F(ExploreSearch, DifferentialFrontierEqualsExhaustivePareto) {
   const auto result = testcore::run_property<SearchCase>(
@@ -672,7 +649,6 @@ TEST_F(ExploreSearch, DifferentialFrontierEqualsExhaustivePareto) {
         c.population = static_cast<std::size_t>(rng.next_int(4, 8));
         c.generations =
             (grid_size(c.axes) + c.population - 1) / c.population + 2;
-        c.verify_top = 0;
         return c;
       },
       [](const SearchCase& c) -> std::optional<std::string> {
@@ -685,7 +661,7 @@ TEST_F(ExploreSearch, DifferentialFrontierEqualsExhaustivePareto) {
         sweep_spec.threads = 1;
         const auto sweep = serve::run_sweep(**model_, sweep_spec, *structural_);
         // Exhaustive Pareto set over the eligible sweep rows, via the
-        // naive peeling oracle.
+        // naive front-0 filter.
         std::vector<explore::Objectives> objs;
         std::vector<const serve::SweepRow*> rows;
         for (const auto& row : sweep.rows) {
@@ -694,13 +670,12 @@ TEST_F(ExploreSearch, DifferentialFrontierEqualsExhaustivePareto) {
                           explore::area_proxy(row.config)});
           rows.push_back(&row);
         }
-        const auto ranks = naive_rank(objs);
         std::set<std::size_t> oracle_front;
-        std::unordered_map<std::size_t, const serve::SweepRow*> by_index;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-          by_index.emplace(rows[i]->index, rows[i]);
-          if (ranks[i] == 0) oracle_front.insert(rows[i]->index);
+        for (const std::size_t i : naive_front(objs)) {
+          oracle_front.insert(rows[i]->index);
         }
+        std::unordered_map<std::size_t, const serve::SweepRow*> by_index;
+        for (const auto* row : rows) by_index.emplace(row->index, row);
         std::set<std::size_t> explore_front;
         for (const auto& member : report.frontier) {
           explore_front.insert(member.row.index);

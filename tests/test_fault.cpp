@@ -508,7 +508,6 @@ TEST_F(FaultCheckpoint, ExploreGenerationFaultLeavesResumableCheckpoint) {
   spec.seed = 11;
   spec.population = 4;
   spec.generations = 3;
-  spec.verify_top = 2;
   // Uninterrupted reference run (no checkpoint).
   const auto reference = explore::run_explore(*tiny_model(), spec);
   std::ostringstream ref_bytes;
@@ -726,7 +725,7 @@ TEST_F(FaultCliTest, ExploreGenerationFaultExitsOneThenResumesByteIdentical) {
   const std::string common =
       "explore --model '" + model_path() +
       "' --workloads dhrystone --base C8 --grid RobEntry=48,64,96 "
-      "--seed 5 --population 4 --generations 3 --verify-top 2 --threads 1 ";
+      "--seed 5 --population 4 --generations 3 --threads 1 ";
   const std::string out_clean = out_path("explore_clean.jsonl");
   std::string output;
   int status =

@@ -396,7 +396,7 @@ TEST_F(GoldenCliTest, ExploreFrontierReport) {
       "explore --model " + model() +
       " --grid 'RobEntry=48,64,96;FetchBufferEntry=8,16'"
       " --workloads dhrystone,qsort --base C8 --seed 7 --population 6"
-      " --generations 3 --verify-top 3 --threads 1 --out " + out_path +
+      " --generations 3 --threads 1 --out " + out_path +
       " --stats " + tmp_dir() + "/explore_stats.json");
   ASSERT_EQ(r.exit_code, 0) << r.out;
   check_golden("explore_frontier.golden",
@@ -404,6 +404,21 @@ TEST_F(GoldenCliTest, ExploreFrontierReport) {
   check_golden(
       "explore_stats_schema.golden",
       normalize_numbers(read_file(tmp_dir() + "/explore_stats.json")));
+}
+
+TEST_F(GoldenCliTest, ExploreRejectsRemovedVerifyTopFlag) {
+  // Every candidate is scored exactly, so the elite cut-off flag is gone;
+  // the flag parser must refuse it rather than silently ignore it.
+  const std::string out_path = tmp_dir() + "/explore_verify_top.jsonl";
+  const auto r = run_cli(
+      "explore --model " + model() +
+          " --grid 'RobEntry=48,64' --workloads dhrystone --base C8"
+          " --generations 1 --verify-top 3 --out " + out_path,
+      "2>&1 >/dev/null");
+  EXPECT_NE(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find("unknown flag --verify-top"), std::string::npos)
+      << r.out;
+  EXPECT_FALSE(fs::exists(out_path));
 }
 
 }  // namespace

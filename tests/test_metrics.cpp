@@ -214,31 +214,33 @@ TEST(ParseIntTest, AcceptsPlainIntegers) {
 }
 
 TEST(ParseIntTest, RejectsTrailingGarbage) {
-  EXPECT_THROW(util::parse_int("4x", "--threads"), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("3abc", "--top"), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("4 ", "--n"), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("1.5", "--n"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("4x", "--threads"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("3abc", "--top"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("4 ", "--n"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("1.5", "--n"), util::InvalidArgument);
 }
 
 TEST(ParseIntTest, RejectsNonNumbers) {
-  EXPECT_THROW(util::parse_int("", "--n"), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("abc", "--n"), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("+4", "--n"), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int(" 4", "--n"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("", "--n"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("abc", "--n"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("+4", "--n"), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int(" 4", "--n"), util::InvalidArgument);
 }
 
 TEST(ParseIntTest, RejectsOverflow) {
-  EXPECT_THROW(util::parse_int("99999999999999999999", "--n"),
+  EXPECT_THROW((void)util::parse_int("99999999999999999999", "--n"),
                util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("-99999999999999999999", "--n"),
+  EXPECT_THROW((void)util::parse_int("-99999999999999999999", "--n"),
                util::InvalidArgument);
 }
 
 TEST(ParseIntTest, EnforcesRange) {
   EXPECT_EQ(util::parse_int("1", "--threads", 1), 1);
-  EXPECT_THROW(util::parse_int("0", "--threads", 1), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("-2", "--top", 1), util::InvalidArgument);
-  EXPECT_THROW(util::parse_int("11", "--n", 0, 10), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("0", "--threads", 1),
+               util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("-2", "--top", 1), util::InvalidArgument);
+  EXPECT_THROW((void)util::parse_int("11", "--n", 0, 10),
+               util::InvalidArgument);
 }
 
 namespace {

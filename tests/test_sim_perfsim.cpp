@@ -153,9 +153,9 @@ TEST(PerfSim, PhaseRatesExposed) {
   EXPECT_THROW((void)sim.phase_rates(cfg, w, 99), util::InvalidArgument);
 }
 
-// The explore surrogate runs the simulator's rate model on estimated
-// misses; feeding it the simulator's own measured misses must reproduce
-// the simulator bit for bit, so a simulator-only term cannot slip in.
+// The rate model is public on its own; feeding it the simulator's own
+// measured misses must reproduce the simulator bit for bit, so a
+// simulator-only term cannot slip in.
 TEST(PerfSim, RatesFromMissesReproducesSimulator) {
   PerfSimulator sim;
   for (const auto& cfg : arch::boom_design_space()) {

@@ -468,8 +468,6 @@ int cmd_explore(const ArgMap& flags) {
       parse_int_flag(flags, "population", 64, 1));
   spec.generations = static_cast<std::size_t>(
       parse_int_flag(flags, "generations", 20, 1));
-  spec.verify_top = static_cast<std::size_t>(
-      parse_int_flag(flags, "verify-top", 16, 0));
   if (const auto it = flags.find("checkpoint"); it != flags.end()) {
     spec.checkpoint = it->second;
   }
@@ -493,22 +491,15 @@ int cmd_explore(const ArgMap& flags) {
 
   std::cerr << "explored " << report.grid_configs << "-cell grid in "
             << report.generations_run << " generations: "
-            << report.candidates_scored << " candidates model-scored, "
-            << report.verified << " simulator-verified, frontier of "
+            << report.verified << " configs simulated, frontier of "
             << report.frontier.size() << "\n";
   if (report.resumed > 0) {
     std::cerr << "resumed " << report.resumed
-              << " verified rows from checkpoint " << spec.checkpoint
-              << "\n";
-  }
-  if (!report.elite_err.empty()) {
-    std::cerr << "model-vs-simulator elite error by generation:";
-    for (double e : report.elite_err) std::cerr << ' ' << util::fmt(e);
-    std::cerr << "\n";
+              << " scored rows from checkpoint " << spec.checkpoint << "\n";
   }
   if (!report.frontier.empty()) {
     const auto& best = report.frontier.front();
-    std::cerr << "best verified: " << best.row.config.name() << " ("
+    std::cerr << "best: " << best.row.config.name() << " ("
               << util::fmt(best.row.mean_total_mw) << " mW, IPC "
               << util::fmt(best.row.mean_ipc) << ", "
               << util::fmt(best.row.ipc_per_watt) << " IPC/W, area "
@@ -659,7 +650,7 @@ int usage() {
       "  explore  --model model.ap --grid \"RobEntry=64,96;FetchWidth=4,8\""
       " --workloads dhrystone,qsort\n"
       "           [--base C8] [--seed N] [--population N]"
-      " [--generations N] [--verify-top K] [--out frontier.jsonl]\n"
+      " [--generations N] [--out frontier.jsonl]\n"
       "           [--threads N] [--checkpoint explore.ckpt] [--resume]"
       " [--stats stats.json]\n"
       "  serve    --model [name=]model.ap [--model name2=other.ap ...]"
@@ -711,8 +702,8 @@ const std::map<std::string, Command>& commands() {
         cmd_sweep}},
       {"explore",
        {{.valued = {"model", "grid", "workloads", "base", "seed",
-                    "population", "generations", "verify-top", "out",
-                    "threads", "stats", "checkpoint"},
+                    "population", "generations", "out", "threads",
+                    "stats", "checkpoint"},
          .boolean = {"resume"},
          .repeatable = {}},
         cmd_explore}},

@@ -198,14 +198,18 @@ diff "$smoke_dir/resumed.jsonl" "$smoke_dir/uninterrupted.jsonl" \
 echo "resumed report byte-identical to the uninterrupted run"
 
 echo "== explore smoke: seed-pinned determinism + SIGKILL -> resume =="
-# Two identical seed-pinned explore runs over the 10k-config kill grid
-# must emit byte-identical frontiers; a third run is SIGKILLed mid-search
-# and resumed from its checkpoint, and the resumed frontier must be
-# byte-identical to the uninterrupted one too.  Four workloads keep the
-# search at ~2 s on a 4-vCPU host, so the kill at 1 s lands mid-search.
-explore_args=(--model "$smoke_dir/model.ap" --grid "$kill_grid"
-  --workloads dhrystone,qsort,towers,vvadd --base C8 --seed 42 --population 64
-  --generations 40 --verify-top 32 --threads 2)
+# Two identical seed-pinned explore runs must emit byte-identical
+# frontiers; a third run is SIGKILLed mid-search and resumed from its
+# checkpoint, and the resumed frontier must be byte-identical to the
+# uninterrupted one too.  The search runs on the kill grid plus an
+# FpPhyRegister axis (10^5 configs) with all eight kill workloads and
+# 640 generations of 64: an uninterrupted run takes 2.7-3.1 s on a
+# 4-vCPU host (41,008 configs simulated), so the kill at 1 s lands
+# mid-search and the resume replays a non-empty checkpoint.
+explore_grid="$kill_grid;FpPhyRegister=48,56,64,72,80,88,96,104,112,120"
+explore_args=(--model "$smoke_dir/model.ap" --grid "$explore_grid"
+  --workloads "$kill_workloads" --base C8 --seed 42 --population 64
+  --generations 640 --threads 2)
 ./build/tools/autopower explore "${explore_args[@]}" \
   --out "$smoke_dir/explore_a.jsonl" --stats STATS_explore.json
 python3 -c "import json; json.load(open('STATS_explore.json'))" \
@@ -224,7 +228,10 @@ kill -KILL "$explore_pid" 2>/dev/null \
 wait "$explore_pid" && true
 ./build/tools/autopower explore "${explore_args[@]}" \
   --checkpoint "$smoke_dir/explore_kill.ckpt" --resume \
-  --out "$smoke_dir/explore_resumed.jsonl"
+  --out "$smoke_dir/explore_resumed.jsonl" 2>&1 \
+  | tee "$smoke_dir/explore_resumed.log"
+grep -q '^resumed ' "$smoke_dir/explore_resumed.log" \
+  || echo "note: the resume replayed no checkpoint rows"
 diff "$smoke_dir/explore_resumed.jsonl" "$smoke_dir/explore_a.jsonl" \
   || { echo "resumed explore frontier diverged from the uninterrupted run"; \
        exit 1; }
@@ -475,10 +482,10 @@ echo "== run SIMD dispatch + cross-tier tests under ThreadSanitizer =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   timeout 600 ./build-tsan/tests/test_simd --cases 20
 
-echo "== run threaded explore scoring/verification under ThreadSanitizer =="
+echo "== run threaded explore scoring under ThreadSanitizer =="
 # The seed/thread-invariance property runs every search at threads 1 and
-# threads 3, so TSan sees the chunked surrogate scoring and the
-# evaluate_configs claim loop under contention.
+# threads 3, so TSan sees the evaluate_configs claim loop that scores
+# each generation under contention.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   timeout 600 ./build-tsan/tests/test_explore --cases 10 \
   --gtest_filter='ExploreSearch.SeedAndThreadCountInvariance'
