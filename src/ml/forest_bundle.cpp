@@ -27,6 +27,15 @@ PredictMetrics& predict_metrics() {
 // indices and outputs stay in L1.
 constexpr std::size_t kBlock = 64;
 
+// Rows the AVX2 forest_leaf_add walks per group; rows past the last whole
+// group take its scalar tail.
+constexpr std::size_t kGroup = 16;
+
+// Shortest block tail predict() pads to a whole group: one group of 16
+// vector lanes (~1.6 ns per tree-row each) costs about what 4 rows of the
+// scalar tail (~6.4 ns each) do.
+constexpr std::size_t kMinPaddedTail = 4;
+
 // Rows rank() searches in lockstep, so their dependent loads overlap.
 constexpr std::size_t kLanes = 8;
 
@@ -130,7 +139,7 @@ void ForestBundle::rank(std::span<const double> rows, std::size_t arity,
   // write position advances one slot per row, which beats a per-feature
   // strided gather at these arities.
   const auto n_cols = static_cast<std::size_t>(max_feature_ + 1);
-  const std::size_t stride = (n + 15) / 16 * 16 + 8;
+  const std::size_t stride = (n + kGroup - 1) / kGroup * kGroup + 8;
   tile.stride = stride;
   // At least one column, so predict() can offset cols.data() even for
   // forests that test no feature.
@@ -173,17 +182,26 @@ void ForestBundle::predict(const GBTRegressor& forest, const ForestTile& tile,
   const double* const cells = slot.table->cells.data();
   for (std::size_t begin = 0; begin < n; begin += kBlock) {
     const std::size_t block = std::min(kBlock, n - begin);
+    // A tail of kMinPaddedTail or more rows past the block's last whole
+    // group is walked as one more group.  Its padding rows read the
+    // column slack rank() leaves (stride >= n rounded up to kGroup) and
+    // sum into acc's spare lanes, which never reach `out`.
+    const std::size_t lanes = block % kGroup >= kMinPaddedTail
+                                  ? (block + kGroup - 1) / kGroup * kGroup
+                                  : block;
     std::uint32_t idx[kBlock] = {};
     for (const auto& [k, lut_off] : slot.lookups) {
       const std::uint32_t* const r = tile.ranks.data() + k * n + begin;
       const std::uint32_t* const lut = luts_.data() + lut_off;
       for (std::size_t i = 0; i < block; ++i) idx[i] += lut[r[i]];
     }
-    for (std::size_t i = 0; i < block; ++i) out[begin + i] = cells[idx[i]];
+    double acc[kBlock] = {};
+    for (std::size_t i = 0; i < block; ++i) acc[i] = cells[idx[i]];
     forest.walk_trees(tile.cols.data() + begin, tile.stride,
                       tile.rows.data() + begin * tile.arity, tile.arity,
-                      block, slot.table->tabled_trees, slot.num_trees,
-                      out.data() + begin);
+                      block, lanes, slot.table->tabled_trees, slot.num_trees,
+                      acc);
+    std::copy(acc, acc + block, out.data() + begin);
   }
   if (forest.options_.nonnegative_prediction) {
     for (double& v : out) v = std::max(v, 0.0);

@@ -37,8 +37,9 @@ struct ForestTile {
   std::span<const double> rows;  ///< row-major, `arity` values per row
   std::size_t arity = 0;
   std::size_t count = 0;  ///< rows in the tile
-  /// Column stride of `cols`: count rounded up to an odd multiple of 8,
-  /// so no two columns of a 512-row tile alias the same L1 sets.
+  /// Column stride of `cols`: count rounded up to a multiple of 16, plus
+  /// 8, so no two columns of a 512-row tile alias the same L1 sets.
+  /// predict() may read the slack past `count` as padding rows.
   std::size_t stride = 0;
   std::vector<double> cols;  ///< cols[f * stride + i] = feature f of row i
   /// ranks[k * count + i]: row i's rank in the bundle's k-th ranked

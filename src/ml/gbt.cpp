@@ -234,7 +234,7 @@ std::shared_ptr<const GridTable> GBTRegressor::compile_table(
     stride *= tf.size() + 1;
   }
   table->cells.assign(cells, base_score_);
-  walk_trees(cols.data(), cells, nullptr, 0, cells, 0, prefix,
+  walk_trees(cols.data(), cells, nullptr, 0, cells, cells, 0, prefix,
              table->cells.data());
   table->thresholds = std::move(thresholds);
   return table;
@@ -309,10 +309,12 @@ std::vector<double> GBTRegressor::predict_rows(
 void GBTRegressor::walk_trees(const double* cols, std::size_t col_stride,
                               const double* block_rows,
                               std::size_t num_features, std::size_t block,
-                              std::size_t first, std::size_t last,
-                              double* out) const {
+                              std::size_t lanes, std::size_t first,
+                              std::size_t last, double* out) const {
   const double lr = options_.learning_rate;
   const auto& kt = util::simd::kernels();
+  // Padding rows only pay off where rows are walked in vector groups.
+  if (kt.tier == util::simd::Tier::kScalar) lanes = block;
   for (std::size_t t = first; t < last; ++t) {
     const PaddedTree& pad = pad_trees_[t];
     if (pad.depth < 0) {
@@ -331,7 +333,7 @@ void GBTRegressor::walk_trees(const double* cols, std::size_t col_stride,
         pad_weight_.data() + pad.leaf_off,
         pad.depth,
     };
-    kt.forest_leaf_add(view, cols, col_stride, block, lr, out);
+    kt.forest_leaf_add(view, cols, col_stride, lanes, lr, out);
   }
 }
 

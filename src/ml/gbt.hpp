@@ -132,11 +132,13 @@ class GBTRegressor {
   /// Adds lr * leaf(row i) of trees [first, last) to out[i] for i <
   /// `block`, feature f of row i being cols[f * col_stride + i];
   /// `block_rows` holds the same rows row-major and is read only for
-  /// trees deeper than the padded layout.
+  /// trees deeper than the padded layout.  The vector tier walks padded
+  /// trees over `lanes` >= `block` rows: cols and out must hold the
+  /// padding rows [block, lanes), whose sums are meaningless.
   void walk_trees(const double* cols, std::size_t col_stride,
                   const double* block_rows, std::size_t num_features,
-                  std::size_t block, std::size_t first, std::size_t last,
-                  double* out) const;
+                  std::size_t block, std::size_t lanes, std::size_t first,
+                  std::size_t last, double* out) const;
 
   GbtOptions options_;
   std::vector<RegressionTree> trees_;

@@ -196,12 +196,23 @@ std::size_t chunk_size(std::size_t n_configs, std::size_t workers) {
 /// the cells that simulated in predict_total_batch calls of at most
 /// kPredictBatch contexts.  Batched totals are element-wise
 /// bit-identical to predict_total, so batching changes only the cost.
+///
+/// Worker `w` of `workers` walks each row's workloads starting at
+/// w * W / workers (wrapping), so workers that start together on a cold
+/// structural memo simulate disjoint workloads first and then hit each
+/// other's entries instead of all simulating the same ones.  Each cell
+/// still lands in row.cells[j] for workload j, so the order changes
+/// only the cost.
 class ChunkEvaluator {
  public:
   ChunkEvaluator(const core::AutoPowerModel& model,
                  const sim::PerfSimulator& sim,
-                 const SweepWorkloads& workloads)
-      : model_(model), sim_(sim), workloads_(workloads) {}
+                 const SweepWorkloads& workloads, std::size_t worker,
+                 std::size_t workers)
+      : model_(model),
+        sim_(sim),
+        workloads_(workloads),
+        first_workload_(worker * workloads.profiles.size() / workers) {}
 
   /// Fills the cells and summary means of `rows`, whose configs are set.
   void evaluate(std::span<SweepRow> rows) {
@@ -212,7 +223,8 @@ class ChunkEvaluator {
     const std::size_t n_workloads = workloads_.profiles.size();
     for (SweepRow& row : rows) {
       row.cells.assign(n_workloads, SweepCell{});
-      for (std::size_t j = 0; j < n_workloads; ++j) {
+      for (std::size_t k = 0; k < n_workloads; ++k) {
+        const std::size_t j = (first_workload_ + k) % n_workloads;
         const workload::WorkloadProfile& profile = *workloads_.profiles[j];
         SweepCell& cell = row.cells[j];
         cell.workload = profile.name;
@@ -296,6 +308,7 @@ class ChunkEvaluator {
   const core::AutoPowerModel& model_;
   const sim::PerfSimulator& sim_;
   const SweepWorkloads& workloads_;
+  const std::size_t first_workload_;
   util::Counter& m_cells_ =
       util::MetricsRegistry::global().counter("serve.sweep.cells");
   util::Counter& m_failed_ =
@@ -472,7 +485,7 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
                                   TopKRanker(spec.top, spec.metric));
 
   const auto worker_loop = [&](std::size_t w) {
-    ChunkEvaluator evaluator(model, sim, workloads);
+    ChunkEvaluator evaluator(model, sim, workloads, w, workers);
     TopKRanker& ranker = rankers[w];
     std::vector<SweepRow> rows;
     std::string name_scratch;
@@ -579,8 +592,8 @@ std::vector<SweepRow> evaluate_configs(
   const std::size_t workers = util::parallel_width(configs.size(), threads);
   const std::size_t chunk = chunk_size(configs.size(), workers);
   std::atomic<std::size_t> next{0};
-  util::parallel_for(workers, workers, [&](std::size_t) {
-    ChunkEvaluator evaluator(model, sim, resolved);
+  util::parallel_for(workers, workers, [&](std::size_t w) {
+    ChunkEvaluator evaluator(model, sim, resolved, w, workers);
     for (std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
          begin < configs.size();
          begin = next.fetch_add(chunk, std::memory_order_relaxed)) {

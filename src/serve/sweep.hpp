@@ -25,9 +25,12 @@
 // Every worker borrows the call's ONE PerfSimulator and its
 // util::StructuralSimCache, so neighbouring grid points (which differ
 // only in a few parameters) reuse each other's cache/TLB/branch
-// structural measurements; on a grid that varies ROB/width/queue
-// parameters the whole sweep performs the structural work of a single
-// configuration.  Results are bit-identical
+// structural measurements.  On a grid that varies ROB/width/queue
+// parameters only each worker's first configuration misses the memo,
+// and worker w of T starts every row's W workloads at w * W / T, so the
+// workers split that cold work instead of each repeating all of it (a
+// key two workers fill at the same moment is still computed twice; the
+// memo keeps one).  Results are bit-identical
 // to evaluating each cell with a fresh, unshared simulator, for any
 // thread count, any chunking/steal schedule, and any `--memory-budget`
 // (`bench_sim_throughput` enforces these properties).

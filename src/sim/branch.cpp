@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "sim/exact_mod.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -44,6 +45,7 @@ double measure_mispredict_rate(BranchPredictorModel& predictor,
   // biased loop back-edges; "hard" branches are per-execution coin flips
   // with mild bias.  The entropy knob sets the hard fraction.
   const int num_pcs = profile.static_branches;
+  AP_REQUIRE(num_pcs > 0, "branch stream needs a static branch");
   std::vector<bool> is_hard(static_cast<std::size_t>(num_pcs));
   std::vector<double> bias(static_cast<std::size_t>(num_pcs));
   for (int b = 0; b < num_pcs; ++b) {
@@ -55,10 +57,11 @@ double measure_mispredict_rate(BranchPredictorModel& predictor,
                                      : 0.96);
   }
 
+  // The branch pick draws exactly what rng.next_below(num_pcs) would.
+  const ExactModulo pick(static_cast<std::uint64_t>(num_pcs));
   int mispredicts = 0;
   for (int i = 0; i < branches; ++i) {
-    const auto b = static_cast<std::size_t>(rng.next_below(
-        static_cast<std::uint64_t>(num_pcs)));
+    const auto b = static_cast<std::size_t>(pick(rng.next_u64()));
     const bool taken = rng.next_unit() < bias[b];
     // Branch PCs are spread out so they land in distinct table slots until
     // the table is too small for the static footprint.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/exact_mod.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -24,39 +25,29 @@ SetAssocCache::SetAssocCache(int sets, int ways, int line_bytes)
   AP_REQUIRE(ways >= 1, "cache needs at least one way");
   line_shift_ = log2i(line_bytes);
   sets_shift_ = log2i(sets);
-  ways_storage_.resize(static_cast<std::size_t>(sets_) * ways_);
+  tags_.resize(static_cast<std::size_t>(sets_) * ways_);
+  fill_.assign(static_cast<std::size_t>(sets_), 0);
 }
 
 bool SetAssocCache::access(std::uint64_t address) {
   const std::uint64_t line = address >> line_shift_;
   const auto set = static_cast<std::size_t>(line & (sets_ - 1));
   const std::uint64_t tag = line >> sets_shift_;
-  Way* base = &ways_storage_[set * static_cast<std::size_t>(ways_)];
-  ++stamp_;
+  std::uint64_t* const tags = &tags_[set * static_cast<std::size_t>(ways_)];
+  int& fill = fill_[set];
 
-  Way* victim = base;
-  for (int w = 0; w < ways_; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = stamp_;
-      return true;
-    }
-    if (!way.valid) {
-      victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
+  int w = 0;
+  while (w < fill && tags[w] != tag) ++w;
+  const bool hit = w < fill;
+  if (!hit) {  // fill a free way, or drop the least recently used tag
+    w = fill < ways_ ? fill++ : ways_ - 1;
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = stamp_;
-  return false;
+  std::copy_backward(tags, tags + w, tags + w + 1);
+  tags[0] = tag;
+  return hit;
 }
 
-void SetAssocCache::reset() {
-  for (auto& way : ways_storage_) way = Way{};
-  stamp_ = 0;
-}
+void SetAssocCache::reset() { std::fill(fill_.begin(), fill_.end(), 0); }
 
 double measure_miss_rate(SetAssocCache& cache, const StreamProfile& profile,
                          int accesses) {
@@ -66,17 +57,19 @@ double measure_miss_rate(SetAssocCache& cache, const StreamProfile& profile,
 
   const auto footprint_bytes = static_cast<std::uint64_t>(
       std::max(1.0, profile.footprint_kb * 1024.0));
+  // Both reductions are `% footprint_bytes`; the random one draws exactly
+  // what rng.next_below(footprint_bytes) would.
+  const ExactModulo footprint(footprint_bytes);
   std::uint64_t seq_cursor = 0;
   int misses = 0;
   for (int i = 0; i < accesses; ++i) {
     std::uint64_t addr;
     if (rng.next_unit() < profile.stride_frac) {
-      seq_cursor =
-          (seq_cursor + static_cast<std::uint64_t>(profile.stride_bytes)) %
-          footprint_bytes;
+      seq_cursor = footprint(
+          seq_cursor + static_cast<std::uint64_t>(profile.stride_bytes));
       addr = seq_cursor;
     } else {
-      addr = rng.next_below(footprint_bytes);
+      addr = footprint(rng.next_u64());
     }
     if (!cache.access(addr)) ++misses;
   }

@@ -13,7 +13,10 @@
 
 namespace autopower::sim {
 
-/// LRU set-associative cache over 64-bit byte addresses.
+/// LRU set-associative cache over 64-bit byte addresses.  Each set keeps
+/// its resident tags in recency order (most recent first), so a hit moves
+/// its tag to the front and a miss drops the last one once the set is
+/// full: exact LRU, found by one scan of contiguous tags.
 class SetAssocCache {
  public:
   /// line_bytes and sets must be powers of two.
@@ -32,19 +35,13 @@ class SetAssocCache {
   }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // last-use stamp
-    bool valid = false;
-  };
-
   int sets_;
   int ways_;
   int line_bytes_;
   int line_shift_;
   int sets_shift_;  // log2(sets_), hoisted out of the access hot loop
-  std::uint64_t stamp_ = 0;
-  std::vector<Way> ways_storage_;  // sets_ * ways_, row-major by set
+  std::vector<std::uint64_t> tags_;  // sets_ * ways_, row-major by set
+  std::vector<int> fill_;            // resident tags per set
 };
 
 /// Parameters of a synthetic reference stream.

@@ -19,7 +19,10 @@ TEST(Params, FifteenConfigurations) {
   const auto& configs = boom_design_space();
   ASSERT_EQ(configs.size(), 15u);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(configs[i].name(), "C" + std::to_string(i + 1));
+    // Appended rather than "C" + to_string(...), which GCC 12 -O3 flags
+    // with a false -Wrestrict.
+    EXPECT_EQ(configs[i].name(),
+              std::string("C").append(std::to_string(i + 1)));
   }
 }
 
@@ -70,8 +73,8 @@ TEST(Params, RobBankingStaysIntegral) {
 }
 
 TEST(Params, UnknownConfigThrows) {
-  EXPECT_THROW(boom_config("C16"), util::InvalidArgument);
-  EXPECT_THROW(boom_config(""), util::InvalidArgument);
+  EXPECT_THROW((void)boom_config("C16"), util::InvalidArgument);
+  EXPECT_THROW((void)boom_config(""), util::InvalidArgument);
 }
 
 TEST(Params, FeatureExtraction) {

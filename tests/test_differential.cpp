@@ -506,6 +506,20 @@ TEST(DifferentialTrees, PrefixGridStopsAtNanThresholdsAndDeepTrees) {
   }
 }
 
+// Overwrites every column's slack past the tile's rows, the rows
+// ForestBundle::predict may walk as padding, with values no real output
+// could absorb unnoticed.
+void poison_slack(ml::ForestTile& tile) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double poison[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf, 1e308};
+  for (std::size_t col = 0; col < tile.cols.size(); col += tile.stride) {
+    for (std::size_t i = tile.count; i < tile.stride; ++i) {
+      tile.cols[col + i] = poison[(col / tile.stride + i) % 4];
+    }
+  }
+}
+
 // Oracle (b), bundle level: pinned and unpinned ForestBundle predict vs
 // per-sample predict().
 //
@@ -517,14 +531,17 @@ TEST(DifferentialTrees, PrefixGridStopsAtNanThresholdsAndDeepTrees) {
 // split threshold or an edge value (signed zeros, denormals, infinities,
 // NaN), and every query row carries exactly the pinned values while its
 // free features sit on the grid_queries values.  Widths straddle the
-// 64-row block and AutoPowerModel's kTileRows tile.
+// 64-row block and AutoPowerModel's kTileRows tile, and leave block tails
+// of every length: 0, the 1-3 rows the scalar tail walks and the 4-15
+// rows predict() pads to a 16-row group.  Each tile's column slack is
+// poisoned before predict, so a padding row that reached an output would
+// show.
 
-constexpr std::size_t kBundleWidths[] = {1,
-                                         63,
-                                         64,
-                                         65,
-                                         core::AutoPowerModel::kTileRows - 1,
-                                         core::AutoPowerModel::kTileRows + 1};
+constexpr std::size_t kBundleWidths[] = {
+    1,   2,   3,   4,   5,   6,   7,   8,   9,
+    10,  11,  12,  13,  14,  15,  16,  17,  18,
+    19,  20,  56,  63,  64,  65,  120, 121, 127,
+    core::AutoPowerModel::kTileRows - 1, core::AutoPowerModel::kTileRows + 1};
 
 struct BundleCase {
   ml::Dataset data;
@@ -649,6 +666,7 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
                 bundle->rank(std::span<const double>(rows).subspan(
                                  begin * features, n * features),
                              features, tile);
+                poison_slack(tile);
                 for (std::size_t k = 0; k < forests.size(); ++k) {
                   out.assign(n, 0.0);
                   bundle->predict(forests[k], tile, out);
@@ -686,11 +704,12 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
 // Eq. 9-10, Eq. 11-12) over one H+E+P feature tile in predict_tile.
 // Element i of a tile must equal predict(ctxs[i]) for each of the 22
 // components, wherever row i lands relative to predict_rows' 64-row block
-// and the SIMD tail; the batch sizes straddle both.  Rows are drawn from
-// two configurations at random, so the per-configuration structural
+// and the SIMD tail; the batch sizes straddle both, and each tile's
+// column slack is poisoned before predict.  Rows are drawn from two
+// configurations at random, so the per-configuration structural
 // sub-models restart at arbitrary rows.
 
-constexpr std::size_t kGroupBatchSizes[] = {1, 63, 64, 65, 129};
+constexpr std::size_t kGroupBatchSizes[] = {1, 56, 63, 64, 65, 120, 129};
 
 // Full-size models trained once on C1/C15.  The ablation variant (ridge
 // alpha', SRAM activity without program features) takes the other
@@ -793,6 +812,7 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
             const auto& forests = model.forests(comp);
             ml::ForestTile tile;
             forests.rank(rows, rows.size() / size, tile);
+            poison_slack(tile);
             clock.predict_tile(batch, forests, tile, clock_tiled);
             sram.predict_tile(batch, forests, tile, sram_tiled);
             logic.predict_tile(batch, forests, tile, reg, comb);
@@ -834,7 +854,8 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
 // under layouts that start a run at every kind of row: one long run,
 // alternating configs, and runs of 8 (a sweep's cells per config) that
 // switch between two distinct HardwareConfig objects holding equal
-// values.
+// values.  The sizes leave every block-tail length the forest walk
+// handles: none, 1-3 rows (scalar tail) and 4-15 rows (padded group).
 
 std::optional<std::string> groups_diff(const power::PowerGroups& a,
                                        const power::PowerGroups& b) {
@@ -880,7 +901,10 @@ TEST(DifferentialModel, PerContextVsTiledModelPredictBitIdentical) {
        }},
   };
   constexpr std::size_t kTile = core::AutoPowerModel::kTileRows;
-  const std::size_t sizes[] = {kTile - 1, kTile, kTile + 1, 2 * kTile + 1};
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 1; size <= 20; ++size) sizes.push_back(size);
+  sizes.insert(sizes.end(), {56, 120, 121, 127, kTile - 1, kTile, kTile + 1,
+                             2 * kTile + 1});
 
   Pcg32 pick(20261018);
   const auto program = workload::program_features(wl);

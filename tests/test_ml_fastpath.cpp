@@ -95,7 +95,7 @@ TEST(FastPath, PresortedTreeMatchesReferenceByteForByte) {
 
 TEST(FastPath, GbtEnsemblesIdenticalUnderBothBuilders) {
   const auto data = awkward_dataset(150, 11);
-  GbtOptions fast_opts{.num_rounds = 40, .learning_rate = 0.2};
+  GbtOptions fast_opts{.num_rounds = 40, .learning_rate = 0.2, .tree = {}};
   GbtOptions ref_opts = fast_opts;
   ref_opts.tree.reference_split_search = true;
 
@@ -169,7 +169,9 @@ TEST(FastPath, WideRowsBatchedPredictBitIdenticalToPerSample) {
   constexpr std::size_t kFeatures = 40;
   std::vector<std::string> names;
   for (std::size_t f = 0; f < kFeatures; ++f) {
-    names.push_back("f" + std::to_string(f));
+    // Appended rather than "f" + to_string(f), which GCC 12 -O3 flags
+    // with a false -Wrestrict.
+    names.emplace_back("f").append(std::to_string(f));
   }
   Dataset data(names);
   util::Rng rng(7);
@@ -194,7 +196,7 @@ TEST(FastPath, WideRowsBatchedPredictBitIdenticalToPerSample) {
 
 TEST(FastPath, PredictRowsValidatesArity) {
   const auto data = awkward_dataset(40, 3);
-  GBTRegressor model(GbtOptions{.num_rounds = 5});
+  GBTRegressor model(GbtOptions{.num_rounds = 5, .tree = {}});
   model.fit(data);
 
   const std::vector<double> rows(12, 0.5);

@@ -167,7 +167,8 @@ TEST(Gbt, NonnegativeClamp) {
   Dataset data({"x"});
   data.add_sample(std::array{0.0}, -5.0);
   data.add_sample(std::array{1.0}, -3.0);
-  GBTRegressor clamped(GbtOptions{.nonnegative_prediction = true});
+  GBTRegressor clamped(
+      GbtOptions{.tree = {}, .nonnegative_prediction = true});
   clamped.fit(data);
   EXPECT_GE(clamped.predict(std::array{0.5}), 0.0);
 }
@@ -185,8 +186,9 @@ class GbtRounds : public ::testing::TestWithParam<int> {};
 
 TEST_P(GbtRounds, TrainingErrorShrinksWithRounds) {
   const auto data = nonlinear_dataset(150, 55);
-  GBTRegressor few(GbtOptions{.num_rounds = GetParam()});
-  GBTRegressor many(GbtOptions{.num_rounds = GetParam() * 4});
+  GBTRegressor few(GbtOptions{.num_rounds = GetParam(), .tree = {}});
+  GBTRegressor many(
+      GbtOptions{.num_rounds = GetParam() * 4, .tree = {}});
   few.fit(data);
   many.fit(data);
   const double rmse_few = rmse(data.targets(), few.predict_all(data));

@@ -1072,6 +1072,66 @@ TEST_F(SweepTest, ChunksLargerThanOnePredictBatchMatchPerCellEvaluation) {
             0u);
 }
 
+TEST_F(SweepTest, WorkloadRotationKeepsResultsScheduleFree) {
+  // Worker w of T starts each row at workload w * W / T, so concurrent
+  // workers warm disjoint structural keys first.  The rotation must not
+  // reach any result: run_sweep reports and evaluate_configs rows are
+  // identical at every thread count, including fewer workloads than
+  // workers and workload counts the worker count does not divide.  One
+  // worker starts at workload 0, so its structural memo traffic is that
+  // of the plain in-order walk, pinned here by its exact hit and miss
+  // counts.  The grid varies structural keys and holds configs whose
+  // simulate throws (ICacheFetchBytes=3).
+  const std::vector<std::vector<std::string>> workload_sets = {
+      {"qsort"},
+      {"dhrystone", "qsort", "towers"},
+      {"dhrystone", "median", "multiply", "qsort", "rsort", "towers", "spmv",
+       "vvadd"}};
+  // {sweep hits, sweep misses, evaluate_configs hits, misses} at one
+  // thread, per workload set.
+  const std::size_t serial_stats[][4] = {
+      {109, 11, 109, 11}, {327, 33, 327, 33}, {872, 88, 872, 88}};
+  SweepSpec spec;
+  spec.base = "C8";
+  spec.axes = parse_grid(
+      "RobEntry=64,96,128;CacheWay=2,4;ICacheFetchBytes=2,3,4;TlbEntry=8,16");
+  const auto configs = expand_grid(arch::boom_config(spec.base), spec.axes);
+  for (std::size_t set = 0; set < workload_sets.size(); ++set) {
+    spec.workloads = workload_sets[set];
+    std::string serial_report;
+    std::vector<std::string> serial_rows(configs.size());
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(std::to_string(spec.workloads.size()) +
+                   " workloads, threads=" + std::to_string(threads));
+      spec.threads = threads;
+      const SweepReport report = run_sweep(*model(), spec);
+      std::ostringstream bytes;
+      write_sweep_report(bytes, report);
+      const auto shared = std::make_shared<util::StructuralSimCache>();
+      const auto rows =
+          evaluate_configs(*model(), configs, spec.workloads, threads, shared);
+      ASSERT_EQ(rows.size(), configs.size());
+      if (threads == 1) {
+        serial_report = bytes.str();
+        for (const SweepRow& row : report.rows) {
+          append_row_json(serial_rows[row.index], row);
+        }
+        const auto stats = shared->stats();
+        EXPECT_EQ(report.structural.hits, serial_stats[set][0]);
+        EXPECT_EQ(report.structural.misses, serial_stats[set][1]);
+        EXPECT_EQ(stats.hits, serial_stats[set][2]);
+        EXPECT_EQ(stats.misses, serial_stats[set][3]);
+      }
+      EXPECT_EQ(bytes.str(), serial_report);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::string got;
+        append_row_json(got, rows[i]);
+        EXPECT_EQ(got, serial_rows[i]) << "config " << i;
+      }
+    }
+  }
+}
+
 // --- JSONL -------------------------------------------------------------------
 
 TEST(JsonlTest, ParsesRequestsWithAndWithoutMode) {

@@ -63,6 +63,14 @@ TEST(BranchStream, MispredictRateMatchesRecordedStream) {
   EXPECT_EQ(measure_mispredict_rate(bp, s, 5000), 0x1.eb1c432ca57a8p-3);
 }
 
+TEST(BranchStream, RejectsEmptyStaticBranchSet) {
+  BranchPredictorModel bp(64);
+  BranchStreamProfile s;
+  s.static_branches = 0;
+  EXPECT_THROW((void)measure_mispredict_rate(bp, s, 10),
+               util::InvalidArgument);
+}
+
 TEST(BranchStream, EntropyRaisesMispredicts) {
   BranchStreamProfile easy;
   easy.entropy = 0.05;

@@ -201,19 +201,29 @@ echo "== explore smoke: seed-pinned determinism + SIGKILL -> resume =="
 # Two identical seed-pinned explore runs must emit byte-identical
 # frontiers; a third run is SIGKILLed mid-search and resumed from its
 # checkpoint, and the resumed frontier must be byte-identical to the
-# uninterrupted one too.  The search runs on the kill grid plus an
-# FpPhyRegister axis (10^5 configs) with all eight kill workloads and
-# 640 generations of 64: an uninterrupted run takes 2.7-3.1 s on a
-# 4-vCPU host (41,008 configs simulated), so the kill at 1 s lands
-# mid-search and the resume replays a non-empty checkpoint.
-explore_grid="$kill_grid;FpPhyRegister=48,56,64,72,80,88,96,104,112,120"
+# uninterrupted one too.  The search runs on a 360,000-config grid whose
+# cache, TLB and fetch axes trade ipc/W against power and area, so the
+# frontier is not one corner: with all eight kill workloads, seed 1 and
+# 640 generations of 64 it holds 15 members (seeds 3 and 9 too).  An
+# uninterrupted run takes 2.8 s on a 4-vCPU host (41,051 configs
+# simulated), so the kill at 1 s lands mid-search and the resume replays
+# a non-empty checkpoint (8,768 scored rows in a standalone run).
+explore_grid="CacheWay=2,4,8;TlbEntry=8,16,32,64;ICacheFetchBytes=2,4,8"
+explore_grid+=";MshrEntry=2,4,6,8;RobEntry=32,64,96,128,160"
+explore_grid+=";FetchBufferEntry=8,16,24,32,40"
+explore_grid+=";LdqStqEntry=8,12,16,20,24,28,32,36,40,44"
+explore_grid+=";IntPhyRegister=48,56,64,72,80,88,96,104,112,120"
 explore_args=(--model "$smoke_dir/model.ap" --grid "$explore_grid"
-  --workloads "$kill_workloads" --base C8 --seed 42 --population 64
+  --workloads "$kill_workloads" --base C8 --seed 1 --population 64
   --generations 640 --threads 2)
 ./build/tools/autopower explore "${explore_args[@]}" \
   --out "$smoke_dir/explore_a.jsonl" --stats STATS_explore.json
 python3 -c "import json; json.load(open('STATS_explore.json'))" \
   || { echo "STATS_explore.json is not valid JSON"; exit 1; }
+explore_members="$(wc -l < "$smoke_dir/explore_a.jsonl")"
+[ "$explore_members" -ge 5 ] \
+  || { echo "explore frontier has $explore_members members, want >= 5"; \
+       exit 1; }
 ./build/tools/autopower explore "${explore_args[@]}" \
   --out "$smoke_dir/explore_b.jsonl"
 diff "$smoke_dir/explore_a.jsonl" "$smoke_dir/explore_b.jsonl" \
