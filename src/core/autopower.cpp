@@ -1,6 +1,8 @@
 #include "core/autopower.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -41,6 +43,20 @@ TraceMetrics& trace_metrics() {
   return m;
 }
 
+// Component rows the tile-major loop assembled and the distinct ones it
+// ranked and walked, one add each per (tile, component).
+struct RowMetrics {
+  util::Counter& rows;
+  util::Counter& distinct_rows;
+};
+
+RowMetrics& row_metrics() {
+  auto& r = util::MetricsRegistry::global();
+  static RowMetrics m{r.counter("core.predict.rows"),
+                      r.counter("core.predict.distinct_rows")};
+  return m;
+}
+
 TrainMetrics& train_metrics() {
   auto& r = util::MetricsRegistry::global();
   static TrainMetrics m{r.histogram("core.train.train_ns"),
@@ -50,6 +66,65 @@ TrainMetrics& train_metrics() {
                         r.counter("core.train.submodel_fits")};
   return m;
 }
+
+// Multiply-xorshift over the row's bit patterns.
+std::uint64_t row_hash(std::span<const double> row) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const double v : row) {
+    h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+// Keys each row of a feature tile by its bytes, so rows that differ only
+// by -0.0/+0.0 or by a NaN payload stay distinct: an open-addressed
+// table, at most half full, of indices into the compacted rows.
+class DistinctRows {
+ public:
+  // Moves the first occurrence of each distinct row of `rows` (n rows,
+  // `arity` wide) to the front, in first-seen order, and returns their
+  // count m.  slot[j] names row j's distinct row; cfgs[k] is the config
+  // of distinct row k's first occurrence in `tile`.
+  std::size_t compact(std::span<double> rows, std::size_t arity,
+                      std::span<const EvalContext> tile,
+                      std::span<std::uint32_t> slot,
+                      std::span<const arch::HardwareConfig*> cfgs) {
+    const std::size_t n = tile.size();
+    const std::size_t mask = std::bit_ceil(2 * n) - 1;
+    table_.assign(mask + 1, kEmpty);
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto row = rows.subspan(j * arity, arity);
+      const std::uint64_t h = row_hash(row);
+      std::size_t b = h & mask;
+      for (; table_[b] != kEmpty; b = (b + 1) & mask) {
+        const std::uint32_t k = table_[b];
+        if (hashes_[k] == h &&
+            std::memcmp(rows.data() + k * arity, row.data(),
+                        arity * sizeof(double)) == 0) {
+          break;
+        }
+      }
+      if (table_[b] == kEmpty) {
+        table_[b] = static_cast<std::uint32_t>(m);
+        hashes_[m] = h;
+        if (m != j) {
+          std::copy(row.begin(), row.end(), rows.begin() + m * arity);
+        }
+        cfgs[m] = tile[j].cfg;
+        ++m;
+      }
+      slot[j] = table_[b];
+    }
+    return m;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  std::vector<std::uint32_t> table_;
+  std::array<std::uint64_t, AutoPowerModel::kTileRows> hashes_{};
+};
 
 }  // namespace
 
@@ -155,6 +230,15 @@ void AutoPowerModel::load(std::istream& in) {
     clock_[i].load(r);
     sram_[i].load(r);
     logic_[i].load(r);
+    // Slot i's structural sub-models must read component i's H: the
+    // tile-major loop keys rows by that component's H+E+P features.
+    if (clock_[i].component() != c || sram_[i].component() != c ||
+        logic_[i].component() != c) {
+      throw util::InvalidArgument(
+          "corrupt AutoPower archive: a group model in the " +
+          std::string(arch::component_name(c)) +
+          " slot belongs to another component");
+    }
   }
   rebuild_forests();
   trained_ = true;
@@ -176,35 +260,56 @@ void AutoPowerModel::load_from_file(const std::string& path) {
 
 template <typename Sink>
 void AutoPowerModel::for_each_group_power(std::span<const EvalContext> ctxs,
-                                          const Bundles& bundles,
+                                          const Bundles& bundles, bool dedupe,
                                           Sink&& sink) const {
   AP_REQUIRE(trained_, "AutoPower not trained");
   // Tile-major: per tile and component, one H+E+P feature tile is ranked
   // once and feeds all three group models (the H+E forests read each
   // row's prefix), so the tile, its ranks and every forest's outputs stay
-  // cache-resident.  Each context still sees its components in Table III
-  // order.
+  // cache-resident.  Every group output is a function of the component's
+  // row alone, so with `dedupe` only the first row of each distinct byte
+  // pattern is ranked and walked, and its groups go to every duplicate.
+  // Each context still sees its components in Table III order.
   std::array<double, kTileRows> clock;
   std::array<double, kTileRows> sram;
   std::array<double, kTileRows> reg;
   std::array<double, kTileRows> comb;
+  std::array<std::uint32_t, kTileRows> slot{};
+  std::array<const arch::HardwareConfig*, kTileRows> cfgs{};
+  DistinctRows distinct;
   ml::ForestTile ranked;
+  auto& metrics = row_metrics();
   for (std::size_t begin = 0; begin < ctxs.size(); begin += kTileRows) {
     const auto tile =
         ctxs.subspan(begin, std::min(kTileRows, ctxs.size() - begin));
     const std::size_t n = tile.size();
     for (arch::ComponentKind c : arch::all_components()) {
       const auto i = static_cast<std::size_t>(c);
-      const auto rows = feature_rows(c, FeatureSpec::hep(), tile);
+      auto rows = feature_rows(c, FeatureSpec::hep(), tile);
+      const std::size_t arity = rows.size() / n;
+      std::size_t m = n;
+      if (dedupe) {
+        m = distinct.compact(rows, arity, tile, slot, cfgs);
+      } else {
+        for (std::size_t j = 0; j < n; ++j) {
+          slot[j] = static_cast<std::uint32_t>(j);
+          cfgs[j] = tile[j].cfg;
+        }
+      }
+      metrics.rows.add(n);
+      metrics.distinct_rows.add(m);
       const ml::ForestBundle& forests = bundles[i];
-      forests.rank(rows, rows.size() / n, ranked);
-      clock_[i].predict_tile(tile, forests, ranked, {clock.data(), n});
-      sram_[i].predict_tile(tile, forests, ranked, {sram.data(), n});
-      logic_[i].predict_tile(tile, forests, ranked, {reg.data(), n},
-                             {comb.data(), n});
+      forests.rank({rows.data(), m * arity}, arity, ranked);
+      const std::span<const arch::HardwareConfig* const> row_cfgs(cfgs.data(),
+                                                                  m);
+      clock_[i].predict_tile(row_cfgs, forests, ranked, {clock.data(), m});
+      sram_[i].predict_tile(row_cfgs, forests, ranked, {sram.data(), m});
+      logic_[i].predict_tile(row_cfgs, forests, ranked, {reg.data(), m},
+                             {comb.data(), m});
       for (std::size_t j = 0; j < n; ++j) {
+        const std::uint32_t k = slot[j];
         sink(c, begin + j,
-             power::PowerGroups{clock[j], sram[j], reg[j], comb[j]});
+             power::PowerGroups{clock[k], sram[k], reg[k], comb[k]});
       }
     }
   }
@@ -219,7 +324,7 @@ std::vector<power::PowerResult> AutoPowerModel::predict_batch(
   if (ctxs.empty()) return {};  // nothing to do, even untrained
   std::vector<power::PowerResult> out(ctxs.size());
   for (auto& r : out) r.components.resize(arch::kNumComponents);
-  for_each_group_power(ctxs, forests_,
+  for_each_group_power(ctxs, forests_, /*dedupe=*/true,
                        [&](arch::ComponentKind c, std::size_t j,
                            const power::PowerGroups& groups) {
                          out[j].components[static_cast<std::size_t>(c)] = {
@@ -235,18 +340,19 @@ double AutoPowerModel::predict_total(const EvalContext& ctx) const {
 std::vector<double> AutoPowerModel::predict_total_batch(
     std::span<const EvalContext> ctxs) const {
   if (ctxs.empty()) return {};
-  return totals(ctxs, forests_);
+  return totals(ctxs, forests_, /*dedupe=*/true);
 }
 
 std::vector<double> AutoPowerModel::totals(std::span<const EvalContext> ctxs,
-                                           const Bundles& bundles) const {
+                                           const Bundles& bundles,
+                                           bool dedupe) const {
   // Each context keeps one running PowerGroups instead of a 22-component
   // vector.  The per-field accumulation in component order followed by
   // clock+sram+logic_register+logic_comb reproduces
   // PowerResult::totals().total() exactly, so every element is
   // bit-identical to predict(ctxs[i]).total().
   std::vector<power::PowerGroups> acc(ctxs.size());
-  for_each_group_power(ctxs, bundles,
+  for_each_group_power(ctxs, bundles, dedupe,
                        [&](arch::ComponentKind, std::size_t j,
                            const power::PowerGroups& groups) {
                          acc[j] += groups;
@@ -267,7 +373,7 @@ std::vector<double> AutoPowerModel::predict_trace(
       std::all_of(windows.begin(), windows.end(), [&](const EvalContext& w) {
         return w.cfg == first.cfg && w.program == first.program;
       });
-  if (!one_design) return totals(windows, forests_);
+  if (!one_design) return totals(windows, forests_, /*dedupe=*/true);
 
   // Pin each component's H block (from the shared cfg) and P block (from
   // the shared program) at the first window's values; E stays free.
@@ -289,7 +395,9 @@ std::vector<double> AutoPowerModel::predict_trace(
       metrics.walked_trees.add(pinned[i].walked_trees());
     }
   }
-  return totals(windows, pinned);
+  // A trace's windows are distinct rows: hashing them finds nothing and
+  // costs about a sixth of this call (DESIGN.md, "Distinct rows per tile").
+  return totals(windows, pinned, /*dedupe=*/false);
 }
 
 const ClockPowerModel& AutoPowerModel::clock_model(

@@ -79,9 +79,13 @@ class AutoPowerModel {
 
   /// Batched prediction: one PowerResult per context, evaluated
   /// tile-major.  Per tile of kTileRows contexts and per component, one
-  /// H+E+P feature tile is ranked once by the component's ForestBundle
-  /// and feeds the clock, SRAM and logic models, each of whose GBT
-  /// sub-models makes one pass over it.  Element i does not depend on the
+  /// H+E+P feature tile is assembled; each distinct row of it (keyed by
+  /// its bytes) is ranked once by the component's ForestBundle and feeds
+  /// the clock, SRAM and logic models, each of whose GBT sub-models makes
+  /// one pass over the distinct rows, and every duplicate gets its first
+  /// occurrence's groups.  A sweep's cells share most components' rows
+  /// (power group decoupling gives each component only its own H), so
+  /// this walks a fraction of the rows.  Element i does not depend on the
   /// rest of the batch.
   [[nodiscard]] std::vector<power::PowerResult> predict_batch(
       std::span<const EvalContext> ctxs) const;
@@ -91,10 +95,10 @@ class AutoPowerModel {
 
   /// Batched totals: element i is bit-identical to
   /// predict(ctxs[i]).total(), evaluated by the same tile-major loop as
-  /// predict_batch but holding only one PowerGroups accumulator per
-  /// context instead of the full 22-component breakdown — the scoring
-  /// path for search loops and power traces that never look at
-  /// per-component power.
+  /// predict_batch, distinct rows and all, but holding only one
+  /// PowerGroups accumulator per context instead of the full
+  /// 22-component breakdown — the scoring path for search loops and
+  /// power traces that never look at per-component power.
   [[nodiscard]] std::vector<double> predict_total_batch(
       std::span<const EvalContext> ctxs) const;
 
@@ -105,7 +109,8 @@ class AutoPowerModel {
   /// P features pinned to the trace's values, where the rows saved pay for
   /// the table fill (ml::GBTRegressor::compile_table), so each window
   /// ranks only its E features.  The pinned tables live for this call
-  /// only.  Any other span runs predict_total_batch.
+  /// only, and the pinned loop skips the distinct-row pass: a trace's
+  /// windows are distinct rows.  Any other span runs predict_total_batch.
   [[nodiscard]] std::vector<double> predict_trace(
       std::span<const EvalContext> windows) const;
 
@@ -158,12 +163,16 @@ class AutoPowerModel {
   /// The one tile-major loop behind predict_batch, predict_total_batch
   /// and predict_trace: calls sink(component, j, groups) with the group
   /// powers of ctxs[j], each context's components in Table III order,
-  /// ranking each component's tiles with bundles[component].
+  /// ranking each component's tiles with bundles[component].  With
+  /// `dedupe` each distinct component row of a tile is ranked and walked
+  /// once.
   template <typename Sink>
   void for_each_group_power(std::span<const EvalContext> ctxs,
-                            const Bundles& bundles, Sink&& sink) const;
+                            const Bundles& bundles, bool dedupe,
+                            Sink&& sink) const;
   [[nodiscard]] std::vector<double> totals(std::span<const EvalContext> ctxs,
-                                           const Bundles& bundles) const;
+                                           const Bundles& bundles,
+                                           bool dedupe) const;
 };
 
 }  // namespace autopower::core

@@ -118,7 +118,7 @@ double ClockPowerModel::predict(const EvalContext& ctx) const {
   ml::ForestTile tile;
   bundle_.rank(row, row.size(), tile);
   double out = 0.0;
-  predict_tile({&ctx, 1}, bundle_, tile, {&out, 1});
+  predict_tile({&ctx.cfg, 1}, bundle_, tile, {&out, 1});
   return out;
 }
 
@@ -130,21 +130,21 @@ std::vector<double> ClockPowerModel::predict_batch(
   return out;
 }
 
-void ClockPowerModel::predict_tile(std::span<const EvalContext> ctxs,
-                                   const ml::ForestBundle& forests,
-                                   const ml::ForestTile& tile,
-                                   std::span<double> out) const {
+void ClockPowerModel::predict_tile(
+    std::span<const arch::HardwareConfig* const> cfgs,
+    const ml::ForestBundle& forests, const ml::ForestTile& tile,
+    std::span<double> out) const {
   if (!trained_) throw util::NotFitted("clock model not trained");
-  AP_REQUIRE(out.size() == ctxs.size() && tile.count == ctxs.size(),
-             "clock predict_tile spans must match context count");
-  if (ctxs.empty()) return;
+  AP_REQUIRE(out.size() == cfgs.size() && tile.count == cfgs.size(),
+             "clock predict_tile spans must match row count");
+  if (cfgs.empty()) return;
 
   // alpha' for the whole tile in one bundle pass over the H+E prefix of
   // each row (the ablation ridge reads the same prefix).
-  std::vector<double> alpha(ctxs.size());
+  std::vector<double> alpha(cfgs.size());
   if (options_.linear_alpha) {
     const std::size_t he_arity = alpha_linear_model_.coefficients().size();
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
       alpha[i] = alpha_linear_model_.predict(
           tile.rows.subspan(i * tile.arity, he_arity));
     }
@@ -156,9 +156,9 @@ void ClockPowerModel::predict_tile(std::span<const EvalContext> ctxs,
   const arch::HardwareConfig* cfg = nullptr;
   double r = 0.0;
   double g = 0.0;
-  for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    if (ctxs[i].cfg != cfg) {
-      cfg = ctxs[i].cfg;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    if (cfgs[i] != cfg) {
+      cfg = cfgs[i];
       r = predict_register_count(*cfg);
       g = predict_gating_rate(*cfg);
     }

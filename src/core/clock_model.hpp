@@ -64,12 +64,13 @@ class ClockPowerModel {
       std::span<const EvalContext> ctxs) const;
 
   /// Eq. 7 over one feature tile, the one implementation of the formula.
-  /// `tile` holds each context's H+E+P row, as feature_rows assembles
-  /// them, ranked by `forests`, a bundle holding forests() (AutoPowerModel
-  /// shares one per component across the three groups).  alpha' reads
-  /// each row's H+E prefix; R and g run once per run of contexts sharing
-  /// a cfg pointer.  out[i] depends only on ctxs[i].
-  void predict_tile(std::span<const EvalContext> ctxs,
+  /// `tile` holds H+E+P rows, as feature_rows assembles them, ranked by
+  /// `forests`, a bundle holding forests() (AutoPowerModel shares one per
+  /// component across the three groups); cfgs[i] is the configuration
+  /// row i's H block came from.  alpha' reads each row's H+E prefix; R
+  /// and g read only the component's H parameters of cfgs[i], once per
+  /// run of rows sharing a cfg pointer.  out[i] depends only on row i.
+  void predict_tile(std::span<const arch::HardwareConfig* const> cfgs,
                     const ml::ForestBundle& forests,
                     const ml::ForestTile& tile, std::span<double> out) const;
 
@@ -83,6 +84,10 @@ class ClockPowerModel {
   [[nodiscard]] double predict_gating_rate(
       const arch::HardwareConfig& cfg) const;
 
+  /// The component this model was trained or loaded for.
+  [[nodiscard]] arch::ComponentKind component() const noexcept {
+    return component_;
+  }
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
   /// Serialization (see util/archive.hpp).

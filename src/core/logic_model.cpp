@@ -128,33 +128,32 @@ void LogicPowerModel::predict_batch(std::span<const EvalContext> ctxs,
     const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
                                     ctx.events, ctx.program);
     bundle_.rank(row, row.size(), tile);
-    predict_tile(ctxs.subspan(i, 1), bundle_, tile, reg_out.subspan(i, 1),
+    predict_tile({&ctx.cfg, 1}, bundle_, tile, reg_out.subspan(i, 1),
                  comb_out.subspan(i, 1));
   }
 }
 
-void LogicPowerModel::predict_tile(std::span<const EvalContext> ctxs,
-                                   const ml::ForestBundle& forests,
-                                   const ml::ForestTile& tile,
-                                   std::span<double> reg_out,
-                                   std::span<double> comb_out) const {
+void LogicPowerModel::predict_tile(
+    std::span<const arch::HardwareConfig* const> cfgs,
+    const ml::ForestBundle& forests, const ml::ForestTile& tile,
+    std::span<double> reg_out, std::span<double> comb_out) const {
   AP_REQUIRE(trained_, "logic model not trained");
-  AP_REQUIRE(reg_out.size() == ctxs.size() && comb_out.size() == ctxs.size() &&
-                 tile.count == ctxs.size(),
-             "logic predict_tile spans must match context count");
-  if (ctxs.empty()) return;
+  AP_REQUIRE(reg_out.size() == cfgs.size() && comb_out.size() == cfgs.size() &&
+                 tile.count == cfgs.size(),
+             "logic predict_tile spans must match row count");
+  if (cfgs.empty()) return;
 
-  std::vector<double> act(ctxs.size());
-  std::vector<double> var(ctxs.size());
+  std::vector<double> act(cfgs.size());
+  std::vector<double> var(cfgs.size());
   forests.predict(reg_act_model_, tile, act);
   forests.predict(comb_var_model_, tile, var);
 
   const arch::HardwareConfig* cfg = nullptr;
   double reg_count = 0.0;
   double comb_stable = 0.0;
-  for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    if (ctxs[i].cfg != cfg) {
-      cfg = ctxs[i].cfg;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    if (cfgs[i] != cfg) {
+      cfg = cfgs[i];
       const auto h = cfg->features_for(arch::component_hw_params(component_));
       reg_count = reg_count_model_.predict(h);
       comb_stable = comb_stable_model_.predict(h);

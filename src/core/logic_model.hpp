@@ -55,12 +55,13 @@ class LogicPowerModel {
                      std::span<double> comb_out) const;
 
   /// Eq. 11-12 over one feature tile, the one implementation of the
-  /// formulas.  `tile` holds each context's H+E+P row, as feature_rows
-  /// assembles them, ranked by `forests`, a bundle holding forests();
-  /// F_act and F_var read the H+E prefix.  F_reg and F_sta run once per
-  /// run of contexts sharing a cfg pointer.  Element i depends only on
-  /// ctxs[i].
-  void predict_tile(std::span<const EvalContext> ctxs,
+  /// formulas.  `tile` holds H+E+P rows, as feature_rows assembles them,
+  /// ranked by `forests`, a bundle holding forests(); cfgs[i] is the
+  /// configuration row i's H block came from.  F_act and F_var read the
+  /// H+E prefix.  F_reg and F_sta read only the component's H parameters
+  /// of cfgs[i], once per run of rows sharing a cfg pointer.  Element i
+  /// depends only on row i.
+  void predict_tile(std::span<const arch::HardwareConfig* const> cfgs,
                     const ml::ForestBundle& forests,
                     const ml::ForestTile& tile, std::span<double> reg_out,
                     std::span<double> comb_out) const;
@@ -68,6 +69,10 @@ class LogicPowerModel {
   /// The GBT sub-models predict_tile reads through its ForestBundle.
   [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
 
+  /// The component this model was trained or loaded for.
+  [[nodiscard]] arch::ComponentKind component() const noexcept {
+    return component_;
+  }
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
   /// Serialization (see util/archive.hpp).

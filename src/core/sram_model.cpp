@@ -8,6 +8,31 @@
 
 namespace autopower::core {
 
+namespace {
+
+// Every group output must be a function of the component's H+E+P row
+// (AutoPowerModel predicts each distinct row once), so a scaling law may
+// read only the component's own hardware parameters.
+void check_law_params(arch::ComponentKind c, const std::string& position,
+                      const ScalingPatternModel& hardware) {
+  const auto own = arch::component_hw_params(c);
+  for (const ProportionalLaw* law :
+       {&hardware.capacity_law(), &hardware.throughput_law(),
+        &hardware.width_law()}) {
+    for (arch::HwParam p : law->params) {
+      if (std::find(own.begin(), own.end(), p) == own.end()) {
+        throw util::InvalidArgument(
+            "corrupt SRAM-model archive: scaling law of " +
+            std::string(arch::component_name(c)) + "/" + position +
+            " reads " + std::string(arch::hw_param_name(p)) +
+            ", which is not one of the component's hardware parameters");
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void SramPowerModel::train(arch::ComponentKind c,
                            std::span<const EvalContext> samples,
                            const power::GoldenPowerModel& golden) {
@@ -102,8 +127,11 @@ void SramPowerModel::save(util::ArchiveWriter& out) const {
 }
 
 void SramPowerModel::load(util::ArchiveReader& in) {
-  component_ =
-      static_cast<arch::ComponentKind>(in.read_int("sram.component"));
+  const auto component = in.read_int("sram.component");
+  AP_REQUIRE(component >= 0 && component < static_cast<std::int64_t>(
+                                               arch::kNumComponents),
+             "corrupt SRAM-model archive: bad component id");
+  component_ = static_cast<arch::ComponentKind>(component);
   trained_ = in.read_bool("sram.trained");
   options_.program_features = in.read_bool("sram.program_features");
   const auto n = in.read_int("sram.num_positions");
@@ -113,6 +141,7 @@ void SramPowerModel::load(util::ArchiveReader& in) {
     pm.name = in.read_token("sram.position");
     pm.pin_constant = in.read_double("sram.pin_constant");
     pm.hardware.load(in);
+    check_law_params(component_, pm.name, pm.hardware);
     pm.read_model.load(in);
     pm.write_model.load(in);
   }
@@ -134,7 +163,7 @@ double SramPowerModel::predict(const EvalContext& ctx) const {
   ml::ForestTile tile;
   bundle_.rank(row, row.size(), tile);
   double out = 0.0;
-  predict_tile({&ctx, 1}, bundle_, tile, {&out, 1});
+  predict_tile({&ctx.cfg, 1}, bundle_, tile, {&out, 1});
   return out;
 }
 
@@ -146,18 +175,18 @@ std::vector<double> SramPowerModel::predict_batch(
   return out;
 }
 
-void SramPowerModel::predict_tile(std::span<const EvalContext> ctxs,
-                                  const ml::ForestBundle& forests,
-                                  const ml::ForestTile& tile,
-                                  std::span<double> out) const {
+void SramPowerModel::predict_tile(
+    std::span<const arch::HardwareConfig* const> cfgs,
+    const ml::ForestBundle& forests, const ml::ForestTile& tile,
+    std::span<double> out) const {
   AP_REQUIRE(trained_, "SRAM model not trained");
-  AP_REQUIRE(out.size() == ctxs.size() && tile.count == ctxs.size(),
-             "SRAM predict_tile spans must match context count");
+  AP_REQUIRE(out.size() == cfgs.size() && tile.count == cfgs.size(),
+             "SRAM predict_tile spans must match row count");
   std::fill(out.begin(), out.end(), 0.0);
-  if (ctxs.empty() || positions_.empty()) return;
+  if (cfgs.empty() || positions_.empty()) return;
 
-  std::vector<double> f_read(ctxs.size());
-  std::vector<double> f_write(ctxs.size());
+  std::vector<double> f_read(cfgs.size());
+  std::vector<double> f_write(cfgs.size());
   const auto& macros = techlib::SramMacroLibrary::default_40nm();
   const auto& lib = techlib::TechLibrary::default_40nm();
 
@@ -169,9 +198,9 @@ void SramPowerModel::predict_tile(std::span<const EvalContext> ctxs,
     const arch::HardwareConfig* cfg = nullptr;
     BlockPrediction block;
     techlib::MacroMappingResult mapping;
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
-      if (ctxs[i].cfg != cfg) {
-        cfg = ctxs[i].cfg;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      if (cfgs[i] != cfg) {
+        cfg = cfgs[i];
         block = pm.hardware.predict(*cfg);
         mapping = techlib::map_block_to_macros(macros, block.width,
                                                block.depth);

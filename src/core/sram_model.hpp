@@ -62,12 +62,14 @@ class SramPowerModel {
       std::span<const EvalContext> ctxs) const;
 
   /// Eq. 9-10 over one feature tile, the one implementation of the
-  /// formula.  `tile` holds each context's H+E+P row, as feature_rows
-  /// assembles them, ranked by `forests`, a bundle holding forests()
-  /// (forests fit without P read the H+E prefix).  The block shape and its
-  /// macro mapping run once per run of contexts sharing a cfg pointer.
-  /// out[i] depends only on ctxs[i].
-  void predict_tile(std::span<const EvalContext> ctxs,
+  /// formula.  `tile` holds H+E+P rows, as feature_rows assembles them,
+  /// ranked by `forests`, a bundle holding forests() (forests fit without
+  /// P read the H+E prefix); cfgs[i] is the configuration row i's H block
+  /// came from.  The block shape reads only the component's H parameters
+  /// of cfgs[i] (load() rejects a scaling law on any other), and it and
+  /// its macro mapping run once per run of rows sharing a cfg pointer.
+  /// out[i] depends only on row i.
+  void predict_tile(std::span<const arch::HardwareConfig* const> cfgs,
                     const ml::ForestBundle& forests,
                     const ml::ForestTile& tile, std::span<double> out) const;
 
@@ -83,6 +85,10 @@ class SramPowerModel {
   /// Names of the positions this component owns.
   [[nodiscard]] std::vector<std::string> position_names() const;
 
+  /// The component this model was trained or loaded for.
+  [[nodiscard]] arch::ComponentKind component() const noexcept {
+    return component_;
+  }
   [[nodiscard]] bool trained() const noexcept { return trained_; }
 
   /// Serialization (see util/archive.hpp).

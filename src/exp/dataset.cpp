@@ -61,7 +61,7 @@ std::vector<std::string> ExperimentData::training_configs(int k) {
   for (int i = 0; i < k; ++i) {
     const int idx = static_cast<int>(
         std::lround(static_cast<double>(i) * 14.0 / (k - 1)));
-    out.push_back("C" + std::to_string(idx + 1));
+    out.emplace_back("C").append(std::to_string(idx + 1));
   }
   return out;
 }

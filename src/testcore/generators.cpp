@@ -109,7 +109,9 @@ ml::Dataset random_dataset(Pcg32& rng, const DatasetShape& shape) {
 
   std::vector<std::string> names;
   names.reserve(static_cast<std::size_t>(features));
-  for (int j = 0; j < features; ++j) names.push_back("f" + std::to_string(j));
+  for (int j = 0; j < features; ++j) {
+    names.emplace_back("f").append(std::to_string(j));
+  }
 
   // Column-major generation so each column can have its own style, then
   // transpose into add_sample rows.
@@ -201,7 +203,8 @@ std::vector<serve::BatchRequest> random_request_batch(Pcg32& rng,
                : mode == 1 ? serve::PredictMode::kPerComponent
                            : serve::PredictMode::kTrace;
     if (include_invalid && rng.next_bool(0.15)) {
-      req.config = "X" + std::to_string(rng.next_below(100));
+      req.config = "X";
+      req.config += std::to_string(rng.next_below(100));
     } else {
       req.config = configs[rng.index(configs.size())].name();
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/autopower.hpp"
@@ -165,6 +166,40 @@ TEST_F(AutoPowerTest, ParallelTrainArchiveByteIdentical) {
     std::ostringstream out;
     parallel.save(out);
     EXPECT_EQ(out.str(), serial.str()) << "threads=" << threads;
+  }
+}
+
+TEST_F(AutoPowerTest, LoadRejectsGroupModelOfAnotherComponent) {
+  // Batched prediction folds rows that match on a component's H+E+P
+  // features, which is exact only if every group model in slot i reads
+  // component i's parameters.  A hand-edited archive that hands slot 1's
+  // clock, SRAM or logic model the id of component 0 must not load.
+  std::ostringstream saved;
+  model_->save(saved);
+  const std::string archive = saved.str();
+  {
+    std::istringstream in(archive);
+    AutoPowerModel restored;
+    restored.load(in);
+    EXPECT_EQ(restored.fingerprint(), model_->fingerprint());
+  }
+  const std::string slot1 = std::to_string(
+      static_cast<std::size_t>(arch::all_components()[1]));
+  for (const std::string group : {"clock", "sram", "logic"}) {
+    std::string tag = group;
+    tag += ".component ";
+    std::string line = tag;
+    line += slot1;
+    line += '\n';
+    const std::size_t at = archive.find(line);
+    ASSERT_NE(at, std::string::npos) << group;
+    std::string edited = archive;
+    edited.replace(at + tag.size(), slot1.size(),
+                   std::to_string(static_cast<std::size_t>(
+                       arch::all_components()[0])));
+    std::istringstream in(edited);
+    AutoPowerModel restored;
+    EXPECT_THROW(restored.load(in), util::InvalidArgument) << group;
   }
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/clock_model.hpp"
@@ -10,6 +13,7 @@
 #include "core/sram_model.hpp"
 #include "exp/dataset.hpp"
 #include "ml/metrics.hpp"
+#include "util/archive.hpp"
 #include "util/error.hpp"
 
 namespace autopower::core {
@@ -176,6 +180,66 @@ TEST_F(GroupModelTest, SramWithoutProgramFeaturesStillWorks) {
   for (const auto* s : data_->samples_excluding(*train_configs_)) {
     EXPECT_GE(model.predict(s->ctx), 0.0);
   }
+}
+
+TEST_F(GroupModelTest, SramLoadRejectsScalingLawOnForeignParameter) {
+  // AutoPowerModel predicts each distinct H+E+P row once, which is exact
+  // only if a scaling law reads nothing outside the component's H.  A
+  // hand-edited archive whose first law reads another parameter must not
+  // load.
+  const ComponentKind comp = ComponentKind::kICacheDataArray;
+  SramPowerModel model;
+  model.train(comp, *train_ctx_, *golden_);
+  std::ostringstream out;
+  util::ArchiveWriter writer(out);
+  model.save(writer);
+  const std::string archive = out.str();
+
+  const auto own = arch::component_hw_params(comp);
+  const auto all = arch::all_hw_params();
+  const auto foreign = std::find_if(all.begin(), all.end(), [&](auto p) {
+    return std::find(own.begin(), own.end(), p) == own.end();
+  });
+  ASSERT_NE(foreign, all.end());
+  const std::size_t begin = archive.find("law.params ");
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = archive.find('\n', begin);
+  std::string edited = archive;
+  edited.replace(begin, end - begin,
+                 "law.params 1 " +
+                     std::to_string(static_cast<std::size_t>(*foreign)));
+
+  {
+    std::istringstream in(archive);
+    util::ArchiveReader reader(in);
+    SramPowerModel restored;
+    restored.load(reader);
+    EXPECT_EQ(restored.predict(train_ctx_->front()),
+              model.predict(train_ctx_->front()));
+  }
+  {
+    std::istringstream in(edited);
+    util::ArchiveReader reader(in);
+    SramPowerModel restored;
+    try {
+      restored.load(reader);
+      FAIL() << "archive with a foreign scaling-law parameter loaded";
+    } catch (const util::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(arch::hw_param_name(*foreign)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The check needs the component's parameter set, so a component id
+  // outside Table III is rejected before it.
+  const std::string tag = "sram.component ";
+  ASSERT_EQ(archive.find(tag), 0u);
+  std::string bad_component = archive;
+  bad_component.replace(tag.size(), archive.find('\n') - tag.size(), "99");
+  std::istringstream in(bad_component);
+  util::ArchiveReader reader(in);
+  SramPowerModel restored;
+  EXPECT_THROW(restored.load(reader), util::InvalidArgument);
 }
 
 TEST_F(GroupModelTest, LogicModelTrainsAndPredicts) {

@@ -23,6 +23,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <filesystem>
@@ -31,6 +32,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -367,7 +369,9 @@ std::optional<std::string> grid_oracle_diff(const ml::GBTRegressor& model,
 // the trees keep finding new thresholds.
 ml::Dataset continuous_dataset(Pcg32& rng, int rows, int features) {
   std::vector<std::string> names;
-  for (int f = 0; f < features; ++f) names.push_back("f" + std::to_string(f));
+  for (int f = 0; f < features; ++f) {
+    names.emplace_back("f").append(std::to_string(f));
+  }
   ml::Dataset data(std::move(names));
   util::Rng values(rng.next_u64());
   std::vector<double> row(static_cast<std::size_t>(features));
@@ -813,9 +817,11 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
             ml::ForestTile tile;
             forests.rank(rows, rows.size() / size, tile);
             poison_slack(tile);
-            clock.predict_tile(batch, forests, tile, clock_tiled);
-            sram.predict_tile(batch, forests, tile, sram_tiled);
-            logic.predict_tile(batch, forests, tile, reg, comb);
+            std::vector<const arch::HardwareConfig*> cfgs;
+            for (const auto& ctx : batch) cfgs.push_back(ctx.cfg);
+            clock.predict_tile(cfgs, forests, tile, clock_tiled);
+            sram.predict_tile(cfgs, forests, tile, sram_tiled);
+            logic.predict_tile(cfgs, forests, tile, reg, comb);
             for (std::size_t i = 0; i < size; ++i) {
               const double per_context[] = {clock.predict(batch[i]),
                                             sram.predict(batch[i]),
@@ -946,6 +952,194 @@ TEST(DifferentialModel, PerContextVsTiledModelPredictBitIdentical) {
         }
       }
     }
+  }
+}
+
+// Oracle (b), duplicate rows: AutoPowerModel ranks and walks each
+// distinct H+E+P component row of a tile once and hands its groups to
+// every duplicate, keyed by the row's bytes.  Element i of predict_batch
+// and predict_total_batch must still equal predict(ctxs[i]) on tiles
+// built to repeat rows: one context repeated in scrambled order,
+// configurations that differ only outside a component's H, 512 identical
+// rows, all-distinct rows, and rows that differ only by +0.0/-0.0 in one
+// E feature.  The row counters show the dedupe really folded (or, for
+// the signed zeros, really kept apart) the rows.
+
+std::optional<std::string> batch_vs_per_context(
+    const core::AutoPowerModel& model,
+    std::span<const core::EvalContext> batch) {
+  const auto totals = model.predict_total_batch(batch);
+  const auto full = model.predict_batch(batch);
+  if (totals.size() != batch.size() || full.size() != batch.size()) {
+    return "batch output size differs from the batch";
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto one = model.predict(batch[i]);
+    if (totals[i] != one.total()) {
+      std::ostringstream msg;
+      msg.precision(17);
+      msg << "row " << i << ": predict_total_batch " << totals[i]
+          << " vs predict " << one.total();
+      return msg.str();
+    }
+    for (std::size_t k = 0; k < arch::kNumComponents; ++k) {
+      if (const auto diff = groups_diff(full[i].components[k].groups,
+                                        one.components[k].groups)) {
+        return "row " + std::to_string(i) + " component " +
+               std::string(arch::component_name(
+                   one.components[k].component)) +
+               ": predict_batch vs predict " + *diff;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// Rows and distinct rows predict_total_batch(batch) assembles and walks.
+std::pair<std::uint64_t, std::uint64_t> predict_row_counts(
+    const core::AutoPowerModel& model,
+    std::span<const core::EvalContext> batch) {
+  auto& registry = util::MetricsRegistry::global();
+  const auto& rows = registry.counter("core.predict.rows");
+  const auto& distinct = registry.counter("core.predict.distinct_rows");
+  const std::uint64_t rows_before = rows.value();
+  const std::uint64_t distinct_before = distinct.value();
+  (void)model.predict_total_batch(batch);
+  return {rows.value() - rows_before, distinct.value() - distinct_before};
+}
+
+TEST(DifferentialModel, DuplicateRowsVsPerContextPredictBitIdentical) {
+  const auto& c3 = arch::boom_config("C3");
+  const auto& c8 = arch::boom_config("C8");
+  const auto& wl = workload::workload_by_name("qsort");
+  sim::SimOptions opt;
+  opt.sample_accesses = 500;
+  opt.sample_branches = 500;
+  const sim::PerfSimulator sim(opt);
+  const auto program = workload::program_features(wl);
+  std::vector<core::EvalContext> pool;
+  for (const auto* cfg : {&c3, &c8}) {
+    for (const auto& window : sim.simulate_trace(*cfg, wl)) {
+      pool.push_back({cfg, wl.name, program, window});
+    }
+  }
+  ASSERT_GE(pool.size(), 8u);
+
+  // Every HwParam moved on its own: C8 and a copy one step away on p.
+  std::vector<arch::HardwareConfig> moved;
+  for (const arch::HwParam p : arch::all_hw_params()) {
+    std::array<int, arch::kNumHwParams> values{};
+    for (const arch::HwParam q : arch::all_hw_params()) {
+      values[static_cast<std::size_t>(q)] = c8.value(q);
+    }
+    values[static_cast<std::size_t>(p)] += 1;
+    moved.emplace_back(std::string("C8+") +
+                           std::string(arch::hw_param_name(p)),
+                       values);
+  }
+
+  constexpr std::size_t kTile = core::AutoPowerModel::kTileRows;
+  const std::size_t sizes[] = {1, 63, 64, 65, kTile - 1, kTile + 1};
+  Pcg32 pick(20261019);
+  for (const bool ablation : {false, true}) {
+    const auto& model = group_oracle_model(ablation);
+    const std::string which = ablation ? "ablation model" : "default model";
+
+    // One context repeated in scrambled order: a few distinct contexts,
+    // each drawn many times.
+    for (const std::size_t size : sizes) {
+      std::vector<core::EvalContext> distinct;
+      for (int k = 0; k < 5; ++k) {
+        distinct.push_back(pool[pick.index(pool.size())]);
+      }
+      std::vector<core::EvalContext> batch;
+      for (std::size_t k = 0; k < size; ++k) {
+        batch.push_back(distinct[pick.index(distinct.size())]);
+      }
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", repeated contexts, batch " << size << ": " << *diff;
+      const auto [rows, folded] = predict_row_counts(model, batch);
+      EXPECT_EQ(rows, size * arch::kNumComponents);
+      const std::size_t tiles = (size + kTile - 1) / kTile;
+      EXPECT_LE(folded, tiles * distinct.size() * arch::kNumComponents)
+          << which << ", repeated contexts, batch " << size;
+    }
+
+    // All-distinct rows: every context's P block is its own.
+    for (const std::size_t size : sizes) {
+      std::vector<core::EvalContext> batch;
+      for (std::size_t k = 0; k < size; ++k) {
+        batch.push_back(pool[k % pool.size()]);
+        batch.back().program.log_instructions +=
+            1e-3 * static_cast<double>(k);
+      }
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", distinct rows, batch " << size << ": " << *diff;
+      const auto [rows, folded] = predict_row_counts(model, batch);
+      EXPECT_EQ(folded, rows) << which << ", distinct rows, batch " << size;
+    }
+
+    // 512 identical rows: each component walks one row per tile.
+    {
+      const std::vector<core::EvalContext> batch(kTile, pool.front());
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", 512 identical rows: " << *diff;
+      const auto [rows, folded] = predict_row_counts(model, batch);
+      EXPECT_EQ(rows, kTile * arch::kNumComponents);
+      EXPECT_EQ(folded, arch::kNumComponents);
+    }
+
+    // Configurations that differ only in one parameter: the components
+    // whose H omits it see equal rows under two cfg pointers, and the
+    // first one's structural sub-models serve both.
+    for (std::size_t p = 0; p < moved.size(); ++p) {
+      std::vector<core::EvalContext> batch;
+      for (int k = 0; k < 6; ++k) {
+        core::EvalContext ctx = pool[pick.index(pool.size())];
+        ctx.cfg = k % 2 == 0 ? &c8 : &moved[p];
+        batch.push_back(ctx);
+        ctx.cfg = k % 2 == 0 ? &moved[p] : &c8;
+        batch.push_back(std::move(ctx));
+      }
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", C8 vs " << moved[p].name() << ": " << *diff;
+      const auto param = static_cast<arch::HwParam>(p);
+      std::uint64_t readers = 0;
+      for (const arch::ComponentKind c : arch::all_components()) {
+        const auto h = arch::component_hw_params(c);
+        readers += std::find(h.begin(), h.end(), param) != h.end();
+      }
+      if (readers < arch::kNumComponents) {
+        const auto [rows, folded] = predict_row_counts(model, batch);
+        EXPECT_LT(folded, rows) << which << ", C8 vs " << moved[p].name();
+      }
+    }
+
+    // +0.0 vs -0.0 in one E feature: equal values, distinct bytes, so the
+    // components that read the event keep both rows.
+    const arch::ComponentKind comp = arch::all_components().front();
+    arch::EventKind event = arch::component_events(comp).front();
+    if (event == arch::EventKind::kCycles) {
+      event = arch::component_events(comp)[1];
+    }
+    std::vector<core::EvalContext> batch(2, pool.front());
+    batch[0].events[event] = 0.0;
+    batch[1].events[event] = -0.0;
+    const auto diff = batch_vs_per_context(model, batch);
+    ASSERT_FALSE(diff.has_value()) << which << ", signed zeros: " << *diff;
+    std::uint64_t readers = 0;
+    for (const arch::ComponentKind c : arch::all_components()) {
+      const auto e = arch::component_events(c);
+      readers += std::find(e.begin(), e.end(), event) != e.end();
+    }
+    const auto [rows, folded] = predict_row_counts(model, batch);
+    EXPECT_EQ(rows, 2 * arch::kNumComponents);
+    EXPECT_EQ(folded, arch::kNumComponents + readers)
+        << which << ", signed zeros in " << arch::event_name(event);
   }
 }
 

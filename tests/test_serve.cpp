@@ -1052,11 +1052,11 @@ TEST_F(SweepTest, ChunksLargerThanOnePredictBatchMatchPerCellEvaluation) {
   // partial one.  Cells on both sides of the split match the oracle.
   std::string grid = "RobEntry=";
   for (int v = 64; v < 64 + 52; ++v) {
-    grid += (v > 64 ? "," : "") + std::to_string(v);
+    grid.append(v > 64 ? "," : "").append(std::to_string(v));
   }
   grid += ";LdqStqEntry=";
   for (int v = 8; v < 8 + 20; ++v) {
-    grid += (v > 8 ? "," : "") + std::to_string(v);
+    grid.append(v > 8 ? "," : "").append(std::to_string(v));
   }
   SweepSpec spec;
   spec.base = "C8";

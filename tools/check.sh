@@ -16,7 +16,8 @@
 # simulator-economy bars into BENCH_explore.json, re-runs the
 # sweep/batch smokes under
 # AUTOPOWER_SIMD=scalar and diffs the JSONL byte-for-byte against the
-# best tier, runs the property-based differential + SIMD kernel oracle
+# best tier, builds the release preset and runs ctest there, runs the
+# property-based differential + SIMD kernel oracle
 # and the archive fuzz under AddressSanitizer, then race-checks the
 # threaded subsystems, the fault-injection suite, the SIMD dispatch
 # handoff, and the daemon under ThreadSanitizer.  Run
@@ -405,6 +406,14 @@ kill -TERM "$swap_pid"
 wait "$swap_pid" \
   || { echo "hot-swap daemon did not drain cleanly on SIGTERM"; exit 1; }
 echo "SIGHUP swapped the slot back; daemon drained with exit 0"
+
+echo "== Release build + ctest =="
+# Tests must pass in every build type.  Release compiles fault points
+# out, so ctest reports test_fault, the daemon wire-fault tests and
+# EngineTest.FaultedDrainKeepsSiblingResultsBitIdentical as skipped.
+cmake --preset release
+cmake --build --preset release -j "$(nproc)"
+ctest --preset release -j "$(nproc)"
 
 echo "== proptest: differential oracles under AddressSanitizer =="
 # Property-based differential suite (reference vs fast paths) with the
