@@ -111,12 +111,14 @@ struct Daemon::Connection {
   bool write_failed = false;     ///< a write died; drop later responses
 };
 
-/// One named model slot: a routing name, the backing archive path (held
-/// by the registry), a dedicated BatchEngine whose published snapshot is
-/// what reload swaps, and the slot's metric instruments.
+/// One named model slot and the one owner of its state: a routing name,
+/// the backing archive path (immutable; empty for the in-memory
+/// single-model form), a dedicated BatchEngine whose published snapshot
+/// is what reload swaps, and the slot's metric instruments.
 struct Daemon::ModelSlot {
   std::string name;
-  std::unique_ptr<BatchEngine> engine;
+  std::string path;
+  BatchEngine engine;
   util::Counter& requests;  ///< daemon.model.<name>.requests
   util::Counter& reloads;   ///< daemon.model.<name>.reloads
 };
@@ -139,7 +141,7 @@ struct Daemon::Work {
   // kSwap: the pre-loaded snapshot and the pre-built reload response
   // (delivered when the swap is applied, so the client's "ok" is ordered
   // exactly at the swap point in its response stream).
-  ModelRegistry::ModelHandle new_model;
+  std::shared_ptr<const core::AutoPowerModel> new_model;
   std::string response_line;
 };
 
@@ -155,10 +157,19 @@ bool valid_slot_name(const std::string& name) {
   return true;
 }
 
+/// Reads one `.ap` archive.  Every caller runs it outside the daemon's
+/// locks, and a load that throws leaves nothing behind: the caller keeps
+/// whatever snapshot it already serves.
+std::shared_ptr<const core::AutoPowerModel> load_archive(
+    const std::string& path) {
+  auto model = std::make_shared<core::AutoPowerModel>();
+  model->load_from_file(path);
+  return model;
+}
+
 }  // namespace
 
-Daemon::Daemon(std::shared_ptr<const core::AutoPowerModel> model,
-               DaemonOptions options)
+Daemon::Daemon(DaemonOptions options)
     : options_(options),
       listener_(std::make_unique<net::Listener>(options.port)),
       metrics_{util::MetricsRegistry::global().counter("daemon.connections"),
@@ -174,55 +185,6 @@ Daemon::Daemon(std::shared_ptr<const core::AutoPowerModel> model,
                util::MetricsRegistry::global().gauge("daemon.queue_depth"),
                util::MetricsRegistry::global().histogram(
                    "daemon.request_latency_ns")} {
-  AP_REQUIRE(model != nullptr, "daemon: null model");
-  registry_.publish("default", std::move(model));
-  init_slots({ModelSpec{"default", ""}});
-}
-
-Daemon::Daemon(const std::vector<ModelSpec>& models, DaemonOptions options)
-    : options_(options),
-      listener_(std::make_unique<net::Listener>(options.port)),
-      metrics_{util::MetricsRegistry::global().counter("daemon.connections"),
-               util::MetricsRegistry::global().gauge(
-                   "daemon.active_connections"),
-               util::MetricsRegistry::global().counter("daemon.requests"),
-               util::MetricsRegistry::global().counter("daemon.shed"),
-               util::MetricsRegistry::global().counter(
-                   "daemon.deadline_expired"),
-               util::MetricsRegistry::global().counter("daemon.net_errors"),
-               util::MetricsRegistry::global().counter(
-                   "daemon.unknown_model"),
-               util::MetricsRegistry::global().gauge("daemon.queue_depth"),
-               util::MetricsRegistry::global().histogram(
-                   "daemon.request_latency_ns")} {
-  AP_REQUIRE(!models.empty(), "daemon: at least one model slot required");
-  for (const ModelSpec& spec : models) {
-    AP_REQUIRE(valid_slot_name(spec.name),
-               "invalid model slot name '" + spec.name +
-                   "' (expected [A-Za-z0-9_.-]+)");
-    AP_REQUIRE(!spec.path.empty(),
-               "model slot '" + spec.name + "' needs an archive path");
-    registry_.open(spec.name, spec.path);  // throws if the load fails
-  }
-  init_slots(models);
-}
-
-void Daemon::init_slots(const std::vector<ModelSpec>& specs) {
-  auto& reg = util::MetricsRegistry::global();
-  for (const ModelSpec& spec : specs) {
-    AP_REQUIRE(slots_.find(spec.name) == slots_.end(),
-               "duplicate model slot name '" + spec.name + "'");
-    auto slot = std::unique_ptr<ModelSlot>(new ModelSlot{
-        spec.name,
-        std::make_unique<BatchEngine>(registry_.named(spec.name),
-                                      options_.engine),
-        reg.counter("daemon.model." + spec.name + ".requests"),
-        reg.counter("daemon.model." + spec.name + ".reloads")});
-    ModelSlot* raw = slot.get();
-    slots_.emplace(spec.name, std::move(slot));
-    if (default_slot_ == nullptr) default_slot_ = raw;
-  }
-
   if (options_.queue_depth == 0) options_.queue_depth = 1;
   if (options_.max_connections == 0) options_.max_connections = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
@@ -233,6 +195,44 @@ void Daemon::init_slots(const std::vector<ModelSpec>& specs) {
   // never block, even if the pipe is (implausibly) full.
   const int flags = ::fcntl(stop_pipe_[1], F_GETFL, 0);
   (void)::fcntl(stop_pipe_[1], F_SETFL, flags | O_NONBLOCK);
+}
+
+Daemon::Daemon(std::shared_ptr<const core::AutoPowerModel> model,
+               DaemonOptions options)
+    : Daemon(options) {
+  AP_REQUIRE(model != nullptr, "daemon: null model");
+  add_slot("default", "", std::move(model));
+}
+
+Daemon::Daemon(const std::vector<ModelSpec>& models, DaemonOptions options)
+    : Daemon(options) {
+  AP_REQUIRE(!models.empty(), "daemon: at least one model slot required");
+  for (auto it = models.begin(); it != models.end(); ++it) {
+    AP_REQUIRE(valid_slot_name(it->name),
+               "invalid model slot name '" + it->name +
+                   "' (expected [A-Za-z0-9_.-]+)");
+    AP_REQUIRE(!it->path.empty(),
+               "model slot '" + it->name + "' needs an archive path");
+    AP_REQUIRE(std::none_of(models.begin(), it,
+                            [&](const ModelSpec& earlier) {
+                              return earlier.name == it->name;
+                            }),
+               "duplicate model slot name '" + it->name + "'");
+  }
+  for (const ModelSpec& spec : models) {
+    add_slot(spec.name, spec.path, load_archive(spec.path));
+  }
+}
+
+void Daemon::add_slot(const std::string& name, const std::string& path,
+                      std::shared_ptr<const core::AutoPowerModel> model) {
+  auto& reg = util::MetricsRegistry::global();
+  auto slot = std::unique_ptr<ModelSlot>(new ModelSlot{
+      name, path, BatchEngine(std::move(model), options_.engine),
+      reg.counter("daemon.model." + name + ".requests"),
+      reg.counter("daemon.model." + name + ".reloads")});
+  if (default_slot_ == nullptr) default_slot_ = slot.get();
+  slots_.emplace(name, std::move(slot));
 }
 
 Daemon::~Daemon() {
@@ -259,10 +259,6 @@ void Daemon::notify_reload() noexcept {
   // wakes, re-reads every disk-backed archive and enqueues the swaps.
   const char byte = 'h';
   [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-}
-
-const BatchEngine& Daemon::engine() const noexcept {
-  return *default_slot_->engine;
 }
 
 std::vector<std::string> Daemon::model_names() const {
@@ -576,12 +572,19 @@ void Daemon::handle_reload(Connection& conn, std::uint64_t seq,
     deliver(conn, seq, error_line("unknown_model"), /*admitted=*/false);
     return;
   }
+  if (slot->path.empty()) {
+    deliver(conn, seq,
+            error_line("model slot '" + slot->name +
+                       "' has no backing archive"),
+            /*admitted=*/false);
+    return;
+  }
   // The archive re-read happens HERE, on the requesting reader thread —
   // a slow disk must stall neither the dispatcher nor other clients.  A
   // failed load answers in place and swaps nothing.
-  ModelRegistry::ModelHandle loaded;
+  std::shared_ptr<const core::AutoPowerModel> loaded;
   try {
-    loaded = registry_.reload_named(slot->name);
+    loaded = load_archive(slot->path);
   } catch (const std::exception& e) {
     deliver(conn, seq, error_line(e.what()), /*admitted=*/false);
     return;
@@ -598,10 +601,9 @@ void Daemon::reload_all_slots() {
   // acceptor thread does the archive reads (it is otherwise idle between
   // accepts); a slot whose load fails keeps serving its old snapshot.
   for (auto& [name, slot] : slots_) {
-    if (registry_.path_of(name).empty()) continue;  // in-memory slot
+    if (slot->path.empty()) continue;  // in-memory slot
     try {
-      ModelRegistry::ModelHandle loaded = registry_.reload_named(name);
-      enqueue_swap(*slot, std::move(loaded), nullptr, 0, {});
+      enqueue_swap(*slot, load_archive(slot->path), nullptr, 0, {});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "autopower serve: reload of model '%s' failed: %s\n",
                    name.c_str(), e.what());
@@ -609,7 +611,8 @@ void Daemon::reload_all_slots() {
   }
 }
 
-void Daemon::enqueue_swap(ModelSlot& slot, ModelRegistry::ModelHandle model,
+void Daemon::enqueue_swap(ModelSlot& slot,
+                          std::shared_ptr<const core::AutoPowerModel> model,
                           Connection* conn, std::uint64_t seq,
                           std::string response_line) {
   // Swaps bypass the queue-depth bound: shedding a reload under load
@@ -688,7 +691,7 @@ void Daemon::process_batch(std::vector<Work>& batch,
     Work& work = batch.front();
     // Publish atomically; in-flight engine runs finish on the snapshot
     // they pinned (RCU by shared_ptr), new batches see the new model.
-    work.slot->engine->swap_model(std::move(work.new_model));
+    work.slot->engine.swap_model(std::move(work.new_model));
     work.slot->reloads.inc();
     if (work.conn != nullptr) {
       deliver(*work.conn, work.seq, std::move(work.response_line),
@@ -745,7 +748,7 @@ void Daemon::process_batch(std::vector<Work>& batch,
 
     std::vector<BatchResponse> responses;
     try {
-      responses = slot->engine->run(requests);
+      responses = slot->engine.run(requests);
     } catch (const std::exception& e) {
       // The engine isolates per-request failures; reaching here means
       // the whole batch failed (e.g. serial-path model error).  Every

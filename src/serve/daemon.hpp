@@ -100,7 +100,6 @@
 #include "core/autopower.hpp"
 #include "serve/engine.hpp"
 #include "serve/net.hpp"
-#include "serve/registry.hpp"
 #include "util/metrics.hpp"
 
 namespace autopower::serve {
@@ -156,7 +155,8 @@ class Daemon {
   /// Multi-model form: loads every spec's archive (throws if any load
   /// fails — a daemon never starts with a half-loaded zoo).  The FIRST
   /// spec is the default route for requests without a "model" field.
-  /// Names must be non-empty, unique, and match [A-Za-z0-9_.-]+.
+  /// Names must be non-empty, unique, and match [A-Za-z0-9_.-]+; every
+  /// spec is checked before the first archive is read.
   Daemon(const std::vector<ModelSpec>& models, DaemonOptions options = {});
   ~Daemon();
 
@@ -192,10 +192,6 @@ class Daemon {
   };
   [[nodiscard]] Stats stats() const noexcept;
 
-  /// The default slot's engine (kept for single-model callers; the
-  /// multi-model form routes per request).
-  [[nodiscard]] const BatchEngine& engine() const noexcept;
-
   /// Slot names in sorted order.
   [[nodiscard]] std::vector<std::string> model_names() const;
 
@@ -204,14 +200,19 @@ class Daemon {
   struct Connection;
   struct Work;
 
-  void init_slots(const std::vector<ModelSpec>& specs);
+  /// The shared member initialiser: binds the listener, registers the
+  /// daemon instruments and opens the signal pipe.  No slots yet.
+  explicit Daemon(DaemonOptions options);
+  void add_slot(const std::string& name, const std::string& path,
+                std::shared_ptr<const core::AutoPowerModel> model);
   /// Routing: empty name means the default slot; nullptr for unknown.
   [[nodiscard]] ModelSlot* find_slot(const std::string& name) const;
   void handle_connection(Connection& conn);
   void handle_reload(Connection& conn, std::uint64_t seq,
                      const std::string& model_name);
   void reload_all_slots();
-  void enqueue_swap(ModelSlot& slot, ModelRegistry::ModelHandle model,
+  void enqueue_swap(ModelSlot& slot,
+                    std::shared_ptr<const core::AutoPowerModel> model,
                     Connection* conn, std::uint64_t seq,
                     std::string response_line);
   void dispatch_loop();
@@ -227,9 +228,9 @@ class Daemon {
   void reap_finished(bool join_all);
 
   DaemonOptions options_;
-  ModelRegistry registry_;  ///< loads archives, publishes named slots
   /// Frozen after construction: readers route with a plain lookup.  Each
-  /// slot's engine owns the swappable published snapshot.
+  /// slot owns its archive path and its engine, whose published snapshot
+  /// is the only copy of the served model.
   std::map<std::string, std::unique_ptr<ModelSlot>> slots_;
   ModelSlot* default_slot_ = nullptr;
   std::unique_ptr<net::Listener> listener_;

@@ -59,8 +59,8 @@ BatchEngine::BatchEngine(std::shared_ptr<const core::AutoPowerModel> model,
                          EngineOptions options)
     : model_(std::move(model)),
       options_(options),
-      cache_(options.cache_shards),
-      response_shards_(options.cache_shards == 0 ? 1 : options.cache_shards),
+      cache_(kCacheShards),
+      response_shards_(kCacheShards),
       metrics_{util::MetricsRegistry::global().counter(
                    "serve.batch.requests"),
                util::MetricsRegistry::global().counter("serve.batch.failed"),

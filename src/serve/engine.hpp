@@ -1,12 +1,12 @@
 // Batch inference engine — fans a request list out via util::parallel_for.
 //
-// One engine wraps a PUBLISHED immutable model snapshot (from
-// serve::ModelRegistry or any shared_ptr<const AutoPowerModel>) plus three
-// sharded memo layers.  The snapshot is swappable (RCU by shared_ptr):
-// swap_model() atomically publishes a new handle, each run() pins the
-// snapshot once at entry, and in-flight batches finish on the handle they
-// pinned — so a hot-swap never tears a batch, and requests admitted before
-// the swap stay bit-identical to the old model's output.  Every memo key
+// One engine wraps a PUBLISHED immutable model snapshot (any
+// shared_ptr<const AutoPowerModel>) plus three sharded memo layers.  The
+// snapshot is swappable (RCU by shared_ptr): swap_model() atomically
+// publishes a new handle, each run() pins the snapshot once at entry,
+// and in-flight batches finish on the handle they pinned — so a hot-swap
+// never tears a batch, and requests admitted before the swap stay
+// bit-identical to the old model's output.  Every memo key
 // (response memo, EvalCache) is qualified by the pinned model's archive
 // fingerprint, so entries filled under one model can never be served for
 // another — the stale-model hazard hot-swap would otherwise create.
@@ -102,7 +102,6 @@ struct BatchResponse {
 
 struct EngineOptions {
   std::size_t threads = 1;
-  std::size_t cache_shards = 16;
   /// Memoise whole responses per (config, workload, mode).  The model is
   /// immutable and every pipeline stage is deterministic, so a repeated
   /// query can be answered straight from the memo.  Trace responses are
@@ -164,6 +163,9 @@ class BatchEngine {
   /// Post-run bookkeeping: failed-request count and the structural-cache
   /// gauge export (no-op while metrics are disabled).
   void finish_run(std::span<const BatchResponse> responses);
+
+  /// Shard count of the EvalCache and of the response memo.
+  static constexpr std::size_t kCacheShards = 16;
 
   // The published snapshot, guarded by a tiny mutex (a swap and a pin are
   // both a shared_ptr copy; never held across any compute).

@@ -65,10 +65,6 @@ class EvalCache {
 
   void clear();
 
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
-
  private:
   struct Shard {
     mutable std::mutex mu;

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +39,7 @@
 #include "sim/perfsim.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/metrics.hpp"
 #include "workload/workload.hpp"
 
 #ifndef AUTOPOWER_CLI_PATH
@@ -709,6 +711,16 @@ TEST_F(DaemonTest, TwoModelRoutingNeverAliasesSharedCaches) {
   std::remove(path_b.c_str());
 }
 
+/// [requests | {"cmd": "reload"} | requests] on one connection.
+std::vector<std::string> reload_between(std::uint16_t port,
+                                        const std::vector<BatchRequest>& reqs) {
+  std::vector<std::string> lines;
+  for (const auto& r : reqs) lines.push_back(request_line(r));
+  lines.push_back("{\"cmd\": \"reload\"}");
+  for (const auto& r : reqs) lines.push_back(request_line(r));
+  return roundtrip(port, lines);
+}
+
 TEST_F(DaemonTest, ReloadMidStreamHalvesBitIdenticalToEachModel) {
   const std::string live = write_archive(*tiny_model(), "live.ap");
   DaemonRunner runner(std::vector<ModelSpec>{{"m", live}});
@@ -721,12 +733,7 @@ TEST_F(DaemonTest, ReloadMidStreamHalvesBitIdenticalToEachModel) {
   // to each model's offline batch — no response computed by a half-
   // swapped zoo, no stale memo entry crossing the boundary.
   const auto requests = sample_requests(8);
-  std::vector<std::string> lines;
-  for (const auto& r : requests) lines.push_back(request_line(r));
-  lines.push_back("{\"cmd\": \"reload\"}");
-  for (const auto& r : requests) lines.push_back(request_line(r));
-
-  const auto got = roundtrip(runner.daemon.port(), lines);
+  const auto got = reload_between(runner.daemon.port(), requests);
   ASSERT_EQ(got.size(), 2 * requests.size() + 1);
   const auto before = batch_oracle(tiny_model(), requests);
   const auto after = batch_oracle(variant_model(), requests);
@@ -819,6 +826,116 @@ TEST_F(DaemonTest, NotifyReloadSwapsEveryDiskBackedSlot) {
   EXPECT_EQ(got, want);
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
+}
+
+TEST_F(DaemonTest, FailedReloadKeepsOldSnapshot) {
+  const std::string live = write_archive(*tiny_model(), "failed_reload.ap");
+  DaemonRunner runner(std::vector<ModelSpec>{{"m", live}});
+  const util::Counter& reloads =
+      util::MetricsRegistry::global().counter("daemon.model.m.reloads");
+  const std::uint64_t reloads_before = reloads.value();
+  const auto requests = sample_requests(8);
+  const std::size_t n = requests.size();
+  const auto old_oracle = batch_oracle(tiny_model(), requests);
+  const auto new_oracle = batch_oracle(variant_model(), requests);
+  const auto expect_halves = [&](const std::vector<std::string>& got,
+                                 const std::vector<std::string>& before,
+                                 const std::vector<std::string>& after) {
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], before[i]) << "pre-reload line " << i;
+      EXPECT_EQ(got[n + 1 + i], with_index(after[i], n + 1 + i))
+          << "post-reload line " << i;
+    }
+  };
+
+#if defined(AUTOPOWER_FAULT_INJECTION)
+  {
+    // The archive on disk now holds the variant model, so a reload that
+    // published anything would show in the second half.  The injected
+    // read failure must answer ok: false and swap nothing.
+    variant_model()->save_to_file(live);
+    fault::ScopedFault armed("util.archive.read",
+                             fault::Trigger::countdown(1));
+    const auto got = reload_between(runner.daemon.port(), requests);
+    ASSERT_EQ(got.size(), 2 * n + 1);
+    expect_halves(got, old_oracle, old_oracle);
+    EXPECT_EQ(got[n],
+              "{\"index\": 8, \"cmd\": \"reload\", \"ok\": false, "
+              "\"model\": \"m\", \"error\": \"injected fault at "
+              "util.archive.read\"}");
+    EXPECT_EQ(reloads.value(), reloads_before);
+  }
+#endif
+
+  // A torn archive (half its bytes) fails the loader the same way.
+  variant_model()->save_to_file(live);
+  std::filesystem::resize_file(live, std::filesystem::file_size(live) / 2);
+  {
+    const auto got = reload_between(runner.daemon.port(), requests);
+    ASSERT_EQ(got.size(), 2 * n + 1);
+    expect_halves(got, old_oracle, old_oracle);
+    EXPECT_FALSE(response_ok(got[n])) << got[n];
+    EXPECT_FALSE(response_error(got[n]).empty()) << got[n];
+    EXPECT_EQ(reloads.value(), reloads_before);
+  }
+
+  // Once the archive is whole again, the same slot reloads cleanly.
+  variant_model()->save_to_file(live);
+  {
+    const auto got = reload_between(runner.daemon.port(), requests);
+    ASSERT_EQ(got.size(), 2 * n + 1);
+    expect_halves(got, old_oracle, new_oracle);
+    EXPECT_EQ(got[n], "{\"index\": 8, \"cmd\": \"reload\", \"ok\": true, "
+                      "\"model\": \"m\", \"fingerprint\": \"" +
+                          variant_model()->fingerprint() + "\"}");
+    EXPECT_EQ(reloads.value(), reloads_before + 1);
+  }
+  std::remove(live.c_str());
+
+  // The single-model form's in-memory "default" slot has nothing on disk
+  // to re-read; an unknown slot is refused by name.  Both keep serving.
+  DaemonRunner in_memory;
+  const auto req = sample_requests(1)[0];
+  const auto got = roundtrip(
+      in_memory.daemon.port(),
+      {"{\"cmd\": \"reload\"}", "{\"cmd\": \"reload\", \"model\": \"nope\"}",
+       request_line(req)});
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0],
+            "{\"index\": 0, \"cmd\": \"reload\", \"ok\": false, \"model\": "
+            "\"default\", \"error\": \"model slot 'default' has no backing "
+            "archive\"}");
+  EXPECT_EQ(got[1],
+            "{\"index\": 1, \"cmd\": \"reload\", \"ok\": false, \"model\": "
+            "\"nope\", \"error\": \"unknown_model\"}");
+  EXPECT_EQ(got[2], with_index(batch_oracle({req})[0], 2));
+}
+
+TEST_F(DaemonTest, ConstructorRejectsBadZooBeforeLoading) {
+  const auto construction_error =
+      [](const std::vector<ModelSpec>& specs) -> std::string {
+    try {
+      Daemon daemon(specs);
+    } catch (const util::Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string good = write_archive(*tiny_model(), "zoo.ap");
+  EXPECT_EQ(construction_error({{"a", good}, {"b", "/nonexistent/b.ap"}}),
+            "cannot open model file: /nonexistent/b.ap");
+  // Every path below is missing, so a daemon that read an archive before
+  // checking the names would report the load failure instead.
+  EXPECT_EQ(construction_error(
+                {{"a", "/nonexistent/a.ap"}, {"a", "/nonexistent/b.ap"}}),
+            "duplicate model slot name 'a'");
+  EXPECT_EQ(construction_error({{"a", "/nonexistent/a.ap"},
+                                {"bad name", "/nonexistent/b.ap"}}),
+            "invalid model slot name 'bad name' (expected [A-Za-z0-9_.-]+)");
+  EXPECT_EQ(construction_error({{"a", "/nonexistent/a.ap"}, {"b", ""}}),
+            "model slot 'b' needs an archive path");
+  EXPECT_EQ(construction_error({}), "daemon: at least one model slot required");
+  std::remove(good.c_str());
 }
 
 // --- CLI flag validation (subprocess; exits before model load) ---------------

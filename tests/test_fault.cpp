@@ -591,38 +591,6 @@ TEST(FaultArchive, ReadFaultThrowsCleanlyMidLoad) {
   EXPECT_THROW(loaded.load(reader), fault::FaultInjected);
 }
 
-// The registry's first-insert-wins publication contract: a load that
-// throws (here: an injected archive-read failure) must never publish a
-// named slot — no half-loaded model may become routable, and the slot
-// name stays free for a later, successful open.  Reuses the existing
-// util.archive.read site; no registry-private fault point is needed.
-TEST_F(FaultCliTest, RegistryThrowingLoadNeverPublishesSlot) {
-  serve::ModelRegistry registry;
-  {
-    fault::ScopedFault armed("util.archive.read",
-                             fault::Trigger::countdown(1));
-    EXPECT_THROW((void)registry.open("boom", model_path()),
-                 fault::FaultInjected);
-  }
-  EXPECT_EQ(registry.named("boom"), nullptr);
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_TRUE(registry.names().empty());
-
-  // Recovery: the same name binds fine once the fault clears, and a
-  // subsequent armed reload_named keeps the published snapshot.
-  const auto model = registry.open("boom", model_path());
-  ASSERT_NE(model, nullptr);
-  EXPECT_EQ(registry.size(), 1u);
-  {
-    fault::ScopedFault armed("util.archive.read",
-                             fault::Trigger::countdown(1));
-    EXPECT_THROW((void)registry.reload_named("boom"),
-                 fault::FaultInjected);
-  }
-  EXPECT_EQ(registry.named("boom").get(), model.get());
-  EXPECT_EQ(registry.named("boom")->fingerprint(), model->fingerprint());
-}
-
 // ---------------------------------------------------------------------
 // Subprocess: AUTOPOWER_FAULT environment arming, CLI must exit 1.
 

@@ -1,6 +1,6 @@
 // Tests for the batch serving subsystem (src/serve/): thread-pool
 // lifecycle and graceful shutdown, the parallel_for fan-out contract
-// (exactly-once, nesting, concurrent callers, failures), model registry snapshots, eval-cache
+// (exactly-once, nesting, concurrent callers, failures), eval-cache
 // hit/miss behaviour and cross-thread consistency, batch-engine
 // determinism against the serial predict loop, the design-space sweep
 // driver (grid parsing/expansion, ranking, thread-count invariance,
@@ -15,7 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -26,7 +25,6 @@
 #include "serve/engine.hpp"
 #include "serve/eval_cache.hpp"
 #include "serve/jsonl.hpp"
-#include "serve/registry.hpp"
 #include "serve/sweep.hpp"
 #include "sim/perfsim.hpp"
 #include "util/error.hpp"
@@ -254,90 +252,6 @@ TEST(ParallelFor, ThrowRunsEveryOtherIndexThenRethrowsOriginalType) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i;
     }
   }
-}
-
-// --- ModelRegistry -----------------------------------------------------------
-
-class RegistryTest : public ServeTest {};
-
-TEST_F(RegistryTest, CachesSnapshotsByPath) {
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "autopower_registry_test.ap")
-                        .string();
-  model()->save_to_file(path);
-
-  ModelRegistry registry;
-  const auto a = registry.get(path);
-  const auto b = registry.get(path);
-  EXPECT_EQ(a.get(), b.get());  // one snapshot, shared
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_TRUE(a->trained());
-
-  // reload publishes a fresh snapshot; the old handle stays valid.
-  const auto c = registry.reload(path);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_DOUBLE_EQ(a->predict_total(make_context(sim::PerfSimulator{}, "C8",
-                                                 "dhrystone")),
-                   c->predict_total(make_context(sim::PerfSimulator{}, "C8",
-                                                 "dhrystone")));
-
-  registry.erase(path);
-  EXPECT_EQ(registry.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST_F(RegistryTest, MissingArchiveThrows) {
-  ModelRegistry registry;
-  EXPECT_THROW((void)registry.get("/nonexistent/model.ap"), util::Error);
-}
-
-TEST_F(RegistryTest, NamedSlotsBindReloadAndEnumerate) {
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "autopower_registry_slot_test.ap")
-                        .string();
-  model()->save_to_file(path);
-
-  ModelRegistry registry;
-  const auto a = registry.open("boom_a", path);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(registry.named("boom_a").get(), a.get());
-  EXPECT_EQ(registry.path_of("boom_a"), path);
-  EXPECT_EQ(registry.size(), 1u);
-
-  // Re-opening the same binding is idempotent; rebinding to a different
-  // archive is a configuration error, not a silent swap.
-  EXPECT_EQ(registry.open("boom_a", path).get(), a.get());
-  EXPECT_THROW((void)registry.open("boom_a", "/elsewhere/model.ap"),
-               util::Error);
-
-  // reload_named publishes a fresh snapshot under the same name; old
-  // handles stay valid (RCU by shared_ptr).
-  const auto b = registry.reload_named("boom_a");
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(registry.named("boom_a").get(), b.get());
-  EXPECT_EQ(a->fingerprint(), b->fingerprint());  // same archive bytes
-
-  EXPECT_EQ(registry.named("nope"), nullptr);
-  EXPECT_THROW((void)registry.path_of("nope"), util::Error);
-  EXPECT_THROW((void)registry.reload_named("nope"), util::Error);
-
-  const auto names = registry.names();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "boom_a");
-  std::remove(path.c_str());
-}
-
-TEST_F(RegistryTest, PublishedSlotHasNoBackingArchive) {
-  ModelRegistry registry;
-  const auto handle = registry.publish("inline", model());
-  EXPECT_EQ(handle.get(), model().get());
-  EXPECT_EQ(registry.named("inline").get(), model().get());
-  EXPECT_EQ(registry.path_of("inline"), "");
-  EXPECT_EQ(registry.size(), 1u);
-  // Nothing on disk to re-read: reload must refuse, and the published
-  // snapshot must survive the refusal.
-  EXPECT_THROW((void)registry.reload_named("inline"), util::Error);
-  EXPECT_EQ(registry.named("inline").get(), model().get());
 }
 
 // --- EvalCache ---------------------------------------------------------------

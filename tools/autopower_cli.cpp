@@ -46,10 +46,12 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/autopower.hpp"
@@ -59,7 +61,6 @@
 #include "serve/engine.hpp"
 #include "serve/jsonl.hpp"
 #include "explore/explore.hpp"
-#include "serve/registry.hpp"
 #include "serve/sweep.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
@@ -312,8 +313,9 @@ int cmd_batch(const ArgMap& flags) {
   }
   AP_REQUIRE(!requests.empty(), "no requests in " + requests_path);
 
-  serve::ModelRegistry registry;
-  serve::BatchEngine engine(registry.get(model_path), {.threads = threads});
+  auto model = std::make_shared<core::AutoPowerModel>();
+  model->load_from_file(model_path);
+  serve::BatchEngine engine(std::move(model), {.threads = threads});
   const auto responses = engine.run(requests);
 
   if (const auto it = flags.find("out"); it != flags.end()) {

@@ -6,11 +6,11 @@
 # serving + daemon wire path + structural-memo sweep) and collects their
 # headline numbers into BENCH_train.json, BENCH_serve.json and
 # BENCH_sim.json, smoke-tests the serving daemon against `batch` for
-# byte-identity, graceful drain, and hot-swap (an in-stream reload and a
-# SIGHUP reload-all, each half diffed byte-for-byte against the matching
-# model's batch output), SIGKILLs a checkpointed sweep
-# mid-grid and diffs the resumed report byte-for-byte against an
-# uninterrupted run, smoke-tests `explore` (seed-pinned two-run diff
+# byte-identity, graceful drain, and hot-swap (an in-stream reload, a
+# SIGHUP reload-all and a reload of a truncated archive, each half diffed
+# byte-for-byte against the matching model's batch output), SIGKILLs a
+# checkpointed sweep mid-grid and diffs the resumed report byte-for-byte
+# against an uninterrupted run, smoke-tests `explore` (seed-pinned two-run diff
 # plus a SIGKILL/--resume leg diffed against the uninterrupted
 # frontier) and runs bench_explore's optimum-equality and
 # simulator-economy bars into BENCH_explore.json, re-runs the
@@ -330,7 +330,7 @@ wait "$daemon_pid" \
   || { echo "daemon did not drain cleanly on SIGTERM"; exit 1; }
 echo "daemon responses byte-identical to batch; SIGTERM drained with exit 0"
 
-echo "== daemon hot-swap smoke: in-stream reload + SIGHUP reload-all =="
+echo "== daemon hot-swap smoke: in-stream reload + SIGHUP + failed reload =="
 # Model B: same pipeline, a different training set — a different archive
 # fingerprint AND different predictions, so a stale response is visible.
 ./build/tools/autopower train --known C1,C8 --out "$smoke_dir/model_b.ap" \
@@ -402,10 +402,33 @@ for _ in $(seq 1 100); do
 done
 [ -n "$hup_ok" ] \
   || { echo "SIGHUP reload never swapped back to model A"; exit 1; }
+echo "SIGHUP swapped the slot back to model A"
+
+# Failed-reload leg: truncate the live archive, then stream
+# [{"cmd":"reload"} | 50 reqs].  The load must fail with "ok": false and
+# model A must keep serving every request byte-identically.
+truncate -s 1000 "$smoke_dir/live.ap"
+{
+  echo '{"cmd": "reload"}'
+  cat "$smoke_dir/swap_reqs.jsonl"
+} > "$smoke_dir/bad_reload_stream.jsonl"
+python3 tools/serve_client.py --port "$swap_port" \
+  --requests "$smoke_dir/bad_reload_stream.jsonl" \
+  --out "$smoke_dir/bad_reload_out.jsonl"
+head -n 1 "$smoke_dir/bad_reload_out.jsonl" \
+  | grep -q '"cmd": "reload", "ok": false' \
+  || { echo "reload of a truncated archive did not answer ok: false"; exit 1; }
+tail -n +2 "$smoke_dir/bad_reload_out.jsonl" | python3 -c '
+import re, sys
+for i, line in enumerate(sys.stdin):
+    sys.stdout.write(re.sub(r"^\{\"index\": \d+,", "{\"index\": %d," % i,
+                            line, count=1))' > "$smoke_dir/bad_reload_reqs.jsonl"
+diff "$smoke_dir/bad_reload_reqs.jsonl" "$smoke_dir/swap_oracle_a.jsonl" \
+  || { echo "failed reload disturbed model A's responses"; exit 1; }
 kill -TERM "$swap_pid"
 wait "$swap_pid" \
   || { echo "hot-swap daemon did not drain cleanly on SIGTERM"; exit 1; }
-echo "SIGHUP swapped the slot back; daemon drained with exit 0"
+echo "failed reload kept model A serving; daemon drained with exit 0"
 
 echo "== Release build + ctest =="
 # Tests must pass in every build type.  Release compiles fault points
