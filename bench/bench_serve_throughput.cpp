@@ -5,11 +5,13 @@
 // The serial baseline is the status-quo per-query path (what `autopower
 // predict` does for every invocation): build the evaluation context from
 // scratch — including a cold PerfSimulator::simulate — then predict.  The
-// engine attacks that cost on three axes: the response memo answers exact
-// repeat queries outright, the sharded eval cache deduplicates the
-// deterministic (config, workload) simulations, and the thread pool runs
-// the residual work concurrently.  On a single-core host the speedup is
-// the caches'; on a multi-core host the thread counts separate further.
+// engine attacks that cost on four axes: the response memo answers exact
+// repeat queries outright, the structural cache under its one simulator
+// shares the cache/TLB/branch measurements across (config, workload)
+// pairs, each worker predicts its chunk of misses in one batched call,
+// and the workers run concurrently.  On a single-core host the speedup is
+// the caches' and the batching's; on a multi-core host the thread counts
+// separate further.
 //
 // A second stage measures the daemon wire path end to end: a real
 // serve::Daemon on a loopback TCP socket, the same 200 requests sent as

@@ -43,7 +43,7 @@
 //
 // The dispatcher thread coalesces whatever is queued (up to
 // `max_batch`) into one BatchEngine::run call, so concurrent clients
-// share simulation work through the engine's EvalCache/response memo,
+// share its response memo, structural cache and batched predict calls,
 // and per-connection response order is restored by a per-connection
 // reorder buffer.  Expired requests are answered without ever occupying
 // an engine worker.

@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -34,6 +35,8 @@ PredictMode mode_from_string(std::string_view text) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 // '\x1f' cannot appear in config/workload names; the mode tag makes the
 // key unique per response shape.  The fingerprint leads the key so two
 // model snapshots can never alias a memo entry — de-routed, not
@@ -53,14 +56,75 @@ std::string response_key(std::string_view fingerprint,
   return key;
 }
 
+/// Misses per claimed chunk.  Every chunk costs one predict_batch call,
+/// whose fixed cost is several times a row's, so a batch splits into one
+/// chunk per worker; the cap keeps a huge batch in tile-sized chunks
+/// that a worker done early can still claim.
+std::size_t chunk_size(std::size_t misses, std::size_t workers) {
+  return std::clamp<std::size_t>((misses + workers - 1) / workers, 1,
+                                 core::AutoPowerModel::kTileRows);
+}
+
+std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
+  return ns > 0 ? static_cast<std::uint64_t>(ns) : 0u;
+}
+
+/// The model context of `request`'s (config, workload); throws
+/// util::Error for an unknown name.
+core::EvalContext simulate_context(const BatchRequest& request,
+                                   const sim::PerfSimulator& sim) {
+  core::EvalContext ctx;
+  ctx.cfg = &arch::boom_config(request.config);  // static storage
+  ctx.workload = request.workload;
+  const auto& profile = workload::workload_by_name(request.workload);
+  ctx.program = workload::program_features(profile);
+  ctx.events = sim.simulate(*ctx.cfg, profile);
+  return ctx;
+}
+
+/// A kTrace response: one simulate_trace and one predict_trace call.
+void fill_trace(BatchResponse& resp, const sim::PerfSimulator& sim,
+                const core::AutoPowerModel& model) {
+  const auto& cfg = arch::boom_config(resp.config);
+  const auto& profile = workload::workload_by_name(resp.workload);
+  const auto program = workload::program_features(profile);
+  const auto windows = sim.simulate_trace(cfg, profile);
+  std::vector<core::EvalContext> contexts(windows.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    contexts[w].cfg = &cfg;
+    contexts[w].workload = resp.workload;
+    contexts[w].program = program;
+    contexts[w].events = windows[w];
+  }
+  resp.trace_mw = model.predict_trace(contexts);
+  for (double mw : resp.trace_mw) resp.total_mw += mw;
+  if (!resp.trace_mw.empty()) {
+    resp.total_mw /= static_cast<double>(resp.trace_mw.size());
+  }
+}
+
+/// A kTotal or kPerComponent response from its predict_batch row.
+/// result.total() is bit-identical to predict_total of the same context.
+void fill_prediction(BatchResponse& resp, const power::PowerResult& result) {
+  if (resp.mode == PredictMode::kPerComponent) {
+    resp.components.reserve(result.components.size());
+    for (const auto& cp : result.components) {
+      resp.components.push_back(
+          {std::string(arch::component_name(cp.component)), cp.groups.clock,
+           cp.groups.sram, cp.groups.logic(), cp.groups.total()});
+    }
+  }
+  resp.total_mw = result.total();
+}
+
 }  // namespace
 
 BatchEngine::BatchEngine(std::shared_ptr<const core::AutoPowerModel> model,
                          EngineOptions options)
     : model_(std::move(model)),
       options_(options),
-      cache_(kCacheShards),
-      response_shards_(kCacheShards),
       metrics_{util::MetricsRegistry::global().counter(
                    "serve.batch.requests"),
                util::MetricsRegistry::global().counter("serve.batch.failed"),
@@ -77,7 +141,7 @@ BatchEngine::BatchEngine(std::shared_ptr<const core::AutoPowerModel> model,
   AP_REQUIRE(model_ != nullptr, "BatchEngine: null model");
 }
 
-EvalCache::Stats BatchEngine::response_stats() const noexcept {
+ResponseStats BatchEngine::response_stats() const noexcept {
   return {response_hits_.load(std::memory_order_relaxed),
           response_misses_.load(std::memory_order_relaxed)};
 }
@@ -98,120 +162,95 @@ std::string BatchEngine::model_fingerprint() const {
   return model()->fingerprint();
 }
 
-BatchResponse BatchEngine::handle(const BatchRequest& request,
-                                  std::size_t index,
-                                  const core::AutoPowerModel& model) {
-  // Outside compute()'s try block: an injected failure here exercises the
-  // worker-loop error isolation, not the per-request error reporting.
-  AUTOPOWER_FAULT_POINT("serve.engine.handle");
-  if (!options_.memoize_responses || request.mode == PredictMode::kTrace) {
-    BatchResponse resp = compute(request, model);
-    resp.index = index;
-    return resp;
-  }
+BatchEngine::ResponseShard& BatchEngine::shard_for(
+    const std::string& key) noexcept {
+  return response_shards_[std::hash<std::string>{}(key) %
+                          response_shards_.size()];
+}
 
-  const std::string key = response_key(model.fingerprint(), request);
-  ResponseShard& shard =
-      response_shards_[std::hash<std::string>{}(key) %
-                       response_shards_.size()];
-  {
-    std::lock_guard lock(shard.mu);
-    if (const auto it = shard.map.find(key); it != shard.map.end()) {
-      response_hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.memo_hits.inc();
-      BatchResponse resp = *it->second;  // memoised with index == 0
-      resp.index = index;
-      return resp;
-    }
-  }
+bool BatchEngine::lookup(const std::string& key, BatchResponse& out) {
+  ResponseShard& shard = shard_for(key);
+  std::lock_guard lock(shard.mu);
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) return false;
+  out = it->second;
+  return true;
+}
 
-  // Compute outside the lock; on a racing miss the first insert wins and
-  // both copies are bit-identical anyway (everything is deterministic).
-  auto computed =
-      std::make_shared<const BatchResponse>(compute(request, model));
-  if (!computed->ok) {
-    // Never memoise a failed response: compute() folds transient faults
-    // (allocation / injected failures) into ok == false, and publishing
-    // one would poison the memo — every future identical request would
-    // be served the stale error even after the fault clears.  Failures
-    // for deterministic reasons (unknown config) recompute cheaply.
-    response_misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.memo_misses.inc();
-    BatchResponse resp = *computed;
-    resp.index = index;
-    return resp;
-  }
-  BatchResponse resp;
-  bool won_insert = false;
-  {
+void BatchEngine::memoise(std::string key, const BatchResponse& response) {
+  // Never memoise a failed response: a transient fault (allocation, an
+  // injected failure) would poison the memo, and every future identical
+  // request would be served the stale error after the fault clears.
+  // Failures for deterministic reasons (unknown config) recompute
+  // cheaply.  Both racing requests of a cold key computed bit-identical
+  // responses (everything is deterministic), so the first insert wins,
+  // counts the miss, and the loser counts a hit.
+  bool miss = true;
+  if (response.ok) {
+    ResponseShard& shard = shard_for(key);
+    BatchResponse entry = response;
     std::lock_guard lock(shard.mu);
-    const auto [it, inserted] = shard.map.emplace(key, std::move(computed));
-    won_insert = inserted;
-    resp = *it->second;
+    miss = shard.map.try_emplace(std::move(key), std::move(entry)).second;
   }
-  // Only the winning insert is a miss; a lost race adopted the published
-  // response and counts as a hit (see response_stats doc).
-  if (won_insert) {
+  if (miss) {
     response_misses_.fetch_add(1, std::memory_order_relaxed);
     metrics_.memo_misses.inc();
   } else {
     response_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics_.memo_hits.inc();
   }
-  resp.index = index;
-  return resp;
 }
 
-BatchResponse BatchEngine::compute(const BatchRequest& request,
-                                   const core::AutoPowerModel& model) {
-  BatchResponse resp;
-  resp.config = request.config;
-  resp.workload = request.workload;
-  resp.mode = request.mode;
-  try {
-    if (request.mode == PredictMode::kTrace) {
-      // Per-window contexts are trace-specific and not cached: a trace is
-      // one large deterministic simulation, not a repeated lookup key.
-      const auto& cfg = arch::boom_config(request.config);
-      const auto& profile = workload::workload_by_name(request.workload);
-      const auto program = workload::program_features(profile);
-      const auto windows = sim_.simulate_trace(cfg, profile);
-      std::vector<core::EvalContext> contexts(windows.size());
-      for (std::size_t w = 0; w < windows.size(); ++w) {
-        contexts[w].cfg = &cfg;
-        contexts[w].workload = request.workload;
-        contexts[w].program = program;
-        contexts[w].events = windows[w];
-      }
-      resp.trace_mw = model.predict_trace(contexts);
-      for (double mw : resp.trace_mw) resp.total_mw += mw;
-      if (!resp.trace_mw.empty()) {
-        resp.total_mw /= static_cast<double>(resp.trace_mw.size());
-      }
-    } else {
-      const auto ctx = cache_.get_or_compute(model.fingerprint(),
-                                             request.config,
-                                             request.workload, sim_);
-      if (request.mode == PredictMode::kPerComponent) {
-        const auto result = model.predict(*ctx);
-        resp.components.reserve(result.components.size());
-        for (const auto& cp : result.components) {
-          resp.components.push_back(
-              {std::string(arch::component_name(cp.component)),
-               cp.groups.clock, cp.groups.sram, cp.groups.logic(),
-               cp.groups.total()});
-        }
-        resp.total_mw = result.total();
+void BatchEngine::evaluate_chunk(std::span<const BatchRequest> requests,
+                                 std::span<Miss> chunk,
+                                 const core::AutoPowerModel& model,
+                                 std::span<BatchResponse> responses) {
+  // Simulate every request of the chunk; a lookup or simulate failure
+  // fails only its own request.
+  std::vector<core::EvalContext> contexts;
+  std::vector<BatchResponse*> pending;
+  contexts.reserve(chunk.size());
+  pending.reserve(chunk.size());
+  for (const Miss& miss : chunk) {
+    const BatchRequest& request = requests[miss.index];
+    BatchResponse& resp = responses[miss.index];
+    resp.index = miss.index;
+    resp.config = request.config;
+    resp.workload = request.workload;
+    resp.mode = request.mode;
+    try {
+      AUTOPOWER_FAULT_POINT("serve.engine.handle");
+      if (request.mode == PredictMode::kTrace) {
+        fill_trace(resp, sim_, model);
+        resp.ok = true;
       } else {
-        resp.total_mw = model.predict_total(*ctx);
+        contexts.push_back(simulate_context(request, sim_));
+        pending.push_back(&resp);
       }
+    } catch (const std::exception& e) {
+      resp.error = e.what();
     }
-    resp.ok = true;
-  } catch (const std::exception& e) {
-    resp.ok = false;
-    resp.error = e.what();
   }
-  return resp;
+
+  // One batched predict over the simulated contexts, scattered back into
+  // their slots.  No per-row predict failure exists, so a throw fails
+  // every request of the batch with its message.
+  if (!contexts.empty()) {
+    try {
+      const auto results = model.predict_batch(contexts);
+      for (std::size_t k = 0; k < pending.size(); ++k) {
+        fill_prediction(*pending[k], results[k]);
+      }
+      for (BatchResponse* resp : pending) resp->ok = true;
+    } catch (const std::exception& e) {
+      for (BatchResponse* resp : pending) resp->error = e.what();
+    }
+  }
+
+  for (Miss& miss : chunk) {
+    if (requests[miss.index].mode == PredictMode::kTrace) continue;
+    memoise(std::move(miss.key), responses[miss.index]);
+  }
 }
 
 std::vector<BatchResponse> BatchEngine::run(
@@ -221,50 +260,65 @@ std::vector<BatchResponse> BatchEngine::run(
 
   metrics_.batch_size.observe(requests.size());
   metrics_.requests.add(requests.size());
-  const auto run_start = std::chrono::steady_clock::now();
+  const Clock::time_point run_start = Clock::now();
+  // Queue wait: how long a request sat in the batch before it was picked
+  // up (all are "enqueued" at run start); latency: pickup to response.
+  const auto observe = [&](Clock::time_point pickup, std::size_t n) {
+    if (!util::MetricsRegistry::enabled()) return;
+    const Clock::time_point done = Clock::now();
+    for (std::size_t k = 0; k < n; ++k) {
+      metrics_.queue_wait_ns.observe(ns_between(run_start, pickup));
+      metrics_.request_latency_ns.observe(ns_between(pickup, done));
+    }
+  };
 
   // Pin the published snapshot ONCE: a swap_model() landing mid-run can
   // never tear this batch across two models.
   const std::shared_ptr<const core::AutoPowerModel> pinned = model();
 
-  // One slot per worker; each pulls request indices off a shared atomic
-  // counter and writes into disjoint response slots, so the output is in
-  // input order by construction.  Every worker reads the engine's one
-  // simulator, whose structural cache dedupes cache/TLB/branch
-  // measurements (for simulate AND simulate_trace) across workers.
-  const std::size_t workers =
-      util::parallel_width(requests.size(), options_.threads);
-  std::atomic<std::size_t> next{0};
-  util::parallel_for(workers, workers, [&](std::size_t) {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < requests.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      // Queue wait: how long this request sat in the batch before a
-      // worker picked it up (requests are all "enqueued" at run start).
-      if (util::MetricsRegistry::enabled()) {
-        metrics_.queue_wait_ns.observe(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - run_start)
-                .count()));
-      }
-      util::ScopedTimer timer(metrics_.request_latency_ns);
-      // A request whose failure escapes handle() (it only catches inside
-      // compute()) must fail alone, exactly like a bad request: its slot
-      // gets an error response and the worker moves on to the next index
-      // instead of taking the rest of the batch down with it.
-      try {
-        responses[i] = handle(requests[i], i, *pinned);
-      } catch (const std::exception& e) {
-        responses[i] = BatchResponse{};
-        responses[i].index = i;
-        responses[i].config = requests[i].config;
-        responses[i].workload = requests[i].workload;
-        responses[i].mode = requests[i].mode;
-        responses[i].ok = false;
-        responses[i].error = e.what();
-      }
+  // Memo hits are answered here on the caller; every other request
+  // becomes a miss, in input order.
+  std::vector<Miss> misses;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].mode == PredictMode::kTrace) {
+      misses.push_back({i, {}});
+      continue;
     }
-  });
+    const Clock::time_point pickup = Clock::now();
+    std::string key = response_key(pinned->fingerprint(), requests[i]);
+    if (!lookup(key, responses[i])) {
+      misses.push_back({i, std::move(key)});
+      continue;
+    }
+    responses[i].index = i;
+    response_hits_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.memo_hits.inc();
+    observe(pickup, 1);
+  }
+
+  // Workers claim contiguous chunks of the misses off a shared counter
+  // and write disjoint response slots, so the output is in input order by
+  // construction.  Every worker reads the engine's one simulator, whose
+  // structural cache dedupes cache/TLB/branch measurements (for simulate
+  // AND simulate_trace) across workers.
+  if (!misses.empty()) {
+    const std::size_t workers =
+        util::parallel_width(misses.size(), options_.threads);
+    const std::size_t chunk = chunk_size(misses.size(), workers);
+    std::atomic<std::size_t> next{0};
+    util::parallel_for(workers, workers, [&](std::size_t) {
+      for (std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
+           begin < misses.size();
+           begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
+        const std::size_t end = std::min(begin + chunk, misses.size());
+        const Clock::time_point pickup = Clock::now();
+        evaluate_chunk(requests,
+                       std::span(misses).subspan(begin, end - begin),
+                       *pinned, responses);
+        observe(pickup, end - begin);
+      }
+    });
+  }
   finish_run(responses);
   return responses;
 }

@@ -1,30 +1,37 @@
-// Batch inference engine — fans a request list out via util::parallel_for.
+// Batch inference engine — answers a request list in one batched pass.
 //
 // One engine wraps a PUBLISHED immutable model snapshot (any
-// shared_ptr<const AutoPowerModel>) plus three sharded memo layers.  The
-// snapshot is swappable (RCU by shared_ptr): swap_model() atomically
-// publishes a new handle, each run() pins the snapshot once at entry,
-// and in-flight batches finish on the handle they pinned — so a hot-swap
-// never tears a batch, and requests admitted before the swap stay
-// bit-identical to the old model's output.  Every memo key
-// (response memo, EvalCache) is qualified by the pinned model's archive
-// fingerprint, so entries filled under one model can never be served for
-// another — the stale-model hazard hot-swap would otherwise create.
-// run() executes every request and returns responses IN INPUT ORDER; the
-// serve::EvalCache deduplicates (config, workload) simulations and the
-// response memo answers exact repeat queries — (config, workload, mode) —
-// without touching the model at all.  Underneath both, every worker
-// shares the engine's one PerfSimulator and its util::StructuralSimCache,
-// so the expensive cache/TLB/branch structural measurements are computed
+// shared_ptr<const AutoPowerModel>), a sharded response memo and one
+// PerfSimulator.  The snapshot is swappable (RCU by shared_ptr):
+// swap_model() atomically publishes a new handle, each run() pins the
+// snapshot once at entry, and in-flight batches finish on the handle
+// they pinned — so a hot-swap never tears a batch, and requests admitted
+// before the swap stay bit-identical to the old model's output.  Every
+// response-memo key is qualified by the pinned model's archive
+// fingerprint, so an entry filled under one model can never be served
+// for another — the stale-model hazard hot-swap would otherwise create.
+//
+// run() answers response-memo hits — exact repeats of (config, workload,
+// mode) — without touching the model, then fans the misses out through
+// util::parallel_for: each worker claims a chunk of misses, simulates
+// each one's (config, workload) and makes ONE predict_batch call over
+// the chunk's total and per_component contexts (a trace request runs its
+// own predict_trace).  Responses come back IN INPUT ORDER.  Every worker
+// shares the engine's one simulator and its util::StructuralSimCache, so
+// the expensive cache/TLB/branch structural measurements are computed
 // once per distinct sub-key across ALL workers and ALL modes — including
-// kTrace.  All layers persist across run() calls.
+// kTrace.  Both the memo and the structural cache persist across run()
+// calls.
 //
 // Determinism contract: the simulator, feature extraction, and the model
-// are all deterministic, so `run(reqs)` is bit-identical for any thread
-// count — including the serial `predict` loop it replaces.  A request
-// that fails (unknown config/workload, untrained model, or any exception
-// escaping the per-request path) yields ok=false with the error message;
-// it never aborts the rest of the batch, at any thread count.
+// are all deterministic, and element i of predict_batch does not depend
+// on the rest of the batch, so `run(reqs)` is bit-identical for any
+// thread count and any chunking — including the serial predict loop it
+// replaces.  A request that fails (unknown config/workload, a simulate
+// or predict exception, an untrained model) yields ok=false with the
+// error message; a lookup or simulate failure fails only its own
+// request, a predict_batch failure only its chunk, and neither aborts
+// the rest of the batch, at any thread count.
 //
 // Multi-caller contract (audited for the serving daemon, where several
 // connection handlers share one engine): run() is safe to call from
@@ -32,21 +39,20 @@
 // (helper threads come from parallel_for's shared pool, where the calling
 // thread always takes part, so concurrent calls never wait on each
 // other's helpers); the state shared across calls — the simulator (no
-// mutable state of its own), the EvalCache (sharded, internally locked),
-// the response memo (mutex per shard), the StructuralSimCache, and the
-// hit/miss atomics — is individually thread-safe, and each model
-// snapshot is immutable (swap_model() replaces the published handle; it
-// never mutates a model).
+// mutable state of its own), the response memo (mutex per shard), the
+// StructuralSimCache, and the hit/miss atomics — is individually
+// thread-safe, and each model snapshot is immutable (swap_model()
+// replaces the published handle; it never mutates a model).
 // Concurrent calls therefore stay bit-identical per call; only the
 // aggregate cache counters interleave.  (The daemon still funnels
 // requests through ONE dispatcher call at a time — not for safety, but
-// so cross-client coalescing actually shares batch overhead.)
+// so cross-client coalescing fills the same predict_batch calls.)
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -56,9 +62,9 @@
 #include <vector>
 
 #include "core/autopower.hpp"
-#include "serve/eval_cache.hpp"
 #include "sim/perfsim.hpp"
 #include "util/metrics.hpp"
+#include "util/structural_cache.hpp"
 
 namespace autopower::serve {
 
@@ -102,11 +108,12 @@ struct BatchResponse {
 
 struct EngineOptions {
   std::size_t threads = 1;
-  /// Memoise whole responses per (config, workload, mode).  The model is
-  /// immutable and every pipeline stage is deterministic, so a repeated
-  /// query can be answered straight from the memo.  Trace responses are
-  /// never memoised (large payload, rarely repeated).
-  bool memoize_responses = true;
+};
+
+/// Hit/miss counters of the response memo (see BatchEngine::response_stats).
+struct ResponseStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
 };
 
 class BatchEngine {
@@ -132,50 +139,62 @@ class BatchEngine {
   /// Archive fingerprint of the currently published snapshot.
   [[nodiscard]] std::string model_fingerprint() const;
 
-  [[nodiscard]] const EvalCache& cache() const noexcept { return cache_; }
-  /// The structural sub-simulation cache under the engine's simulator.
-  [[nodiscard]] const std::shared_ptr<util::StructuralSimCache>&
-  structural_cache() const noexcept {
-    return sim_.structural_cache();
+  /// The structural sub-simulation cache under the engine's simulator:
+  /// the one cache below the response memo.
+  [[nodiscard]] const util::StructuralSimCache& cache() const noexcept {
+    return *sim_.structural_cache();
   }
-  /// Hit/miss counters of the response memo (all zero when disabled).
-  /// Same corrected semantics as EvalCache::Stats: a miss is counted
-  /// only by the winning insert, a lost cold-key race counts a hit, so
-  /// after run() returns `misses == memoised responses` exactly — as
-  /// long as every request succeeded.  Failed responses are NEVER
-  /// memoised (a transient fault must not poison the memo) and each
-  /// failed compute counts one miss, so in general
-  /// `misses == memoised responses + failed computes` and
-  /// `hits + misses == memoised-path lookups` stays exact.
-  [[nodiscard]] EvalCache::Stats response_stats() const noexcept;
+  /// Hit/miss counters of the response memo, which holds every
+  /// successful total and per_component response per (model fingerprint,
+  /// config, workload, mode); trace responses are never memoised (large
+  /// payload, rarely repeated) and count neither.  A miss is counted
+  /// only by the winning insert, and a request that computes a response
+  /// another request published first counts a hit, so after run()
+  /// returns `misses == memoised responses` exactly — as long as every
+  /// request succeeded.  Failed responses are NEVER memoised (a
+  /// transient fault must not poison the memo) and each failed request
+  /// counts one miss, so in general
+  /// `misses == memoised responses + failed requests` and
+  /// `hits + misses == memo lookups` stays exact.
+  [[nodiscard]] ResponseStats response_stats() const noexcept;
 
  private:
   struct ResponseShard {
     std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<const BatchResponse>> map;
+    std::unordered_map<std::string, BatchResponse> map;
+  };
+  /// A request the memo did not answer; `key` is empty for kTrace.
+  struct Miss {
+    std::size_t index = 0;
+    std::string key;
   };
 
-  [[nodiscard]] BatchResponse handle(const BatchRequest& request,
-                                     std::size_t index,
-                                     const core::AutoPowerModel& model);
-  [[nodiscard]] BatchResponse compute(const BatchRequest& request,
-                                      const core::AutoPowerModel& model);
+  [[nodiscard]] ResponseShard& shard_for(const std::string& key) noexcept;
+  /// Copies the memoised response for `key` into `out`; false on a miss.
+  [[nodiscard]] bool lookup(const std::string& key, BatchResponse& out);
+  /// Simulates and predicts one claimed chunk of misses into their
+  /// response slots, then memoises the chunk's responses.
+  void evaluate_chunk(std::span<const BatchRequest> requests,
+                      std::span<Miss> chunk,
+                      const core::AutoPowerModel& model,
+                      std::span<BatchResponse> responses);
+  /// Files a computed response under `key` and counts its hit or miss.
+  void memoise(std::string key, const BatchResponse& response);
   /// Post-run bookkeeping: failed-request count and the structural-cache
   /// gauge export (no-op while metrics are disabled).
   void finish_run(std::span<const BatchResponse> responses);
 
-  /// Shard count of the EvalCache and of the response memo.
-  static constexpr std::size_t kCacheShards = 16;
+  /// Shard count of the response memo.
+  static constexpr std::size_t kMemoShards = 16;
 
   // The published snapshot, guarded by a tiny mutex (a swap and a pin are
   // both a shared_ptr copy; never held across any compute).
   mutable std::mutex model_mu_;
   std::shared_ptr<const core::AutoPowerModel> model_;
   EngineOptions options_;
-  EvalCache cache_;
   /// Shared by every worker of every run() call.
   const sim::PerfSimulator sim_;
-  std::deque<ResponseShard> response_shards_;
+  std::array<ResponseShard, kMemoShards> response_shards_;
   std::atomic<std::uint64_t> response_hits_{0};
   std::atomic<std::uint64_t> response_misses_{0};
 

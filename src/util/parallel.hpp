@@ -3,9 +3,8 @@
 // parallel_for(n, threads, fn) runs fn(i) exactly once for every i in
 // [0, n) on up to min(threads, n, hardware_concurrency) threads, and
 // returns only after every index has finished.  Training (66 independent
-// sub-model fits), the batch engine, the sweep driver, evaluate_configs,
-// explore scoring and the CLI's `evaluate --threads` all fan out through
-// it.
+// sub-model fits), the batch engine, the sweep driver, evaluate_configs
+// and explore scoring all fan out through it.
 //
 //   * The calling thread always takes part: it claims indices off the
 //     same atomic counter as the helpers.  A call therefore completes even

@@ -18,7 +18,7 @@
 // insert that would overflow it, so a sweep's cache footprint respects
 // the budget.
 //
-// Thread-safety semantics (modeled on serve::EvalCache):
+// Thread-safety semantics:
 //   * Lookups take a shared (reader) lock and inserts a unique (writer)
 //     lock, so concurrent sweep workers hitting warm entries never
 //     serialise.

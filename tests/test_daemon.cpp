@@ -6,7 +6,8 @@
 //
 // Built as its own binary so tools/check.sh can run DaemonTest.* under
 // the ThreadSanitizer preset: concurrent client connections sharing one
-// BatchEngine (and thus one EvalCache) are the interesting interleaving.
+// BatchEngine (its response memo and structural cache) are the
+// interesting interleaving.
 //
 // Subprocess tests at the bottom cover the CLI flag-validation contract
 // (`--port 0` and friends must exit 1 before the model is even loaded);
@@ -282,7 +283,7 @@ TEST_F(DaemonTest, ConcurrentClientsEachBitIdenticalToBatch) {
   constexpr int kClients = 8;
   std::vector<std::vector<BatchRequest>> streams;
   for (int c = 0; c < kClients; ++c) {
-    // Shifted streams: heavy overlap (shared EvalCache under TSan) but
+    // Shifted streams: heavy overlap (shared memo under TSan) but
     // different per-connection orders.
     auto reqs = sample_requests(16);
     std::rotate(reqs.begin(), reqs.begin() + c % reqs.size(), reqs.end());

@@ -40,7 +40,6 @@
 #include "power/golden.hpp"
 #include "serve/daemon.hpp"
 #include "serve/engine.hpp"
-#include "serve/eval_cache.hpp"
 #include "serve/jsonl.hpp"
 #include "serve/net.hpp"
 #include "serve/sweep.hpp"
@@ -253,8 +252,7 @@ TEST(ParallelFor, LostHelperTaskNeverHangsOrLosesIndices) {
 // thread count: the serial path isolates it exactly like the threaded one.
 TEST(FaultEngine, ThreadedBatchFailsOneRequestCleanly) {
   for (const std::size_t threads : {1u, 3u}) {
-    serve::BatchEngine engine(
-        tiny_model(), {.threads = threads, .memoize_responses = false});
+    serve::BatchEngine engine(tiny_model(), {.threads = threads});
     const auto requests = valid_requests(6);
     std::vector<serve::BatchResponse> responses;
     {
@@ -287,15 +285,14 @@ TEST(FaultEngine, ThreadedBatchFailsOneRequestCleanly) {
 TEST(FaultEngine, FailedResponseIsNeverMemoized) {
   // A transient fault must not poison the response memo: the failed
   // response is returned but NOT cached, so the retry recomputes.
-  serve::BatchEngine engine(tiny_model(),
-                            {.threads = 1, .memoize_responses = true});
+  serve::BatchEngine engine(tiny_model(), {.threads = 1});
   const std::vector<serve::BatchRequest> one = {
       {"C4", "dhrystone", serve::PredictMode::kTotal}};
   {
-    // Fault below handle()'s memo layer: compute() folds the eval-cache
-    // failure into an ok == false response, which then reaches the
-    // memoisation decision.
-    fault::ScopedFault armed("serve.eval_cache.compute",
+    // Fault in the simulate under the memo: the fresh engine's first
+    // structural fill throws, the request fails with ok == false, and
+    // that response then reaches the memoisation decision.
+    fault::ScopedFault armed("util.structural_cache.fill",
                              fault::Trigger::countdown(1));
     const auto first = engine.run(one);
     ASSERT_EQ(first.size(), 1u);
@@ -315,44 +312,6 @@ TEST(FaultEngine, FailedResponseIsNeverMemoized) {
   EXPECT_TRUE(third[0].ok);
   EXPECT_EQ(third[0].total_mw, second[0].total_mw);
   EXPECT_EQ(engine.response_stats().hits, 1u);
-}
-
-// ---------------------------------------------------------------------
-// serve.eval_cache.compute / serve.eval_cache.insert (satellite: the
-// first-insert-wins fill must never publish a partial entry)
-
-TEST(FaultEvalCache, ThrowingComputeLeavesNoPartialEntry) {
-  serve::EvalCache cache(4);
-  const sim::PerfSimulator sim;
-  {
-    fault::ScopedFault armed("serve.eval_cache.compute",
-                             fault::Trigger::countdown(1));
-    EXPECT_THROW((void)cache.get_or_compute("feedfacefeedface", "C3", "dhrystone", sim),
-                 fault::FaultInjected);
-  }
-  EXPECT_EQ(cache.size(), 0u);  // nothing published
-  // Recovery: the same key computes fine afterwards and is cached.
-  const auto ctx = cache.get_or_compute("feedfacefeedface", "C3", "dhrystone", sim);
-  ASSERT_NE(ctx, nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-  const auto again = cache.get_or_compute("feedfacefeedface", "C3", "dhrystone", sim);
-  EXPECT_EQ(ctx.get(), again.get());  // served from cache
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(FaultEvalCache, ThrowingInsertLeavesNoPartialEntry) {
-  serve::EvalCache cache(4);
-  const sim::PerfSimulator sim;
-  {
-    fault::ScopedFault armed("serve.eval_cache.insert",
-                             fault::Trigger::countdown(1));
-    EXPECT_THROW((void)cache.get_or_compute("feedfacefeedface", "C5", "qsort", sim),
-                 fault::FaultInjected);
-  }
-  EXPECT_EQ(cache.size(), 0u);
-  const auto ctx = cache.get_or_compute("feedfacefeedface", "C5", "qsort", sim);
-  ASSERT_NE(ctx, nullptr);
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -741,8 +700,7 @@ TEST_F(FaultCliTest, MalformedFaultSpecExitsOne) {
 // crash, hang, or leave a cache entry that poisons the recovery run.
 
 TEST(FaultConcurrent, ProbabilisticStructuralFaultsUnderThreadedBatch) {
-  serve::BatchEngine engine(tiny_model(),
-                            {.threads = 3, .memoize_responses = false});
+  serve::BatchEngine engine(tiny_model(), {.threads = 3});
   const auto requests = valid_requests(8);
   {
     fault::ScopedFault armed(
@@ -911,8 +869,6 @@ TEST(FaultRegistry, AllDocumentedSitesExercised) {
       "serve.checkpoint.write",
       "serve.daemon.admit",
       "serve.engine.handle",
-      "serve.eval_cache.compute",
-      "serve.eval_cache.insert",
       "serve.explore.generation",
       "serve.jsonl.read_line",
       "serve.jsonl.write_response",

@@ -1,8 +1,8 @@
 // Tests for the batch serving subsystem (src/serve/): thread-pool
 // lifecycle and graceful shutdown, the parallel_for fan-out contract
-// (exactly-once, nesting, concurrent callers, failures), eval-cache
-// hit/miss behaviour and cross-thread consistency, batch-engine
-// determinism against the serial predict loop, the design-space sweep
+// (exactly-once, nesting, concurrent callers, failures), batch-engine
+// determinism against the serial predict loop and its response memo's
+// hit/miss accounting, the design-space sweep
 // driver (grid parsing/expansion, ranking, thread-count invariance,
 // shared structural memo), and the JSONL wire format.
 //
@@ -23,7 +23,6 @@
 #include "core/autopower.hpp"
 #include "power/golden.hpp"
 #include "serve/engine.hpp"
-#include "serve/eval_cache.hpp"
 #include "serve/jsonl.hpp"
 #include "serve/sweep.hpp"
 #include "sim/perfsim.hpp"
@@ -254,92 +253,6 @@ TEST(ParallelFor, ThrowRunsEveryOtherIndexThenRethrowsOriginalType) {
   }
 }
 
-// --- EvalCache ---------------------------------------------------------------
-
-constexpr std::string_view kFpA = "aaaaaaaaaaaaaaaa";
-constexpr std::string_view kFpB = "bbbbbbbbbbbbbbbb";
-
-TEST(EvalCacheTest, MissThenHitReturnsSameContext) {
-  EvalCache cache(4);
-  sim::PerfSimulator sim;
-  const auto a = cache.get_or_compute(kFpA, "C3", "dhrystone", sim);
-  const auto b = cache.get_or_compute(kFpA, "C3", "dhrystone", sim);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  (void)cache.get_or_compute(kFpA, "C4", "qsort", sim);
-  EXPECT_EQ(cache.size(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(EvalCacheTest, DistinctModelFingerprintsNeverAlias) {
-  // Regression for the stale-model serving bug: before fingerprints were
-  // part of the key, two models sharing one cache would serve each
-  // other's entries for the same (config, workload).
-  EvalCache cache(8);
-  sim::PerfSimulator sim;
-  const auto a = cache.get_or_compute(kFpA, "C3", "dhrystone", sim);
-  const auto b = cache.get_or_compute(kFpB, "C3", "dhrystone", sim);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  // Each fingerprint re-hits its own entry.
-  EXPECT_EQ(cache.get_or_compute(kFpA, "C3", "dhrystone", sim).get(), a.get());
-  EXPECT_EQ(cache.get_or_compute(kFpB, "C3", "dhrystone", sim).get(), b.get());
-}
-
-TEST(EvalCacheTest, CachedContextMatchesDirectComputation) {
-  EvalCache cache;
-  sim::PerfSimulator sim;
-  const auto cached = cache.get_or_compute(kFpA, "C5", "towers", sim);
-  const auto direct = make_context(sim, "C5", "towers");
-  EXPECT_EQ(cached->cfg, direct.cfg);
-  for (std::size_t i = 0; i < arch::kNumEvents; ++i) {
-    const auto kind = static_cast<arch::EventKind>(i);
-    EXPECT_EQ(cached->events[kind], direct.events[kind]);
-  }
-}
-
-TEST(EvalCacheTest, UnknownNamesThrow) {
-  EvalCache cache;
-  sim::PerfSimulator sim;
-  EXPECT_THROW((void)cache.get_or_compute(kFpA, "C99", "dhrystone", sim),
-               util::Error);
-  EXPECT_THROW((void)cache.get_or_compute(kFpA, "C1", "nonsense", sim),
-               util::Error);
-}
-
-TEST(EvalCacheTest, CrossThreadLookupsAgree) {
-  EvalCache cache(8);
-  constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const core::EvalContext>> seen(kThreads);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&cache, &seen, t] {
-        sim::PerfSimulator sim;
-        seen[t] = cache.get_or_compute(kFpA, "C7", "spmv", sim);
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  // Every thread must observe the one published context, even if several
-  // raced on the initial miss.
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(seen[0].get(), seen[t].get());
-  }
-  EXPECT_EQ(cache.size(), 1u);
-  // Exactly one lookup won the insert and counts as the miss; racing
-  // losers adopted the published context and count as hits.
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads) - 1u);
-}
-
 // --- BatchEngine -------------------------------------------------------------
 
 class EngineTest : public ServeTest {};
@@ -354,28 +267,115 @@ std::vector<BatchRequest> grid_requests(PredictMode mode) {
   return requests;
 }
 
-TEST_F(EngineTest, ParallelRunMatchesSerialPredictLoopExactly) {
-  const auto requests = grid_requests(PredictMode::kTotal);
+/// The per-window contexts the engine predicts for a trace request.
+std::vector<core::EvalContext> trace_contexts(const sim::PerfSimulator& sim,
+                                              const std::string& config,
+                                              const std::string& workload) {
+  const auto& cfg = arch::boom_config(config);
+  const auto& profile = workload::workload_by_name(workload);
+  std::vector<core::EvalContext> windows;
+  for (const auto& events : sim.simulate_trace(cfg, profile)) {
+    windows.push_back({&cfg, workload, workload::program_features(profile),
+                       events});
+  }
+  return windows;
+}
 
-  // The serial baseline: the plain predict loop the engine replaces.
+TEST_F(EngineTest, ParallelRunMatchesSerialPredictLoopExactly) {
+  // One mixed batch: every mode, the same key twice, one (config,
+  // workload) under two modes, and an unknown config and an unknown
+  // workload between valid requests.
+  std::vector<BatchRequest> requests = grid_requests(PredictMode::kTotal);
+  const std::vector<BatchRequest> mixed = {
+      {"C8", "median", PredictMode::kPerComponent},
+      {"C3", "qsort", PredictMode::kTrace},
+      {"C99", "dhrystone", PredictMode::kTotal},
+      {"C8", "median", PredictMode::kTotal},
+      {"C8", "median", PredictMode::kPerComponent},
+      {"C2", "no_such_workload", PredictMode::kPerComponent},
+      {"C5", "towers", PredictMode::kPerComponent},
+      {"C5", "towers", PredictMode::kPerComponent},
+  };
+  for (std::size_t k = 0; k < mixed.size(); ++k) {
+    requests.insert(requests.begin() + static_cast<std::ptrdiff_t>(7 * k + 3),
+                    mixed[k]);
+  }
+  const auto is_bad = [](const BatchRequest& r) {
+    return r.config == "C99" || r.workload == "no_such_workload";
+  };
+
+  // The serial baseline: the plain per-context predict loop the engine
+  // replaces.
   sim::PerfSimulator sim;
-  std::vector<double> serial;
-  serial.reserve(requests.size());
-  for (const auto& r : requests) {
-    serial.push_back(model()->predict_total(make_context(sim, r.config,
-                                                         r.workload)));
+  std::vector<double> want_total(requests.size());
+  std::vector<power::PowerResult> want_parts(requests.size());
+  std::vector<std::vector<double>> want_trace(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const BatchRequest& r = requests[i];
+    if (is_bad(r)) continue;
+    switch (r.mode) {
+      case PredictMode::kTotal:
+        want_total[i] =
+            model()->predict_total(make_context(sim, r.config, r.workload));
+        break;
+      case PredictMode::kPerComponent:
+        want_parts[i] =
+            model()->predict(make_context(sim, r.config, r.workload));
+        break;
+      case PredictMode::kTrace:
+        want_trace[i] = model()->predict_trace(
+            trace_contexts(sim, r.config, r.workload));
+        break;
+    }
   }
 
-  BatchEngine engine(model(), {.threads = 8});
-  const auto responses = engine.run(requests);
-  ASSERT_EQ(responses.size(), requests.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok) << responses[i].error;
-    EXPECT_EQ(responses[i].index, i);
-    EXPECT_EQ(responses[i].config, requests[i].config);
-    EXPECT_EQ(responses[i].workload, requests[i].workload);
-    // Bit-identical, not approximately equal.
-    EXPECT_EQ(responses[i].total_mw, serial[i]);
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    BatchEngine engine(model(), {.threads = threads});
+    // The second run answers the memoised requests from the memo.
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto responses = engine.run(requests);
+      ASSERT_EQ(responses.size(), requests.size());
+      for (std::size_t i = 0; i < responses.size(); ++i) {
+        const BatchRequest& r = requests[i];
+        const BatchResponse& got = responses[i];
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " pass=" +
+                     std::to_string(pass) + " request " + std::to_string(i));
+        EXPECT_EQ(got.index, i);
+        EXPECT_EQ(got.config, r.config);
+        EXPECT_EQ(got.workload, r.workload);
+        EXPECT_EQ(got.mode, r.mode);
+        // Failures sit at exactly the bad indices.
+        ASSERT_EQ(got.ok, !is_bad(r)) << got.error;
+        if (!got.ok) {
+          EXPECT_FALSE(got.error.empty());
+          continue;
+        }
+        // Bit-identical, not approximately equal.
+        switch (r.mode) {
+          case PredictMode::kTotal:
+            EXPECT_EQ(got.total_mw, want_total[i]);
+            break;
+          case PredictMode::kPerComponent: {
+            const auto& want = want_parts[i];
+            EXPECT_EQ(got.total_mw, want.total());
+            ASSERT_EQ(got.components.size(), want.components.size());
+            for (std::size_t c = 0; c < want.components.size(); ++c) {
+              const auto& groups = want.components[c].groups;
+              EXPECT_EQ(got.components[c].component,
+                        arch::component_name(want.components[c].component));
+              EXPECT_EQ(got.components[c].clock_mw, groups.clock);
+              EXPECT_EQ(got.components[c].sram_mw, groups.sram);
+              EXPECT_EQ(got.components[c].logic_mw, groups.logic());
+              EXPECT_EQ(got.components[c].total_mw, groups.total());
+            }
+            break;
+          }
+          case PredictMode::kTrace:
+            EXPECT_EQ(got.trace_mw, want_trace[i]);
+            break;
+        }
+      }
+    }
   }
 }
 
@@ -393,9 +393,9 @@ TEST_F(EngineTest, ThreadCountDoesNotChangeResults) {
 
 TEST_F(EngineTest, ConcurrentRunCallsStayBitIdentical) {
   // The multi-caller contract (engine.hpp): run() from several threads
-  // at once — sharing the EvalCache, response memo, and structural cache
-  // — must return exactly what a lone serial engine returns for each
-  // call.  This is the daemon's world: many submitters, one engine.
+  // at once — sharing the response memo and the structural cache — must
+  // return exactly what a lone serial engine returns for each call.
+  // This is the daemon's world: many submitters, one engine.
   const auto requests = grid_requests(PredictMode::kTotal);
   BatchEngine reference(model(), {.threads = 1});
   const auto expected = reference.run(requests);
@@ -484,11 +484,10 @@ TEST_F(EngineTest, FaultedDrainKeepsSiblingResultsBitIdentical) {
       {"C9", "rsort", PredictMode::kTotal},
       {"C11", "vvadd", PredictMode::kTotal},
   };
-  BatchEngine clean_engine(model(), {.threads = 3,
-                                     .memoize_responses = false});
+  BatchEngine clean_engine(model(), {.threads = 3});
   const auto expected = clean_engine.run(requests);
 
-  BatchEngine engine(model(), {.threads = 3, .memoize_responses = false});
+  BatchEngine engine(model(), {.threads = 3});
   std::vector<BatchResponse> faulted;
   {
     util::fault::ScopedFault armed("serve.engine.handle",
@@ -540,9 +539,6 @@ TEST_F(EngineTest, CachesDeduplicateRepeatedRequests) {
   const auto rs = engine.response_stats();
   EXPECT_EQ(rs.misses, 1u);
   EXPECT_EQ(rs.hits, 39u);
-  // Eval cache: one entry, one winning insert, one miss.
-  EXPECT_EQ(engine.cache().size(), 1u);
-  EXPECT_EQ(engine.cache().stats().misses, 1u);
 }
 
 TEST_F(EngineTest, RunPopulatesGlobalMetrics) {
@@ -576,21 +572,6 @@ TEST_F(EngineTest, RunPopulatesGlobalMetrics) {
   EXPECT_EQ(rs.hits + rs.misses, 12u);
 }
 
-TEST_F(EngineTest, MemoDisabledStillDeterministic) {
-  std::vector<BatchRequest> requests(
-      20, BatchRequest{"C9", "multiply", PredictMode::kTotal});
-  BatchEngine memo_on(model(), {.threads = 4});
-  BatchEngine memo_off(model(),
-                       {.threads = 4, .memoize_responses = false});
-  const auto a = memo_on.run(requests);
-  const auto b = memo_off.run(requests);
-  EXPECT_EQ(memo_off.response_stats().hits, 0u);
-  EXPECT_EQ(memo_off.response_stats().misses, 0u);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(a[i].total_mw, b[i].total_mw);
-  }
-}
-
 TEST_F(EngineTest, EmptyBatchAndNullModel) {
   BatchEngine engine(model(), {.threads = 2});
   EXPECT_TRUE(engine.run({}).empty());
@@ -621,8 +602,8 @@ std::shared_ptr<const core::AutoPowerModel> variant_model() {
 }
 
 TEST_F(EngineTest, HotSwapNeverServesStaleMemoEntries) {
-  // THE stale-model regression: every memo key (response memo and
-  // EvalCache) carries the model's archive fingerprint, so after
+  // THE stale-model regression: every response-memo key carries the
+  // model's archive fingerprint, so after
   // swap_model() a repeated request must be recomputed under the new
   // snapshot — under fingerprint-less keys this test fails by serving
   // the OLD model's memoized responses bit-for-bit.
@@ -636,7 +617,7 @@ TEST_F(EngineTest, HotSwapNeverServesStaleMemoEntries) {
   };
   BatchEngine original(model(), {.threads = 2});
   BatchEngine fresh_other(other, {.threads = 2});
-  const auto before = original.run(requests);   // warms both memo layers
+  const auto before = original.run(requests);   // warms the memo
   const auto want_other = fresh_other.run(requests);
 
   BatchEngine swapped(model(), {.threads = 2});
@@ -679,13 +660,11 @@ TEST_F(EngineTest, TraceModeSharesStructuralCacheAcrossWorkers) {
     requests.push_back({"C11", w, PredictMode::kTrace});
     requests.push_back({"C12", w, PredictMode::kTrace});
   }
-  BatchEngine parallel_engine(model(), {.threads = 8,
-                                        .memoize_responses = false});
+  BatchEngine parallel_engine(model(), {.threads = 8});
   const auto parallel = parallel_engine.run(requests);
-  EXPECT_GT(parallel_engine.structural_cache()->stats().hits, 0u);
+  EXPECT_GT(parallel_engine.cache().stats().hits, 0u);
 
-  BatchEngine serial_engine(model(), {.threads = 1,
-                                      .memoize_responses = false});
+  BatchEngine serial_engine(model(), {.threads = 1});
   const auto serial = serial_engine.run(requests);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {

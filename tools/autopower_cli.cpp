@@ -5,7 +5,7 @@
 //   train    --known C1,C15 --out m.ap    train and persist a model
 //            [--threads N]                parallel sub-model fitting
 //   predict  --model m.ap --config C8 --workload dhrystone [--per-component]
-//   evaluate --model m.ap --known C1,C15 [--threads N]
+//   evaluate --model m.ap --known C1,C15
 //   trace    --model m.ap --config C3 --workload gemm [--csv out.csv]
 //   batch    --model m.ap --requests reqs.jsonl [--out results.jsonl]
 //            [--threads N]                concurrent JSONL batch inference
@@ -65,7 +65,6 @@
 #include "util/io.hpp"
 #include "util/metrics.hpp"
 #include "util/parse.hpp"
-#include "util/parallel.hpp"
 #include "util/simd.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
@@ -271,22 +270,22 @@ int cmd_evaluate(const ArgMap& flags) {
   core::AutoPowerModel model;
   model.load_from_file(require_flag(flags, "model"));
   const auto known = split_csv(require_flag(flags, "known"));
-  const int threads = parse_threads(flags);
 
   sim::PerfSimulator simulator;
   power::GoldenPowerModel golden;
   const auto data = exp::ExperimentData::build(simulator, golden);
 
-  // Predict over the held-out grid: predict* const methods are safe for
-  // concurrent use, so every index shares the model directly.
+  // Predict the held-out grid in one batched call.
   const auto held_out = data.samples_excluding(known);
-  std::vector<double> actual(held_out.size());
-  std::vector<double> predicted(held_out.size());
-  util::parallel_for(held_out.size(), static_cast<std::size_t>(threads),
-                     [&](std::size_t i) {
-                       actual[i] = held_out[i]->golden.total();
-                       predicted[i] = model.predict_total(held_out[i]->ctx);
-                     });
+  std::vector<double> actual;
+  std::vector<core::EvalContext> contexts;
+  actual.reserve(held_out.size());
+  contexts.reserve(held_out.size());
+  for (const auto* sample : held_out) {
+    actual.push_back(sample->golden.total());
+    contexts.push_back(sample->ctx);
+  }
+  const auto predicted = model.predict_total_batch(contexts);
   std::cout << "Held-out accuracy (excluding ";
   for (const auto& k : known) std::cout << k << ' ';
   std::cout << "): " << exp::compute_accuracy(actual, predicted).to_string()
@@ -637,8 +636,7 @@ int usage() {
       " [--stats stats.json]\n"
       "  predict  --model model.ap --config C8 --workload dhrystone"
       " [--per-component]\n"
-      "  evaluate --model model.ap --known C1,C15 [--threads N]"
-      " [--stats stats.json]\n"
+      "  evaluate --model model.ap --known C1,C15 [--stats stats.json]\n"
       "  trace    --model model.ap --config C3 --workload gemm"
       " [--csv out.csv]\n"
       "  batch    --model model.ap --requests reqs.jsonl"
@@ -683,7 +681,7 @@ const std::map<std::string, Command>& commands() {
          .repeatable = {}},
         cmd_predict}},
       {"evaluate",
-       {{.valued = {"model", "known", "threads", "stats"}, .boolean = {},
+       {{.valued = {"model", "known", "stats"}, .boolean = {},
          .repeatable = {}},
         cmd_evaluate}},
       {"trace",

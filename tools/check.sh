@@ -119,6 +119,19 @@ if grep -rn 'feature_rows(' src/core \
 fi
 echo "feature_rows confined to src/core/autopower.cpp and src/core/features.*"
 
+echo "== one batched request path (serving and search predict in batches) =="
+# BatchEngine predicts each chunk of memo misses with one predict_batch
+# call, and the sweep and explore score through predict_total_batch.  A
+# per-context predict or predict_total would pay a whole batch call's
+# fixed cost for one row, so src/serve and src/explore use only
+# predict_batch, predict_total_batch and predict_trace.
+if grep -rnE '\.(predict|predict_total)\(' src/serve src/explore; then
+  echo "per-context predict or predict_total in src/serve or src/explore;" \
+    "collect the contexts and use predict_batch / predict_total_batch"
+  exit 1
+fi
+echo "src/serve and src/explore predict only through batch calls"
+
 echo "== bench_train_throughput (self-check: bit-identity + speedup bars) =="
 ./build/bench/bench_train_throughput --json /tmp/autopower_bench_train.json
 
@@ -511,7 +524,7 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   timeout 600 ./build-tsan/tests/test_fault
 
 echo "== run daemon tests under ThreadSanitizer =="
-# Concurrent loopback connections share one engine/EvalCache, so this
+# Concurrent loopback connections share one engine and its memo, so this
 # run race-checks the reader/dispatcher/deliver paths and the drain
 # handshake under contention.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
