@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     const auto resp_stats = engine.response_stats();
     std::printf(
         "engine @ %2zu thread%s      : %7.1f req/s  (%.3f s, %.2fx vs "
-        "serial; memo %llu/%llu, sim cache %llu/%llu hit/miss)\n",
+        "serial; memo %llu/%llu, structural memo %llu/%llu hit/miss)\n",
         threads, threads == 1 ? " " : "s", kRequests / elapsed, elapsed,
         speedup, static_cast<unsigned long long>(resp_stats.hits),
         static_cast<unsigned long long>(resp_stats.misses),

@@ -1,10 +1,10 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <functional>
+#include <unordered_map>
 #include <utility>
 
 #include "arch/component.hpp"
@@ -56,10 +56,10 @@ std::string response_key(std::string_view fingerprint,
   return key;
 }
 
-/// Misses per claimed chunk.  Every chunk costs one predict_batch call,
-/// whose fixed cost is several times a row's, so a batch splits into one
-/// chunk per worker; the cap keeps a huge batch in tile-sized chunks
-/// that a worker done early can still claim.
+/// Misses per chunk.  Every chunk costs one predict_batch call, whose
+/// fixed cost is several times a row's, so a batch splits into one chunk
+/// per worker; the cap keeps a huge batch in tile-sized chunks that a
+/// worker done early can still pick up.
 std::size_t chunk_size(std::size_t misses, std::size_t workers) {
   return std::clamp<std::size_t>((misses + workers - 1) / workers, 1,
                                  core::AutoPowerModel::kTileRows);
@@ -192,13 +192,13 @@ void BatchEngine::memoise(std::string key, const BatchResponse& response) {
     std::lock_guard lock(shard.mu);
     miss = shard.map.try_emplace(std::move(key), std::move(entry)).second;
   }
-  if (miss) {
-    response_misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.memo_misses.inc();
-  } else {
-    response_hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.memo_hits.inc();
-  }
+  count_lookup(!miss);
+}
+
+void BatchEngine::count_lookup(bool hit) {
+  (hit ? response_hits_ : response_misses_)
+      .fetch_add(1, std::memory_order_relaxed);
+  (hit ? metrics_.memo_hits : metrics_.memo_misses).inc();
 }
 
 void BatchEngine::evaluate_chunk(std::span<const BatchRequest> requests,
@@ -276,9 +276,12 @@ std::vector<BatchResponse> BatchEngine::run(
   // never tear this batch across two models.
   const std::shared_ptr<const core::AutoPowerModel> pinned = model();
 
-  // Memo hits are answered here on the caller; every other request
-  // becomes a miss, in input order.
+  // Memo hits are answered here on the caller.  Every other request is a
+  // miss, in input order, except an in-batch repeat of a missed key: it
+  // waits for the first request of that key, its leader.
   std::vector<Miss> misses;
+  std::vector<std::pair<std::size_t, std::size_t>> repeats;  // (i, leader)
+  std::unordered_map<std::string, std::size_t> leaders;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (requests[i].mode == PredictMode::kTrace) {
       misses.push_back({i, {}});
@@ -287,38 +290,49 @@ std::vector<BatchResponse> BatchEngine::run(
     const Clock::time_point pickup = Clock::now();
     std::string key = response_key(pinned->fingerprint(), requests[i]);
     if (!lookup(key, responses[i])) {
-      misses.push_back({i, std::move(key)});
+      const auto [it, first] = leaders.try_emplace(key, i);
+      if (first) {
+        misses.push_back({i, std::move(key)});
+      } else {
+        repeats.emplace_back(i, it->second);
+      }
       continue;
     }
     responses[i].index = i;
-    response_hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.memo_hits.inc();
+    count_lookup(true);
     observe(pickup, 1);
   }
 
-  // Workers claim contiguous chunks of the misses off a shared counter
-  // and write disjoint response slots, so the output is in input order by
-  // construction.  Every worker reads the engine's one simulator, whose
+  // Chunk c covers misses [c * chunk, (c + 1) * chunk) and writes only
+  // their response slots, so the output is in input order by
+  // construction.  Every chunk reads the engine's one simulator, whose
   // structural cache dedupes cache/TLB/branch measurements (for simulate
-  // AND simulate_trace) across workers.
+  // AND simulate_trace) across threads.
   if (!misses.empty()) {
     const std::size_t workers =
         util::parallel_width(misses.size(), options_.threads);
     const std::size_t chunk = chunk_size(misses.size(), workers);
-    std::atomic<std::size_t> next{0};
-    util::parallel_for(workers, workers, [&](std::size_t) {
-      for (std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-           begin < misses.size();
-           begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
-        const std::size_t end = std::min(begin + chunk, misses.size());
-        const Clock::time_point pickup = Clock::now();
-        evaluate_chunk(requests,
-                       std::span(misses).subspan(begin, end - begin),
-                       *pinned, responses);
-        observe(pickup, end - begin);
-      }
+    const std::size_t n_chunks = (misses.size() + chunk - 1) / chunk;
+    util::parallel_for(n_chunks, workers, [&](std::size_t c) {
+      const std::size_t begin = c * chunk;
+      const std::size_t end = std::min(begin + chunk, misses.size());
+      const Clock::time_point pickup = Clock::now();
+      evaluate_chunk(requests, std::span(misses).subspan(begin, end - begin),
+                     *pinned, responses);
+      observe(pickup, end - begin);
     });
   }
+
+  // A repeat copies its leader's response.  It counts a hit when the
+  // leader's response was memoised and a miss when it failed (failures
+  // are never memoised), like a lookup after the leader would have.
+  const Clock::time_point pickup = Clock::now();
+  for (const auto& [i, leader] : repeats) {
+    responses[i] = responses[leader];
+    responses[i].index = i;
+    count_lookup(responses[i].ok);
+  }
+  observe(pickup, repeats.size());
   finish_run(responses);
   return responses;
 }

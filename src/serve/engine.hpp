@@ -12,14 +12,17 @@
 // for another — the stale-model hazard hot-swap would otherwise create.
 //
 // run() answers response-memo hits — exact repeats of (config, workload,
-// mode) — without touching the model, then fans the misses out through
-// util::parallel_for: each worker claims a chunk of misses, simulates
-// each one's (config, workload) and makes ONE predict_batch call over
-// the chunk's total and per_component contexts (a trace request runs its
-// own predict_trace).  Responses come back IN INPUT ORDER.  Every worker
+// mode) — without touching the model.  Repeats of a missed key within
+// one batch are computed once: the first request of the key leads, and
+// each repeat copies its response.  The leaders (and every trace
+// request) are split into one chunk per worker, capped at kTileRows, and
+// fanned out as util::parallel_for over chunk indices: a chunk simulates
+// each request's (config, workload) and makes ONE predict_batch call
+// over its total and per_component contexts (a trace request runs its
+// own predict_trace).  Responses come back IN INPUT ORDER.  Every chunk
 // shares the engine's one simulator and its util::StructuralSimCache, so
 // the expensive cache/TLB/branch structural measurements are computed
-// once per distinct sub-key across ALL workers and ALL modes — including
+// once per distinct sub-key across ALL threads and ALL modes — including
 // kTrace.  Both the memo and the structural cache persist across run()
 // calls.
 //
@@ -30,8 +33,8 @@
 // replaces.  A request that fails (unknown config/workload, a simulate
 // or predict exception, an untrained model) yields ok=false with the
 // error message; a lookup or simulate failure fails only its own
-// request, a predict_batch failure only its chunk, and neither aborts
-// the rest of the batch, at any thread count.
+// request (and its in-batch repeats), a predict_batch failure only its
+// chunk, and neither aborts the rest of the batch, at any thread count.
 //
 // Multi-caller contract (audited for the serving daemon, where several
 // connection handlers share one engine): run() is safe to call from
@@ -148,10 +151,11 @@ class BatchEngine {
   /// successful total and per_component response per (model fingerprint,
   /// config, workload, mode); trace responses are never memoised (large
   /// payload, rarely repeated) and count neither.  A miss is counted
-  /// only by the winning insert, and a request that computes a response
-  /// another request published first counts a hit, so after run()
-  /// returns `misses == memoised responses` exactly — as long as every
-  /// request succeeded.  Failed responses are NEVER memoised (a
+  /// only by the winning insert, a request that computes a response
+  /// another request published first counts a hit, and an in-batch
+  /// repeat of a memoised leader counts a hit, so after run() returns
+  /// `misses == memoised responses` exactly — as long as every request
+  /// succeeded.  Failed responses are NEVER memoised (a
   /// transient fault must not poison the memo) and each failed request
   /// counts one miss, so in general
   /// `misses == memoised responses + failed requests` and
@@ -172,14 +176,16 @@ class BatchEngine {
   [[nodiscard]] ResponseShard& shard_for(const std::string& key) noexcept;
   /// Copies the memoised response for `key` into `out`; false on a miss.
   [[nodiscard]] bool lookup(const std::string& key, BatchResponse& out);
-  /// Simulates and predicts one claimed chunk of misses into their
-  /// response slots, then memoises the chunk's responses.
+  /// Simulates and predicts one chunk of misses into their response
+  /// slots, then memoises the chunk's responses.
   void evaluate_chunk(std::span<const BatchRequest> requests,
                       std::span<Miss> chunk,
                       const core::AutoPowerModel& model,
                       std::span<BatchResponse> responses);
   /// Files a computed response under `key` and counts its hit or miss.
   void memoise(std::string key, const BatchResponse& response);
+  /// Counts one response-memo hit or miss.
+  void count_lookup(bool hit);
   /// Post-run bookkeeping: failed-request count and the structural-cache
   /// gauge export (no-op while metrics are disabled).
   void finish_run(std::span<const BatchResponse> responses);
@@ -192,7 +198,7 @@ class BatchEngine {
   mutable std::mutex model_mu_;
   std::shared_ptr<const core::AutoPowerModel> model_;
   EngineOptions options_;
-  /// Shared by every worker of every run() call.
+  /// Shared by every chunk of every run() call.
   const sim::PerfSimulator sim_;
   std::array<ResponseShard, kMemoShards> response_shards_;
   std::atomic<std::uint64_t> response_hits_{0};

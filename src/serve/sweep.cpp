@@ -6,6 +6,7 @@
 #include <chrono>
 #include <exception>
 #include <limits>
+#include <mutex>
 #include <ostream>
 #include <utility>
 
@@ -182,23 +183,25 @@ struct SweepWorkloads {
 /// context buffer of a 1024-config chunk.
 constexpr std::size_t kPredictBatch = 256;
 
-/// Configs per claimed chunk: ~8 chunks per worker so stealing can
-/// rebalance a skewed grid, capped so a chunk's rows stay small.
+/// Configs per chunk: ~8 chunks per worker so a skewed grid still
+/// balances across the pool, capped so a chunk's rows stay small.
 std::size_t chunk_size(std::size_t n_configs, std::size_t workers) {
   return std::clamp<std::size_t>(n_configs / (workers * 8), 1, 1024);
 }
 
-/// One worker's evaluator for chunks of rows, shared by the streaming
-/// sweep and evaluate_configs so both produce bit-identical rows for the
-/// same configuration; every worker's evaluator borrows the call's one
-/// simulator.  evaluate() simulates every (config, workload) cell of the
-/// chunk — a simulate failure fails only its own cell — then predicts
-/// the cells that simulated in predict_total_batch calls of at most
-/// kPredictBatch contexts.  Batched totals are element-wise
-/// bit-identical to predict_total, so batching changes only the cost.
+/// Evaluates chunks of rows for one run_sweep or evaluate_configs call,
+/// so both produce bit-identical rows for the same configuration; every
+/// chunk borrows the call's one simulator and keeps its buffers local,
+/// so chunks share nothing mutable.  evaluate() simulates every
+/// (config, workload) cell of the chunk — a simulate failure fails only
+/// its own cell — then predicts the cells that simulated in
+/// predict_total_batch calls of at most kPredictBatch contexts.  Batched
+/// totals are element-wise bit-identical to predict_total, so batching
+/// changes only the cost.
 ///
-/// Worker `w` of `workers` walks each row's workloads starting at
-/// w * W / workers (wrapping), so workers that start together on a cold
+/// Chunk `c` walks each row's workloads starting at
+/// (c % workers) * W / workers (wrapping).  parallel_for hands chunks out
+/// in index order, so the chunks that start together on a cold
 /// structural memo simulate disjoint workloads first and then hit each
 /// other's entries instead of all simulating the same ones.  Each cell
 /// still lands in row.cells[j] for workload j, so the order changes
@@ -207,24 +210,26 @@ class ChunkEvaluator {
  public:
   ChunkEvaluator(const core::AutoPowerModel& model,
                  const sim::PerfSimulator& sim,
-                 const SweepWorkloads& workloads, std::size_t worker,
-                 std::size_t workers)
-      : model_(model),
-        sim_(sim),
-        workloads_(workloads),
-        first_workload_(worker * workloads.profiles.size() / workers) {}
+                 const SweepWorkloads& workloads, std::size_t workers)
+      : model_(model), sim_(sim), workloads_(workloads), workers_(workers) {}
 
-  /// Fills the cells and summary means of `rows`, whose configs are set.
-  void evaluate(std::span<SweepRow> rows) {
+  /// Fills the cells and summary means of chunk `c`'s `rows`, whose
+  /// configs are set.
+  void evaluate(std::size_t c, std::span<SweepRow> rows) const {
     if (rows.empty()) return;
     const bool timed = util::MetricsRegistry::enabled();
     const auto start = timed ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
     const std::size_t n_workloads = workloads_.profiles.size();
+    const std::size_t first_workload = (c % workers_) * n_workloads / workers_;
+    std::vector<core::EvalContext> ctxs;  // simulated, awaiting predict
+    std::vector<SweepCell*> pending;      // the cell each context fills
+    ctxs.reserve(std::min(kPredictBatch, rows.size() * n_workloads));
+    pending.reserve(ctxs.capacity());
     for (SweepRow& row : rows) {
       row.cells.assign(n_workloads, SweepCell{});
       for (std::size_t k = 0; k < n_workloads; ++k) {
-        const std::size_t j = (first_workload_ + k) % n_workloads;
+        const std::size_t j = (first_workload + k) % n_workloads;
         const workload::WorkloadProfile& profile = *workloads_.profiles[j];
         SweepCell& cell = row.cells[j];
         cell.workload = profile.name;
@@ -238,12 +243,12 @@ class ChunkEvaluator {
           cell.error = e.what();
           continue;
         }
-        ctxs_.push_back(std::move(ctx));
-        pending_.push_back(&cell);
-        if (ctxs_.size() == kPredictBatch) predict_pending();
+        ctxs.push_back(std::move(ctx));
+        pending.push_back(&cell);
+        if (ctxs.size() == kPredictBatch) predict(ctxs, pending);
       }
     }
-    predict_pending();
+    predict(ctxs, pending);
     for (SweepRow& row : rows) finalize(row);
 
     // One observation per cell: its share of the chunk's wall time.
@@ -262,24 +267,25 @@ class ChunkEvaluator {
   }
 
  private:
-  /// One batched predict over the pending contexts, scattered back into
-  /// their cells.  No per-row predict failure exists, so a throw fails
-  /// every cell of the batch with its message.
-  void predict_pending() {
-    if (ctxs_.empty()) return;
+  /// One batched predict over `ctxs`, scattered back into their cells,
+  /// then clears both buffers.  No per-row predict failure exists, so a
+  /// throw fails every cell of the batch with its message.
+  void predict(std::vector<core::EvalContext>& ctxs,
+               std::vector<SweepCell*>& pending) const {
+    if (ctxs.empty()) return;
     try {
-      const std::vector<double> totals = model_.predict_total_batch(ctxs_);
-      for (std::size_t k = 0; k < ctxs_.size(); ++k) {
-        SweepCell& cell = *pending_[k];
+      const std::vector<double> totals = model_.predict_total_batch(ctxs);
+      for (std::size_t k = 0; k < ctxs.size(); ++k) {
+        SweepCell& cell = *pending[k];
         cell.total_mw = totals[k];
-        cell.ipc = ctxs_[k].events.rate(arch::EventKind::kInstructions);
+        cell.ipc = ctxs[k].events.rate(arch::EventKind::kInstructions);
         cell.ok = true;
       }
     } catch (const std::exception& e) {
-      for (SweepCell* cell : pending_) cell->error = e.what();
+      for (SweepCell* cell : pending) cell->error = e.what();
     }
-    ctxs_.clear();
-    pending_.clear();
+    ctxs.clear();
+    pending.clear();
   }
 
   void finalize(SweepRow& row) const {
@@ -308,15 +314,13 @@ class ChunkEvaluator {
   const core::AutoPowerModel& model_;
   const sim::PerfSimulator& sim_;
   const SweepWorkloads& workloads_;
-  const std::size_t first_workload_;
+  const std::size_t workers_;
   util::Counter& m_cells_ =
       util::MetricsRegistry::global().counter("serve.sweep.cells");
   util::Counter& m_failed_ =
       util::MetricsRegistry::global().counter("serve.sweep.cells_failed");
   util::Histogram& m_cell_latency_ =
       util::MetricsRegistry::global().histogram("serve.sweep.cell_latency_ns");
-  std::vector<core::EvalContext> ctxs_;  ///< simulated, awaiting predict
-  std::vector<SweepCell*> pending_;      ///< the cell each context fills
 };
 
 /// Metric under which a row sorts; larger is always better (power is
@@ -334,9 +338,9 @@ double row_score(const SweepRow& row, SweepMetric metric) {
 }
 
 /// The report's total order: metric score descending, grid index
-/// ascending as the deterministic tie-break — equivalent to the former
-/// stable_sort over grid-ordered rows, but independent of which worker
-/// produced a row and in which steal order.
+/// ascending as the deterministic tie-break — equivalent to a
+/// stable_sort over grid-ordered rows, but independent of which thread
+/// evaluated a row and in which order chunks finished.
 bool row_better(const SweepRow& a, const SweepRow& b, SweepMetric metric) {
   const double sa = row_score(a, metric);
   const double sb = row_score(b, metric);
@@ -345,8 +349,8 @@ bool row_better(const SweepRow& a, const SweepRow& b, SweepMetric metric) {
 }
 
 /// Bounded best-K collector: a min-heap (front = worst kept row) under
-/// row_better, so a streaming sweep holds K rows per worker instead of
-/// the whole grid.  k == 0 keeps everything (report-all mode).
+/// row_better, so a streaming sweep holds K rows instead of the whole
+/// grid.  k == 0 keeps everything (report-all mode).
 class TopKRanker {
  public:
   TopKRanker(std::size_t k, SweepMetric metric) : k_(k), metric_(metric) {}
@@ -370,7 +374,7 @@ class TopKRanker {
     std::push_heap(rows_.begin(), rows_.end(), worst_first);
   }
 
-  /// Kept rows, heap-ordered (callers sort the merged result).
+  /// Kept rows, heap-ordered (callers sort them).
   std::vector<SweepRow>& rows() { return rows_; }
 
  private:
@@ -378,33 +382,6 @@ class TopKRanker {
   SweepMetric metric_;
   std::vector<SweepRow> rows_;
 };
-
-/// One worker's contiguous slice of grid indices.  `next` is the claim
-/// cursor (CAS'd forward one chunk at a time — by the owner or by a
-/// thief); cache-line aligned so claims on different shards never false
-/// share.
-struct alignas(64) WorkerShard {
-  std::atomic<std::size_t> next{0};
-  std::size_t end = 0;
-};
-
-/// Claims one chunk [begin, end) from `shard`; false when drained.  The
-/// CAS (rather than fetch_add) means a claim never overshoots `end`, so
-/// thieves and owner agree exactly on who evaluates what.
-bool claim_chunk(WorkerShard& shard, std::size_t chunk, std::size_t& begin,
-                 std::size_t& end) {
-  std::size_t cur = shard.next.load(std::memory_order_relaxed);
-  while (cur < shard.end) {
-    const std::size_t hi = std::min(cur + chunk, shard.end);
-    if (shard.next.compare_exchange_weak(cur, hi,
-                                         std::memory_order_relaxed)) {
-      begin = cur;
-      end = hi;
-      return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -436,9 +413,16 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   const util::StructuralSimCache::Stats before = structural->stats();
   const sim::PerfSimulator sim(sim::SimOptions{}, structural);
 
+  // One ranker for the whole sweep: replayed checkpoint rows go in
+  // first, then every chunk's rows under the mutex, taken once per chunk.
+  // The (score, grid index) order is total over distinct indices, so the
+  // kept rows are independent of thread count and chunk completion order.
+  TopKRanker ranker(spec.top, spec.metric);
+  std::mutex ranker_mu;
+
   // Checkpoint replay + writer.  Replayed indices are marked done before
-  // any worker starts, so `done` is read-only while they run.
-  std::vector<SweepRow> resumed_rows;
+  // any chunk starts, so `done` is read-only while they run.
+  std::size_t resumed = 0;
   std::vector<std::uint8_t> done;
   std::unique_ptr<CheckpointWriter> checkpoint;
   if (!spec.checkpoint.empty()) {
@@ -450,10 +434,11 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
       CheckpointReplay replay = load_checkpoint(spec.checkpoint, fingerprint,
                                                 n_configs, n_workloads);
       keep_bytes = replay.valid_bytes;
-      resumed_rows = std::move(replay.rows);
-      if (!resumed_rows.empty()) {
-        done.assign(n_configs, 0);
-        for (const SweepRow& row : resumed_rows) done[row.index] = 1;
+      resumed = replay.rows.size();
+      if (resumed > 0) done.assign(n_configs, 0);
+      for (SweepRow& row : replay.rows) {
+        done[row.index] = 1;
+        ranker.offer(std::move(row));
       }
     }
     checkpoint = std::make_unique<CheckpointWriter>(
@@ -464,74 +449,60 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
   // --progress monitor polls while the sweep runs.
   auto& registry = util::MetricsRegistry::global();
   auto& m_chunks = registry.counter("serve.sweep.chunks");
-  auto& m_stolen = registry.counter("serve.sweep.chunks_stolen");
   const auto sweep_start = std::chrono::steady_clock::now();
 
   const std::size_t workers = util::parallel_width(n_configs, spec.threads);
-
-  // Contiguous per-worker shards + per-chunk work stealing: a worker
-  // drains its own shard in chunks, then scans the others and steals
-  // chunks from whatever is left, so one expensive region of the grid
-  // cannot idle the rest of the pool.
-  const auto shards = std::make_unique<WorkerShard[]>(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    shards[w].next.store(n_configs * w / workers,
-                         std::memory_order_relaxed);
-    shards[w].end = n_configs * (w + 1) / workers;
-  }
   const std::size_t chunk = chunk_size(n_configs, workers);
+  const std::size_t n_chunks = (n_configs + chunk - 1) / chunk;
+  const ChunkEvaluator evaluator(model, sim, workloads, workers);
 
-  std::vector<TopKRanker> rankers(workers,
-                                  TopKRanker(spec.top, spec.metric));
-
-  const auto worker_loop = [&](std::size_t w) {
-    ChunkEvaluator evaluator(model, sim, workloads, w, workers);
-    TopKRanker& ranker = rankers[w];
-    std::vector<SweepRow> rows;
-    std::string name_scratch;
-    std::string json_scratch;
-    std::array<int, arch::kNumHwParams> values_scratch{};
-
-    // Own shard first, then one pass over the victims: a shard's cursor
-    // only moves forward, so a shard found drained stays drained.
-    for (std::size_t off = 0; off < workers; ++off) {
-      WorkerShard& shard = shards[(w + off) % workers];
-      std::size_t begin = 0, end = 0;
-      while (claim_chunk(shard, chunk, begin, end)) {
-        m_chunks.inc();
-        if (off != 0) m_stolen.inc();
-        rows.clear();
-        for (std::size_t i = begin; i < end; ++i) {
-          if (!done.empty() && done[i]) continue;  // replayed from checkpoint
-          cursor.values_at(i, values_scratch);
-          cursor.format_name(i, name_scratch);
-          SweepRow& row = rows.emplace_back();
-          row.index = i;
-          row.config = arch::HardwareConfig(name_scratch, values_scratch);
-        }
-        evaluator.evaluate(rows);
-        for (SweepRow& row : rows) {
-          if (checkpoint != nullptr) {
-            json_scratch.clear();
-            append_row_json(json_scratch, row);
-            checkpoint->append(row.index, json_scratch);
-          }
-          ranker.offer(std::move(row));
+  // A chunk that throws (a checkpoint write, an allocation) leaves
+  // unevaluated configs and possibly unwritten checkpoint rows;
+  // parallel_for rethrows, so the sweep fails loudly rather than rank a
+  // partial grid.  parallel_for still runs every other index, so chunks
+  // that start after a failure return at once instead of evaluating the
+  // rest of the grid first.
+  std::atomic<bool> failed{false};
+  util::parallel_for(n_chunks, workers, [&](std::size_t c) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    try {
+      m_chunks.inc();
+      const std::size_t begin = c * chunk;
+      const std::size_t end = std::min(begin + chunk, n_configs);
+      std::vector<SweepRow> rows;
+      rows.reserve(end - begin);
+      std::string name;
+      std::array<int, arch::kNumHwParams> values{};
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!done.empty() && done[i]) continue;  // replayed from checkpoint
+        cursor.values_at(i, values);
+        cursor.format_name(i, name);
+        SweepRow& row = rows.emplace_back();
+        row.index = i;
+        row.config = arch::HardwareConfig(name, values);
+      }
+      evaluator.evaluate(c, rows);
+      if (checkpoint != nullptr) {
+        std::string json;
+        for (const SweepRow& row : rows) {
+          json.clear();
+          append_row_json(json, row);
+          checkpoint->append(row.index, json);
         }
       }
+      std::lock_guard lock(ranker_mu);
+      for (SweepRow& row : rows) ranker.offer(std::move(row));
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      throw;
     }
-  };
-
-  // A worker that throws leaves unevaluated configs and possibly unwritten
-  // checkpoint rows; parallel_for rethrows, so the sweep fails loudly
-  // rather than rank a partial grid.
-  util::parallel_for(workers, workers, worker_loop);
+  });
   if (checkpoint != nullptr) checkpoint->close();
 
   SweepReport report;
   report.configs = n_configs;
   report.evaluations = n_configs * n_workloads;
-  report.resumed = resumed_rows.size();
+  report.resumed = resumed;
   {
     const util::StructuralSimCache::Stats after = structural->stats();
     report.structural = {after.hits - before.hits,
@@ -550,17 +521,8 @@ SweepReport run_sweep(const core::AutoPowerModel& model, const SweepSpec& spec,
     structural->export_metrics(registry);
   }
 
-  // Merge: replayed rows and every worker's kept rows through one final
-  // bounded ranker, then a full sort of the K (or all) survivors.  The
-  // (score, grid index) order is a total order over distinct indices, so
-  // the outcome is independent of thread count and steal schedule.
-  TopKRanker merged(spec.top, spec.metric);
-  for (SweepRow& row : resumed_rows) merged.offer(std::move(row));
-  resumed_rows.clear();
-  for (TopKRanker& ranker : rankers) {
-    for (SweepRow& row : ranker.rows()) merged.offer(std::move(row));
-  }
-  report.rows = std::move(merged.rows());
+  // A full sort of the K (or all) kept rows.
+  report.rows = std::move(ranker.rows());
   std::sort(report.rows.begin(), report.rows.end(),
             [&spec](const SweepRow& a, const SweepRow& b) {
               return row_better(a, b, spec.metric);
@@ -586,24 +548,20 @@ std::vector<SweepRow> evaluate_configs(
           ? sim::PerfSimulator()
           : sim::PerfSimulator(sim::SimOptions{}, std::move(structural));
 
-  // Workers claim config chunks off one counter; results land at their
-  // input index, so the output order (and every byte of it) is
-  // independent of the claim schedule.
+  // Results land at their input index, so the output order (and every
+  // byte of it) is independent of which thread runs which chunk.
   const std::size_t workers = util::parallel_width(configs.size(), threads);
   const std::size_t chunk = chunk_size(configs.size(), workers);
-  std::atomic<std::size_t> next{0};
-  util::parallel_for(workers, workers, [&](std::size_t w) {
-    ChunkEvaluator evaluator(model, sim, resolved, w, workers);
-    for (std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-         begin < configs.size();
-         begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
-      const std::size_t end = std::min(begin + chunk, configs.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        rows[i].index = i;
-        rows[i].config = configs[i];
-      }
-      evaluator.evaluate(std::span(rows).subspan(begin, end - begin));
+  const std::size_t n_chunks = (configs.size() + chunk - 1) / chunk;
+  const ChunkEvaluator evaluator(model, sim, resolved, workers);
+  util::parallel_for(n_chunks, workers, [&](std::size_t c) {
+    const std::size_t begin = c * chunk;
+    const std::size_t end = std::min(begin + chunk, configs.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      rows[i].index = i;
+      rows[i].config = configs[i];
     }
+    evaluator.evaluate(c, std::span(rows).subspan(begin, end - begin));
   });
   return rows;
 }

@@ -9,14 +9,14 @@
 // The grid is never materialised: a GridCursor yields configuration
 // *indices* and reconstructs each HardwareConfig on demand (mixed-radix
 // decode), so a 10^7-cell sweep holds O(workers x chunk + top-K) rows,
-// not O(grid).  Workers claim chunked index ranges from per-worker shards
-// and steal chunks from each other when their own shard drains, so
-// skewed per-cell costs cannot idle a worker.  A claimed chunk is
-// simulated cell by cell, then predicted in one predict_total_batch call
-// (split at a fixed 256 contexts), which is element-wise bit-identical
-// to per-cell predict_total but amortises its fixed per-call cost.  With
-// `--top K` each worker feeds a bounded K-heap, merged and ranked at the
-// end.  A `--checkpoint` file
+// not O(grid).  The sweep is one util::parallel_for over chunks of
+// contiguous indices (~8 per worker, at most 1024 configs each), so
+// skewed per-cell costs cannot idle a thread while chunks remain.  A
+// chunk is simulated cell by cell, then predicted in one
+// predict_total_batch call (split at a fixed 256 contexts), which is
+// element-wise bit-identical to per-cell predict_total but amortises its
+// fixed per-call cost.  Its rows then go into the sweep's one ranker (a
+// bounded K-heap with `--top K`), sorted at the end.  A `--checkpoint` file
 // records every finished configuration as a crc-guarded JSONL line;
 // `--resume` replays it and skips the finished indices, and the final
 // report is byte-identical to an uninterrupted run (serve/checkpoint.hpp
@@ -26,13 +26,13 @@
 // util::StructuralSimCache, so neighbouring grid points (which differ
 // only in a few parameters) reuse each other's cache/TLB/branch
 // structural measurements.  On a grid that varies ROB/width/queue
-// parameters only each worker's first configuration misses the memo,
-// and worker w of T starts every row's W workloads at w * W / T, so the
-// workers split that cold work instead of each repeating all of it (a
-// key two workers fill at the same moment is still computed twice; the
-// memo keeps one).  Results are bit-identical
-// to evaluating each cell with a fresh, unshared simulator, for any
-// thread count, any chunking/steal schedule, and any `--memory-budget`
+// parameters only the first configurations miss the memo, and chunk c
+// of a T-worker sweep starts every row's W workloads at (c % T) * W / T,
+// so the chunks that run together split that cold work instead of each
+// repeating all of it (a key two chunks fill at the same moment is still
+// computed twice; the memo keeps one).  Results are bit-identical to
+// evaluating each cell with a fresh, unshared simulator, for any thread
+// count, any chunk order, and any `--memory-budget`
 // (`bench_sim_throughput` enforces these properties).
 //
 // Grid spec syntax (CLI `--grid`): semicolon-separated axes, each
@@ -171,24 +171,25 @@ struct SweepReport {
   util::StructuralSimCache::Stats structural;  ///< sub-memo hit/miss
 };
 
-/// Runs the sweep: streams grid indices from a GridCursor over
+/// Runs the sweep: streams grid indices from a GridCursor in chunks over
 /// `spec.threads` workers (clamped to the host's hardware concurrency)
 /// sharing one structural cache (`structural` if given, else a fresh one
-/// bounded by `spec.memory_budget`), and ranks the rows — through
-/// bounded per-worker top-K heaps when `spec.top` is set.  Deterministic:
-/// the report is bit-identical for any thread count, any steal schedule,
+/// bounded by `spec.memory_budget`), and ranks the rows — through one
+/// bounded top-K heap when `spec.top` is set.  Deterministic: the report
+/// is bit-identical for any thread count, any chunk completion order,
 /// any memory budget, any pre-warmed cache state, and any
 /// checkpoint/resume split.  Throws util::Error for an unknown base
 /// config, unknown workloads, an empty workload list, a corrupt
-/// checkpoint, or a checkpoint write failure.
+/// checkpoint, or a checkpoint write failure (chunks that start after a
+/// failed chunk return at once).
 [[nodiscard]] SweepReport run_sweep(
     const core::AutoPowerModel& model, const SweepSpec& spec,
     std::shared_ptr<util::StructuralSimCache> structural = nullptr);
 
 /// Evaluates an explicit configuration list — every (config, workload)
-/// cell, performance simulation + power prediction — over `threads`
-/// workers (clamped like run_sweep) that claim config chunks and predict
-/// each chunk in one batch like run_sweep, sharing one structural cache
+/// cell, performance simulation + power prediction — in config chunks
+/// over `threads` workers (clamped like run_sweep), predicting each chunk
+/// in one batch like run_sweep, sharing one structural cache
 /// (`structural` if given, else a fresh unbounded one).  Returns one
 /// finalized row per config, in input order, with row.index = input
 /// position (callers that address a grid rewrite it).  Rows are

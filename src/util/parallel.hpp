@@ -19,11 +19,11 @@
 //   * With threads <= 1, n <= 1 or a single-core host, fn runs inline on
 //     the caller, in index order, and the pool is never created.
 //
-// Callers that need per-thread state (a sweep worker's chunk buffers, a
-// shard's ranker) size their worker slots with parallel_width() and fan
-// out over the slots, each slot pulling work off the caller's own shared
-// counter; a slot no helper reached is run by the caller and finds the
-// work drained.
+// Callers with more items than threads fan out over chunk indices,
+// parallel_for(n_chunks, parallel_width(n, threads), fn(c)); indices are
+// claimed in ascending order, and a chunk's state is local to fn(c).
+// Only bench_sim_throughput's private-memo probe fans out over worker
+// slots, because each slot owns a private structural cache.
 #pragma once
 
 #include <cstddef>

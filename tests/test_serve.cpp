@@ -10,11 +10,13 @@
 // under the ThreadSanitizer preset in isolation.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -541,6 +543,48 @@ TEST_F(EngineTest, CachesDeduplicateRepeatedRequests) {
   EXPECT_EQ(rs.hits, 39u);
 }
 
+TEST_F(EngineTest, InBatchRepeatsOfAColdKeyComputeOnce) {
+  // A repeat of a missed key copies its leader's response instead of
+  // simulating and predicting again, so N identical cold requests make
+  // the structural-memo lookups of one request.
+  const BatchRequest request{"C4", "towers", PredictMode::kPerComponent};
+  BatchEngine one(model(), {.threads = 4});
+  const auto single = one.run(std::vector<BatchRequest>{request});
+  ASSERT_TRUE(single[0].ok) << single[0].error;
+  const auto one_stats = one.cache().stats();
+
+  BatchEngine many(model(), {.threads = 4});
+  const auto responses = many.run(std::vector<BatchRequest>(16, request));
+  const auto many_stats = many.cache().stats();
+  EXPECT_EQ(many_stats.hits + many_stats.misses,
+            one_stats.hits + one_stats.misses);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok) << responses[i].error;
+    EXPECT_EQ(responses[i].index, i);
+    EXPECT_EQ(responses[i].total_mw, single[0].total_mw);
+    ASSERT_EQ(responses[i].components.size(), single[0].components.size());
+    for (std::size_t j = 0; j < single[0].components.size(); ++j) {
+      EXPECT_EQ(responses[i].components[j].total_mw,
+                single[0].components[j].total_mw);
+    }
+  }
+  // The leader's memoised response makes every repeat a hit.
+  EXPECT_EQ(many.response_stats().misses, 1u);
+  EXPECT_EQ(many.response_stats().hits, 15u);
+
+  // A failed leader is never memoised, so each repeat counts a miss:
+  // misses == memoised + failed requests, hits + misses == lookups.
+  const auto failed =
+      many.run(std::vector<BatchRequest>(3, {"C99", "towers"}));
+  for (std::size_t i = 0; i < failed.size(); ++i) {
+    EXPECT_FALSE(failed[i].ok);
+    EXPECT_EQ(failed[i].index, i);
+    EXPECT_EQ(failed[i].error, failed[0].error);
+  }
+  EXPECT_EQ(many.response_stats().misses, 1u + 3u);
+  EXPECT_EQ(many.response_stats().hits, 15u);
+}
+
 TEST_F(EngineTest, RunPopulatesGlobalMetrics) {
   // The engine records into the process-wide registry; other tests (and
   // the fixture) record too, so assert on deltas, not absolute values.
@@ -904,7 +948,7 @@ std::size_t expect_cells_match_per_cell_oracle(
 }
 
 TEST_F(SweepTest, ChunkBatchedCellsMatchPerCellEvaluation) {
-  // Sweeps simulate a claimed chunk, then predict all of its cells in one
+  // Sweeps simulate a chunk, then predict all of its cells in one
   // batch.  Batching must change no cell: with the last axis fastest,
   // each ICacheFetchBytes=3 config (whose simulate throws) sits between
   // two good configs of the same chunk, so a failure that leaked into
@@ -940,7 +984,7 @@ TEST_F(SweepTest, ChunkBatchedCellsMatchPerCellEvaluation) {
 }
 
 TEST_F(SweepTest, ChunksLargerThanOnePredictBatchMatchPerCellEvaluation) {
-  // One worker over 1040 configs claims 130-config chunks: 390 cells, so
+  // One worker over 1040 configs runs 130-config chunks: 390 cells, so
   // each chunk's predict splits into a full 256-context batch and a
   // partial one.  Cells on both sides of the split match the oracle.
   std::string grid = "RobEntry=";
@@ -966,15 +1010,15 @@ TEST_F(SweepTest, ChunksLargerThanOnePredictBatchMatchPerCellEvaluation) {
 }
 
 TEST_F(SweepTest, WorkloadRotationKeepsResultsScheduleFree) {
-  // Worker w of T starts each row at workload w * W / T, so concurrent
-  // workers warm disjoint structural keys first.  The rotation must not
-  // reach any result: run_sweep reports and evaluate_configs rows are
-  // identical at every thread count, including fewer workloads than
-  // workers and workload counts the worker count does not divide.  One
-  // worker starts at workload 0, so its structural memo traffic is that
-  // of the plain in-order walk, pinned here by its exact hit and miss
-  // counts.  The grid varies structural keys and holds configs whose
-  // simulate throws (ICacheFetchBytes=3).
+  // Chunk c of a T-worker call starts each row at workload
+  // (c % T) * W / T, so concurrent chunks warm disjoint structural keys
+  // first.  The rotation must not reach any result: run_sweep reports and
+  // evaluate_configs rows are identical at every thread count, including
+  // fewer workloads than workers and workload counts the worker count
+  // does not divide.  One worker starts every chunk at workload 0, so its
+  // structural memo traffic is that of the plain in-order walk, pinned
+  // here by its exact hit and miss counts.  The grid varies structural
+  // keys and holds configs whose simulate throws (ICacheFetchBytes=3).
   const std::vector<std::vector<std::string>> workload_sets = {
       {"qsort"},
       {"dhrystone", "qsort", "towers"},
@@ -1023,6 +1067,46 @@ TEST_F(SweepTest, WorkloadRotationKeepsResultsScheduleFree) {
       }
     }
   }
+}
+
+TEST_F(SweepTest, FailedChunkStopsTheRestOfTheGrid) {
+#if !defined(AUTOPOWER_FAULT_INJECTION)
+  GTEST_SKIP() << "fault points are compiled out";
+#endif
+  // parallel_for runs every other index after one throws.  A sweep whose
+  // checkpoint write failed must still not evaluate the rest of its grid
+  // before reporting the error: chunks that start after the failure
+  // return at once.  countdown(2) passes the header flush and fails the
+  // first row flush (after 64 rows), inside the first chunk to finish.
+  std::string grid = "RobEntry=";
+  for (int v = 64; v < 64 + 100; ++v) {
+    grid.append(v > 64 ? "," : "").append(std::to_string(v));
+  }
+  grid += ";LdqStqEntry=";
+  for (int v = 8; v < 8 + 20; ++v) {
+    grid.append(v > 8 ? "," : "").append(std::to_string(v));
+  }
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("autopower_failfast_" + std::to_string(::getpid()) + ".ckpt");
+  SweepSpec spec;
+  spec.base = "C8";
+  spec.axes = parse_grid(grid);
+  spec.workloads = {"dhrystone"};
+  spec.threads = 2;
+  spec.checkpoint = path.string();
+
+  auto& cells = util::MetricsRegistry::global().counter("serve.sweep.cells");
+  const auto before = cells.value();
+  {
+    util::fault::ScopedFault armed("serve.checkpoint.write",
+                                   util::fault::Trigger::countdown(2));
+    EXPECT_THROW((void)run_sweep(*model(), spec), util::Error);
+  }
+  std::filesystem::remove(path);
+  // 2000 configs over 2 workers run as 16 chunks of 125; at most a few
+  // chunks per worker start before the failed one is seen.
+  EXPECT_LE(cells.value() - before, 2u * 3u * 125u);
 }
 
 // --- JSONL -------------------------------------------------------------------

@@ -332,7 +332,7 @@ int cmd_batch(const ArgMap& flags) {
     const auto stats = engine.cache().stats();
     std::cerr << responses.size() << " responses written to " << it->second
               << " (" << failed << " failed; " << threads << " threads, "
-              << stats.hits << " cache hits / " << stats.misses
+              << stats.hits << " structural memo hits / " << stats.misses
               << " misses)\n";
   } else {
     serve::write_responses(std::cout, responses);

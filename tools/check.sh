@@ -70,6 +70,17 @@ if grep -rn --include='*.cpp' --include='*.hpp' --exclude-dir='build*' \
 fi
 echo "util::ThreadPool confined to src/util/ and tests/"
 
+echo "== one fan-out shape (parallel_for over chunk indices, no worker slots) =="
+# Sweeps, explore scoring and the batch engine call
+# util::parallel_for(n_chunks, workers, fn(c)); a fan-out over worker
+# slots would add a claim loop on top of parallel_for's own counter.
+if grep -rnE 'parallel_for\(workers|WorkerShard' src; then
+  echo "worker-slot fan-out in src/; call util::parallel_for over chunk" \
+    "indices instead"
+  exit 1
+fi
+echo "src/ fans out over chunk indices only"
+
 echo "== one dispatched kernel (simd::kernels() stays in the forest walk) =="
 # forest_leaf_add is the only SIMD kernel with a measured win; every
 # other numeric loop is plain scalar code at its call site.  A new
