@@ -105,12 +105,15 @@ class AutoPowerModel {
   /// Per-window total power for a time-based power trace; element i is
   /// bit-identical to predict(windows[i]).total().  When every window
   /// shares one cfg pointer and equal ProgramFeatures (one design running
-  /// one program), each component's forests are recompiled with the H and
-  /// P features pinned to the trace's values, where the rows saved pay for
-  /// the table fill (ml::GBTRegressor::compile_table), so each window
-  /// ranks only its E features.  The pinned tables live for this call
-  /// only, and the pinned loop skips the distinct-row pass: a trace's
-  /// windows are distinct rows.  Any other span runs predict_total_batch.
+  /// one program), only the E features differ between windows, and the
+  /// ranks of a window's event rates against every threshold its
+  /// component's forests test decide every branch, hence every group
+  /// output.  So each component keys its windows by those ranks, and each
+  /// distinct rank vector (a trace cell) is predicted once, from its first
+  /// window, through the tile-major loop's body (a 55k-window gemm trace
+  /// has 9-87 cells per component).  Any other span, and any model whose
+  /// clock group reads raw E (ClockModelOptions::linear_alpha), runs
+  /// predict_total_batch.
   [[nodiscard]] std::vector<double> predict_trace(
       std::span<const EvalContext> windows) const;
 
@@ -149,30 +152,38 @@ class AutoPowerModel {
   std::array<ClockPowerModel, arch::kNumComponents> clock_;
   std::array<SramPowerModel, arch::kNumComponents> sram_;
   std::array<LogicPowerModel, arch::kNumComponents> logic_;
-  using Bundles = std::array<ml::ForestBundle, arch::kNumComponents>;
-  Bundles forests_;  ///< fit-time bundles, rebuilt by train() and load()
+  std::array<ml::ForestBundle, arch::kNumComponents> forests_;
+  /// One component's trace cells: the events its forests test and, per
+  /// event, the sorted distinct thresholds over every node of every tree
+  /// of its forests (NaN thresholds, which every value passes alike, left
+  /// out).
+  struct TraceCells {
+    std::vector<arch::EventKind> events;
+    std::vector<std::vector<double>> thresholds;
+  };
+  std::array<TraceCells, arch::kNumComponents> trace_cells_;
+  /// False when some clock model reads raw E (linear_alpha): ranks then
+  /// do not decide its output, and predict_trace keys nothing.
+  bool cells_decide_ = false;
   bool trained_ = false;
   std::string fingerprint_;
 
   void refresh_fingerprint();
+  /// Rebuilds forests_, trace_cells_ and cells_decide_ (train and load).
   void rebuild_forests();
   /// Component i's GBT sub-models: clock, then SRAM, then logic.
   [[nodiscard]] std::vector<const ml::GBTRegressor*> component_forests(
       std::size_t i) const;
 
-  /// The one tile-major loop behind predict_batch, predict_total_batch
-  /// and predict_trace: calls sink(component, j, groups) with the group
-  /// powers of ctxs[j], each context's components in Table III order,
-  /// ranking each component's tiles with bundles[component].  With
-  /// `dedupe` each distinct component row of a tile is ranked and walked
-  /// once.
+  /// The one tile-major loop behind predict_batch and
+  /// predict_total_batch: calls sink(component, j, groups) with the group
+  /// powers of ctxs[j], each context's components in Table III order.
+  /// Each distinct component row of a tile is ranked and walked once.
   template <typename Sink>
   void for_each_group_power(std::span<const EvalContext> ctxs,
-                            const Bundles& bundles, bool dedupe,
                             Sink&& sink) const;
-  [[nodiscard]] std::vector<double> totals(std::span<const EvalContext> ctxs,
-                                           const Bundles& bundles,
-                                           bool dedupe) const;
+  [[nodiscard]] std::vector<double> totals(
+      std::span<const EvalContext> ctxs) const;
 };
 
 }  // namespace autopower::core

@@ -76,6 +76,11 @@ class ClockPowerModel {
 
   /// The GBT sub-models predict_tile reads through its ForestBundle.
   [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
+  /// True when alpha' is the ablation ridge, which reads the raw H+E row
+  /// instead of going through forests().
+  [[nodiscard]] bool linear_alpha() const noexcept {
+    return options_.linear_alpha;
+  }
 
   // Structural sub-model outputs, exposed for the Fig. 7 sub-model
   // accuracy study.

@@ -410,7 +410,7 @@ void write_frontier(std::ostream& out, const ExploreReport& report) {
     line += ',';
     serve::append_row_json(line, fr.row);
     line += ",\"area_proxy\":";
-    line += serve::json_number(fr.area);
+    serve::append_json_number(line, fr.area);
     line += "}\n";
     out.write(line.data(), static_cast<std::streamsize>(line.size()));
   }

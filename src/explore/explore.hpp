@@ -137,7 +137,7 @@ struct ExploreReport {
 
 /// Writes the frontier as JSONL, one member per line:
 ///   {"rank":1,<append_row_json body>,"area_proxy":...}
-/// Numbers round-trip exactly (serve::json_number).
+/// Numbers round-trip exactly (serve::append_json_number).
 void write_frontier(std::ostream& out, const ExploreReport& report);
 
 }  // namespace autopower::explore

@@ -36,7 +36,8 @@ constexpr std::size_t kGroup = 16;
 // scalar tail (~6.4 ns each) do.
 constexpr std::size_t kMinPaddedTail = 4;
 
-// Rows rank() searches in lockstep, so their dependent loads overlap.
+// Values rank_values() searches in lockstep, so their dependent loads
+// overlap.
 constexpr std::size_t kLanes = 8;
 
 // r[j] = #{t in u : !(x[j] < t)} for j < L: a branch-free binary search
@@ -62,18 +63,24 @@ void rank_rows(const double* x, std::span<const double> u,
 
 }  // namespace
 
-ForestBundle::ForestBundle(std::span<const GBTRegressor* const> forests,
-                           std::span<const std::optional<double>> pins,
-                           std::size_t rows) {
+void rank_values(std::span<const double> x, std::span<const double> u,
+                 std::uint32_t* r) {
+  const std::size_t n = x.size();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    rank_rows<kLanes>(x.data() + i, u, r + i);
+  }
+  for (; i < n; ++i) rank_rows<1>(x.data() + i, u, r + i);
+}
+
+ForestBundle::ForestBundle(std::span<const GBTRegressor* const> forests) {
   slots_.reserve(forests.size());
   std::size_t n_features = 0;
   for (const GBTRegressor* forest : forests) {
     AP_REQUIRE(forest != nullptr && forest->fitted(),
                "ForestBundle needs fitted forests");
-    auto table = pins.empty() ? nullptr : forest->compile_table(pins, rows);
     Slot slot;
-    slot.fit = forest->table_;
-    slot.table = table ? std::move(table) : forest->table_;
+    slot.table = forest->table_;
     slot.num_trees = forest->num_trees();
     n_features = std::max(n_features, slot.table->thresholds.size());
     max_feature_ = std::max(max_feature_, forest->max_feature_);
@@ -150,23 +157,18 @@ void ForestBundle::rank(std::span<const double> rows, std::size_t arity,
     for (std::size_t f = 0; f < n_cols; ++f) cols[f * stride + i] = r[f];
   }
 
-  // Per row and ranked feature, rank_rows' binary search over the union;
-  // kLanes rows at a time, then one at a time for the tail.
+  // Per ranked feature, each row's rank in the union.
   tile.ranks.resize(ranked_feature_.size() * n);
   for (std::size_t k = 0; k < ranked_feature_.size(); ++k) {
-    const double* const x = cols + ranked_feature_[k] * stride;
-    std::uint32_t* const r = tile.ranks.data() + k * n;
-    const std::span<const double> u = unions_[k];
-    std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) rank_rows<kLanes>(x + i, u, r + i);
-    for (; i < n; ++i) rank_rows<1>(x + i, u, r + i);
+    rank_values({cols + ranked_feature_[k] * stride, n}, unions_[k],
+                tile.ranks.data() + k * n);
   }
 }
 
 const ForestBundle::Slot& ForestBundle::slot_of(
     const GBTRegressor& forest) const {
   for (const Slot& slot : slots_) {
-    if (slot.fit == forest.table_) return slot;
+    if (slot.table == forest.table_) return slot;
   }
   throw util::InvalidArgument("forest is not part of this ForestBundle");
 }
@@ -206,20 +208,6 @@ void ForestBundle::predict(const GBTRegressor& forest, const ForestTile& tile,
   if (forest.options_.nonnegative_prediction) {
     for (double& v : out) v = std::max(v, 0.0);
   }
-}
-
-std::size_t ForestBundle::tabled_trees() const noexcept {
-  std::size_t total = 0;
-  for (const Slot& slot : slots_) total += slot.table->tabled_trees;
-  return total;
-}
-
-std::size_t ForestBundle::walked_trees() const noexcept {
-  std::size_t total = 0;
-  for (const Slot& slot : slots_) {
-    total += slot.num_trees - slot.table->tabled_trees;
-  }
-  return total;
 }
 
 }  // namespace autopower::ml

@@ -13,22 +13,27 @@
 // trees.  The QuickScorer idea (Lucchese et al., SIGIR 2015) of testing
 // each condition once for a whole ensemble, applied per feature.
 //
-// A bundle holds either each forest's fit-time table or, for rows that
-// share some features (a power trace's hardware and program features),
-// tables compiled with those features pinned.  Both go through the same
-// rank() and predict(); every output is bit-identical to
-// GBTRegressor::predict.
+// Every output is bit-identical to GBTRegressor::predict.  The same
+// branch-free search, rank_values(), also keys a power trace's windows by
+// their event ranks (AutoPowerModel::predict_trace).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "ml/gbt.hpp"
 
 namespace autopower::ml {
+
+/// r[i] = #{t in u : !(x[i] < t)} for every i: the rank of each value
+/// against the sorted, non-empty thresholds u, NaN taking the top rank as
+/// it goes right in every tree.  Two values of equal rank take the same
+/// branch at every condition on a threshold of u.  A branch-free binary
+/// search, several values in lockstep.
+void rank_values(std::span<const double> x, std::span<const double> u,
+                 std::uint32_t* r);
 
 /// One tile of feature rows, copied column-major and ranked once by a
 /// ForestBundle for all of its forests.  Reused across tiles without
@@ -51,15 +56,10 @@ class ForestBundle {
  public:
   ForestBundle() = default;
 
-  /// Bundles fitted `forests`.  With `pins` empty each keeps its fit-time
-  /// table; otherwise each gets compile_table(pins, rows) where that pays
-  /// for itself over `rows` rows, and its fit-time table where not.  The
-  /// bundle names a forest by its fit-time table, which copies of the
-  /// forest share, so it serves any copy of the forests it was built
-  /// from.
-  explicit ForestBundle(std::span<const GBTRegressor* const> forests,
-                        std::span<const std::optional<double>> pins = {},
-                        std::size_t rows = 0);
+  /// Bundles fitted `forests` with their fit-time tables.  The bundle
+  /// names a forest by that table, which copies of the forest share, so
+  /// it serves any copy of the forests it was built from.
+  explicit ForestBundle(std::span<const GBTRegressor* const> forests);
 
   /// Copies `rows` (row-major, `arity` wide) into `tile` column-major and
   /// ranks every row once against each feature's threshold union.
@@ -73,15 +73,9 @@ class ForestBundle {
   void predict(const GBTRegressor& forest, const ForestTile& tile,
                std::span<double> out) const;
 
-  /// Trees the bundle's tables hold and trees predict() still walks per
-  /// row, summed over its forests.
-  [[nodiscard]] std::size_t tabled_trees() const noexcept;
-  [[nodiscard]] std::size_t walked_trees() const noexcept;
-
  private:
   struct Slot {
-    std::shared_ptr<const GridTable> fit;    ///< names the forest
-    std::shared_ptr<const GridTable> table;  ///< the table predict reads
+    std::shared_ptr<const GridTable> table;  ///< names the forest
     std::size_t num_trees = 0;
     /// Per feature the table ranks: (rank row k, offset of its lookup in
     /// luts_).  lut[u] is stride_f times the forest's rank of a value

@@ -86,7 +86,7 @@ void GBTRegressor::fit(const Dataset& data) {
 
 void GBTRegressor::compile() {
   rebuild_padded();
-  table_ = compile_table({}, 0);
+  table_ = compile_table();
   gbt_metrics().tabled_trees.add(table_->tabled_trees);
   gbt_metrics().walked_trees.add(trees_.size() - table_->tabled_trees);
 }
@@ -148,40 +148,24 @@ void GBTRegressor::rebuild_padded() {
   }
 }
 
-std::shared_ptr<const GridTable> GBTRegressor::compile_table(
-    std::span<const std::optional<double>> pins, std::size_t rows) const {
+std::shared_ptr<const GridTable> GBTRegressor::compile_table() const {
   util::ScopedTimer compile_timer(gbt_metrics().compile_ns);
-  const auto pinned = [&](std::size_t f) {
-    return f < pins.size() ? pins[f] : std::nullopt;
-  };
-  // Per free feature, the sorted distinct thresholds T_f of the longest
-  // prefix whose grid fits the cap.  A reachable NaN threshold on a free
-  // feature (nothing to rank against) or a tree without a padded mirror
-  // (the fill below runs the padded kernel) ends the prefix.  Equality
-  // merges -0.0 with +0.0, which every x compares against alike.
+  // Per feature, the sorted distinct thresholds T_f of the longest prefix
+  // whose grid fits the cap.  A NaN threshold (nothing to rank against)
+  // or a tree without a padded mirror (the fill below runs the padded
+  // kernel) ends the prefix.  Equality merges -0.0 with +0.0, which every
+  // x compares against alike.
   const auto n_cols = static_cast<std::size_t>(max_feature_ + 1);
   std::vector<std::vector<double>> thresholds(n_cols);
-  std::vector<int> stack;
   const auto add_tree = [&](std::size_t t) {
-    const auto nodes = trees_[t].nodes();
-    stack.assign(1, 0);
-    while (!stack.empty()) {
-      const auto& node = nodes[static_cast<std::size_t>(stack.back())];
-      stack.pop_back();
+    for (const auto& node : trees_[t].nodes()) {
       if (node.feature < 0) continue;
-      if (const auto pin = pinned(static_cast<std::size_t>(node.feature))) {
-        // The walk's branch rule: NaN compares false and goes right.
-        stack.push_back(*pin < node.threshold ? node.left : node.right);
-        continue;
-      }
       if (std::isnan(node.threshold)) return false;
       auto& tf = thresholds[static_cast<std::size_t>(node.feature)];
       const auto at = std::lower_bound(tf.begin(), tf.end(), node.threshold);
       if (at == tf.end() || *at != node.threshold) {
         tf.insert(at, node.threshold);
       }
-      stack.push_back(node.left);
-      stack.push_back(node.right);
     }
     return true;
   };
@@ -202,29 +186,19 @@ std::shared_ptr<const GridTable> GBTRegressor::compile_table(
     for (std::size_t t = 0; t < prefix; ++t) add_tree(t);
   }
   const std::size_t cells = cells_spanned();
-  if (!pins.empty() &&
-      rows * (prefix - std::min(prefix, tabled_trees())) <= cells * prefix) {
-    return nullptr;  // the fill would cost more tree walks than it saves
-  }
 
   // One representative row per cell, column-major over the whole table,
-  // feature 0 varying fastest.  A pinned feature holds its pinned value in
-  // every cell.  For a free one, rank 0 maps to -inf and rank r to
+  // feature 0 varying fastest.  Rank 0 maps to -inf and rank r to
   // T_f[r - 1], which has exactly rank r because T_f is strictly
   // increasing; when T_f[0] is -inf, rank 0 is unreachable and its entry
-  // is never read.  A free feature no tabled condition tests has rank 0
-  // in every cell; only padding slots and unreachable nodes read it, and
-  // neither can change a leaf.
+  // is never read.  A feature no tabled condition tests has rank 0 in
+  // every cell; only padding slots read it, and they cannot change a leaf.
   auto table = std::make_shared<GridTable>();
   table->tabled_trees = prefix;
   std::vector<double> cols(n_cols * cells);
   std::size_t stride = 1;
   for (std::size_t f = 0; f < n_cols; ++f) {
     double* const col = cols.data() + f * cells;
-    if (const auto pin = pinned(f)) {  // T_f is empty: stride unchanged
-      std::fill(col, col + cells, *pin);
-      continue;
-    }
     const auto& tf = thresholds[f];
     for (std::size_t cell = 0; cell < cells; ++cell) {
       const std::size_t rank = cell / stride % (tf.size() + 1);

@@ -9,27 +9,24 @@
 //
 // predict() pointer-walks each tree's nodes for one sample.  Batched
 // prediction runs two stages through ml::ForestBundle (forest_bundle.hpp):
-//   1. a prefix grid table: compile_table(), the one compile routine,
-//      folds the longest tree prefix whose reachable (feature, threshold)
-//      conditions span at most kMaxGridCells grid cells into one table of
-//      partial sums.  fit() and load() compile it with nothing pinned (the
-//      archive format is unchanged); a caller that knows some features
-//      are fixed across its rows (a power trace's hardware and program
-//      features) compiles it again with those pinned, which drops their
-//      conditions and usually tables the whole forest.  Each row starts at
-//      the entry its per-feature threshold ranks select;
+//   1. a prefix grid table: fit() and load() fold the longest tree prefix
+//      whose (feature, threshold) conditions span at most kMaxGridCells
+//      grid cells into one table of partial sums (the archive format is
+//      unchanged), and each row starts at the entry its per-feature
+//      threshold ranks select;
 //   2. a walk of the remaining trees, each mirrored into a padded perfect
 //      tree that the dispatched util::simd forest_leaf_add kernel walks
 //      tree-major over column-major blocks of samples.
 // Both stages are bit-identical to predict().  Every prediction path in
 // src/core goes through ForestBundle; predict_rows() is a bundle of one
 // forest, and the scalar predict() stays as the reference the
-// differential tests compare both against.
+// differential tests compare both against.  trees() exposes the fitted
+// trees, so a caller can rank rows against every threshold they test
+// (AutoPowerModel's trace cells).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,7 +56,7 @@ class ForestBundle;
 struct GridTable {
   std::size_t tabled_trees = 0;  ///< trees [0, tabled_trees) are tabled
   /// Per feature (up to the forest's highest), T_f of the tabled trees'
-  /// reachable conditions; empty for a pinned or untested feature.
+  /// conditions; empty for an untested feature.
   std::vector<std::vector<double>> thresholds;
   std::vector<double> cells;  ///< one entry per grid cell, >= 1
 };
@@ -92,6 +89,10 @@ class GBTRegressor {
     return trees_.size();
   }
   [[nodiscard]] double base_score() const noexcept { return base_score_; }
+  /// The fitted trees, in boosting order.
+  [[nodiscard]] std::span<const RegressionTree> trees() const noexcept {
+    return trees_;
+  }
   /// Trees [0, tabled_trees()) are folded into the fit-time prefix grid
   /// table; predict_rows walks only the rest.
   [[nodiscard]] std::size_t tabled_trees() const noexcept {
@@ -100,24 +101,6 @@ class GBTRegressor {
 
   /// Most grid cells (table entries) one forest's prefix table may hold.
   static constexpr std::size_t kMaxGridCells = 2048;
-
-  /// The one compile routine.  Feature f with pins[f] set is fixed at
-  /// that value: each tree is followed from its root, pinned conditions
-  /// take their fixed branch, and only the conditions on free features
-  /// that stay reachable are collected.  The longest tree prefix whose
-  /// free conditions span at most kMaxGridCells cells (stopping at a NaN
-  /// threshold or a tree deeper than the padded layout) is then filled
-  /// tree-major by the padded walk, in tree order, so every entry is
-  /// bit-identical to predict() of any row it stands for.
-  ///
-  /// With `pins` empty this is the fit-time table fit() and load() build.
-  /// Otherwise it returns nullptr unless the table pays for itself over
-  /// `rows` rows: the tree evaluations it saves, rows x (trees it tables
-  /// beyond the fit-time table), must exceed the ones its fill costs,
-  /// cells x trees it tables.  Rows passed to a bundle holding the table
-  /// must carry exactly the pinned values.
-  [[nodiscard]] std::shared_ptr<const GridTable> compile_table(
-      std::span<const std::optional<double>> pins, std::size_t rows) const;
 
   /// Serialization (see util/archive.hpp).
   void save(util::ArchiveWriter& out) const;
@@ -129,6 +112,12 @@ class GBTRegressor {
   void rebuild_padded();
   /// rebuild_padded() plus the fit-time table.
   void compile();
+  /// The fit-time table: the longest tree prefix whose conditions span at
+  /// most kMaxGridCells cells (stopping at a NaN threshold or a tree
+  /// deeper than the padded layout), filled tree-major by the padded walk
+  /// in tree order, so every entry is bit-identical to predict() of any
+  /// row it stands for.
+  [[nodiscard]] std::shared_ptr<const GridTable> compile_table() const;
   /// Adds lr * leaf(row i) of trees [first, last) to out[i] for i <
   /// `block`, feature f of row i being cols[f * col_stride + i];
   /// `block_rows` holds the same rows row-major and is read only for
@@ -162,7 +151,7 @@ class GBTRegressor {
   std::vector<double> pad_weight_;
   int max_feature_ = -1;  ///< highest feature index any node tests
 
-  /// Fit-time prefix grid table (nothing pinned).  Immutable and shared
+  /// Fit-time prefix grid table.  Immutable and shared
   /// by copies of this forest, so a ForestBundle can name the forest by
   /// it whichever copy it is handed.
   std::shared_ptr<const GridTable> table_;

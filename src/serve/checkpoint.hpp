@@ -18,7 +18,7 @@
 //
 // The crc (IEEE CRC-32, reflected) covers the exact bytes of the `row`
 // object, which are also the exact bytes append_row_json re-emits for a
-// replayed row — numbers round-trip through serve::json_number — so
+// replayed row — numbers round-trip through serve::append_json_number — so
 // "crc valid" means "replaying this line reproduces the original bytes".
 //
 // Torn-line policy (what a SIGKILL can leave behind):

@@ -287,17 +287,21 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-std::string json_number(double value) {
+void append_json_number(std::string& out, double value) {
   // Shortest representation that round-trips: try increasing precision.
+  // to_chars' general format with a precision is specified as printf's
+  // %.*g, without its locale and format-string overhead.
   char buf[32];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    end = std::to_chars(buf, buf + sizeof buf, value,
+                        std::chars_format::general, precision)
+              .ptr;
     double parsed = 0.0;
-    const auto len = std::string_view(buf).size();
-    const auto [ptr, ec] = std::from_chars(buf, buf + len, parsed);
-    if (ec == std::errc{} && ptr == buf + len && parsed == value) break;
+    const auto [ptr, ec] = std::from_chars(buf, end, parsed);
+    if (ec == std::errc{} && ptr == end && parsed == value) break;
   }
-  return buf;
+  out.append(buf, end);
 }
 
 // --- Request / response (de)serialisation -----------------------------------
@@ -336,24 +340,30 @@ std::string response_to_jsonl(const BatchResponse& response) {
     out += ", \"error\": \"" + json_escape(response.error) + "\"}";
     return out;
   }
-  out += ", \"total_mw\": " + json_number(response.total_mw);
+  out += ", \"total_mw\": ";
+  append_json_number(out, response.total_mw);
   if (response.mode == PredictMode::kPerComponent) {
     out += ", \"components\": [";
     for (std::size_t i = 0; i < response.components.size(); ++i) {
       const auto& cp = response.components[i];
       if (i > 0) out += ", ";
       out += "{\"component\": \"" + json_escape(cp.component) +
-             "\", \"clock_mw\": " + json_number(cp.clock_mw) +
-             ", \"sram_mw\": " + json_number(cp.sram_mw) +
-             ", \"logic_mw\": " + json_number(cp.logic_mw) +
-             ", \"total_mw\": " + json_number(cp.total_mw) + "}";
+             "\", \"clock_mw\": ";
+      append_json_number(out, cp.clock_mw);
+      out += ", \"sram_mw\": ";
+      append_json_number(out, cp.sram_mw);
+      out += ", \"logic_mw\": ";
+      append_json_number(out, cp.logic_mw);
+      out += ", \"total_mw\": ";
+      append_json_number(out, cp.total_mw);
+      out += "}";
     }
     out += "]";
   } else if (response.mode == PredictMode::kTrace) {
     out += ", \"trace_mw\": [";
     for (std::size_t i = 0; i < response.trace_mw.size(); ++i) {
       if (i > 0) out += ", ";
-      out += json_number(response.trace_mw[i]);
+      append_json_number(out, response.trace_mw[i]);
     }
     out += "]";
   }

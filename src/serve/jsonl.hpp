@@ -67,9 +67,10 @@ class JsonValue {
 /// Escapes `text` for inclusion inside a JSON string literal (no quotes).
 [[nodiscard]] std::string json_escape(std::string_view text);
 
-/// Formats a double with round-trip precision ("%.17g"-equivalent, but
-/// using the shortest representation that parses back exactly).
-[[nodiscard]] std::string json_number(double value);
+/// Appends `value` to `out` with round-trip precision: printf's "%.*g"
+/// bytes at the fewest of 15, 16 or 17 significant digits that parse back
+/// exactly.
+void append_json_number(std::string& out, double value);
 
 /// Parses one JSONL request line.  Rejects unknown keys, wrong types, and
 /// missing config/workload.

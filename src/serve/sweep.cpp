@@ -580,11 +580,11 @@ void append_row_json(std::string& out, const SweepRow& row) {
     append_int(out, row.config.value(p));
   }
   out += "},\"mean_total_mw\":";
-  out += json_number(row.mean_total_mw);
+  append_json_number(out, row.mean_total_mw);
   out += ",\"mean_ipc\":";
-  out += json_number(row.mean_ipc);
+  append_json_number(out, row.mean_ipc);
   out += ",\"ipc_per_watt\":";
-  out += json_number(row.ipc_per_watt);
+  append_json_number(out, row.ipc_per_watt);
   out += ",\"failed\":";
   append_int(out, static_cast<long long>(row.failed));
   out += ",\"cells\":[";
@@ -597,9 +597,9 @@ void append_row_json(std::string& out, const SweepRow& row) {
     out += cell.ok ? "true" : "false";
     if (cell.ok) {
       out += ",\"total_mw\":";
-      out += json_number(cell.total_mw);
+      append_json_number(out, cell.total_mw);
       out += ",\"ipc\":";
-      out += json_number(cell.ipc);
+      append_json_number(out, cell.ipc);
     } else {
       out += ",\"error\":\"";
       out += json_escape(cell.error);

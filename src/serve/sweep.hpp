@@ -211,12 +211,12 @@ struct SweepReport {
 ///   "cells":[{"workload":...,"ok":true,"total_mw":...,"ipc":...},...]
 /// Shared by the final report writer and the checkpoint writer so a
 /// replayed row reproduces its original bytes exactly (numbers round-trip
-/// through serve::json_number).
+/// through serve::append_json_number).
 void append_row_json(std::string& out, const SweepRow& row);
 
 /// Writes the report as JSONL, one ranked row per line:
 ///   {"rank":1,<append_row_json body>}
-/// Numbers round-trip exactly (serve::json_number).
+/// Numbers round-trip exactly (serve::append_json_number).
 void write_sweep_report(std::ostream& out, const SweepReport& report);
 
 }  // namespace autopower::serve

@@ -6,10 +6,9 @@
 //
 //   (a) reference vs presorted tree builder  -> byte-equal archives,
 //   (b) per-sample vs batched forest predict (prefix grid table, then
-//       padded walk), unpinned and pinned ForestBundle predict,
-//       per-context vs tiled clock/SRAM/logic group predict, and
-//       per-context vs batched and pinned-trace AutoPowerModel predict
-//       -> identical doubles,
+//       padded walk), shared ForestBundle predict, per-context vs tiled
+//       clock/SRAM/logic group predict, and per-context vs batched and
+//       trace-cell AutoPowerModel predict -> identical doubles,
 //   (c) cold vs memoized / shared-structural-cache simulate and
 //       simulate_trace -> identical event vectors,
 //   (d) serial vs multi-threaded train / batch engine / sweep ->
@@ -25,6 +24,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <functional>
@@ -524,17 +524,15 @@ void poison_slack(ml::ForestTile& tile) {
   }
 }
 
-// Oracle (b), bundle level: pinned and unpinned ForestBundle predict vs
-// per-sample predict().
+// Oracle (b), bundle level: shared ForestBundle predict vs per-sample
+// predict().
 //
 // A bundle ranks each feature once against the union of its forests'
-// thresholds and maps the shared ranks to each forest's own table; with
-// features pinned, each forest's table is recompiled over the conditions
-// its free features still reach.  Two or three forests fit on one dataset
-// share a bundle.  A random mask pins features at a base-row value, a
-// split threshold or an edge value (signed zeros, denormals, infinities,
-// NaN), and every query row carries exactly the pinned values while its
-// free features sit on the grid_queries values.  Widths straddle the
+// table thresholds and maps the shared ranks to each forest's own table.
+// Two or three forests fit on one dataset share a bundle.  The query rows
+// sit on the grid_queries values, and a random mask of features is set in
+// every row to a base-row value, a split threshold or an edge value
+// (signed zeros, denormals, infinities, NaN).  Widths straddle the
 // 64-row block and AutoPowerModel's kTileRows tile, and leave block tails
 // of every length: 0, the 1-3 rows the scalar tail walks and the 4-15
 // rows predict() pads to a 16-row group.  Each tile's column slack is
@@ -550,23 +548,22 @@ constexpr std::size_t kBundleWidths[] = {
 struct BundleCase {
   ml::Dataset data;
   std::vector<ml::GbtOptions> opts;  ///< one forest each
-  std::uint64_t pin_seed = 0;
+  std::uint64_t edit_seed = 0;
 };
 
 std::string describe_bundle_case(const BundleCase& c) {
   std::ostringstream out;
-  out << "pin seed " << c.pin_seed;
+  out << "edit seed " << c.edit_seed;
   for (const auto& opt : c.opts) out << "; " << describe_dataset(c.data, opt);
   return out.str();
 }
 
-TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
-  std::array<int, 2> shapes{};  // some forest pinned tighter, none did
+TEST(DifferentialTrees, SharedBundleVsScalarPredictBitIdentical) {
   const auto result = testcore::run_property<BundleCase>(
-      {.name = "gbt.bundle_pinned_vs_scalar", .cases = 100},
+      {.name = "gbt.bundle_vs_scalar", .cases = 100},
       [](Pcg32& rng) {
         // The prefix-grid shapes: mixed-style rows tabled whole, and
-        // continuous rows whose forests table only a prefix unpinned.
+        // continuous rows whose forests table only a prefix.
         const int shape = rng.next_int(0, 2);
         BundleCase c{shape == 0 ? testcore::random_dataset(rng, {16, 16, 2, 6})
                      : shape == 1 ? continuous_dataset(rng, 40, 4)
@@ -581,10 +578,10 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
           }
           c.opts.push_back(opt);
         }
-        c.pin_seed = rng.next_u64();
+        c.edit_seed = rng.next_u64();
         return c;
       },
-      [&shapes](const BundleCase& c) -> std::optional<std::string> {
+      [](const BundleCase& c) -> std::optional<std::string> {
         const std::size_t features = c.data.num_features();
         std::vector<ml::GBTRegressor> forests;
         for (const auto& opt : c.opts) {
@@ -602,7 +599,7 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
           }
         }
 
-        // Pin a random subset of the features.
+        // Set a random subset of the features in every row.
         constexpr double kInf = std::numeric_limits<double>::infinity();
         const double edges[] = {0.0,
                                 -0.0,
@@ -611,22 +608,22 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
                                 kInf,
                                 -kInf,
                                 std::numeric_limits<double>::quiet_NaN()};
-        Pcg32 pick(c.pin_seed);
-        std::vector<std::optional<double>> pins(features);
+        Pcg32 pick(c.edit_seed);
+        std::vector<std::optional<double>> edits(features);
         for (std::size_t f = 0; f < features; ++f) {
           if (!pick.next_bool()) continue;
           switch (pick.index(3)) {
             case 0:
-              pins[f] = c.data.features(pick.index(c.data.size()))[f];
+              edits[f] = c.data.features(pick.index(c.data.size()))[f];
               break;
             case 1:
               if (!thresholds[f].empty()) {
-                pins[f] = thresholds[f][pick.index(thresholds[f].size())];
+                edits[f] = thresholds[f][pick.index(thresholds[f].size())];
                 break;
               }
               [[fallthrough]];
             default:
-              pins[f] = edges[pick.index(std::size(edges))];
+              edits[f] = edges[pick.index(std::size(edges))];
           }
         }
 
@@ -636,7 +633,7 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
         const std::size_t count = rows.size() / features;
         for (std::size_t i = 0; i < count; ++i) {
           for (std::size_t f = 0; f < features; ++f) {
-            if (pins[f]) rows[i * features + f] = *pins[f];
+            if (edits[f]) rows[i * features + f] = *edits[f];
           }
         }
         std::vector<std::vector<double>> expected(forests.size());
@@ -648,14 +645,7 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
           }
         }
 
-        // Rows enough that every forest whose pinned table tables more
-        // trees gets it.
-        const ml::ForestBundle unpinned(ptrs);
-        const ml::ForestBundle pinned(ptrs, pins, std::size_t{1} << 40);
-        ++shapes[pinned.tabled_trees() > unpinned.tabled_trees() ? 0 : 1];
-        if (pinned.tabled_trees() < unpinned.tabled_trees()) {
-          return "pinning tabled fewer trees than the fit-time tables";
-        }
+        const ml::ForestBundle bundle(ptrs);
         testcore::TierGuard guard;
         ml::ForestTile tile;
         std::vector<double> out;
@@ -663,30 +653,26 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
              {util::simd::Tier::kScalar, util::simd::Tier::kAvx2}) {
           if (util::simd::kernels_for(tier) == nullptr) continue;
           util::simd::set_active_tier(tier);
-          for (const ml::ForestBundle* bundle : {&unpinned, &pinned}) {
-            for (const std::size_t width : kBundleWidths) {
-              for (std::size_t begin = 0; begin < count; begin += width) {
-                const std::size_t n = std::min(width, count - begin);
-                bundle->rank(std::span<const double>(rows).subspan(
-                                 begin * features, n * features),
-                             features, tile);
-                poison_slack(tile);
-                for (std::size_t k = 0; k < forests.size(); ++k) {
-                  out.assign(n, 0.0);
-                  bundle->predict(forests[k], tile, out);
-                  for (std::size_t i = 0; i < n; ++i) {
-                    if (out[i] == expected[k][begin + i]) continue;
-                    std::ostringstream msg;
-                    msg.precision(17);
-                    msg << util::simd::tier_name(tier)
-                        << (bundle == &pinned ? " pinned" : " unpinned")
-                        << ", forest " << k << ", width " << width
-                        << ", row " << begin + i
-                        << ": predict()=" << expected[k][begin + i]
-                        << " bundle=" << out[i] << " (tabled "
-                        << bundle->tabled_trees() << ")";
-                    return msg.str();
-                  }
+          for (const std::size_t width : kBundleWidths) {
+            for (std::size_t begin = 0; begin < count; begin += width) {
+              const std::size_t n = std::min(width, count - begin);
+              bundle.rank(std::span<const double>(rows).subspan(
+                              begin * features, n * features),
+                          features, tile);
+              poison_slack(tile);
+              for (std::size_t k = 0; k < forests.size(); ++k) {
+                out.assign(n, 0.0);
+                bundle.predict(forests[k], tile, out);
+                for (std::size_t i = 0; i < n; ++i) {
+                  if (out[i] == expected[k][begin + i]) continue;
+                  std::ostringstream msg;
+                  msg.precision(17);
+                  msg << util::simd::tier_name(tier) << ", forest " << k
+                      << ", width " << width << ", row " << begin + i
+                      << ": predict()=" << expected[k][begin + i]
+                      << " bundle=" << out[i] << " (tabled "
+                      << forests[k].tabled_trees() << ")";
+                  return msg.str();
                 }
               }
             }
@@ -696,10 +682,6 @@ TEST(DifferentialTrees, PinnedBundleVsScalarPredictBitIdentical) {
       },
       describe_bundle_case);
   ASSERT_TRUE(result.passed) << result.report;
-  if (result.cases_run >= 30) {  // a short --cases run may miss a shape
-    EXPECT_GT(shapes[0], 0) << "pinning never tabled more trees";
-    EXPECT_GT(shapes[1], 0) << "pinning always tabled more trees";
-  }
 }
 
 // Oracle (b), group level: per-context vs tiled power-group predict.
@@ -1143,58 +1125,127 @@ TEST(DifferentialModel, DuplicateRowsVsPerContextPredictBitIdentical) {
   }
 }
 
-// Oracle (b), trace level: pinned vs per-window predict_trace.
+// Oracle (b), trace level: trace cells vs per-window predict.
 //
-// predict_trace pins each component's H and P features when every window
-// shares one cfg pointer and equal program features, and recompiles the
-// forests over the E conditions alone where the trace is long enough to
-// pay for the fill.  A single-config trace, its first 256 windows cycled
-// to 4,000 rows so many forests recompile, takes that path; a span mixing two
-// configurations, or one configuration under two programs, takes the
-// unpinned one.  Every element must equal predict(window).total()
-// exactly, on the default and the ablation model.
+// predict_trace keys the windows of one design running one program by
+// the ranks of their event rates against every threshold the component's
+// forests test, and predicts each distinct rank vector (a trace cell)
+// once.  The oracle builds a pool of source windows: the first windows
+// of a random design's trace, plus copies with one event rate set to
+// exactly a threshold the model tests, one ulp either side of it, +0,
+// -0, NaN, +inf, or above the component's top threshold.  Traces cycle
+// the pool to kTileRows - 1, kTileRows, kTileRows + 1 and 4,000 windows,
+// and must take the cell path with fewer cells than component rows.  A
+// span mixing two configurations, one mixing two programs, and every
+// span on the linear-alpha ablation model must not.  Every element must
+// equal predict(window).total() exactly, for the k=2 and k=3 models.
 
-constexpr std::size_t kPinnedTraceRows = 4000;
+constexpr std::size_t kTraceLengths[] = {core::AutoPowerModel::kTileRows - 1,
+                                         core::AutoPowerModel::kTileRows,
+                                         core::AutoPowerModel::kTileRows + 1,
+                                         4000};
 
-// Models trained like `autopower train --known C1,C15`: every riscv-tests
-// workload at full simulator fidelity, so their forests outgrow the
-// fit-time tables (group_oracle_model's eight samples grow forests that
-// are tabled whole, leaving pinning nothing to add).
-const core::AutoPowerModel& trace_oracle_model(bool ablation) {
+enum class TraceModel { kTwoConfigs, kThreeConfigs, kLinearAlpha };
+
+// Models trained like `autopower train --known ...`: every riscv-tests
+// workload at full simulator fidelity, on {C1, C15} (default and
+// linear-alpha ablation) and on {C1, C8, C15}.
+const core::AutoPowerModel& trace_oracle_model(TraceModel which) {
   static const auto* const models = [] {
     const sim::PerfSimulator sim;
-    std::vector<core::EvalContext> train;
-    for (const char* cfg_name : {"C1", "C15"}) {
-      const auto& cfg = arch::boom_config(cfg_name);
-      for (const auto& wl : workload::riscv_tests_workloads()) {
-        train.push_back({&cfg, wl.name, workload::program_features(wl),
+    const auto contexts = [&](std::initializer_list<const char*> names) {
+      std::vector<core::EvalContext> out;
+      for (const char* cfg_name : names) {
+        const auto& cfg = arch::boom_config(cfg_name);
+        for (const auto& wl : workload::riscv_tests_workloads()) {
+          out.push_back({&cfg, wl.name, workload::program_features(wl),
                          sim.simulate(cfg, wl)});
+        }
       }
-    }
+      return out;
+    };
+    const auto two = contexts({"C1", "C15"});
+    const auto three = contexts({"C1", "C8", "C15"});
     core::AutoPowerOptions ablation_opt;
     ablation_opt.clock.linear_alpha = true;
     ablation_opt.sram.program_features = false;
-    auto* out = new std::array<core::AutoPowerModel, 2>{
-        core::AutoPowerModel{}, core::AutoPowerModel{ablation_opt}};
-    for (auto& model : *out) model.train(train, shared_golden(), 1);
+    auto* out = new std::array<core::AutoPowerModel, 3>{
+        core::AutoPowerModel{}, core::AutoPowerModel{},
+        core::AutoPowerModel{ablation_opt}};
+    (*out)[0].train(two, shared_golden(), 1);
+    (*out)[1].train(three, shared_golden(), 1);
+    (*out)[2].train(two, shared_golden(), 1);
     return out;
   }();
-  return (*models)[ablation ? 1 : 0];
+  return (*models)[static_cast<std::size_t>(which)];
 }
 
-TEST(DifferentialModel, PinnedTraceVsPerWindowPredictBitIdentical) {
+// Per component, per event, every threshold the component's forests test
+// on that event's feature, sorted.
+std::vector<std::vector<std::vector<double>>> event_thresholds(
+    const core::AutoPowerModel& model) {
+  std::vector<std::vector<std::vector<double>>> out;
+  for (const arch::ComponentKind comp : arch::all_components()) {
+    auto forests = model.clock_model(comp).forests();
+    for (const auto& group : {model.sram_model(comp).forests(),
+                              model.logic_model(comp).forests()}) {
+      forests.insert(forests.end(), group.begin(), group.end());
+    }
+    const std::size_t hw = arch::component_hw_params(comp).size();
+    auto& per_event = out.emplace_back(arch::component_events(comp).size());
+    for (const ml::GBTRegressor* forest : forests) {
+      for (const ml::RegressionTree& tree : forest->trees()) {
+        for (const auto& node : tree.nodes()) {
+          const auto f = static_cast<std::size_t>(node.feature);
+          if (node.feature >= 0 && f >= hw && f - hw < per_event.size() &&
+              !std::isnan(node.threshold)) {
+            per_event[f - hw].push_back(node.threshold);
+          }
+        }
+      }
+    }
+    for (auto& t : per_event) std::sort(t.begin(), t.end());
+  }
+  return out;
+}
+
+// Sets events[e] so that events.rate(e) is exactly `target` (any NaN for
+// a NaN target), searching a few ulps either side of target * cycles;
+// false if no value there divides back to it.
+bool set_rate(arch::EventVector& events, arch::EventKind e, double target) {
+  const auto lands = [&](double v) {
+    events[e] = v;
+    const double rate = events.rate(e);
+    return std::isnan(target) ? std::isnan(rate)
+                              : std::bit_cast<std::uint64_t>(rate) ==
+                                    std::bit_cast<std::uint64_t>(target);
+  };
+  const double start = target * events.cycles();
+  if (lands(start)) return true;
+  for (const double dir : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    double v = start;
+    for (int step = 0; step < 8; ++step) {
+      v = std::nextafter(v, dir);
+      if (lands(v)) return true;
+    }
+  }
+  return false;
+}
+
+TEST(DifferentialModel, TraceCellsVsPerWindowPredictBitIdentical) {
   auto& registry = util::MetricsRegistry::global();
-  const auto& pinned_traces = registry.histogram("core.predict_trace.pin_ns");
-  const auto& pinned_tabled = registry.counter("core.predict_trace.tabled_trees");
+  const auto& trace_windows = registry.counter("core.predict_trace.windows");
+  const auto& trace_cells = registry.counter("core.predict_trace.cells");
+  std::size_t edits_made = 0;
   const auto result = testcore::run_property<GroupCase>(
-      {.name = "core.pinned_trace_vs_per_window", .cases = 10},
+      {.name = "core.trace_cells_vs_per_window", .cases = 8},
       [](Pcg32& rng) {
         GroupCase c{testcore::random_hardware_config(rng),
                     testcore::random_hardware_config(rng),
                     testcore::random_workload_profile(rng),
                     testcore::small_sim_options(rng)};
         c.wl.instructions = 20'000 + rng.next_below(20'000);
-        c.ablation = rng.next_bool();
         c.pick_seed = rng.next_u64();
         return c;
       },
@@ -1210,58 +1261,115 @@ TEST(DifferentialModel, PinnedTraceVsPerWindowPredictBitIdentical) {
           }
           return out;
         };
-        auto distinct = windows(c.cfg_a);
-        if (distinct.empty()) return "simulate_trace returned no windows";
-        distinct.resize(std::min<std::size_t>(distinct.size(), 256));
-        std::vector<core::EvalContext> trace;
-        while (trace.size() < kPinnedTraceRows) {
-          trace.push_back(distinct[trace.size() % distinct.size()]);
-        }
-        // Mixed spans: the distinct windows with a random one swapped for
-        // a window of the other configuration or program.
-        Pcg32 pick(c.pick_seed);
-        auto mixed_config = distinct;
-        mixed_config[pick.index(distinct.size())] = windows(c.cfg_b).front();
-        auto mixed_program = distinct;
-        mixed_program[pick.index(distinct.size())].program = other_program;
+        auto base = windows(c.cfg_a);
+        if (base.empty()) return "simulate_trace returned no windows";
+        base.resize(std::min<std::size_t>(base.size(), 64));
 
-        const auto& model = trace_oracle_model(c.ablation);
-        std::size_t fit_tabled = 0;
-        for (const arch::ComponentKind comp : arch::all_components()) {
-          fit_tabled += model.forests(comp).tabled_trees();
-        }
-        const std::pair<const char*, const std::vector<core::EvalContext>*>
-            spans[] = {{"single-config trace", &trace},
-                       {"mixed-config span", &mixed_config},
-                       {"mixed-program span", &mixed_program}};
-        for (const auto& [what, span] : spans) {
-          const auto traces_before = pinned_traces.count();
-          const auto tabled_before = pinned_tabled.value();
-          const auto got = model.predict_trace(*span);
-          const bool pinned = pinned_traces.count() > traces_before;
-          if (pinned != (span == &trace)) {
-            return std::string(what) +
-                   (pinned ? " took the pinned path" : " was not pinned");
+        for (const TraceModel which :
+             {TraceModel::kTwoConfigs, TraceModel::kThreeConfigs,
+              TraceModel::kLinearAlpha}) {
+          const auto& model = trace_oracle_model(which);
+          const auto thresholds = event_thresholds(model);
+          // The source pool: the base windows, then 32 edited copies.
+          Pcg32 pick(c.pick_seed);
+          auto pool = base;
+          for (int edit = 0; edit < 32; ++edit) {
+            const std::size_t comp = pick.index(arch::kNumComponents);
+            const auto events = arch::component_events(
+                arch::all_components()[comp]);
+            const std::size_t k = pick.index(events.size());
+            const auto& t = thresholds[comp][k];
+            if (t.empty() || events[k] == arch::EventKind::kCycles) continue;
+            const double at = t[pick.index(t.size())];
+            const double targets[] = {
+                at,
+                std::nextafter(at, -std::numeric_limits<double>::infinity()),
+                std::nextafter(at, std::numeric_limits<double>::infinity()),
+                0.0,
+                -0.0,
+                std::numeric_limits<double>::quiet_NaN(),
+                std::numeric_limits<double>::infinity(),
+                t.back() + std::abs(t.back()) + 1.0};
+            core::EvalContext w = base[pick.index(base.size())];
+            if (!set_rate(w.events, events[k],
+                          targets[pick.index(std::size(targets))])) {
+              continue;
+            }
+            pool.push_back(std::move(w));
+            ++edits_made;
           }
-          if (pinned && pinned_tabled.value() - tabled_before <= fit_tabled) {
-            return std::string(what) + " tabled no tree beyond the "
-                                       "fit-time tables";
-          }
-          // The single-config trace cycles `distinct`, so its window i
-          // repeats window i % distinct.size().
           std::vector<double> expected;
-          for (std::size_t i = 0; i < std::min(span->size(), distinct.size());
-               ++i) {
-            expected.push_back(model.predict((*span)[i]).total());
+          for (const auto& w : pool) {
+            expected.push_back(model.predict(w).total());
           }
-          for (std::size_t i = 0; i < span->size(); ++i) {
-            const double one = expected[i % expected.size()];
-            if (got[i] != one) {
-              std::ostringstream msg;
-              msg.precision(17);
-              msg << what << ", window " << i << " of " << span->size()
-                  << ": predict()=" << one << " predict_trace()=" << got[i];
+
+          const auto check = [&](const char* what,
+                                 std::span<const core::EvalContext> span,
+                                 std::span<const double> want,
+                                 bool cell_path) -> std::optional<std::string> {
+            const auto windows_before = trace_windows.value();
+            const auto cells_before = trace_cells.value();
+            const auto got = model.predict_trace(span);
+            const auto n_windows = trace_windows.value() - windows_before;
+            const auto n_cells = trace_cells.value() - cells_before;
+            std::ostringstream msg;
+            msg.precision(17);
+            msg << (which == TraceModel::kTwoConfigs     ? "k=2"
+                    : which == TraceModel::kThreeConfigs ? "k=3"
+                                                         : "linear alpha")
+                << ", " << what << " of " << span.size() << ": ";
+            if (cell_path != (n_windows > 0)) {
+              msg << (cell_path ? "missed" : "took") << " the cell path";
               return msg.str();
+            }
+            if (cell_path &&
+                (n_windows != span.size() || n_cells == 0 ||
+                 n_cells > arch::kNumComponents *
+                               std::min(span.size(), pool.size()) ||
+                 n_cells >= arch::kNumComponents * span.size())) {
+              msg << n_cells << " cells for " << n_windows << " windows";
+              return msg.str();
+            }
+            for (std::size_t i = 0; i < span.size(); ++i) {
+              const double one = want[i % want.size()];
+              if (std::bit_cast<std::uint64_t>(got[i]) ==
+                  std::bit_cast<std::uint64_t>(one)) {
+                continue;
+              }
+              msg << "window " << i << ": predict()=" << one
+                  << " predict_trace()=" << got[i];
+              return msg.str();
+            }
+            return std::nullopt;
+          };
+
+          const bool cells = which != TraceModel::kLinearAlpha;
+          for (const std::size_t length : kTraceLengths) {
+            std::vector<core::EvalContext> trace;
+            while (trace.size() < length) {
+              trace.push_back(pool[trace.size() % pool.size()]);
+            }
+            if (auto diff = check("single-config trace", trace, expected,
+                                  cells)) {
+              return diff;
+            }
+          }
+          // Mixed spans: the pool with a random window swapped for a
+          // window of the other configuration or program.
+          for (const bool swap_config : {true, false}) {
+            auto mixed = pool;
+            auto want = expected;
+            const std::size_t at = pick.index(pool.size());
+            if (swap_config) {
+              mixed[at] = windows(c.cfg_b).front();
+            } else {
+              mixed[at].program = other_program;
+            }
+            want[at] = model.predict(mixed[at]).total();
+            if (auto diff = check(swap_config ? "mixed-config span"
+                                              : "mixed-program span",
+                                  mixed, want, false)) {
+              return diff;
             }
           }
         }
@@ -1270,6 +1378,7 @@ TEST(DifferentialModel, PinnedTraceVsPerWindowPredictBitIdentical) {
       describe_group_case);
   ASSERT_TRUE(result.passed) << result.report;
   EXPECT_GE(result.cases_run, 1);
+  EXPECT_GT(edits_made, 0U) << "no event rate could be set to a target";
 }
 
 // ---------------------------------------------------------------------

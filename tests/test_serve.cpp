@@ -14,9 +14,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -1172,6 +1177,50 @@ TEST(JsonlTest, ResponseSerialisationRoundTripsExactly) {
   ASSERT_EQ(trace.size(), 3u);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i].as_number(), resp.trace_mw[i]);
+  }
+}
+
+// The former snprintf formatter, kept as the reference: the fewest of 15,
+// 16 or 17 "%.*g" digits that parse back exactly.
+std::string snprintf_json_number(double value) {
+  char buf[32];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    double parsed = 0.0;
+    const auto len = std::string_view(buf).size();
+    const auto [ptr, ec] = std::from_chars(buf, buf + len, parsed);
+    if (ec == std::errc{} && ptr == buf + len && parsed == value) break;
+  }
+  return buf;
+}
+
+TEST(JsonlTest, NumberMatchesSnprintfReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, 1e15, 1e16,
+      1e17, 123456789012345678.0, 1e-5, 1e-4, 0.1, 1.0 / 3.0, kInf, -kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0};
+  std::mt19937_64 rng(20251020);
+  for (int i = 0; i < 20000; ++i) {  // every exponent, subnormals included
+    values.push_back(std::bit_cast<double>(rng()));
+  }
+  std::uniform_real_distribution<double> power(0.0, 500.0);
+  for (int i = 0; i < 20000; ++i) values.push_back(power(rng));
+  for (int i = 0; i < 2000; ++i) {  // integers, small and past 2^53
+    values.push_back(static_cast<double>(static_cast<std::int64_t>(rng()) >>
+                                         (i % 60)));
+    values.push_back(std::bit_cast<double>(rng() & 0x000fffffffffffffULL));
+  }
+  std::string out = "[";
+  for (const double v : values) {
+    out.resize(1);
+    append_json_number(out, v);
+    ASSERT_EQ(out.substr(1), snprintf_json_number(v))
+        << "bits " << std::hex << std::bit_cast<std::uint64_t>(v);
   }
 }
 

@@ -301,7 +301,20 @@ echo "trace CSV identical across tiers"
 printf '{"config": "C3", "workload": "gemm", "mode": "trace"}\n' \
   > "$smoke_dir/trace_req.jsonl"
 ./build/tools/autopower batch --model "$smoke_dir/model.ap" \
-  --requests "$smoke_dir/trace_req.jsonl" --out "$smoke_dir/trace_batch.jsonl"
+  --requests "$smoke_dir/trace_req.jsonl" --out "$smoke_dir/trace_batch.jsonl" \
+  --stats "$smoke_dir/trace_stats.json"
+# A one-design trace predicts each distinct event-rank vector (trace cell)
+# once per component: the cell path must have run, with fewer cells than
+# windows.
+python3 - "$smoke_dir/trace_stats.json" <<'PY' \
+  || { echo "the gemm trace did not share trace cells"; exit 1; }
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+windows = counters.get("core.predict_trace.windows", 0)
+cells = counters.get("core.predict_trace.cells", 0)
+print(f"trace cells: {cells} cells for {windows} windows")
+sys.exit(0 if 0 < cells < windows else 1)
+PY
 AUTOPOWER_SIMD=scalar ./build/tools/autopower batch \
   --model "$smoke_dir/model.ap" --requests "$smoke_dir/trace_req.jsonl" \
   --out "$smoke_dir/trace_batch_scalar.jsonl"
