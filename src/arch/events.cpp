@@ -108,13 +108,6 @@ std::string_view event_name(EventKind e) noexcept {
   return kEventNames[static_cast<std::size_t>(e)];
 }
 
-double EventVector::rate(EventKind e) const noexcept {
-  const double c = cycles();
-  if (c <= 0.0) return 0.0;
-  if (e == EventKind::kCycles) return 1.0;
-  return (*this)[e] / c;
-}
-
 EventVector& EventVector::operator+=(const EventVector& other) noexcept {
   for (std::size_t i = 0; i < kNumEvents; ++i) {
     values_[i] += other.values_[i];

@@ -100,7 +100,13 @@ class EventVector {
 
   /// Value divided by cycles: a per-cycle rate for counters, an average
   /// occupancy for occupancy integrals.  Returns 0 when cycles == 0.
-  [[nodiscard]] double rate(EventKind e) const noexcept;
+  /// Inline: prediction gathers it per (window, tested event).
+  [[nodiscard]] double rate(EventKind e) const noexcept {
+    const double c = cycles();
+    if (c <= 0.0) return 0.0;
+    if (e == EventKind::kCycles) return 1.0;
+    return (*this)[e] / c;
+  }
 
   /// Element-wise accumulation (used to aggregate windows into workloads).
   EventVector& operator+=(const EventVector& other) noexcept;

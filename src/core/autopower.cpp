@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <type_traits>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "core/features.hpp"
 #include "util/archive.hpp"
@@ -27,32 +31,18 @@ struct TrainMetrics {
   util::Counter& submodel_fits;
 };
 
-// Component rows the tile-major loop assembled and the distinct ones it
-// ranked and walked, one add each per (tile, component).
-struct RowMetrics {
+// Component rows the tile-major loop keyed, and the activity cells it
+// walked through the forests (table misses), one add each per tile and
+// component.
+struct PredictMetrics {
   util::Counter& rows;
-  util::Counter& distinct_rows;
-};
-
-RowMetrics& row_metrics() {
-  auto& r = util::MetricsRegistry::global();
-  static RowMetrics m{r.counter("core.predict.rows"),
-                      r.counter("core.predict.distinct_rows")};
-  return m;
-}
-
-// Per trace on the cell path: its windows, and the cells it evaluated
-// summed over the 22 components.  Registered by the first such trace, so
-// snapshots of runs without one do not list them.
-struct CellMetrics {
-  util::Counter& windows;
   util::Counter& cells;
 };
 
-CellMetrics& cell_metrics() {
+PredictMetrics& predict_metrics() {
   auto& r = util::MetricsRegistry::global();
-  static CellMetrics m{r.counter("core.predict_trace.windows"),
-                       r.counter("core.predict_trace.cells")};
+  static PredictMetrics m{r.counter("core.predict.rows"),
+                          r.counter("core.predict.cells")};
   return m;
 }
 
@@ -66,7 +56,7 @@ TrainMetrics& train_metrics() {
   return m;
 }
 
-// One multiply-xorshift step of row_hash and the trace cells' key hash.
+// One multiply-xorshift step of the key hashes.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h = (h ^ v) * 0xff51afd7ed558ccdULL;
   return h ^ (h >> 32);
@@ -74,20 +64,33 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 
 constexpr std::uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
 
-// Multiply-xorshift over the row's bit patterns.
-std::uint64_t row_hash(std::span<const double> row) {
+// Tiles compare programs as bytes; the P block has no padding.
+static_assert(sizeof(workload::ProgramFeatures) ==
+              kNumProgramFeatures * sizeof(double));
+
+// Multiply-xorshift over bit patterns.
+template <typename T>
+std::uint64_t key_hash(std::span<const T> key) {
   std::uint64_t h = kHashSeed;
-  for (const double v : row) h = mix(h, std::bit_cast<std::uint64_t>(v));
+  for (const T v : key) {
+    if constexpr (std::is_same_v<T, double>) {
+      h = mix(h, std::bit_cast<std::uint64_t>(v));
+    } else {
+      h = mix(h, v);
+    }
+  }
   return h;
 }
 
 // Numbers keys of `width` values in first-seen order, comparing them as
-// bit patterns (so rows that differ only by -0.0/+0.0 or by a NaN
+// bit patterns (so keys that differ only by -0.0/+0.0 or by a NaN
 // payload stay distinct): an open-addressed table of key numbers, doubled
-// before it is half full.  keys() holds each key once, in number order.
+// before it is half full.
 template <typename T>
 class KeyTable {
  public:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
   explicit KeyTable(std::size_t width) : width_(width) {}
 
   // Forgets every key; the next key is numbered 0.
@@ -95,16 +98,28 @@ class KeyTable {
     width_ = width;
     keys_.clear();
     hashes_.clear();
-    std::fill(table_.begin(), table_.end(), kEmpty);
+    std::fill(table_.begin(), table_.end(), kAbsent);
   }
 
-  // The number of the key key[k * stride], k < width, whose hash is h;
-  // a new key gets number size() - 1.
+  // The number of the key key[k * stride], k < width, whose hash is h, or
+  // kAbsent.
+  [[nodiscard]] std::uint32_t find(const T* key, std::size_t stride,
+                                   std::uint64_t h) const {
+    if (table_.empty()) return kAbsent;
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t b = h & mask; table_[b] != kAbsent; b = (b + 1) & mask) {
+      const std::uint32_t k = table_[b];
+      if (hashes_[k] == h && same(k, key, stride)) return k;
+    }
+    return kAbsent;
+  }
+
+  // find(), numbering a new key size() - 1.
   std::uint32_t insert(const T* key, std::size_t stride, std::uint64_t h) {
     if (2 * (hashes_.size() + 1) > table_.size()) grow();
     const std::size_t mask = table_.size() - 1;
     std::size_t b = h & mask;
-    for (; table_[b] != kEmpty; b = (b + 1) & mask) {
+    for (; table_[b] != kAbsent; b = (b + 1) & mask) {
       const std::uint32_t k = table_[b];
       if (hashes_[k] == h && same(k, key, stride)) return k;
     }
@@ -116,10 +131,14 @@ class KeyTable {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return hashes_.size(); }
-  [[nodiscard]] std::span<const T> keys() const noexcept { return keys_; }
+  [[nodiscard]] const T* key(std::uint32_t k) const noexcept {
+    return keys_.data() + k * width_;
+  }
+  [[nodiscard]] std::uint64_t hash(std::uint32_t k) const noexcept {
+    return hashes_[k];
+  }
 
  private:
-  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
   using Bits =
       std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
 
@@ -135,11 +154,11 @@ class KeyTable {
   }
 
   void grow() {
-    table_.assign(std::max<std::size_t>(2 * table_.size(), 64), kEmpty);
+    table_.assign(std::max<std::size_t>(2 * table_.size(), 64), kAbsent);
     const std::size_t mask = table_.size() - 1;
     for (std::uint32_t k = 0; k < hashes_.size(); ++k) {
       std::size_t b = hashes_[k] & mask;
-      while (table_[b] != kEmpty) b = (b + 1) & mask;
+      while (table_[b] != kAbsent) b = (b + 1) & mask;
       table_[b] = k;
     }
   }
@@ -150,48 +169,74 @@ class KeyTable {
   std::vector<std::uint32_t> table_;
 };
 
-// The tile-major loop's per-component body: m H+E+P rows of one
-// component, ranked once by its bundle, feed its clock, SRAM and logic
-// models (the H+E forests read each row's prefix); cfgs[k] is row k's
-// config.  Row k's groups are then at(k).  Every group output is a
-// function of the component's row alone.
-class GroupTile {
- public:
-  void predict(const ClockPowerModel& clock, const SramPowerModel& sram,
-               const LogicPowerModel& logic, const ml::ForestBundle& forests,
-               std::span<const double> rows, std::size_t arity,
-               std::span<const arch::HardwareConfig* const> cfgs) {
-    const std::size_t m = cfgs.size();
-    forests.rank(rows.first(m * arity), arity, ranked_);
-    clock.predict_tile(cfgs, forests, ranked_, {clock_.data(), m});
-    sram.predict_tile(cfgs, forests, ranked_, {sram_.data(), m});
-    logic.predict_tile(cfgs, forests, ranked_, {reg_.data(), m},
-                       {comb_.data(), m});
-  }
-
-  [[nodiscard]] power::PowerGroups at(std::size_t k) const {
-    return {clock_[k], sram_[k], reg_[k], comb_[k]};
-  }
-
- private:
-  static constexpr std::size_t kRows = AutoPowerModel::kTileRows;
-  std::array<double, kRows> clock_;
-  std::array<double, kRows> sram_;
-  std::array<double, kRows> reg_;
-  std::array<double, kRows> comb_;
-  ml::ForestTile ranked_;
-};
-
-// Sums each context's groups as PowerResult::totals().total() does, so
-// every element is bit-identical to predict(ctx).total().
-std::vector<double> group_totals(std::span<const power::PowerGroups> acc) {
-  std::vector<double> out;
-  out.reserve(acc.size());
-  for (const power::PowerGroups& groups : acc) out.push_back(groups.total());
-  return out;
+// The rank of x against the sorted, non-empty thresholds.
+std::uint32_t rank_of(double x, std::span<const double> thresholds) {
+  std::uint32_t r = 0;
+  ml::rank_values({&x, 1}, thresholds, &r);
+  return r;
 }
 
 }  // namespace
+
+// One component's cells: rank keys (CellIndex::key_width values) and
+// `width` forest outputs per key, in key order.
+struct ActivityCells::Table {
+  std::mutex mu;
+  KeyTable<std::uint32_t> keys{0};
+  std::vector<double> activity;
+  std::size_t width = 0;
+
+  // Copies the outputs of each key of `cells` the table holds to
+  // out[k * width...] and appends the other keys' numbers to `missing`.
+  void lookup(const KeyTable<std::uint32_t>& cells, std::span<double> out,
+              std::vector<std::uint32_t>& missing) {
+    const std::lock_guard lock(mu);
+    for (std::uint32_t k = 0; k < cells.size(); ++k) {
+      const std::uint32_t at = keys.find(cells.key(k), 1, cells.hash(k));
+      if (at == KeyTable<std::uint32_t>::kAbsent) {
+        missing.push_back(k);
+        continue;
+      }
+      std::copy_n(activity.begin() + at * width, width,
+                  out.begin() + k * width);
+    }
+  }
+
+  // Adds the `missing` keys of `cells` with their outputs in `out`, while
+  // there is room.  A key another thread added meanwhile keeps its (equal)
+  // outputs.
+  void insert(const KeyTable<std::uint32_t>& cells,
+              std::span<const std::uint32_t> missing,
+              std::span<const double> out) {
+    const std::lock_guard lock(mu);
+    for (const std::uint32_t k : missing) {
+      if (keys.size() == kCapacity) return;
+      const std::size_t known = keys.size();
+      keys.insert(cells.key(k), 1, cells.hash(k));
+      if (keys.size() == known) continue;
+      activity.insert(activity.end(), out.begin() + k * width,
+                      out.begin() + (k + 1) * width);
+    }
+  }
+};
+
+ActivityCells::ActivityCells(const AutoPowerModel& model)
+    : model_(&model),
+      fingerprint_(model.fingerprint()),
+      tables_(std::make_unique<Table[]>(arch::kNumComponents)) {
+  for (std::size_t i = 0; i < arch::kNumComponents; ++i) {
+    tables_[i].keys.reset(model.cells_[i].key_width());
+    tables_[i].width = model.cells_[i].forests.size();
+  }
+}
+
+ActivityCells::~ActivityCells() = default;
+
+std::size_t ActivityCells::size(arch::ComponentKind c) const {
+  Table& table = tables_[static_cast<std::size_t>(c)];
+  const std::lock_guard lock(table.mu);
+  return table.keys.size();
+}
 
 void AutoPowerModel::train(std::span<const EvalContext> samples,
                            const power::GoldenPowerModel& golden,
@@ -248,39 +293,43 @@ std::vector<const ml::GBTRegressor*> AutoPowerModel::component_forests(
 }
 
 void AutoPowerModel::rebuild_forests() {
-  cells_decide_ = true;
   for (arch::ComponentKind c : arch::all_components()) {
     const auto i = static_cast<std::size_t>(c);
-    const auto forests = component_forests(i);
-    forests_[i] = ml::ForestBundle(forests);
-    cells_decide_ = cells_decide_ && !clock_[i].linear_alpha();
+    CellIndex& index = cells_[i];
+    index = {};
+    index.forests = component_forests(i);
+    forests_[i] = ml::ForestBundle(index.forests);
 
-    // Event k is feature e_begin + k of the component's H+E+P row.
-    // Equality merges -0.0 with +0.0, which every value compares against
-    // alike.
-    const auto events = arch::component_events(c);
-    const std::size_t e_begin = arch::component_hw_params(c).size();
-    std::vector<std::vector<double>> per_event(events.size());
-    for (const ml::GBTRegressor* forest : forests) {
+    // Feature f of the component's H+E+P row: H below n_h, then E, then
+    // P.  Equality merges -0.0 with +0.0, which every value compares
+    // against alike.
+    const std::size_t n_h = arch::component_hw_params(c).size();
+    const std::size_t n_he = n_h + arch::component_events(c).size();
+    std::vector<std::vector<double>> per_feature(n_he + kNumProgramFeatures);
+    for (const ml::GBTRegressor* forest : index.forests) {
       for (const ml::RegressionTree& tree : forest->trees()) {
         for (const auto& node : tree.nodes()) {
-          const auto k = static_cast<std::size_t>(node.feature) - e_begin;
-          if (node.feature >= 0 && k < events.size() &&
-              !std::isnan(node.threshold)) {
-            per_event[k].push_back(node.threshold);
-          }
+          if (node.feature < 0 || std::isnan(node.threshold)) continue;
+          const auto f = static_cast<std::size_t>(node.feature);
+          AP_REQUIRE(f < per_feature.size(),
+                     "corrupt AutoPower archive: a forest tests a feature "
+                     "past the component's H+E+P row");
+          per_feature[f].push_back(node.threshold);
         }
       }
     }
-    TraceCells& cells = trace_cells_[i];
-    cells = {};
-    for (std::size_t k = 0; k < events.size(); ++k) {
-      auto& u = per_event[k];
-      if (u.empty()) continue;  // no tree reads the event
+    for (std::size_t f = 0; f < per_feature.size(); ++f) {
+      auto& u = per_feature[f];
+      if (u.empty()) continue;  // no tree reads the feature
       std::sort(u.begin(), u.end());
       u.erase(std::unique(u.begin(), u.end()), u.end());
-      cells.events.push_back(events[k]);
-      cells.thresholds.push_back(std::move(u));
+      if (f < n_h) {
+        index.h.push_back({f, std::move(u)});
+      } else if (f < n_he) {
+        index.e.push_back({f - n_h, std::move(u)});
+      } else {
+        index.p.push_back({f - n_he, std::move(u)});
+      }
     }
   }
 }
@@ -357,41 +406,212 @@ void AutoPowerModel::load_from_file(const std::string& path) {
 
 template <typename Sink>
 void AutoPowerModel::for_each_group_power(std::span<const EvalContext> ctxs,
+                                          ActivityCells& table,
                                           Sink&& sink) const {
   AP_REQUIRE(trained_, "AutoPower not trained");
-  // Tile-major: per tile and component, one H+E+P feature tile is ranked
-  // once and feeds all three group models, so the tile, its ranks and
-  // every forest's outputs stay cache-resident.  Only the first row of
-  // each distinct byte pattern is ranked and walked, and its groups go to
-  // every duplicate.  Each context still sees its components in Table III
-  // order.
-  std::array<std::uint32_t, kTileRows> slot{};
-  std::array<const arch::HardwareConfig*, kTileRows> cfgs{};
-  KeyTable<double> distinct(0);
-  GroupTile groups;
-  auto& metrics = row_metrics();
+  AP_REQUIRE(table.model_ == this && table.fingerprint_ == fingerprint_,
+             "ActivityCells made for another model, or before its last "
+             "train() or load()");
+  // Tile-major: per tile and component, each row is keyed by its H class
+  // (distinct component H), its program and its E ranks, and each
+  // distinct key (a slot) gets its groups once.  A slot's activity cell
+  // adds the H and P ranks of its class and program; the cells' forest
+  // outputs come from `table`, or are walked and added to it.  Each
+  // context still sees its components in Table III order.
+  auto& metrics = predict_metrics();
+  KeyTable<std::uint64_t> cfg_keys(1);
+  KeyTable<double> program_keys(kNumProgramFeatures);
+  std::vector<const arch::HardwareConfig*> cfgs;
+  std::array<std::uint32_t, kTileRows> cfg_of;
+  std::array<std::uint32_t, kTileRows> program_of;
+  KeyTable<double> h_keys(0);
+  std::vector<std::uint32_t> h_of;  // per distinct cfg: its H class
+  std::vector<std::uint32_t> h_ranks;
+  std::vector<std::uint32_t> p_ranks;
+  std::vector<ClockPowerModel::Terms> clock_terms;
+  std::vector<SramPowerModel::PositionTerms> sram_terms;
+  std::vector<LogicPowerModel::Terms> logic_terms;
+  std::vector<std::uint32_t> row_keys;
+  std::array<std::uint64_t, kTileRows> hashes;
+  std::array<double, kTileRows> rates;
+  KeyTable<std::uint32_t> slots(0);
+  std::array<std::uint32_t, kTileRows> slot_of;
+  std::vector<std::uint32_t> first_row;  // per slot
+  KeyTable<std::uint32_t> cells(0);
+  std::vector<std::uint32_t> cell_of;  // per slot
+  std::vector<std::uint32_t> cell_row;  // per cell: its first row
+  std::vector<std::uint32_t> key;
+  std::vector<std::uint32_t> missing;
+  std::vector<double> activity;
+  std::vector<double> rows;
+  std::vector<double> walked;
+  ml::ForestTile ranked;
+  std::vector<power::PowerGroups> groups;  // per slot
+  std::vector<double> he;
   for (std::size_t begin = 0; begin < ctxs.size(); begin += kTileRows) {
     const auto tile =
         ctxs.subspan(begin, std::min(kTileRows, ctxs.size() - begin));
     const std::size_t n = tile.size();
+    cfg_keys.reset(1);
+    program_keys.reset(kNumProgramFeatures);
+    cfgs.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      // Runs of one cfg or one program (a trace, a sweep row) skip the
+      // hash.
+      if (j > 0 && tile[j].cfg == tile[j - 1].cfg) {
+        cfg_of[j] = cfg_of[j - 1];
+      } else {
+        const auto ptr = static_cast<std::uint64_t>(
+            reinterpret_cast<std::uintptr_t>(tile[j].cfg));
+        cfg_of[j] = cfg_keys.insert(&ptr, 1, mix(kHashSeed, ptr));
+        if (cfg_of[j] == cfgs.size()) cfgs.push_back(tile[j].cfg);
+      }
+      if (j > 0 && std::memcmp(&tile[j].program, &tile[j - 1].program,
+                               sizeof(workload::ProgramFeatures)) == 0) {
+        program_of[j] = program_of[j - 1];
+      } else {
+        const auto p = program_feature_values(tile[j].program);
+        program_of[j] =
+            program_keys.insert(p.data(), 1, key_hash<double>(p));
+      }
+    }
+    const std::size_t n_programs = program_keys.size();
+    h_of.resize(cfgs.size());
+
     for (arch::ComponentKind c : arch::all_components()) {
       const auto i = static_cast<std::size_t>(c);
-      const auto rows = feature_rows(c, FeatureSpec::hep(), tile);
-      const std::size_t arity = rows.size() / n;
-      distinct.reset(arity);
-      for (std::size_t j = 0; j < n; ++j) {
-        const double* const row = rows.data() + j * arity;
-        const std::size_t known = distinct.size();
-        slot[j] = distinct.insert(row, 1, row_hash({row, arity}));
-        if (distinct.size() > known) cfgs[known] = tile[j].cfg;
+      const CellIndex& index = cells_[i];
+      const std::size_t n_pos = sram_[i].num_positions();
+
+      // H ranks and structural terms once per distinct component H.
+      h_keys.reset(arch::component_hw_params(c).size());
+      h_ranks.clear();
+      clock_terms.clear();
+      sram_terms.clear();
+      logic_terms.clear();
+      for (std::size_t q = 0; q < cfgs.size(); ++q) {
+        std::array<double, arch::kNumHwParams> buf;
+        const auto h = hardware_features(c, *cfgs[q], buf);
+        const std::size_t known = h_keys.size();
+        h_of[q] = h_keys.insert(h.data(), 1, key_hash<double>(h));
+        if (h_keys.size() == known) continue;
+        for (const auto& f : index.h) {
+          h_ranks.push_back(rank_of(h[f.at], f.thresholds));
+        }
+        clock_terms.push_back(clock_[i].terms(h));
+        sram_terms.resize(sram_terms.size() + n_pos);
+        sram_[i].terms(*cfgs[q], std::span(sram_terms).last(n_pos));
+        logic_terms.push_back(logic_[i].terms(h));
       }
-      const std::size_t m = distinct.size();
-      metrics.rows.add(n);
-      metrics.distinct_rows.add(m);
-      groups.predict(clock_[i], sram_[i], logic_[i], forests_[i],
-                     distinct.keys(), arity, {cfgs.data(), m});
+      // P ranks once per distinct program.
+      p_ranks.clear();
+      for (std::uint32_t p = 0; p < program_keys.size(); ++p) {
+        for (const auto& f : index.p) {
+          p_ranks.push_back(rank_of(program_keys.key(p)[f.at], f.thresholds));
+        }
+      }
+
+      // Row j's key, column-major: its (H class, program) pair, then its
+      // E ranks.
+      const std::size_t width = 1 + index.e.size();
+      row_keys.resize(width * n);
       for (std::size_t j = 0; j < n; ++j) {
-        sink(c, begin + j, groups.at(slot[j]));
+        row_keys[j] = h_of[cfg_of[j]] * n_programs + program_of[j];
+        hashes[j] = mix(kHashSeed, row_keys[j]);
+      }
+      const auto events = arch::component_events(c);
+      for (std::size_t k = 0; k < index.e.size(); ++k) {
+        const arch::EventKind e = events[index.e[k].at];
+        for (std::size_t j = 0; j < n; ++j) rates[j] = tile[j].events.rate(e);
+        std::uint32_t* const r = row_keys.data() + (1 + k) * n;
+        ml::rank_values({rates.data(), n}, index.e[k].thresholds, r);
+        for (std::size_t j = 0; j < n; ++j) hashes[j] = mix(hashes[j], r[j]);
+      }
+      slots.reset(width);
+      first_row.clear();
+      for (std::size_t j = 0; j < n; ++j) {
+        slot_of[j] = slots.insert(row_keys.data() + j, n, hashes[j]);
+        if (slot_of[j] == first_row.size()) {
+          first_row.push_back(static_cast<std::uint32_t>(j));
+        }
+      }
+
+      // Each slot's cell: its H ranks, E ranks and P ranks.
+      const std::size_t n_h = index.h.size();
+      const std::size_t n_p = index.p.size();
+      cells.reset(index.key_width());
+      cell_of.clear();
+      cell_row.clear();
+      key.resize(index.key_width());
+      for (const std::uint32_t j : first_row) {
+        const std::uint32_t h = row_keys[j] / n_programs;
+        const std::uint32_t p = row_keys[j] % n_programs;
+        auto out = std::copy_n(h_ranks.begin() + h * n_h, n_h, key.begin());
+        for (std::size_t k = 0; k < index.e.size(); ++k) {
+          *out++ = row_keys[(1 + k) * n + j];
+        }
+        std::copy_n(p_ranks.begin() + p * n_p, n_p, out);
+        cell_of.push_back(
+            cells.insert(key.data(), 1, key_hash<std::uint32_t>(key)));
+        if (cell_of.back() == cell_row.size()) cell_row.push_back(j);
+      }
+
+      // Each cell's forest outputs: from the table, or walked from the
+      // cell's first row and added to it.
+      const std::size_t n_forests = index.forests.size();
+      ActivityCells::Table& shared = table.tables_[i];
+      activity.resize(cells.size() * n_forests);
+      missing.clear();
+      shared.lookup(cells, activity, missing);
+      if (!missing.empty()) {
+        rows.clear();
+        for (const std::uint32_t k : missing) {
+          const EvalContext& ctx = tile[cell_row[k]];
+          feature_vector_into(c, FeatureSpec::hep(), *ctx.cfg, ctx.events,
+                              ctx.program, rows);
+        }
+        forests_[i].rank(rows, rows.size() / missing.size(), ranked);
+        walked.resize(missing.size());
+        for (std::size_t f = 0; f < n_forests; ++f) {
+          forests_[i].predict(*index.forests[f], ranked, walked);
+          for (std::size_t m = 0; m < missing.size(); ++m) {
+            activity[missing[m] * n_forests + f] = walked[m];
+          }
+        }
+        shared.insert(cells, missing, activity);
+      }
+      metrics.rows.add(n);
+      metrics.cells.add(missing.size());
+
+      // Each slot's groups: Eq. 7 and 10-12 on its H class's structural
+      // terms and its cell's forest outputs.  The linear-alpha ablation
+      // has no clock forest; its alpha' reads raw E, so its clock power
+      // is combined per row below.
+      const bool linear_alpha = clock_[i].linear_alpha();
+      const std::size_t n_clock = linear_alpha ? 0 : 1;
+      groups.resize(slots.size());
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        const std::uint32_t h = row_keys[first_row[s]] / n_programs;
+        const double* const a = activity.data() + cell_of[s] * n_forests;
+        power::PowerGroups& g = groups[s];
+        g.clock = linear_alpha ? 0.0 : clock_[i].combine(clock_terms[h], a[0]);
+        g.sram = sram_[i].combine({sram_terms.data() + h * n_pos, n_pos},
+                                  {a + n_clock, 2 * n_pos});
+        logic_[i].combine(logic_terms[h], {a + n_clock + 2 * n_pos, 2},
+                          g.logic_register, g.logic_comb);
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!linear_alpha) {
+          sink(c, begin + j, groups[slot_of[j]]);
+          continue;
+        }
+        power::PowerGroups g = groups[slot_of[j]];
+        he.clear();
+        feature_vector_into(c, FeatureSpec::he(), *tile[j].cfg,
+                            tile[j].events, tile[j].program, he);
+        g.clock = clock_[i].combine(clock_terms[row_keys[j] / n_programs],
+                                    clock_[i].linear_alpha_of(he));
+        sink(c, begin + j, g);
       }
     }
   }
@@ -404,10 +624,11 @@ power::PowerResult AutoPowerModel::predict(const EvalContext& ctx) const {
 std::vector<power::PowerResult> AutoPowerModel::predict_batch(
     std::span<const EvalContext> ctxs) const {
   if (ctxs.empty()) return {};  // nothing to do, even untrained
+  ActivityCells cells(*this);
   std::vector<power::PowerResult> out(ctxs.size());
   for (auto& r : out) r.components.resize(arch::kNumComponents);
-  for_each_group_power(ctxs, [&](arch::ComponentKind c, std::size_t j,
-                                 const power::PowerGroups& groups) {
+  for_each_group_power(ctxs, cells, [&](arch::ComponentKind c, std::size_t j,
+                                        const power::PowerGroups& groups) {
     out[j].components[static_cast<std::size_t>(c)] = {c, groups};
   });
   return out;
@@ -418,100 +639,28 @@ double AutoPowerModel::predict_total(const EvalContext& ctx) const {
 }
 
 std::vector<double> AutoPowerModel::predict_total_batch(
-    std::span<const EvalContext> ctxs) const {
+    std::span<const EvalContext> ctxs, ActivityCells* cells) const {
   if (ctxs.empty()) return {};
-  return totals(ctxs);
-}
-
-std::vector<double> AutoPowerModel::totals(
-    std::span<const EvalContext> ctxs) const {
+  std::optional<ActivityCells> own;
+  if (cells == nullptr) cells = &own.emplace(*this);
   // Each context keeps one running PowerGroups instead of a 22-component
   // vector, accumulated field by field in component order.
   std::vector<power::PowerGroups> acc(ctxs.size());
-  for_each_group_power(ctxs, [&](arch::ComponentKind, std::size_t j,
-                                 const power::PowerGroups& groups) {
+  for_each_group_power(ctxs, *cells, [&](arch::ComponentKind, std::size_t j,
+                                         const power::PowerGroups& groups) {
     acc[j] += groups;
   });
-  return group_totals(acc);
+  // Summed as PowerResult::totals().total() does, so every element is
+  // bit-identical to predict(ctx).total().
+  std::vector<double> out;
+  out.reserve(acc.size());
+  for (const power::PowerGroups& groups : acc) out.push_back(groups.total());
+  return out;
 }
 
 std::vector<double> AutoPowerModel::predict_trace(
     std::span<const EvalContext> windows) const {
-  if (windows.empty()) return {};
-  AP_REQUIRE(trained_, "AutoPower not trained");
-  const EvalContext& first = windows.front();
-  const bool one_design =
-      std::all_of(windows.begin(), windows.end(), [&](const EvalContext& w) {
-        return w.cfg == first.cfg && w.program == first.program;
-      });
-  if (!one_design || !cells_decide_) return totals(windows);
-
-  // Every window has the same H and P, so a component's row differs from
-  // window to window only in its E rates.  Two windows whose rates have
-  // equal ranks against the component's trace cells take the same branch
-  // at every node of every tree of its forests (!(x < t) ranks NaN and
-  // values above the top threshold alike), so they reach the same leaves
-  // and get the same forest outputs; the group formulas read only the
-  // cfg and those outputs.  Each cell is therefore predicted once, from
-  // its first window, and its groups go to every window of the cell,
-  // accumulated per window in component order as totals() does.
-  std::vector<KeyTable<std::uint32_t>> keys;
-  std::array<std::vector<power::PowerGroups>, arch::kNumComponents> cells;
-  for (const TraceCells& tc : trace_cells_) {
-    keys.emplace_back(tc.events.size());
-  }
-  std::vector<power::PowerGroups> acc(windows.size());
-  std::array<const arch::HardwareConfig*, kTileRows> cfgs;
-  cfgs.fill(first.cfg);
-  std::array<double, kTileRows> rates;
-  std::array<std::uint64_t, kTileRows> hashes;
-  std::array<std::uint32_t, kTileRows> cell;
-  std::vector<std::uint32_t> ranks;
-  std::vector<double> rows;
-  GroupTile groups;
-  for (std::size_t begin = 0; begin < windows.size(); begin += kTileRows) {
-    const auto tile =
-        windows.subspan(begin, std::min(kTileRows, windows.size() - begin));
-    const std::size_t n = tile.size();
-    for (arch::ComponentKind c : arch::all_components()) {
-      const auto i = static_cast<std::size_t>(c);
-      const TraceCells& tc = trace_cells_[i];
-      // ranks[k * n + j]: window j's rank on the component's k-th event.
-      ranks.resize(tc.events.size() * n);
-      std::fill_n(hashes.begin(), n, kHashSeed);
-      for (std::size_t k = 0; k < tc.events.size(); ++k) {
-        for (std::size_t j = 0; j < n; ++j) {
-          rates[j] = tile[j].events.rate(tc.events[k]);
-        }
-        std::uint32_t* const r = ranks.data() + k * n;
-        ml::rank_values({rates.data(), n}, tc.thresholds[k], r);
-        for (std::size_t j = 0; j < n; ++j) hashes[j] = mix(hashes[j], r[j]);
-      }
-      rows.clear();
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t known = keys[i].size();
-        cell[j] = keys[i].insert(ranks.data() + j, n, hashes[j]);
-        if (keys[i].size() == known) continue;
-        feature_vector_into(c, FeatureSpec::hep(), *tile[j].cfg,
-                            tile[j].events, tile[j].program, rows);
-      }
-      const std::size_t fresh = keys[i].size() - cells[i].size();
-      if (fresh > 0) {
-        groups.predict(clock_[i], sram_[i], logic_[i], forests_[i], rows,
-                       rows.size() / fresh, {cfgs.data(), fresh});
-        for (std::size_t k = 0; k < fresh; ++k) {
-          cells[i].push_back(groups.at(k));
-        }
-      }
-      for (std::size_t j = 0; j < n; ++j) acc[begin + j] += cells[i][cell[j]];
-    }
-  }
-  auto& metrics = cell_metrics();
-  metrics.windows.add(windows.size());
-  for (const auto& component_cells : cells) {
-    metrics.cells.add(component_cells.size());
-  }
-  return group_totals(acc);
+  return predict_total_batch(windows);
 }
 
 const ClockPowerModel& AutoPowerModel::clock_model(

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -39,6 +40,49 @@ struct AutoPowerOptions {
   LogicModelOptions logic;
 };
 
+class AutoPowerModel;
+
+/// Activity cells: the outputs of one AutoPowerModel's GBT forests, keyed
+/// per component by the cell of the threshold grid its row falls in.
+///
+/// A component's clock, SRAM and logic forests test some of the features
+/// of its H+E+P row, each against a finite set of thresholds.  Two rows
+/// whose values have equal ranks against every tested threshold take the
+/// same branch at every node, so every forest gives them the same output.
+/// A table maps each component's rank vectors (cells) to those outputs,
+/// walked once from the first row that reached the cell.
+///
+/// Thread safety: safe to share across threads; append-only, so a cell,
+/// once inserted, never changes.  A predict call locks a component's
+/// table once per tile to look its cells up, walks the misses outside the
+/// lock, and locks again to insert them (the first insert of a cell wins;
+/// every thread computes the same bytes).  Past kCapacity cells per
+/// component, misses are walked without being inserted.  The table is
+/// bound to the model it was made for; train() or load() on that model
+/// makes every later predict call with it throw.
+class ActivityCells {
+ public:
+  /// Most cells held per component.  A cell costs its rank key and one
+  /// double per forest, ~150 bytes, so a full table holds ~13 MiB.
+  static constexpr std::size_t kCapacity = 4096;
+
+  /// An empty table for `model`, which must outlive the table.
+  explicit ActivityCells(const AutoPowerModel& model);
+  ~ActivityCells();
+  ActivityCells(const ActivityCells&) = delete;
+  ActivityCells& operator=(const ActivityCells&) = delete;
+
+  /// Cells held for component c.
+  [[nodiscard]] std::size_t size(arch::ComponentKind c) const;
+
+ private:
+  friend class AutoPowerModel;
+  struct Table;
+  const AutoPowerModel* model_;
+  std::string fingerprint_;  ///< the model's when the table was made
+  std::unique_ptr<Table[]> tables_;
+};
+
 /// The end-to-end AutoPower model: 22 components x 3 power groups.
 ///
 /// Thread safety: train(), load() and the file wrappers mutate the model
@@ -49,10 +93,11 @@ struct AutoPowerOptions {
 /// at any thread count.  Once training or loading has completed, every
 /// const method — predict(), predict_batch(), predict_total(),
 /// predict_trace(), the per-component model accessors — only reads
-/// immutable state and is safe to call concurrently from any number of
-/// threads on one shared instance (the serving layer in src/serve/ relies
-/// on this: a model is published as shared_ptr<const AutoPowerModel> and
-/// queried by a whole thread pool).
+/// immutable state (besides the thread-safe ActivityCells it is handed)
+/// and is safe to call concurrently from any number of threads on one
+/// shared instance (the serving layer in src/serve/ relies on this: a
+/// model is published as shared_ptr<const AutoPowerModel> and queried by
+/// a whole thread pool).
 class AutoPowerModel {
  public:
   AutoPowerModel() = default;
@@ -68,9 +113,9 @@ class AutoPowerModel {
              const power::GoldenPowerModel& golden, std::size_t threads = 1);
 
   /// Rows per tile of the tile-major prediction loop: every batch call
-  /// walks its contexts kTileRows at a time, so each component's H+E+P
-  /// feature tile and the forests' outputs stay cache-resident however
-  /// long the batch (a gemm trace is ~55k windows).
+  /// walks its contexts kTileRows at a time, so each component's rank keys
+  /// and group outputs stay cache-resident however long the batch (a gemm
+  /// trace is ~55k windows).
   static constexpr std::size_t kTileRows = 512;
 
   /// Full per-component, per-group power prediction (mW): predict_batch
@@ -78,15 +123,15 @@ class AutoPowerModel {
   [[nodiscard]] power::PowerResult predict(const EvalContext& ctx) const;
 
   /// Batched prediction: one PowerResult per context, evaluated
-  /// tile-major.  Per tile of kTileRows contexts and per component, one
-  /// H+E+P feature tile is assembled; each distinct row of it (keyed by
-  /// its bytes) is ranked once by the component's ForestBundle and feeds
-  /// the clock, SRAM and logic models, each of whose GBT sub-models makes
-  /// one pass over the distinct rows, and every duplicate gets its first
-  /// occurrence's groups.  A sweep's cells share most components' rows
-  /// (power group decoupling gives each component only its own H), so
-  /// this walks a fraction of the rows.  Element i does not depend on the
-  /// rest of the batch.
+  /// tile-major through an ActivityCells table made for this call.  Per
+  /// tile of kTileRows contexts and per component, each row is keyed by
+  /// its activity cell: the ranks of its H features once per distinct
+  /// cfg, of its P features once per distinct ProgramFeatures, and of its
+  /// E features per row.  Each cell's forest outputs are walked once per
+  /// table, from its first row, and the structural sub-models run once
+  /// per distinct component H; each row's groups combine the two by
+  /// Eq. 7 and 10-12.  Element i is bit-identical to predict(ctxs[i]) and
+  /// does not depend on the rest of the batch.
   [[nodiscard]] std::vector<power::PowerResult> predict_batch(
       std::span<const EvalContext> ctxs) const;
 
@@ -94,26 +139,22 @@ class AutoPowerModel {
   [[nodiscard]] double predict_total(const EvalContext& ctx) const;
 
   /// Batched totals: element i is bit-identical to
-  /// predict(ctxs[i]).total(), evaluated by the same tile-major loop as
-  /// predict_batch, distinct rows and all, but holding only one
-  /// PowerGroups accumulator per context instead of the full
-  /// 22-component breakdown — the scoring path for search loops and
-  /// power traces that never look at per-component power.
+  /// predict(ctxs[i]).total(), evaluated by the same loop as
+  /// predict_batch but holding only one PowerGroups accumulator per
+  /// context instead of the full 22-component breakdown: the scoring path
+  /// for search loops and power traces that never look at per-component
+  /// power.  `cells` is the table to look activity cells up in and add
+  /// them to (it must have been made for this model); a sweep shares one
+  /// across all of its calls and threads, so each cell is walked once per
+  /// sweep.  nullptr makes a table for this call alone.
   [[nodiscard]] std::vector<double> predict_total_batch(
-      std::span<const EvalContext> ctxs) const;
+      std::span<const EvalContext> ctxs,
+      ActivityCells* cells = nullptr) const;
 
-  /// Per-window total power for a time-based power trace; element i is
-  /// bit-identical to predict(windows[i]).total().  When every window
-  /// shares one cfg pointer and equal ProgramFeatures (one design running
-  /// one program), only the E features differ between windows, and the
-  /// ranks of a window's event rates against every threshold its
-  /// component's forests test decide every branch, hence every group
-  /// output.  So each component keys its windows by those ranks, and each
-  /// distinct rank vector (a trace cell) is predicted once, from its first
-  /// window, through the tile-major loop's body (a 55k-window gemm trace
-  /// has 9-87 cells per component).  Any other span, and any model whose
-  /// clock group reads raw E (ClockModelOptions::linear_alpha), runs
-  /// predict_total_batch.
+  /// Per-window total power for a time-based power trace: exactly
+  /// predict_total_batch(windows).  A one-design trace (one cfg and one
+  /// program) differs from window to window only in E, so each tile costs
+  /// one cell lookup and one PowerGroups add per (window, component).
   [[nodiscard]] std::vector<double> predict_trace(
       std::span<const EvalContext> windows) const;
 
@@ -153,23 +194,30 @@ class AutoPowerModel {
   std::array<SramPowerModel, arch::kNumComponents> sram_;
   std::array<LogicPowerModel, arch::kNumComponents> logic_;
   std::array<ml::ForestBundle, arch::kNumComponents> forests_;
-  /// One component's trace cells: the events its forests test and, per
-  /// event, the sorted distinct thresholds over every node of every tree
-  /// of its forests (NaN thresholds, which every value passes alike, left
-  /// out).
-  struct TraceCells {
-    std::vector<arch::EventKind> events;
-    std::vector<std::vector<double>> thresholds;
+  /// One component's activity-cell index: the features of its H+E+P row
+  /// that some tree of its forests tests, by family, each with the sorted
+  /// distinct thresholds over every node of every tree (NaN thresholds,
+  /// which every value passes alike, left out), and its forests in
+  /// component_forests order.
+  struct CellIndex {
+    struct Feature {
+      std::size_t at = 0;  ///< index within its H, E or P block
+      std::vector<double> thresholds;
+    };
+    std::vector<Feature> h, e, p;
+    std::vector<const ml::GBTRegressor*> forests;
+    [[nodiscard]] std::size_t key_width() const noexcept {
+      return h.size() + e.size() + p.size();
+    }
   };
-  std::array<TraceCells, arch::kNumComponents> trace_cells_;
-  /// False when some clock model reads raw E (linear_alpha): ranks then
-  /// do not decide its output, and predict_trace keys nothing.
-  bool cells_decide_ = false;
+  std::array<CellIndex, arch::kNumComponents> cells_;
   bool trained_ = false;
   std::string fingerprint_;
 
+  friend class ActivityCells;
+
   void refresh_fingerprint();
-  /// Rebuilds forests_, trace_cells_ and cells_decide_ (train and load).
+  /// Rebuilds forests_ and cells_ (train and load).
   void rebuild_forests();
   /// Component i's GBT sub-models: clock, then SRAM, then logic.
   [[nodiscard]] std::vector<const ml::GBTRegressor*> component_forests(
@@ -178,12 +226,9 @@ class AutoPowerModel {
   /// The one tile-major loop behind predict_batch and
   /// predict_total_batch: calls sink(component, j, groups) with the group
   /// powers of ctxs[j], each context's components in Table III order.
-  /// Each distinct component row of a tile is ranked and walked once.
   template <typename Sink>
   void for_each_group_power(std::span<const EvalContext> ctxs,
-                            Sink&& sink) const;
-  [[nodiscard]] std::vector<double> totals(
-      std::span<const EvalContext> ctxs) const;
+                            ActivityCells& cells, Sink&& sink) const;
 };
 
 }  // namespace autopower::core

@@ -1,6 +1,7 @@
 #include "core/clock_model.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "core/features.hpp"
 #include "util/error.hpp"
@@ -96,30 +97,53 @@ std::vector<const ml::GBTRegressor*> ClockPowerModel::forests() const {
   return {&alpha_model_};
 }
 
+ClockPowerModel::Terms ClockPowerModel::terms(
+    std::span<const double> h) const {
+  if (!trained_) throw util::NotFitted("clock model not trained");
+  return {reg_model_.predict(h),
+          std::clamp(gate_model_.predict(h), 0.0, 0.99)};
+}
+
+double ClockPowerModel::combine(const Terms& t, double alpha) const {
+  const double p_reg = techlib::TechLibrary::default_40nm().clock_pin_energy;
+  // Eq. 7: P_clk = R (1 - g) p_reg + alpha' R g.
+  return std::max(0.0, t.registers * (1.0 - t.gating) * p_reg +
+                           alpha * t.registers * t.gating);
+}
+
+double ClockPowerModel::linear_alpha_of(std::span<const double> he) const {
+  return alpha_linear_model_.predict(he);
+}
+
 double ClockPowerModel::predict_register_count(
     const arch::HardwareConfig& cfg) const {
-  if (!trained_) throw util::NotFitted("clock model not trained");
-  return reg_model_.predict(
-      cfg.features_for(arch::component_hw_params(component_)));
+  std::array<double, arch::kNumHwParams> buf;
+  return terms(hardware_features(component_, cfg, buf)).registers;
 }
 
 double ClockPowerModel::predict_gating_rate(
     const arch::HardwareConfig& cfg) const {
-  if (!trained_) throw util::NotFitted("clock model not trained");
-  return std::clamp(
-      gate_model_.predict(
-          cfg.features_for(arch::component_hw_params(component_))),
-      0.0, 0.99);
+  std::array<double, arch::kNumHwParams> buf;
+  return terms(hardware_features(component_, cfg, buf)).gating;
 }
 
 double ClockPowerModel::predict(const EvalContext& ctx) const {
+  if (!trained_) throw util::NotFitted("clock model not trained");
   const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
                                   ctx.events, ctx.program);
-  ml::ForestTile tile;
-  bundle_.rank(row, row.size(), tile);
-  double out = 0.0;
-  predict_tile({&ctx.cfg, 1}, bundle_, tile, {&out, 1});
-  return out;
+  const std::span<const double> span(row);
+  double alpha = 0.0;
+  if (options_.linear_alpha) {
+    alpha = linear_alpha_of(
+        span.first(alpha_linear_model_.coefficients().size()));
+  } else {
+    ml::ForestTile tile;
+    bundle_.rank(row, row.size(), tile);
+    bundle_.predict(alpha_model_, tile, {&alpha, 1});
+  }
+  return combine(
+      terms(span.first(arch::component_hw_params(component_).size())),
+      alpha);
 }
 
 std::vector<double> ClockPowerModel::predict_batch(
@@ -128,43 +152,6 @@ std::vector<double> ClockPowerModel::predict_batch(
   out.reserve(ctxs.size());
   for (const auto& ctx : ctxs) out.push_back(predict(ctx));
   return out;
-}
-
-void ClockPowerModel::predict_tile(
-    std::span<const arch::HardwareConfig* const> cfgs,
-    const ml::ForestBundle& forests, const ml::ForestTile& tile,
-    std::span<double> out) const {
-  if (!trained_) throw util::NotFitted("clock model not trained");
-  AP_REQUIRE(out.size() == cfgs.size() && tile.count == cfgs.size(),
-             "clock predict_tile spans must match row count");
-  if (cfgs.empty()) return;
-
-  // alpha' for the whole tile in one bundle pass over the H+E prefix of
-  // each row (the ablation ridge reads the same prefix).
-  std::vector<double> alpha(cfgs.size());
-  if (options_.linear_alpha) {
-    const std::size_t he_arity = alpha_linear_model_.coefficients().size();
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      alpha[i] = alpha_linear_model_.predict(
-          tile.rows.subspan(i * tile.arity, he_arity));
-    }
-  } else {
-    forests.predict(alpha_model_, tile, alpha);
-  }
-
-  const double p_reg = techlib::TechLibrary::default_40nm().clock_pin_energy;
-  const arch::HardwareConfig* cfg = nullptr;
-  double r = 0.0;
-  double g = 0.0;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (cfgs[i] != cfg) {
-      cfg = cfgs[i];
-      r = predict_register_count(*cfg);
-      g = predict_gating_rate(*cfg);
-    }
-    // Eq. 7: P_clk = R (1 - g) p_reg + alpha' R g.
-    out[i] = std::max(0.0, r * (1.0 - g) * p_reg + alpha[i] * r * g);
-  }
 }
 
 }  // namespace autopower::core

@@ -53,28 +53,32 @@ class ClockPowerModel {
   void train(arch::ComponentKind c, std::span<const EvalContext> samples,
              const power::GoldenPowerModel& golden);
 
-  /// Predicted clock power (mW) via Eq. 7: predict_tile of the one H+E+P
-  /// row feature_vector builds for `ctx`, ranked by this model's own
-  /// forest bundle.
+  /// Predicted clock power (mW) via Eq. 7 on the one H+E+P row
+  /// feature_vector builds for `ctx`, alpha' ranked and walked by this
+  /// model's own forest bundle.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// predict() of each context, in order.  The batched path is
-  /// predict_tile, which AutoPowerModel feeds one shared feature tile.
+  /// predict() of each context, in order.  AutoPowerModel's batched path
+  /// evaluates alpha' once per activity cell and calls combine().
   [[nodiscard]] std::vector<double> predict_batch(
       std::span<const EvalContext> ctxs) const;
 
-  /// Eq. 7 over one feature tile, the one implementation of the formula.
-  /// `tile` holds H+E+P rows, as feature_rows assembles them, ranked by
-  /// `forests`, a bundle holding forests() (AutoPowerModel shares one per
-  /// component across the three groups); cfgs[i] is the configuration
-  /// row i's H block came from.  alpha' reads each row's H+E prefix; R
-  /// and g read only the component's H parameters of cfgs[i], once per
-  /// run of rows sharing a cfg pointer.  out[i] depends only on row i.
-  void predict_tile(std::span<const arch::HardwareConfig* const> cfgs,
-                    const ml::ForestBundle& forests,
-                    const ml::ForestTile& tile, std::span<double> out) const;
+  /// Eq. 7's structural terms of one configuration.
+  struct Terms {
+    double registers = 0.0;  ///< R = F_reg(H)
+    double gating = 0.0;     ///< g = F_gate(H), clamped to [0, 0.99]
+  };
+  /// The terms of the configuration whose component H is `h`
+  /// (hardware_features order).
+  [[nodiscard]] Terms terms(std::span<const double> h) const;
+  /// Eq. 7, the one implementation of the formula:
+  /// P_clk = max(0, R (1 - g) p_reg + alpha' R g).
+  [[nodiscard]] double combine(const Terms& t, double alpha) const;
+  /// alpha' of the linear_alpha ablation ridge on one H+E row.
+  [[nodiscard]] double linear_alpha_of(std::span<const double> he) const;
 
-  /// The GBT sub-models predict_tile reads through its ForestBundle.
+  /// The GBT sub-model alpha' (none under linear_alpha), read through a
+  /// ForestBundle.
   [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
   /// True when alpha' is the ablation ridge, which reads the raw H+E row
   /// instead of going through forests().

@@ -42,12 +42,8 @@ void feature_vector_into(arch::ComponentKind c, const FeatureSpec& spec,
     }
   }
   if (spec.program) {
-    // Same order as workload::ProgramFeatures::names().
-    out.insert(out.end(),
-               {program.log_instructions, program.branch_frac,
-                program.load_frac, program.store_frac, program.fp_frac,
-                program.muldiv_frac, program.ilp, program.branch_entropy,
-                program.dcache_footprint_kb, program.icache_footprint_kb});
+    const auto p = program_feature_values(program);
+    out.insert(out.end(), p.begin(), p.end());
   }
 }
 
@@ -61,19 +57,24 @@ std::vector<double> feature_vector(arch::ComponentKind c,
   return out;
 }
 
-std::vector<double> feature_rows(arch::ComponentKind c,
-                                 const FeatureSpec& spec,
-                                 std::span<const EvalContext> ctxs) {
-  std::vector<double> rows;
-  bool first = true;
-  for (const auto& ctx : ctxs) {
-    feature_vector_into(c, spec, *ctx.cfg, ctx.events, ctx.program, rows);
-    if (first) {
-      rows.reserve(rows.size() * ctxs.size());
-      first = false;
-    }
+std::array<double, kNumProgramFeatures> program_feature_values(
+    const workload::ProgramFeatures& program) {
+  // Same order as workload::ProgramFeatures::names().
+  return {program.log_instructions, program.branch_frac,
+          program.load_frac,        program.store_frac,
+          program.fp_frac,          program.muldiv_frac,
+          program.ilp,              program.branch_entropy,
+          program.dcache_footprint_kb, program.icache_footprint_kb};
+}
+
+std::span<const double> hardware_features(
+    arch::ComponentKind c, const arch::HardwareConfig& cfg,
+    std::array<double, arch::kNumHwParams>& buf) {
+  const auto params = arch::component_hw_params(c);
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    buf[k] = cfg.value_d(params[k]);
   }
-  return rows;
+  return std::span<const double>(buf).first(params.size());
 }
 
 std::vector<const arch::HardwareConfig*> unique_configs(

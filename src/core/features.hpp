@@ -9,6 +9,7 @@
 //          performance-simulator inaccuracy, Sec. II-B).
 #pragma once
 
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,22 +46,26 @@ struct FeatureSpec {
     const arch::HardwareConfig& cfg, const arch::EventVector& events,
     const workload::ProgramFeatures& program);
 
-/// Appends the same values to `out` without intermediate vectors — the
-/// building block feature_rows uses to assemble batches allocation-free
-/// per sample.
+/// Appends the same values to `out` without intermediate vectors.
 void feature_vector_into(arch::ComponentKind c, const FeatureSpec& spec,
                          const arch::HardwareConfig& cfg,
                          const arch::EventVector& events,
                          const workload::ProgramFeatures& program,
                          std::vector<double>& out);
 
-/// Row-major feature matrix for one component across many contexts — the
-/// input layout ml::ForestBundle::rank consumes.  Row i is exactly
-/// feature_vector(c, spec, ctxs[i]...).  AutoPowerModel calls it once per
-/// (tile, component) with the H+E+P spec; the group models share it.
-[[nodiscard]] std::vector<double> feature_rows(
-    arch::ComponentKind c, const FeatureSpec& spec,
-    std::span<const EvalContext> ctxs);
+/// Number of program-level (P) features.
+inline constexpr std::size_t kNumProgramFeatures = 10;
+
+/// The P block of a feature row, in workload::ProgramFeatures::names()
+/// order.
+[[nodiscard]] std::array<double, kNumProgramFeatures> program_feature_values(
+    const workload::ProgramFeatures& program);
+
+/// The H block of component c's feature row for `cfg`, read into `buf`
+/// (no heap vector): the input of the structural sub-models.
+std::span<const double> hardware_features(
+    arch::ComponentKind c, const arch::HardwareConfig& cfg,
+    std::array<double, arch::kNumHwParams>& buf);
 
 /// The distinct configurations of `samples`, in first-seen order:
 /// structural sub-models (F_reg, F_gate, the SRAM hardware model) get one

@@ -122,45 +122,33 @@ void LogicPowerModel::predict_batch(std::span<const EvalContext> ctxs,
                                     std::span<double> comb_out) const {
   AP_REQUIRE(reg_out.size() == ctxs.size() && comb_out.size() == ctxs.size(),
              "logic predict_batch output spans must match context count");
+  AP_REQUIRE(trained_, "logic model not trained");
+  const std::size_t n_hw = arch::component_hw_params(component_).size();
   ml::ForestTile tile;
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
     const auto& ctx = ctxs[i];
     const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
                                     ctx.events, ctx.program);
     bundle_.rank(row, row.size(), tile);
-    predict_tile({&ctx.cfg, 1}, bundle_, tile, reg_out.subspan(i, 1),
-                 comb_out.subspan(i, 1));
+    double activity[2];
+    bundle_.predict(reg_act_model_, tile, {&activity[0], 1});
+    bundle_.predict(comb_var_model_, tile, {&activity[1], 1});
+    combine(terms(std::span<const double>(row).first(n_hw)), activity,
+            reg_out[i], comb_out[i]);
   }
 }
 
-void LogicPowerModel::predict_tile(
-    std::span<const arch::HardwareConfig* const> cfgs,
-    const ml::ForestBundle& forests, const ml::ForestTile& tile,
-    std::span<double> reg_out, std::span<double> comb_out) const {
+LogicPowerModel::Terms LogicPowerModel::terms(
+    std::span<const double> h) const {
   AP_REQUIRE(trained_, "logic model not trained");
-  AP_REQUIRE(reg_out.size() == cfgs.size() && comb_out.size() == cfgs.size() &&
-                 tile.count == cfgs.size(),
-             "logic predict_tile spans must match row count");
-  if (cfgs.empty()) return;
+  return {reg_count_model_.predict(h), comb_stable_model_.predict(h)};
+}
 
-  std::vector<double> act(cfgs.size());
-  std::vector<double> var(cfgs.size());
-  forests.predict(reg_act_model_, tile, act);
-  forests.predict(comb_var_model_, tile, var);
-
-  const arch::HardwareConfig* cfg = nullptr;
-  double reg_count = 0.0;
-  double comb_stable = 0.0;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (cfgs[i] != cfg) {
-      cfg = cfgs[i];
-      const auto h = cfg->features_for(arch::component_hw_params(component_));
-      reg_count = reg_count_model_.predict(h);
-      comb_stable = comb_stable_model_.predict(h);
-    }
-    reg_out[i] = std::max(0.0, reg_count * act[i]);      // Eq. 11
-    comb_out[i] = std::max(0.0, comb_stable * var[i]);  // Eq. 12
-  }
+void LogicPowerModel::combine(const Terms& t,
+                              std::span<const double> activity, double& reg,
+                              double& comb) const {
+  reg = std::max(0.0, t.registers * activity[0]);  // Eq. 11
+  comb = std::max(0.0, t.stable * activity[1]);    // Eq. 12
 }
 
 }  // namespace autopower::core

@@ -46,27 +46,29 @@ class LogicPowerModel {
   /// of one context.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// Per-context register and combinational power: predict_tile of the
-  /// one H+E+P row feature_vector builds for each context, ranked by this
-  /// model's own forest bundle.  The batched path is predict_tile, which
-  /// AutoPowerModel feeds one shared feature tile.
+  /// Per-context register and combinational power on the one H+E+P row
+  /// feature_vector builds for each context, F_act and F_var ranked and
+  /// walked by this model's own forest bundle.  AutoPowerModel's batched
+  /// path evaluates them once per activity cell and calls combine().
   void predict_batch(std::span<const EvalContext> ctxs,
                      std::span<double> reg_out,
                      std::span<double> comb_out) const;
 
-  /// Eq. 11-12 over one feature tile, the one implementation of the
-  /// formulas.  `tile` holds H+E+P rows, as feature_rows assembles them,
-  /// ranked by `forests`, a bundle holding forests(); cfgs[i] is the
-  /// configuration row i's H block came from.  F_act and F_var read the
-  /// H+E prefix.  F_reg and F_sta read only the component's H parameters
-  /// of cfgs[i], once per run of rows sharing a cfg pointer.  Element i
-  /// depends only on row i.
-  void predict_tile(std::span<const arch::HardwareConfig* const> cfgs,
-                    const ml::ForestBundle& forests,
-                    const ml::ForestTile& tile, std::span<double> reg_out,
-                    std::span<double> comb_out) const;
+  /// Eq. 11-12's structural terms of one configuration.
+  struct Terms {
+    double registers = 0.0;  ///< F_reg(H)
+    double stable = 0.0;     ///< F_sta(H)
+  };
+  /// The terms of the configuration whose component H is `h`
+  /// (hardware_features order).
+  [[nodiscard]] Terms terms(std::span<const double> h) const;
+  /// Eq. 11 and 12, the one implementation of the formulas:
+  /// reg = max(0, F_reg F_act), comb = max(0, F_sta F_var), with
+  /// activity = {F_act, F_var} (forests() order).
+  void combine(const Terms& t, std::span<const double> activity,
+               double& reg, double& comb) const;
 
-  /// The GBT sub-models predict_tile reads through its ForestBundle.
+  /// The GBT sub-models F_act and F_var, read through a ForestBundle.
   [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
 
   /// The component this model was trained or loaded for.

@@ -10,8 +10,8 @@ namespace autopower::core {
 
 namespace {
 
-// Every group output must be a function of the component's H+E+P row
-// (AutoPowerModel predicts each distinct row once), so a scaling law may
+// The structural terms must be a function of the component's H
+// (AutoPowerModel computes them once per distinct H), so a scaling law may
 // read only the component's own hardware parameters.
 void check_law_params(arch::ComponentKind c, const std::string& position,
                       const ScalingPatternModel& hardware) {
@@ -158,13 +158,22 @@ std::vector<const ml::GBTRegressor*> SramPowerModel::forests() const {
 }
 
 double SramPowerModel::predict(const EvalContext& ctx) const {
-  const auto row = feature_vector(component_, FeatureSpec::hep(), *ctx.cfg,
-                                  ctx.events, ctx.program);
-  ml::ForestTile tile;
-  bundle_.rank(row, row.size(), tile);
-  double out = 0.0;
-  predict_tile({&ctx.cfg, 1}, bundle_, tile, {&out, 1});
-  return out;
+  AP_REQUIRE(trained_, "SRAM model not trained");
+  std::vector<double> activity(2 * positions_.size());
+  if (!positions_.empty()) {
+    const auto row = feature_vector(component_, FeatureSpec::hep(),
+                                    *ctx.cfg, ctx.events, ctx.program);
+    ml::ForestTile tile;
+    bundle_.rank(row, row.size(), tile);
+    for (std::size_t p = 0; p < positions_.size(); ++p) {
+      bundle_.predict(positions_[p].read_model, tile, {&activity[2 * p], 1});
+      bundle_.predict(positions_[p].write_model, tile,
+                      {&activity[2 * p + 1], 1});
+    }
+  }
+  std::vector<PositionTerms> t(positions_.size());
+  terms(*ctx.cfg, t);
+  return combine(t, activity);
 }
 
 std::vector<double> SramPowerModel::predict_batch(
@@ -175,44 +184,34 @@ std::vector<double> SramPowerModel::predict_batch(
   return out;
 }
 
-void SramPowerModel::predict_tile(
-    std::span<const arch::HardwareConfig* const> cfgs,
-    const ml::ForestBundle& forests, const ml::ForestTile& tile,
-    std::span<double> out) const {
+void SramPowerModel::terms(const arch::HardwareConfig& cfg,
+                           std::span<PositionTerms> out) const {
   AP_REQUIRE(trained_, "SRAM model not trained");
-  AP_REQUIRE(out.size() == cfgs.size() && tile.count == cfgs.size(),
-             "SRAM predict_tile spans must match row count");
-  std::fill(out.begin(), out.end(), 0.0);
-  if (cfgs.empty() || positions_.empty()) return;
-
-  std::vector<double> f_read(cfgs.size());
-  std::vector<double> f_write(cfgs.size());
+  AP_REQUIRE(out.size() == positions_.size(),
+             "SRAM terms span must hold one entry per position");
   const auto& macros = techlib::SramMacroLibrary::default_40nm();
-  const auto& lib = techlib::TechLibrary::default_40nm();
-
-  // Position-major so each position's two forests make one batched pass;
-  // out[i] accumulates positions in declaration order whatever the tile.
-  for (const auto& pm : positions_) {
-    forests.predict(pm.read_model, tile, f_read);
-    forests.predict(pm.write_model, tile, f_write);
-    const arch::HardwareConfig* cfg = nullptr;
-    BlockPrediction block;
-    techlib::MacroMappingResult mapping;
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      if (cfgs[i] != cfg) {
-        cfg = cfgs[i];
-        block = pm.hardware.predict(*cfg);
-        mapping = techlib::map_block_to_macros(macros, block.width,
-                                               block.depth);
-      }
-      // Eq. 9 + Eq. 10: one row of macros per access, plus the constant C.
-      const double rw = lib.power_mw(
-          f_read[i] * mapping.per_row * mapping.macro.read_energy +
-          f_write[i] * mapping.per_row * mapping.macro.write_energy);
-      out[i] += block.count * (rw + pm.pin_constant);
-    }
+  for (std::size_t p = 0; p < positions_.size(); ++p) {
+    const BlockPrediction block = positions_[p].hardware.predict(cfg);
+    const auto mapping =
+        techlib::map_block_to_macros(macros, block.width, block.depth);
+    out[p] = {block.count, mapping.per_row, mapping.macro.read_energy,
+              mapping.macro.write_energy};
   }
-  for (double& v : out) v = std::max(0.0, v);
+}
+
+double SramPowerModel::combine(std::span<const PositionTerms> t,
+                               std::span<const double> activity) const {
+  const auto& lib = techlib::TechLibrary::default_40nm();
+  // Positions in declaration order.
+  double out = 0.0;
+  for (std::size_t p = 0; p < positions_.size(); ++p) {
+    // Eq. 9 + Eq. 10: one row of macros per access, plus the constant C.
+    const double rw =
+        lib.power_mw(activity[2 * p] * t[p].per_row * t[p].read_energy +
+                     activity[2 * p + 1] * t[p].per_row * t[p].write_energy);
+    out += t[p].count * (rw + positions_[p].pin_constant);
+  }
+  return std::max(0.0, out);
 }
 
 BlockPrediction SramPowerModel::predict_block(

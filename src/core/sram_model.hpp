@@ -52,29 +52,40 @@ class SramPowerModel {
              const power::GoldenPowerModel& golden);
 
   /// Predicted SRAM power of the component (mW), Eq. 10 summed over
-  /// positions: predict_tile of the one H+E+P row feature_vector builds
-  /// for `ctx`, ranked by this model's own forest bundle.
+  /// positions, on the one H+E+P row feature_vector builds for `ctx`, the
+  /// activity models ranked and walked by this model's own forest bundle.
   [[nodiscard]] double predict(const EvalContext& ctx) const;
 
-  /// predict() of each context, in order.  The batched path is
-  /// predict_tile, which AutoPowerModel feeds one shared feature tile.
+  /// predict() of each context, in order.  AutoPowerModel's batched path
+  /// evaluates the activity models once per activity cell and calls
+  /// combine().
   [[nodiscard]] std::vector<double> predict_batch(
       std::span<const EvalContext> ctxs) const;
 
-  /// Eq. 9-10 over one feature tile, the one implementation of the
-  /// formula.  `tile` holds H+E+P rows, as feature_rows assembles them,
-  /// ranked by `forests`, a bundle holding forests() (forests fit without
-  /// P read the H+E prefix); cfgs[i] is the configuration row i's H block
-  /// came from.  The block shape reads only the component's H parameters
-  /// of cfgs[i] (load() rejects a scaling law on any other), and it and
-  /// its macro mapping run once per run of rows sharing a cfg pointer.
-  /// out[i] depends only on row i.
-  void predict_tile(std::span<const arch::HardwareConfig* const> cfgs,
-                    const ml::ForestBundle& forests,
-                    const ml::ForestTile& tile, std::span<double> out) const;
+  /// One position's structural terms of one configuration: the hardware
+  /// model's block count and the macro mapping of its predicted block.
+  struct PositionTerms {
+    int count = 0;    ///< blocks
+    int per_row = 0;  ///< macros read per access
+    double read_energy = 0.0;
+    double write_energy = 0.0;
+  };
+  [[nodiscard]] std::size_t num_positions() const noexcept {
+    return positions_.size();
+  }
+  /// out[p] = position p's terms on `cfg`; out.size() == num_positions().
+  /// The block shape reads only the component's H parameters of `cfg`
+  /// (load() rejects a scaling law on any other).
+  void terms(const arch::HardwareConfig& cfg,
+             std::span<PositionTerms> out) const;
+  /// Eq. 9-10 summed over positions, floored at 0: the one implementation
+  /// of the formula.  activity[2p] and activity[2p + 1] are position p's
+  /// read and write frequencies (forests() order).
+  [[nodiscard]] double combine(std::span<const PositionTerms> t,
+                               std::span<const double> activity) const;
 
-  /// The GBT sub-models predict_tile reads through its ForestBundle: each
-  /// position's read and write models, in position order.
+  /// The GBT sub-models, read through a ForestBundle: each position's
+  /// read and write models, in position order.
   [[nodiscard]] std::vector<const ml::GBTRegressor*> forests() const;
 
   /// Predicted block shape of one position (hardware model output),

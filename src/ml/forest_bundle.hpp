@@ -14,8 +14,8 @@
 // each condition once for a whole ensemble, applied per feature.
 //
 // Every output is bit-identical to GBTRegressor::predict.  The same
-// branch-free search, rank_values(), also keys a power trace's windows by
-// their event ranks (AutoPowerModel::predict_trace).
+// branch-free search, rank_values(), also keys AutoPowerModel's rows by
+// their activity cells.
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,7 @@
 // forest, and the scalar predict() stays as the reference the
 // differential tests compare both against.  trees() exposes the fitted
 // trees, so a caller can rank rows against every threshold they test
-// (AutoPowerModel's trace cells).
+// (AutoPowerModel's activity cells).
 #pragma once
 
 #include <cstdint>

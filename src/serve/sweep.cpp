@@ -191,13 +191,16 @@ std::size_t chunk_size(std::size_t n_configs, std::size_t workers) {
 
 /// Evaluates chunks of rows for one run_sweep or evaluate_configs call,
 /// so both produce bit-identical rows for the same configuration; every
-/// chunk borrows the call's one simulator and keeps its buffers local,
-/// so chunks share nothing mutable.  evaluate() simulates every
-/// (config, workload) cell of the chunk — a simulate failure fails only
-/// its own cell — then predicts the cells that simulated in
+/// chunk borrows the call's one simulator and keeps its buffers local.
+/// The one thing chunks share that changes is the call's
+/// core::ActivityCells table, which is thread-safe and append-only: each
+/// activity cell is walked once per call, by whichever chunk reaches it
+/// first, and every chunk reads the same outputs.  evaluate() simulates
+/// every (config, workload) cell of the chunk — a simulate failure fails
+/// only its own cell — then predicts the cells that simulated in
 /// predict_total_batch calls of at most kPredictBatch contexts.  Batched
 /// totals are element-wise bit-identical to predict_total, so batching
-/// changes only the cost.
+/// and the shared table change only the cost.
 ///
 /// Chunk `c` walks each row's workloads starting at
 /// (c % workers) * W / workers (wrapping).  parallel_for hands chunks out
@@ -211,7 +214,11 @@ class ChunkEvaluator {
   ChunkEvaluator(const core::AutoPowerModel& model,
                  const sim::PerfSimulator& sim,
                  const SweepWorkloads& workloads, std::size_t workers)
-      : model_(model), sim_(sim), workloads_(workloads), workers_(workers) {}
+      : model_(model),
+        sim_(sim),
+        workloads_(workloads),
+        workers_(workers),
+        cells_(model) {}
 
   /// Fills the cells and summary means of chunk `c`'s `rows`, whose
   /// configs are set.
@@ -274,7 +281,8 @@ class ChunkEvaluator {
                std::vector<SweepCell*>& pending) const {
     if (ctxs.empty()) return;
     try {
-      const std::vector<double> totals = model_.predict_total_batch(ctxs);
+      const std::vector<double> totals =
+          model_.predict_total_batch(ctxs, &cells_);
       for (std::size_t k = 0; k < ctxs.size(); ++k) {
         SweepCell& cell = *pending[k];
         cell.total_mw = totals[k];
@@ -315,6 +323,7 @@ class ChunkEvaluator {
   const sim::PerfSimulator& sim_;
   const SweepWorkloads& workloads_;
   const std::size_t workers_;
+  mutable core::ActivityCells cells_;
   util::Counter& m_cells_ =
       util::MetricsRegistry::global().counter("serve.sweep.cells");
   util::Counter& m_failed_ =

@@ -26,6 +26,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -35,6 +36,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -684,22 +686,23 @@ TEST(DifferentialTrees, SharedBundleVsScalarPredictBitIdentical) {
   ASSERT_TRUE(result.passed) << result.report;
 }
 
-// Oracle (b), group level: per-context vs tiled power-group predict.
+// Oracle (b), group level: per-context group predict vs the model's
+// batched groups.
 //
-// Every clock / SRAM / logic model evaluates its power formula (Eq. 7,
-// Eq. 9-10, Eq. 11-12) over one H+E+P feature tile in predict_tile.
-// Element i of a tile must equal predict(ctxs[i]) for each of the 22
-// components, wherever row i lands relative to predict_rows' 64-row block
-// and the SIMD tail; the batch sizes straddle both, and each tile's
-// column slack is poisoned before predict.  Rows are drawn from two
-// configurations at random, so the per-configuration structural
-// sub-models restart at arbitrary rows.
+// Every clock / SRAM / logic model writes its power formula (Eq. 7,
+// Eq. 9-10, Eq. 11-12) once, in combine().  Its predict(ctx) ranks and
+// walks one H+E+P row through its own forest bundle; AutoPowerModel's
+// predict_batch takes the forest outputs from activity cells and the
+// structural terms once per distinct H.  Component k of element i must
+// equal each group's predict(ctxs[i]) for each of the 22 components.
+// Rows are drawn from two configurations at random, so the structural
+// terms alternate at arbitrary rows.
 
 constexpr std::size_t kGroupBatchSizes[] = {1, 56, 63, 64, 65, 120, 129};
 
 // Full-size models trained once on C1/C15.  The ablation variant (ridge
 // alpha', SRAM activity without program features) takes the other
-// branches of the clock and SRAM predict_tile.
+// branches of the clock and SRAM models.
 const core::AutoPowerModel& group_oracle_model(bool ablation) {
   static const auto* const models = [] {
     sim::SimOptions opt;
@@ -785,31 +788,20 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
           for (std::size_t k = 0; k < size; ++k) {
             batch.push_back(pool[pick.index(pool.size())]);
           }
+          const auto tiled = model.predict_batch(batch);
           for (const arch::ComponentKind comp : arch::all_components()) {
             const auto& clock = model.clock_model(comp);
             const auto& sram = model.sram_model(comp);
             const auto& logic = model.logic_model(comp);
-            const auto rows =
-                core::feature_rows(comp, core::FeatureSpec::hep(), batch);
-            std::vector<double> clock_tiled(size);
-            std::vector<double> sram_tiled(size);
-            std::vector<double> reg(size);
-            std::vector<double> comb(size);
-            const auto& forests = model.forests(comp);
-            ml::ForestTile tile;
-            forests.rank(rows, rows.size() / size, tile);
-            poison_slack(tile);
-            std::vector<const arch::HardwareConfig*> cfgs;
-            for (const auto& ctx : batch) cfgs.push_back(ctx.cfg);
-            clock.predict_tile(cfgs, forests, tile, clock_tiled);
-            sram.predict_tile(cfgs, forests, tile, sram_tiled);
-            logic.predict_tile(cfgs, forests, tile, reg, comb);
             for (std::size_t i = 0; i < size; ++i) {
+              const auto& groups =
+                  tiled[i].components[static_cast<std::size_t>(comp)].groups;
               const double per_context[] = {clock.predict(batch[i]),
                                             sram.predict(batch[i]),
                                             logic.predict(batch[i])};
-              const double batched[] = {clock_tiled[i], sram_tiled[i],
-                                        reg[i] + comb[i]};
+              const double batched[] = {
+                  groups.clock, groups.sram,
+                  groups.logic_register + groups.logic_comb};
               for (int g = 0; g < 3; ++g) {
                 if (per_context[g] != batched[g]) {
                   std::ostringstream msg;
@@ -818,7 +810,7 @@ TEST(DifferentialGroups, PerContextVsBatchedGroupPredictBitIdentical) {
                       << (g == 0 ? "clock" : g == 1 ? "sram" : "logic")
                       << ", batch " << size << " row " << i
                       << ": predict()=" << per_context[g]
-                      << " predict_tile()=" << batched[g];
+                      << " predict_batch()=" << batched[g];
                   return msg.str();
                 }
               }
@@ -937,220 +929,19 @@ TEST(DifferentialModel, PerContextVsTiledModelPredictBitIdentical) {
   }
 }
 
-// Oracle (b), duplicate rows: AutoPowerModel ranks and walks each
-// distinct H+E+P component row of a tile once and hands its groups to
-// every duplicate, keyed by the row's bytes.  Element i of predict_batch
-// and predict_total_batch must still equal predict(ctxs[i]) on tiles
-// built to repeat rows: one context repeated in scrambled order,
-// configurations that differ only outside a component's H, 512 identical
-// rows, all-distinct rows, and rows that differ only by +0.0/-0.0 in one
-// E feature.  The row counters show the dedupe really folded (or, for
-// the signed zeros, really kept apart) the rows.
-
-std::optional<std::string> batch_vs_per_context(
-    const core::AutoPowerModel& model,
-    std::span<const core::EvalContext> batch) {
-  const auto totals = model.predict_total_batch(batch);
-  const auto full = model.predict_batch(batch);
-  if (totals.size() != batch.size() || full.size() != batch.size()) {
-    return "batch output size differs from the batch";
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto one = model.predict(batch[i]);
-    if (totals[i] != one.total()) {
-      std::ostringstream msg;
-      msg.precision(17);
-      msg << "row " << i << ": predict_total_batch " << totals[i]
-          << " vs predict " << one.total();
-      return msg.str();
-    }
-    for (std::size_t k = 0; k < arch::kNumComponents; ++k) {
-      if (const auto diff = groups_diff(full[i].components[k].groups,
-                                        one.components[k].groups)) {
-        return "row " + std::to_string(i) + " component " +
-               std::string(arch::component_name(
-                   one.components[k].component)) +
-               ": predict_batch vs predict " + *diff;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-// Rows and distinct rows predict_total_batch(batch) assembles and walks.
-std::pair<std::uint64_t, std::uint64_t> predict_row_counts(
-    const core::AutoPowerModel& model,
-    std::span<const core::EvalContext> batch) {
-  auto& registry = util::MetricsRegistry::global();
-  const auto& rows = registry.counter("core.predict.rows");
-  const auto& distinct = registry.counter("core.predict.distinct_rows");
-  const std::uint64_t rows_before = rows.value();
-  const std::uint64_t distinct_before = distinct.value();
-  (void)model.predict_total_batch(batch);
-  return {rows.value() - rows_before, distinct.value() - distinct_before};
-}
-
-TEST(DifferentialModel, DuplicateRowsVsPerContextPredictBitIdentical) {
-  const auto& c3 = arch::boom_config("C3");
-  const auto& c8 = arch::boom_config("C8");
-  const auto& wl = workload::workload_by_name("qsort");
-  sim::SimOptions opt;
-  opt.sample_accesses = 500;
-  opt.sample_branches = 500;
-  const sim::PerfSimulator sim(opt);
-  const auto program = workload::program_features(wl);
-  std::vector<core::EvalContext> pool;
-  for (const auto* cfg : {&c3, &c8}) {
-    for (const auto& window : sim.simulate_trace(*cfg, wl)) {
-      pool.push_back({cfg, wl.name, program, window});
-    }
-  }
-  ASSERT_GE(pool.size(), 8u);
-
-  // Every HwParam moved on its own: C8 and a copy one step away on p.
-  std::vector<arch::HardwareConfig> moved;
-  for (const arch::HwParam p : arch::all_hw_params()) {
-    std::array<int, arch::kNumHwParams> values{};
-    for (const arch::HwParam q : arch::all_hw_params()) {
-      values[static_cast<std::size_t>(q)] = c8.value(q);
-    }
-    values[static_cast<std::size_t>(p)] += 1;
-    moved.emplace_back(std::string("C8+") +
-                           std::string(arch::hw_param_name(p)),
-                       values);
-  }
-
-  constexpr std::size_t kTile = core::AutoPowerModel::kTileRows;
-  const std::size_t sizes[] = {1, 63, 64, 65, kTile - 1, kTile + 1};
-  Pcg32 pick(20261019);
-  for (const bool ablation : {false, true}) {
-    const auto& model = group_oracle_model(ablation);
-    const std::string which = ablation ? "ablation model" : "default model";
-
-    // One context repeated in scrambled order: a few distinct contexts,
-    // each drawn many times.
-    for (const std::size_t size : sizes) {
-      std::vector<core::EvalContext> distinct;
-      for (int k = 0; k < 5; ++k) {
-        distinct.push_back(pool[pick.index(pool.size())]);
-      }
-      std::vector<core::EvalContext> batch;
-      for (std::size_t k = 0; k < size; ++k) {
-        batch.push_back(distinct[pick.index(distinct.size())]);
-      }
-      const auto diff = batch_vs_per_context(model, batch);
-      ASSERT_FALSE(diff.has_value())
-          << which << ", repeated contexts, batch " << size << ": " << *diff;
-      const auto [rows, folded] = predict_row_counts(model, batch);
-      EXPECT_EQ(rows, size * arch::kNumComponents);
-      const std::size_t tiles = (size + kTile - 1) / kTile;
-      EXPECT_LE(folded, tiles * distinct.size() * arch::kNumComponents)
-          << which << ", repeated contexts, batch " << size;
-    }
-
-    // All-distinct rows: every context's P block is its own.
-    for (const std::size_t size : sizes) {
-      std::vector<core::EvalContext> batch;
-      for (std::size_t k = 0; k < size; ++k) {
-        batch.push_back(pool[k % pool.size()]);
-        batch.back().program.log_instructions +=
-            1e-3 * static_cast<double>(k);
-      }
-      const auto diff = batch_vs_per_context(model, batch);
-      ASSERT_FALSE(diff.has_value())
-          << which << ", distinct rows, batch " << size << ": " << *diff;
-      const auto [rows, folded] = predict_row_counts(model, batch);
-      EXPECT_EQ(folded, rows) << which << ", distinct rows, batch " << size;
-    }
-
-    // 512 identical rows: each component walks one row per tile.
-    {
-      const std::vector<core::EvalContext> batch(kTile, pool.front());
-      const auto diff = batch_vs_per_context(model, batch);
-      ASSERT_FALSE(diff.has_value())
-          << which << ", 512 identical rows: " << *diff;
-      const auto [rows, folded] = predict_row_counts(model, batch);
-      EXPECT_EQ(rows, kTile * arch::kNumComponents);
-      EXPECT_EQ(folded, arch::kNumComponents);
-    }
-
-    // Configurations that differ only in one parameter: the components
-    // whose H omits it see equal rows under two cfg pointers, and the
-    // first one's structural sub-models serve both.
-    for (std::size_t p = 0; p < moved.size(); ++p) {
-      std::vector<core::EvalContext> batch;
-      for (int k = 0; k < 6; ++k) {
-        core::EvalContext ctx = pool[pick.index(pool.size())];
-        ctx.cfg = k % 2 == 0 ? &c8 : &moved[p];
-        batch.push_back(ctx);
-        ctx.cfg = k % 2 == 0 ? &moved[p] : &c8;
-        batch.push_back(std::move(ctx));
-      }
-      const auto diff = batch_vs_per_context(model, batch);
-      ASSERT_FALSE(diff.has_value())
-          << which << ", C8 vs " << moved[p].name() << ": " << *diff;
-      const auto param = static_cast<arch::HwParam>(p);
-      std::uint64_t readers = 0;
-      for (const arch::ComponentKind c : arch::all_components()) {
-        const auto h = arch::component_hw_params(c);
-        readers += std::find(h.begin(), h.end(), param) != h.end();
-      }
-      if (readers < arch::kNumComponents) {
-        const auto [rows, folded] = predict_row_counts(model, batch);
-        EXPECT_LT(folded, rows) << which << ", C8 vs " << moved[p].name();
-      }
-    }
-
-    // +0.0 vs -0.0 in one E feature: equal values, distinct bytes, so the
-    // components that read the event keep both rows.
-    const arch::ComponentKind comp = arch::all_components().front();
-    arch::EventKind event = arch::component_events(comp).front();
-    if (event == arch::EventKind::kCycles) {
-      event = arch::component_events(comp)[1];
-    }
-    std::vector<core::EvalContext> batch(2, pool.front());
-    batch[0].events[event] = 0.0;
-    batch[1].events[event] = -0.0;
-    const auto diff = batch_vs_per_context(model, batch);
-    ASSERT_FALSE(diff.has_value()) << which << ", signed zeros: " << *diff;
-    std::uint64_t readers = 0;
-    for (const arch::ComponentKind c : arch::all_components()) {
-      const auto e = arch::component_events(c);
-      readers += std::find(e.begin(), e.end(), event) != e.end();
-    }
-    const auto [rows, folded] = predict_row_counts(model, batch);
-    EXPECT_EQ(rows, 2 * arch::kNumComponents);
-    EXPECT_EQ(folded, arch::kNumComponents + readers)
-        << which << ", signed zeros in " << arch::event_name(event);
-  }
-}
-
-// Oracle (b), trace level: trace cells vs per-window predict.
-//
-// predict_trace keys the windows of one design running one program by
-// the ranks of their event rates against every threshold the component's
-// forests test, and predicts each distinct rank vector (a trace cell)
-// once.  The oracle builds a pool of source windows: the first windows
-// of a random design's trace, plus copies with one event rate set to
-// exactly a threshold the model tests, one ulp either side of it, +0,
-// -0, NaN, +inf, or above the component's top threshold.  Traces cycle
-// the pool to kTileRows - 1, kTileRows, kTileRows + 1 and 4,000 windows,
-// and must take the cell path with fewer cells than component rows.  A
-// span mixing two configurations, one mixing two programs, and every
-// span on the linear-alpha ablation model must not.  Every element must
-// equal predict(window).total() exactly, for the k=2 and k=3 models.
-
-constexpr std::size_t kTraceLengths[] = {core::AutoPowerModel::kTileRows - 1,
-                                         core::AutoPowerModel::kTileRows,
-                                         core::AutoPowerModel::kTileRows + 1,
-                                         4000};
-
-enum class TraceModel { kTwoConfigs, kThreeConfigs, kLinearAlpha };
+// Oracle (b), activity cells: AutoPowerModel keys each component row
+// by the ranks of its values against every threshold the component's
+// forests test, walks each cell's forests once per ActivityCells table,
+// and runs the structural sub-models once per distinct component H.
+// Element i of predict_batch and predict_total_batch must equal
+// predict(ctxs[i]) exactly.
 
 // Models trained like `autopower train --known ...`: every riscv-tests
 // workload at full simulator fidelity, on {C1, C15} (default and
 // linear-alpha ablation) and on {C1, C8, C15}.
-const core::AutoPowerModel& trace_oracle_model(TraceModel which) {
+enum class CellModel { kTwoConfigs, kThreeConfigs, kLinearAlpha };
+
+const core::AutoPowerModel& cell_oracle_model(CellModel which) {
   static const auto* const models = [] {
     const sim::PerfSimulator sim;
     const auto contexts = [&](std::initializer_list<const char*> names) {
@@ -1180,9 +971,15 @@ const core::AutoPowerModel& trace_oracle_model(TraceModel which) {
   return (*models)[static_cast<std::size_t>(which)];
 }
 
-// Per component, per event, every threshold the component's forests test
-// on that event's feature, sorted.
-std::vector<std::vector<std::vector<double>>> event_thresholds(
+const char* cell_model_name(CellModel which) {
+  return which == CellModel::kTwoConfigs     ? "k=2"
+         : which == CellModel::kThreeConfigs ? "k=3"
+                                             : "linear alpha";
+}
+
+// Per component, per feature of its H+E+P row, every threshold its
+// forests test on that feature (NaN left out), sorted and distinct.
+std::vector<std::vector<std::vector<double>>> feature_thresholds(
     const core::AutoPowerModel& model) {
   std::vector<std::vector<std::vector<double>>> out;
   for (const arch::ComponentKind comp : arch::all_components()) {
@@ -1191,20 +988,23 @@ std::vector<std::vector<std::vector<double>>> event_thresholds(
                               model.logic_model(comp).forests()}) {
       forests.insert(forests.end(), group.begin(), group.end());
     }
-    const std::size_t hw = arch::component_hw_params(comp).size();
-    auto& per_event = out.emplace_back(arch::component_events(comp).size());
+    auto& per_feature = out.emplace_back(
+        arch::component_hw_params(comp).size() +
+        arch::component_events(comp).size() + core::kNumProgramFeatures);
     for (const ml::GBTRegressor* forest : forests) {
       for (const ml::RegressionTree& tree : forest->trees()) {
         for (const auto& node : tree.nodes()) {
-          const auto f = static_cast<std::size_t>(node.feature);
-          if (node.feature >= 0 && f >= hw && f - hw < per_event.size() &&
-              !std::isnan(node.threshold)) {
-            per_event[f - hw].push_back(node.threshold);
+          if (node.feature >= 0 && !std::isnan(node.threshold)) {
+            per_feature[static_cast<std::size_t>(node.feature)].push_back(
+                node.threshold);
           }
         }
       }
     }
-    for (auto& t : per_event) std::sort(t.begin(), t.end());
+    for (auto& t : per_feature) {
+      std::sort(t.begin(), t.end());
+      t.erase(std::unique(t.begin(), t.end()), t.end());
+    }
   }
   return out;
 }
@@ -1233,13 +1033,82 @@ bool set_rate(arch::EventVector& events, arch::EventKind e, double target) {
   return false;
 }
 
-TEST(DifferentialModel, TraceCellsVsPerWindowPredictBitIdentical) {
+// Field k of the P block (core::program_feature_values order).
+double& program_field(workload::ProgramFeatures& p, std::size_t k) {
+  double* const fields[] = {&p.log_instructions, &p.branch_frac,
+                            &p.load_frac,        &p.store_frac,
+                            &p.fp_frac,          &p.muldiv_frac,
+                            &p.ilp,              &p.branch_entropy,
+                            &p.dcache_footprint_kb, &p.icache_footprint_kb};
+  return *fields[k];
+}
+
+// Component rows and walked cells of predict_total_batch(batch, cells).
+struct CellCounts {
+  std::uint64_t rows = 0;
+  std::uint64_t cells = 0;
+};
+
+CellCounts predict_counts(const core::AutoPowerModel& model,
+                          std::span<const core::EvalContext> batch,
+                          core::ActivityCells* cells = nullptr) {
   auto& registry = util::MetricsRegistry::global();
-  const auto& trace_windows = registry.counter("core.predict_trace.windows");
-  const auto& trace_cells = registry.counter("core.predict_trace.cells");
+  const auto& rows = registry.counter("core.predict.rows");
+  const auto& walked = registry.counter("core.predict.cells");
+  const std::uint64_t rows_before = rows.value();
+  const std::uint64_t cells_before = walked.value();
+  (void)model.predict_total_batch(batch, cells);
+  return {rows.value() - rows_before, walked.value() - cells_before};
+}
+
+std::optional<std::string> batch_vs_per_context(
+    const core::AutoPowerModel& model,
+    std::span<const core::EvalContext> batch) {
+  const auto totals = model.predict_total_batch(batch);
+  const auto full = model.predict_batch(batch);
+  if (totals.size() != batch.size() || full.size() != batch.size()) {
+    return "batch output size differs from the batch";
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto one = model.predict(batch[i]);
+    if (std::bit_cast<std::uint64_t>(totals[i]) !=
+        std::bit_cast<std::uint64_t>(one.total())) {
+      std::ostringstream msg;
+      msg.precision(17);
+      msg << "row " << i << ": predict_total_batch " << totals[i]
+          << " vs predict " << one.total();
+      return msg.str();
+    }
+    for (std::size_t k = 0; k < arch::kNumComponents; ++k) {
+      if (const auto diff = groups_diff(full[i].components[k].groups,
+                                        one.components[k].groups)) {
+        return "row " + std::to_string(i) + " component " +
+               std::string(arch::component_name(
+                   one.components[k].component)) +
+               ": predict_batch vs predict " + *diff;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// One case's rows, against predict(ctx), and the counters: a pool of a
+// random design's first windows, a few of a second design's, and copies
+// with one E rate at a tested threshold, one ulp either side, +-0, NaN or
+// +-inf; one H parameter or one P feature either side of a tested
+// threshold.  Spans cycle the pool to kTileRows - 1, kTileRows and
+// kTileRows + 1 rows.  Rows whose values differ but whose ranks are equal
+// (+0/-0, two NaN payloads, one ulp inside an interval) must fold into
+// one cell per component; rows across an H or P threshold must not.
+TEST(DifferentialModel, ActivityCellsVsPerContextPredictBitIdentical) {
+  constexpr std::size_t kTile = core::AutoPowerModel::kTileRows;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t edits_made = 0;
+  std::size_t h_edits = 0;
+  std::size_t p_edits = 0;
+  std::size_t folds_checked = 0;
   const auto result = testcore::run_property<GroupCase>(
-      {.name = "core.trace_cells_vs_per_window", .cases = 8},
+      {.name = "core.activity_cells_vs_per_context", .cases = 8},
       [](Pcg32& rng) {
         GroupCase c{testcore::random_hardware_config(rng),
                     testcore::random_hardware_config(rng),
@@ -1252,45 +1121,56 @@ TEST(DifferentialModel, TraceCellsVsPerWindowPredictBitIdentical) {
       [&](const GroupCase& c) -> std::optional<std::string> {
         sim::PerfSimulator sim(c.sim_opt);
         const auto program = workload::program_features(c.wl);
-        auto other_program = program;
-        other_program.ilp += 0.5;
-        const auto windows = [&](const arch::HardwareConfig& cfg) {
+        const auto windows = [&](const arch::HardwareConfig& cfg,
+                                 std::size_t most) {
           std::vector<core::EvalContext> out;
           for (const auto& events : sim.simulate_trace(cfg, c.wl)) {
+            if (out.size() == most) break;
             out.push_back({&cfg, c.wl.name, program, events});
           }
           return out;
         };
-        auto base = windows(c.cfg_a);
-        if (base.empty()) return "simulate_trace returned no windows";
-        base.resize(std::min<std::size_t>(base.size(), 64));
+        const auto base = windows(c.cfg_a, 64);
+        const auto other = windows(c.cfg_b, 8);
+        if (base.empty() || other.empty()) {
+          return "simulate_trace returned no windows";
+        }
+        // Configurations one H parameter apart; stable addresses.
+        std::deque<arch::HardwareConfig> edited_cfgs;
 
-        for (const TraceModel which :
-             {TraceModel::kTwoConfigs, TraceModel::kThreeConfigs,
-              TraceModel::kLinearAlpha}) {
-          const auto& model = trace_oracle_model(which);
-          const auto thresholds = event_thresholds(model);
-          // The source pool: the base windows, then 32 edited copies.
+        for (const CellModel which :
+             {CellModel::kTwoConfigs, CellModel::kThreeConfigs,
+              CellModel::kLinearAlpha}) {
+          const auto& model = cell_oracle_model(which);
+          const auto thresholds = feature_thresholds(model);
+          const std::string name = cell_model_name(which);
           Pcg32 pick(c.pick_seed);
           auto pool = base;
+          pool.insert(pool.end(), other.begin(), other.end());
+          const auto random_base = [&] {
+            return base[pick.index(base.size())];
+          };
+
+          // E edits.
           for (int edit = 0; edit < 32; ++edit) {
             const std::size_t comp = pick.index(arch::kNumComponents);
-            const auto events = arch::component_events(
-                arch::all_components()[comp]);
+            const auto component = arch::all_components()[comp];
+            const auto events = arch::component_events(component);
             const std::size_t k = pick.index(events.size());
-            const auto& t = thresholds[comp][k];
+            const auto& t =
+                thresholds[comp][arch::component_hw_params(component).size() +
+                                 k];
             if (t.empty() || events[k] == arch::EventKind::kCycles) continue;
             const double at = t[pick.index(t.size())];
-            const double targets[] = {
-                at,
-                std::nextafter(at, -std::numeric_limits<double>::infinity()),
-                std::nextafter(at, std::numeric_limits<double>::infinity()),
-                0.0,
-                -0.0,
-                std::numeric_limits<double>::quiet_NaN(),
-                std::numeric_limits<double>::infinity(),
-                t.back() + std::abs(t.back()) + 1.0};
-            core::EvalContext w = base[pick.index(base.size())];
+            const double targets[] = {at,
+                                      std::nextafter(at, -kInf),
+                                      std::nextafter(at, kInf),
+                                      0.0,
+                                      -0.0,
+                                      std::numeric_limits<double>::quiet_NaN(),
+                                      kInf,
+                                      -kInf};
+            core::EvalContext w = random_base();
             if (!set_rate(w.events, events[k],
                           targets[pick.index(std::size(targets))])) {
               continue;
@@ -1298,79 +1178,140 @@ TEST(DifferentialModel, TraceCellsVsPerWindowPredictBitIdentical) {
             pool.push_back(std::move(w));
             ++edits_made;
           }
+
+          // H and P edits: one row either side of a tested threshold.
+          std::vector<std::pair<core::EvalContext, core::EvalContext>> across;
+          for (std::size_t comp = 0; comp < arch::kNumComponents; ++comp) {
+            const auto component = arch::all_components()[comp];
+            const auto hw = arch::component_hw_params(component);
+            const std::size_t n_he =
+                hw.size() + arch::component_events(component).size();
+            for (std::size_t f = 0; f < thresholds[comp].size(); ++f) {
+              const auto& t = thresholds[comp][f];
+              if (t.empty() || (f >= hw.size() && f < n_he)) continue;
+              if (pick.index(4) != 0) continue;  // a sample of them
+              const double at = t[pick.index(t.size())];
+              core::EvalContext lo = random_base();
+              core::EvalContext hi = lo;
+              if (f < hw.size()) {
+                // Integer values below and at-or-above the threshold.
+                const int v_hi = static_cast<int>(std::ceil(at));
+                std::array<int, arch::kNumHwParams> values{};
+                for (const arch::HwParam q : arch::all_hw_params()) {
+                  values[static_cast<std::size_t>(q)] = lo.cfg->value(q);
+                }
+                values[static_cast<std::size_t>(hw[f])] = v_hi - 1;
+                lo.cfg = &edited_cfgs.emplace_back("lo", values);
+                values[static_cast<std::size_t>(hw[f])] = v_hi;
+                hi.cfg = &edited_cfgs.emplace_back("hi", values);
+                ++h_edits;
+              } else {
+                program_field(lo.program, f - n_he) =
+                    std::nextafter(at, -kInf);
+                program_field(hi.program, f - n_he) = at;
+                ++p_edits;
+              }
+              pool.push_back(lo);
+              pool.push_back(hi);
+              across.emplace_back(std::move(lo), std::move(hi));
+            }
+          }
+
           std::vector<double> expected;
           for (const auto& w : pool) {
             expected.push_back(model.predict(w).total());
           }
-
-          const auto check = [&](const char* what,
-                                 std::span<const core::EvalContext> span,
-                                 std::span<const double> want,
-                                 bool cell_path) -> std::optional<std::string> {
-            const auto windows_before = trace_windows.value();
-            const auto cells_before = trace_cells.value();
-            const auto got = model.predict_trace(span);
-            const auto n_windows = trace_windows.value() - windows_before;
-            const auto n_cells = trace_cells.value() - cells_before;
-            std::ostringstream msg;
-            msg.precision(17);
-            msg << (which == TraceModel::kTwoConfigs     ? "k=2"
-                    : which == TraceModel::kThreeConfigs ? "k=3"
-                                                         : "linear alpha")
-                << ", " << what << " of " << span.size() << ": ";
-            if (cell_path != (n_windows > 0)) {
-              msg << (cell_path ? "missed" : "took") << " the cell path";
-              return msg.str();
+          if (auto diff = batch_vs_per_context(model, pool)) {
+            return name + ", the pool: " + *diff;
+          }
+          for (const std::size_t length : {kTile - 1, kTile, kTile + 1}) {
+            std::vector<core::EvalContext> span;
+            while (span.size() < length) {
+              span.push_back(pool[span.size() % pool.size()]);
             }
-            if (cell_path &&
-                (n_windows != span.size() || n_cells == 0 ||
-                 n_cells > arch::kNumComponents *
-                               std::min(span.size(), pool.size()) ||
-                 n_cells >= arch::kNumComponents * span.size())) {
-              msg << n_cells << " cells for " << n_windows << " windows";
-              return msg.str();
-            }
-            for (std::size_t i = 0; i < span.size(); ++i) {
-              const double one = want[i % want.size()];
-              if (std::bit_cast<std::uint64_t>(got[i]) ==
-                  std::bit_cast<std::uint64_t>(one)) {
-                continue;
+            const auto got = model.predict_total_batch(span);
+            for (std::size_t i = 0; i < length; ++i) {
+              if (std::bit_cast<std::uint64_t>(got[i]) !=
+                  std::bit_cast<std::uint64_t>(expected[i % pool.size()])) {
+                std::ostringstream msg;
+                msg.precision(17);
+                msg << name << ", span of " << length << " row " << i
+                    << ": predict()=" << expected[i % pool.size()]
+                    << " predict_total_batch()=" << got[i];
+                return msg.str();
               }
-              msg << "window " << i << ": predict()=" << one
-                  << " predict_trace()=" << got[i];
-              return msg.str();
             }
-            return std::nullopt;
-          };
-
-          const bool cells = which != TraceModel::kLinearAlpha;
-          for (const std::size_t length : kTraceLengths) {
-            std::vector<core::EvalContext> trace;
-            while (trace.size() < length) {
-              trace.push_back(pool[trace.size() % pool.size()]);
-            }
-            if (auto diff = check("single-config trace", trace, expected,
-                                  cells)) {
-              return diff;
+            const auto counts = predict_counts(model, span);
+            if (counts.rows != length * arch::kNumComponents ||
+                counts.cells == 0 ||
+                counts.cells > pool.size() * arch::kNumComponents) {
+              return name + ", span of " + std::to_string(length) + ": " +
+                     std::to_string(counts.cells) + " cells for " +
+                     std::to_string(counts.rows) + " rows";
             }
           }
-          // Mixed spans: the pool with a random window swapped for a
-          // window of the other configuration or program.
-          for (const bool swap_config : {true, false}) {
-            auto mixed = pool;
-            auto want = expected;
-            const std::size_t at = pick.index(pool.size());
-            if (swap_config) {
-              mixed[at] = windows(c.cfg_b).front();
-            } else {
-              mixed[at].program = other_program;
+
+          // Across an H or P threshold: at least one more cell than one
+          // per component.
+          for (const auto& [lo, hi] : across) {
+            const std::vector<core::EvalContext> pair{lo, hi};
+            const auto counts = predict_counts(model, pair);
+            if (counts.cells <= arch::kNumComponents) {
+              return name + ": rows across a threshold share every cell";
             }
-            want[at] = model.predict(mixed[at]).total();
-            if (auto diff = check(swap_config ? "mixed-config span"
-                                              : "mixed-program span",
-                                  mixed, want, false)) {
-              return diff;
+          }
+
+          // Equal ranks, different bytes: one cell per component.
+          const auto component = arch::all_components()[pick.index(
+              arch::kNumComponents)];
+          const auto events = arch::component_events(component);
+          arch::EventKind event = events[pick.index(events.size())];
+          if (event == arch::EventKind::kCycles) event = events.back();
+          std::vector<double> all_t;  // every component's thresholds on it
+          for (std::size_t comp = 0; comp < arch::kNumComponents; ++comp) {
+            const auto ev =
+                arch::component_events(arch::all_components()[comp]);
+            const auto at = std::find(ev.begin(), ev.end(), event);
+            if (at == ev.end()) continue;
+            const auto& t = thresholds[comp]
+                                      [arch::component_hw_params(
+                                           arch::all_components()[comp])
+                                           .size() +
+                                       static_cast<std::size_t>(at - ev.begin())];
+            all_t.insert(all_t.end(), t.begin(), t.end());
+          }
+          std::sort(all_t.begin(), all_t.end());
+          const core::EvalContext w = random_base();
+          const double rate = w.events.rate(event);
+          const double nudged = std::nextafter(rate, kInf);
+          const bool same_interval =
+              std::isfinite(nudged) &&
+              std::upper_bound(all_t.begin(), all_t.end(), rate) ==
+                  std::upper_bound(all_t.begin(), all_t.end(), nudged) &&
+              std::find(all_t.begin(), all_t.end(), nudged) == all_t.end();
+          std::vector<std::pair<const char*, std::array<double, 2>>> folds = {
+              {"+0/-0", {0.0, -0.0}},
+              {"two NaN payloads",
+               {std::numeric_limits<double>::quiet_NaN(),
+                -std::numeric_limits<double>::quiet_NaN()}}};
+          if (same_interval) folds.push_back({"one ulp apart", {rate, nudged}});
+          for (const auto& [what, values] : folds) {
+            std::vector<core::EvalContext> pair{w, w};
+            if (!set_rate(pair[0].events, event, values[0]) ||
+                !set_rate(pair[1].events, event, values[1])) {
+              continue;
             }
+            if (auto diff = batch_vs_per_context(model, pair)) {
+              return name + ", " + what + ": " + *diff;
+            }
+            const auto counts = predict_counts(model, pair);
+            if (counts.cells != arch::kNumComponents) {
+              return name + ", " + what + " in " +
+                     std::string(arch::event_name(event)) + ": " +
+                     std::to_string(counts.cells) + " cells, want one per "
+                     "component";
+            }
+            ++folds_checked;
           }
         }
         return std::nullopt;
@@ -1379,6 +1320,161 @@ TEST(DifferentialModel, TraceCellsVsPerWindowPredictBitIdentical) {
   ASSERT_TRUE(result.passed) << result.report;
   EXPECT_GE(result.cases_run, 1);
   EXPECT_GT(edits_made, 0U) << "no event rate could be set to a target";
+  EXPECT_GT(h_edits, 0U) << "no H threshold was crossed";
+  EXPECT_GT(p_edits, 0U) << "no P threshold was crossed";
+  EXPECT_GT(folds_checked, 0U) << "no equal-rank rows were folded";
+}
+
+// A pool of held-out contexts: the first 64 windows of C3 and C8 on two
+// workloads, each config also under a copy at its own address.
+std::vector<core::EvalContext> shared_cells_pool(
+    const std::array<arch::HardwareConfig, 2>& copies) {
+  const sim::PerfSimulator sim;
+  std::vector<core::EvalContext> pool;
+  for (const char* wl_name : {"qsort", "vvadd"}) {
+    const auto& wl = workload::workload_by_name(wl_name);
+    for (std::size_t k = 0; k < copies.size(); ++k) {
+      const auto& cfg = arch::boom_config(k == 0 ? "C3" : "C8");
+      const auto trace = sim.simulate_trace(cfg, wl);
+      for (std::size_t w = 0; w < std::min<std::size_t>(trace.size(), 64);
+           ++w) {
+        pool.push_back({&cfg, wl.name, workload::program_features(wl),
+                        trace[w]});
+        pool.push_back(pool.back());
+        pool.back().cfg = &copies[k];
+      }
+    }
+  }
+  return pool;
+}
+
+// Four threads share one ActivityCells table over overlapping spans of
+// one pool, each span cycling the whole pool from its own offset, so the
+// threads look up and insert the same cells concurrently.  Every total must equal
+// predict(ctx).total(), and a later call on the filled table walks no
+// cell.
+TEST(DifferentialModel, SharedCellsAcrossThreadsBitIdentical) {
+  const auto& model = cell_oracle_model(CellModel::kThreeConfigs);
+  const std::array<arch::HardwareConfig, 2> copies = {
+      arch::boom_config("C3"), arch::boom_config("C8")};
+  const auto pool = shared_cells_pool(copies);
+  ASSERT_GE(pool.size(), 64u);
+  std::vector<double> expected;
+  for (const auto& ctx : pool) expected.push_back(model.predict(ctx).total());
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kSpan = core::AutoPowerModel::kTileRows + 1;
+  core::ActivityCells cells(model);
+  std::array<std::size_t, kThreads> mismatches{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t rep = 0; rep < 6; ++rep) {
+        const std::size_t first = (t * 37 + rep * 101) % pool.size();
+        std::vector<core::EvalContext> span;
+        std::vector<double> want;
+        for (std::size_t k = 0; k < kSpan; ++k) {
+          span.push_back(pool[(first + k) % pool.size()]);
+          want.push_back(expected[(first + k) % pool.size()]);
+        }
+        const auto got = model.predict_total_batch(span, &cells);
+        for (std::size_t k = 0; k < kSpan; ++k) {
+          mismatches[t] += std::bit_cast<std::uint64_t>(got[k]) !=
+                           std::bit_cast<std::uint64_t>(want[k]);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  for (const arch::ComponentKind c : arch::all_components()) {
+    EXPECT_GE(cells.size(c), 1u) << arch::component_name(c);
+    EXPECT_LE(cells.size(c), core::ActivityCells::kCapacity);
+  }
+  // Every pool row's cell is in the table now.
+  const auto counts = predict_counts(model, pool, &cells);
+  EXPECT_EQ(counts.rows, pool.size() * arch::kNumComponents);
+  EXPECT_EQ(counts.cells, 0u);
+}
+
+// A table filled past kCapacity: contexts with every tested event rate
+// drawn at random between the thresholds of the forests, so their cells
+// are mostly distinct.  Outputs stay bit-identical to predict(ctx), the
+// table stops at kCapacity cells per component, and a second call on the
+// full table neither grows it nor changes an output.
+TEST(DifferentialModel, FullCellTableStaysBitIdentical) {
+  const auto& model = cell_oracle_model(CellModel::kThreeConfigs);
+  const auto thresholds = feature_thresholds(model);
+  // Per event, the thresholds any component tests on it.
+  std::vector<std::vector<double>> per_event(arch::kNumEvents);
+  for (std::size_t comp = 0; comp < arch::kNumComponents; ++comp) {
+    const auto component = arch::all_components()[comp];
+    const auto events = arch::component_events(component);
+    const std::size_t n_h = arch::component_hw_params(component).size();
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      const auto& t = thresholds[comp][n_h + k];
+      auto& u = per_event[static_cast<std::size_t>(events[k])];
+      u.insert(u.end(), t.begin(), t.end());
+    }
+  }
+  for (auto& u : per_event) {
+    std::sort(u.begin(), u.end());
+    u.erase(std::unique(u.begin(), u.end()), u.end());
+  }
+
+  const sim::PerfSimulator sim;
+  const auto& cfg = arch::boom_config("C8");
+  const auto& wl = workload::workload_by_name("qsort");
+  const core::EvalContext base{&cfg, wl.name, workload::program_features(wl),
+                               sim.simulate(cfg, wl)};
+  Pcg32 rng(20261020);
+  std::vector<core::EvalContext> batch;
+  for (std::size_t n = 0; n < core::ActivityCells::kCapacity + 1000; ++n) {
+    core::EvalContext ctx = base;
+    for (std::size_t e = 0; e < arch::kNumEvents; ++e) {
+      const auto& u = per_event[e];
+      const auto kind = static_cast<arch::EventKind>(e);
+      if (u.empty() || kind == arch::EventKind::kCycles) continue;
+      // A value inside interval k of the sorted thresholds.
+      const std::size_t k = rng.index(u.size() + 1);
+      const double rate = k == 0          ? u.front() - 1.0
+                          : k == u.size() ? u.back() + 1.0
+                                          : 0.5 * (u[k - 1] + u[k]);
+      ctx.events[kind] = rate * ctx.events.cycles();
+    }
+    batch.push_back(std::move(ctx));
+  }
+
+  core::ActivityCells cells(model);
+  const auto first = model.predict_total_batch(batch, &cells);
+  std::size_t full = 0;
+  std::array<std::size_t, arch::kNumComponents> sizes{};
+  for (const arch::ComponentKind c : arch::all_components()) {
+    const std::size_t size = cells.size(c);
+    EXPECT_LE(size, core::ActivityCells::kCapacity);
+    full += size == core::ActivityCells::kCapacity;
+    sizes[static_cast<std::size_t>(c)] = size;
+  }
+  ASSERT_GT(full, 0u) << "no component's table reached kCapacity";
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(first[i]),
+              std::bit_cast<std::uint64_t>(model.predict(batch[i]).total()))
+        << "row " << i;
+  }
+
+  std::reverse(batch.begin(), batch.end());
+  const auto second = model.predict_total_batch(batch, &cells);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(second[i]),
+              std::bit_cast<std::uint64_t>(first[batch.size() - 1 - i]))
+        << "row " << i;
+  }
+  for (const arch::ComponentKind c : arch::all_components()) {
+    EXPECT_EQ(cells.size(c), sizes[static_cast<std::size_t>(c)])
+        << arch::component_name(c);
+  }
 }
 
 // ---------------------------------------------------------------------

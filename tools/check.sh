@@ -97,12 +97,13 @@ fi
 echo "util::simd::kernels() confined to src/ml/gbt.cpp, src/util/ and tests/"
 
 echo "== one prediction path (GBT sub-models in src/core go through ForestBundle) =="
-# Each power group's formula lives once, in its predict_tile, which
-# evaluates every GBT activity sub-model through ml::ForestBundle::predict
-# over the component's shared rank pass.  The scalar GBTRegressor::predict
-# walk and the one-forest predict_rows stay ml-level (predict() is the
-# differential oracle in tests/test_differential.cpp), never a src/core
-# prediction path.
+# Each power group's formula lives once, in its combine(), which takes
+# the outputs of its GBT activity sub-models as evaluated by
+# ml::ForestBundle::predict: once per activity cell in AutoPowerModel,
+# once per row in the group's own predict(ctx).  The scalar
+# GBTRegressor::predict walk and the one-forest predict_rows stay
+# ml-level (predict() is the differential oracle in
+# tests/test_differential.cpp), never a src/core prediction path.
 gbt_members=$(grep -ho 'ml::GBTRegressor [A-Za-z_]*' src/core/*.hpp \
   | awk '{print $2}' | sort -u | paste -sd'|' -)
 if [ -z "$gbt_members" ]; then
@@ -116,19 +117,18 @@ if grep -rnE "\b(${gbt_members})\.predict(_rows)?\(" src/core; then
 fi
 echo "GBT sub-models in src/core (${gbt_members}) only use ForestBundle"
 
-echo "== one feature assembly per component tile (feature_rows stays in the tile loop) =="
-# AutoPowerModel's tile-major loop assembles each component's H+E+P
-# feature tile once and hands it to the clock, SRAM and logic models'
-# predict_tile.  A group model building its own feature matrix would
-# assemble the same rows again, once per group, for the whole batch.
-if grep -rn 'feature_rows(' src/core \
-    | grep -v -e '^src/core/autopower\.cpp:' \
-      -e '^src/core/features\.[ch]pp:'; then
-  echo "feature_rows( used in src/core outside autopower.cpp and" \
-    "features.{hpp,cpp}; take the shared tile through predict_tile instead"
+echo "== one activity path (rows are keyed by activity cell, not by bytes) =="
+# AutoPowerModel keys each component row by the ranks of its tested
+# features and walks the forests once per activity cell; only a cell's
+# first row is assembled as an H+E+P feature row.  A per-tile feature
+# matrix (feature_rows) or a byte-keyed row hash (row_hash) would bring
+# back the per-row pass the cells replaced.
+if grep -rnE '\b(feature_rows|row_hash)\(' src; then
+  echo "feature_rows( or row_hash( in src/; key rows by activity cell" \
+    "instead"
   exit 1
 fi
-echo "feature_rows confined to src/core/autopower.cpp and src/core/features.*"
+echo "no per-tile feature matrix or byte-keyed row pass in src/"
 
 echo "== one batched request path (serving and search predict in batches) =="
 # BatchEngine predicts each chunk of memo misses with one predict_batch
@@ -186,6 +186,21 @@ trap 'rm -rf "$smoke_dir"' EXIT
 python3 -c "import json; json.load(open('STATS_sweep.json'))" \
   || { echo "STATS_sweep.json is not valid JSON"; exit 1; }
 echo "metrics snapshot archived in STATS_sweep.json"
+# Prediction keys every component row by its activity cell and walks the
+# forests once per cell of the call's table: a run that predicted must
+# show 0 < core.predict.cells < core.predict.rows.
+check_cells() {
+  python3 - "$1" <<'PY'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+rows = counters.get("core.predict.rows", 0)
+cells = counters.get("core.predict.cells", 0)
+print(f"activity cells: {cells} cells walked for {rows} component rows")
+sys.exit(0 if 0 < cells < rows else 1)
+PY
+}
+check_cells STATS_sweep.json \
+  || { echo "the sweep smoke did not share activity cells"; exit 1; }
 
 echo "== SIGKILL-mid-sweep -> resume: final report byte-identical =="
 # A checkpointed sweep is killed hard (SIGKILL, no cleanup) partway
@@ -303,18 +318,10 @@ printf '{"config": "C3", "workload": "gemm", "mode": "trace"}\n' \
 ./build/tools/autopower batch --model "$smoke_dir/model.ap" \
   --requests "$smoke_dir/trace_req.jsonl" --out "$smoke_dir/trace_batch.jsonl" \
   --stats "$smoke_dir/trace_stats.json"
-# A one-design trace predicts each distinct event-rank vector (trace cell)
-# once per component: the cell path must have run, with fewer cells than
-# windows.
-python3 - "$smoke_dir/trace_stats.json" <<'PY' \
-  || { echo "the gemm trace did not share trace cells"; exit 1; }
-import json, sys
-counters = json.load(open(sys.argv[1]))["counters"]
-windows = counters.get("core.predict_trace.windows", 0)
-cells = counters.get("core.predict_trace.cells", 0)
-print(f"trace cells: {cells} cells for {windows} windows")
-sys.exit(0 if 0 < cells < windows else 1)
-PY
+# A one-design trace differs from window to window only in E, so it
+# reaches far fewer activity cells than it has component rows.
+check_cells "$smoke_dir/trace_stats.json" \
+  || { echo "the gemm trace did not share activity cells"; exit 1; }
 AUTOPOWER_SIMD=scalar ./build/tools/autopower batch \
   --model "$smoke_dir/model.ap" --requests "$smoke_dir/trace_req.jsonl" \
   --out "$smoke_dir/trace_batch_scalar.jsonl"
@@ -534,10 +541,11 @@ TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
 
 echo "== serial-vs-threaded differential oracles under ThreadSanitizer =="
 # Train, batch and sweep at several thread counts against their serial
-# runs: every fan-out site goes through util::parallel_for here.
+# runs: every fan-out site goes through util::parallel_for here.  Four
+# threads also share one ActivityCells table over overlapping spans.
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
   timeout 900 ./build-tsan/tests/test_differential --cases 4 \
-  --gtest_filter='DifferentialParallel.*:EngineInvariance.SerialVsThreaded*'
+  --gtest_filter='DifferentialParallel.*:EngineInvariance.SerialVsThreaded*:DifferentialModel.SharedCellsAcrossThreadsBitIdentical'
 
 echo "== proptest: fault-injection suite under ThreadSanitizer =="
 # Every registered fault site is forced to fire (test_fault), including
