@@ -1325,6 +1325,309 @@ TEST(DifferentialModel, ActivityCellsVsPerContextPredictBitIdentical) {
   EXPECT_GT(folds_checked, 0U) << "no equal-rank rows were folded";
 }
 
+// Oracle (b), duplicate rows: element i of predict_batch and
+// predict_total_batch must equal predict(ctxs[i]) on batches built to
+// repeat rows: a few contexts repeated in scrambled order, all-distinct
+// rows, 512 identical rows, configurations that differ only outside a
+// component's H, and rows that differ only by +0.0/-0.0 in one E
+// feature.  The counters show that repeated rows walk one cell each, and
+// that the signed zeros, equal in rank, share one cell per component.
+TEST(DifferentialModel, DuplicateRowsVsPerContextPredictBitIdentical) {
+  const auto& c3 = arch::boom_config("C3");
+  const auto& c8 = arch::boom_config("C8");
+  const auto& wl = workload::workload_by_name("qsort");
+  sim::SimOptions opt;
+  opt.sample_accesses = 500;
+  opt.sample_branches = 500;
+  const sim::PerfSimulator sim(opt);
+  const auto program = workload::program_features(wl);
+  std::vector<core::EvalContext> pool;
+  for (const auto* cfg : {&c3, &c8}) {
+    for (const auto& window : sim.simulate_trace(*cfg, wl)) {
+      pool.push_back({cfg, wl.name, program, window});
+    }
+  }
+  ASSERT_GE(pool.size(), 8u);
+
+  // Every HwParam moved on its own: C8 and a copy one step away on p.
+  std::vector<arch::HardwareConfig> moved;
+  for (const arch::HwParam p : arch::all_hw_params()) {
+    std::array<int, arch::kNumHwParams> values{};
+    for (const arch::HwParam q : arch::all_hw_params()) {
+      values[static_cast<std::size_t>(q)] = c8.value(q);
+    }
+    values[static_cast<std::size_t>(p)] += 1;
+    moved.emplace_back(std::string("C8+") +
+                           std::string(arch::hw_param_name(p)),
+                       values);
+  }
+
+  constexpr std::size_t kTile = core::AutoPowerModel::kTileRows;
+  const std::size_t sizes[] = {1, 63, 64, 65, kTile - 1, kTile + 1};
+  Pcg32 pick(20261019);
+  for (const bool ablation : {false, true}) {
+    const auto& model = group_oracle_model(ablation);
+    const std::string which = ablation ? "ablation model" : "default model";
+
+    // A few distinct contexts, each drawn many times.
+    for (const std::size_t size : sizes) {
+      std::vector<core::EvalContext> distinct;
+      for (int k = 0; k < 5; ++k) {
+        distinct.push_back(pool[pick.index(pool.size())]);
+      }
+      std::vector<core::EvalContext> batch;
+      for (std::size_t k = 0; k < size; ++k) {
+        batch.push_back(distinct[pick.index(distinct.size())]);
+      }
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", repeated contexts, batch " << size << ": " << *diff;
+      const auto counts = predict_counts(model, batch);
+      EXPECT_EQ(counts.rows, size * arch::kNumComponents);
+      EXPECT_GT(counts.cells, 0u);
+      EXPECT_LE(counts.cells, distinct.size() * arch::kNumComponents)
+          << which << ", repeated contexts, batch " << size;
+    }
+
+    // All-distinct rows: every context's P block is its own.
+    for (const std::size_t size : sizes) {
+      std::vector<core::EvalContext> batch;
+      for (std::size_t k = 0; k < size; ++k) {
+        batch.push_back(pool[k % pool.size()]);
+        batch.back().program.log_instructions +=
+            1e-3 * static_cast<double>(k);
+      }
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", distinct rows, batch " << size << ": " << *diff;
+      const auto counts = predict_counts(model, batch);
+      EXPECT_EQ(counts.rows, size * arch::kNumComponents);
+      EXPECT_GT(counts.cells, 0u);
+      EXPECT_LE(counts.cells, counts.rows)
+          << which << ", distinct rows, batch " << size;
+    }
+
+    // 512 identical rows: each component walks one cell.
+    {
+      const std::vector<core::EvalContext> batch(kTile, pool.front());
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", 512 identical rows: " << *diff;
+      const auto counts = predict_counts(model, batch);
+      EXPECT_EQ(counts.rows, kTile * arch::kNumComponents);
+      EXPECT_EQ(counts.cells, arch::kNumComponents);
+    }
+
+    // Configurations that differ only in one parameter: the components
+    // whose H omits it see equal rows under two cfg pointers.
+    for (std::size_t p = 0; p < moved.size(); ++p) {
+      std::vector<core::EvalContext> batch;
+      for (int k = 0; k < 6; ++k) {
+        core::EvalContext ctx = pool[pick.index(pool.size())];
+        ctx.cfg = k % 2 == 0 ? &c8 : &moved[p];
+        batch.push_back(ctx);
+        ctx.cfg = k % 2 == 0 ? &moved[p] : &c8;
+        batch.push_back(std::move(ctx));
+      }
+      const auto diff = batch_vs_per_context(model, batch);
+      ASSERT_FALSE(diff.has_value())
+          << which << ", C8 vs " << moved[p].name() << ": " << *diff;
+      const auto param = static_cast<arch::HwParam>(p);
+      std::uint64_t readers = 0;
+      for (const arch::ComponentKind c : arch::all_components()) {
+        const auto h = arch::component_hw_params(c);
+        readers += std::find(h.begin(), h.end(), param) != h.end();
+      }
+      if (readers < arch::kNumComponents) {
+        const auto counts = predict_counts(model, batch);
+        EXPECT_LT(counts.cells, counts.rows)
+            << which << ", C8 vs " << moved[p].name();
+      }
+    }
+
+    // +0.0 vs -0.0 in one E feature: distinct bytes, equal ranks, so
+    // every component walks one cell for both rows.
+    const arch::ComponentKind comp = arch::all_components().front();
+    arch::EventKind event = arch::component_events(comp).front();
+    if (event == arch::EventKind::kCycles) {
+      event = arch::component_events(comp)[1];
+    }
+    std::vector<core::EvalContext> batch(2, pool.front());
+    batch[0].events[event] = 0.0;
+    batch[1].events[event] = -0.0;
+    const auto diff = batch_vs_per_context(model, batch);
+    ASSERT_FALSE(diff.has_value()) << which << ", signed zeros: " << *diff;
+    const auto counts = predict_counts(model, batch);
+    EXPECT_EQ(counts.rows, 2 * arch::kNumComponents);
+    EXPECT_EQ(counts.cells, arch::kNumComponents)
+        << which << ", signed zeros in " << arch::event_name(event);
+  }
+}
+
+// Oracle (b), trace level: predict_trace vs per-window predict.
+//
+// The oracle builds a pool of source windows: the first windows of a
+// random design's trace, plus copies with one event rate set to exactly
+// a threshold the model tests, one ulp either side of it, +0, -0, NaN,
+// +inf, or above the component's top threshold.  Traces cycle the pool
+// to kTileRows - 1, kTileRows, kTileRows + 1 and 4,000 windows and must
+// walk fewer cells than component rows; a span mixing two configurations
+// and one mixing two programs must walk no more cells than rows.  Every
+// element must equal predict(window).total() exactly, for the k=2, k=3
+// and linear-alpha models.
+
+constexpr std::size_t kTraceLengths[] = {core::AutoPowerModel::kTileRows - 1,
+                                         core::AutoPowerModel::kTileRows,
+                                         core::AutoPowerModel::kTileRows + 1,
+                                         4000};
+
+TEST(DifferentialModel, TraceCellsVsPerWindowPredictBitIdentical) {
+  auto& registry = util::MetricsRegistry::global();
+  const auto& predict_rows = registry.counter("core.predict.rows");
+  const auto& predict_cells = registry.counter("core.predict.cells");
+  std::size_t edits_made = 0;
+  const auto result = testcore::run_property<GroupCase>(
+      {.name = "core.trace_cells_vs_per_window", .cases = 8},
+      [](Pcg32& rng) {
+        GroupCase c{testcore::random_hardware_config(rng),
+                    testcore::random_hardware_config(rng),
+                    testcore::random_workload_profile(rng),
+                    testcore::small_sim_options(rng)};
+        c.wl.instructions = 20'000 + rng.next_below(20'000);
+        c.pick_seed = rng.next_u64();
+        return c;
+      },
+      [&](const GroupCase& c) -> std::optional<std::string> {
+        sim::PerfSimulator sim(c.sim_opt);
+        const auto program = workload::program_features(c.wl);
+        auto other_program = program;
+        other_program.ilp += 0.5;
+        const auto windows = [&](const arch::HardwareConfig& cfg) {
+          std::vector<core::EvalContext> out;
+          for (const auto& events : sim.simulate_trace(cfg, c.wl)) {
+            out.push_back({&cfg, c.wl.name, program, events});
+          }
+          return out;
+        };
+        auto base = windows(c.cfg_a);
+        if (base.empty()) return "simulate_trace returned no windows";
+        base.resize(std::min<std::size_t>(base.size(), 64));
+
+        for (const CellModel which :
+             {CellModel::kTwoConfigs, CellModel::kThreeConfigs,
+              CellModel::kLinearAlpha}) {
+          const auto& model = cell_oracle_model(which);
+          const auto thresholds = feature_thresholds(model);
+          // The source pool: the base windows, then 32 edited copies.
+          Pcg32 pick(c.pick_seed);
+          auto pool = base;
+          for (int edit = 0; edit < 32; ++edit) {
+            const std::size_t comp = pick.index(arch::kNumComponents);
+            const auto component = arch::all_components()[comp];
+            const auto events = arch::component_events(component);
+            const std::size_t k = pick.index(events.size());
+            const auto& t =
+                thresholds[comp][arch::component_hw_params(component).size() +
+                                 k];
+            if (t.empty() || events[k] == arch::EventKind::kCycles) continue;
+            const double at = t[pick.index(t.size())];
+            const double targets[] = {
+                at,
+                std::nextafter(at, -std::numeric_limits<double>::infinity()),
+                std::nextafter(at, std::numeric_limits<double>::infinity()),
+                0.0,
+                -0.0,
+                std::numeric_limits<double>::quiet_NaN(),
+                std::numeric_limits<double>::infinity(),
+                t.back() + std::abs(t.back()) + 1.0};
+            core::EvalContext w = base[pick.index(base.size())];
+            if (!set_rate(w.events, events[k],
+                          targets[pick.index(std::size(targets))])) {
+              continue;
+            }
+            pool.push_back(std::move(w));
+            ++edits_made;
+          }
+          std::vector<double> expected;
+          for (const auto& w : pool) {
+            expected.push_back(model.predict(w).total());
+          }
+
+          const auto check = [&](const char* what,
+                                 std::span<const core::EvalContext> span,
+                                 std::span<const double> want,
+                                 bool folds) -> std::optional<std::string> {
+            const auto rows_before = predict_rows.value();
+            const auto cells_before = predict_cells.value();
+            const auto got = model.predict_trace(span);
+            const auto n_rows = predict_rows.value() - rows_before;
+            const auto n_cells = predict_cells.value() - cells_before;
+            std::ostringstream msg;
+            msg.precision(17);
+            msg << cell_model_name(which) << ", " << what << " of "
+                << span.size() << ": ";
+            if (got.size() != span.size()) {
+              msg << got.size() << " totals";
+              return msg.str();
+            }
+            if (n_rows != arch::kNumComponents * span.size() ||
+                n_cells == 0 ||
+                n_cells > arch::kNumComponents *
+                              std::min(span.size(), pool.size()) ||
+                (folds && n_cells >= n_rows)) {
+              msg << n_cells << " cells for " << n_rows << " rows";
+              return msg.str();
+            }
+            for (std::size_t i = 0; i < span.size(); ++i) {
+              const double one = want[i % want.size()];
+              if (std::bit_cast<std::uint64_t>(got[i]) ==
+                  std::bit_cast<std::uint64_t>(one)) {
+                continue;
+              }
+              msg << "window " << i << ": predict()=" << one
+                  << " predict_trace()=" << got[i];
+              return msg.str();
+            }
+            return std::nullopt;
+          };
+
+          for (const std::size_t length : kTraceLengths) {
+            std::vector<core::EvalContext> trace;
+            while (trace.size() < length) {
+              trace.push_back(pool[trace.size() % pool.size()]);
+            }
+            if (auto diff = check("single-config trace", trace, expected,
+                                  true)) {
+              return diff;
+            }
+          }
+          // Mixed spans: the pool with a random window swapped for a
+          // window of the other configuration or program.
+          for (const bool swap_config : {true, false}) {
+            auto mixed = pool;
+            auto want = expected;
+            const std::size_t at = pick.index(pool.size());
+            if (swap_config) {
+              mixed[at] = windows(c.cfg_b).front();
+            } else {
+              mixed[at].program = other_program;
+            }
+            want[at] = model.predict(mixed[at]).total();
+            if (auto diff = check(swap_config ? "mixed-config span"
+                                              : "mixed-program span",
+                                  mixed, want, false)) {
+              return diff;
+            }
+          }
+        }
+        return std::nullopt;
+      },
+      describe_group_case);
+  ASSERT_TRUE(result.passed) << result.report;
+  EXPECT_GE(result.cases_run, 1);
+  EXPECT_GT(edits_made, 0U) << "no event rate could be set to a target";
+}
+
 // A pool of held-out contexts: the first 64 windows of C3 and C8 on two
 // workloads, each config also under a copy at its own address.
 std::vector<core::EvalContext> shared_cells_pool(
